@@ -5,8 +5,10 @@
 //! `d′`-bit signatures (Algorithm 1). Instead of using the buckets for nearest-neighbour
 //! queries, it *ranks the buckets with the mining scoring function* and returns the best
 //! bucket whose size fits `1 ≤ |G_opt| ≤ k`. If no bucket qualifies, the number of hash
-//! bits `d′` is relaxed by binary search (fewer bits → larger buckets) and hashing is
-//! repeated.
+//! bits `d′` is relaxed by binary search (fewer bits → larger buckets). Hyperplane
+//! families are nested (the first `b` planes of a seeded family are the `b`-plane
+//! family), so every relaxed round re-buckets signature prefixes instead of hashing
+//! again.
 //!
 //! Constraint handling:
 //!
@@ -202,47 +204,38 @@ impl SmLshSolver {
             .map(|i| ctx.folded_vector(i, fold_users, fold_items))
             .collect();
 
+        let full = LshIndex::build(
+            LshConfig {
+                dims,
+                num_bits: self.initial_bits,
+                num_tables: self.num_tables,
+                seed: self.seed,
+            },
+            vectors.iter().map(|v| v.as_slice()),
+        );
+
+        // Iterative relaxation of d′ (Algorithm 1): start from the configured d′; on a
+        // null result, halve the bits (larger buckets) down to a single bit. Each
+        // relaxed index re-buckets prefixes of the signatures hashed above.
         let mut evaluated_total = 0u64;
         let mut best: Option<(Vec<usize>, f64)> = None;
-
-        // Iterative relaxation of d′ by binary search (Algorithm 1): start from the
-        // configured d′; on a null result, retry with fewer bits (larger buckets).
-        let lo = 1usize;
-        let mut hi = self.initial_bits;
-        let mut bits = self.initial_bits;
+        let mut relaxed: LshIndex;
+        let mut index = &full;
         loop {
-            let index = LshIndex::build(
-                LshConfig {
-                    dims,
-                    num_bits: bits,
-                    num_tables: self.num_tables,
-                    seed: self.seed,
-                },
-                vectors.iter().map(|v| v.as_slice()),
-            );
-            let (found, evaluated) = self.evaluate_buckets(ctx, problem, &index, cancel);
+            let (found, evaluated) = self.evaluate_buckets(ctx, problem, index, cancel);
             evaluated_total += evaluated;
-            if let Some((groups, objective)) = found {
-                best = Some((groups, objective));
+            if found.is_some() {
+                best = found;
                 break;
             }
-            // A fired token ends the relaxation: rehashing with fewer bits restarts the
-            // whole bucket sweep, which a deadline-bound caller cannot afford.
-            if cancel.is_some_and(|token| token.is_cancelled()) {
+            // A fired token ends the relaxation: re-bucketing with fewer bits restarts
+            // the whole bucket sweep, which a deadline-bound caller cannot afford.
+            let bits = index.config().num_bits;
+            if bits == 1 || cancel.is_some_and(|token| token.is_cancelled()) {
                 break;
             }
-            // Null result: relax d′ downwards.
-            if bits == 0 || lo > hi {
-                break;
-            }
-            hi = bits.saturating_sub(1);
-            if lo > hi {
-                break;
-            }
-            bits = (lo + hi) / 2;
-            if bits == 0 {
-                break;
-            }
+            relaxed = full.truncated(bits / 2);
+            index = &relaxed;
         }
 
         let elapsed = start.elapsed();
@@ -289,6 +282,7 @@ mod tests {
     use crate::catalog::{problem_1, problem_2, problem_3, ProblemParams};
     use crate::solvers::test_support::small_context;
     use crate::solvers::ExactSolver;
+    use ConstraintMode::{Filter, Fold};
 
     fn loose_params() -> ProblemParams {
         ProblemParams {
@@ -446,5 +440,143 @@ mod tests {
             .solve(&ctx, &problem);
         assert_eq!(a.groups, b.groups);
         assert_eq!(a.objective, b.objective);
+    }
+
+    type GoldenRow = (
+        u8,
+        ConstraintMode,
+        usize,
+        bool,
+        usize,
+        &'static [usize],
+        u64,
+        bool,
+        u64,
+    );
+
+    /// `(problem, mode, with_bits, strict, with_tables)` → `(groups, objective bits,
+    /// feasible, candidates_evaluated)` on `small_context()` with `loose_params()`,
+    /// recorded from the earlier solver that rebuilt the index with fresh hyperplanes in
+    /// every relaxation round. The strict 48- and 80-bit rows relax several times.
+    #[rustfmt::skip]
+    const GOLDEN: &[GoldenRow] = &[
+        (1, Filter, 4, true, 1, &[0, 3], 0x3feffffffffffffe, true, 3),
+        (1, Filter, 4, true, 4, &[0, 3], 0x3feffffffffffffe, true, 11),
+        (1, Filter, 4, false, 1, &[1, 4], 0x3feffffffffffffe, true, 17),
+        (1, Filter, 4, false, 4, &[1, 4], 0x3feffffffffffffe, true, 69),
+        (1, Filter, 10, true, 1, &[0, 3], 0x3feffffffffffffe, true, 4),
+        (1, Filter, 10, true, 4, &[0, 3], 0x3feffffffffffffe, true, 16),
+        (1, Filter, 10, false, 1, &[0, 3], 0x3feffffffffffffe, true, 21),
+        (1, Filter, 10, false, 4, &[0, 3], 0x3feffffffffffffe, true, 84),
+        (1, Filter, 48, true, 1, &[6, 9], 0x3feffffffffffffe, true, 4),
+        (1, Filter, 48, true, 4, &[6, 9], 0x3feffffffffffffe, true, 16),
+        (1, Filter, 48, false, 1, &[6, 9], 0x3feffffffffffffe, true, 21),
+        (1, Filter, 48, false, 4, &[6, 9], 0x3feffffffffffffe, true, 84),
+        (1, Filter, 80, true, 1, &[6, 9], 0x3feffffffffffffe, true, 4),
+        (1, Filter, 80, true, 4, &[6, 9], 0x3feffffffffffffe, true, 16),
+        (1, Filter, 80, false, 1, &[6, 9], 0x3feffffffffffffe, true, 21),
+        (1, Filter, 80, false, 4, &[6, 9], 0x3feffffffffffffe, true, 84),
+        (1, Fold, 4, true, 1, &[0, 1, 3], 0x3fd5555555555554, true, 4),
+        (1, Fold, 4, true, 4, &[7, 10], 0x3feffffffffffffe, true, 16),
+        (1, Fold, 4, false, 1, &[0, 3], 0x3feffffffffffffe, true, 18),
+        (1, Fold, 4, false, 4, &[0, 3], 0x3feffffffffffffe, true, 71),
+        (1, Fold, 10, true, 1, &[0, 3], 0x3feffffffffffffe, true, 18),
+        (1, Fold, 10, true, 4, &[0, 3], 0x3feffffffffffffe, true, 70),
+        (1, Fold, 10, false, 1, &[0, 3], 0x3feffffffffffffe, true, 44),
+        (1, Fold, 10, false, 4, &[0, 3], 0x3feffffffffffffe, true, 171),
+        (1, Fold, 48, true, 1, &[0, 3], 0x3feffffffffffffe, true, 44),
+        (1, Fold, 48, true, 4, &[0, 3], 0x3feffffffffffffe, true, 175),
+        (1, Fold, 48, false, 1, &[0, 3], 0x3feffffffffffffe, true, 94),
+        (1, Fold, 48, false, 4, &[0, 3], 0x3feffffffffffffe, true, 374),
+        (1, Fold, 80, true, 1, &[0, 3], 0x3feffffffffffffe, true, 54),
+        (1, Fold, 80, true, 4, &[0, 3], 0x3feffffffffffffe, true, 214),
+        (1, Fold, 80, false, 1, &[0, 3], 0x3feffffffffffffe, true, 116),
+        (1, Fold, 80, false, 4, &[0, 3], 0x3feffffffffffffe, true, 459),
+        (2, Filter, 4, true, 1, &[], 0x0000000000000000, false, 6),
+        (2, Filter, 4, true, 4, &[], 0x0000000000000000, false, 20),
+        (2, Filter, 4, false, 1, &[1, 2, 4], 0x3fd5555555555554, true, 14),
+        (2, Filter, 4, false, 4, &[1, 2, 4], 0x3fd5555555555554, true, 56),
+        (2, Filter, 10, true, 1, &[], 0x0000000000000000, false, 10),
+        (2, Filter, 10, true, 4, &[], 0x0000000000000000, false, 37),
+        (2, Filter, 10, false, 1, &[1, 2, 4], 0x3fd5555555555554, true, 30),
+        (2, Filter, 10, false, 4, &[1, 2, 4], 0x3fd5555555555554, true, 122),
+        (2, Filter, 48, true, 1, &[], 0x0000000000000000, false, 19),
+        (2, Filter, 48, true, 4, &[], 0x0000000000000000, false, 70),
+        (2, Filter, 48, false, 1, &[1, 2, 4], 0x3fd5555555555554, true, 78),
+        (2, Filter, 48, false, 4, &[1, 4, 8], 0x3fd5555555555554, true, 252),
+        (2, Filter, 80, true, 1, &[], 0x0000000000000000, false, 22),
+        (2, Filter, 80, true, 4, &[], 0x0000000000000000, false, 85),
+        (2, Filter, 80, false, 1, &[1, 2, 4], 0x3fd5555555555554, true, 78),
+        (2, Filter, 80, false, 4, &[1, 2, 4], 0x3fd5555555555554, true, 314),
+        (2, Fold, 4, true, 1, &[3, 4], 0x0000000000000000, true, 5),
+        (2, Fold, 4, true, 4, &[3, 4], 0x0000000000000000, true, 20),
+        (2, Fold, 4, false, 1, &[1, 2, 7], 0x3fd5555555555554, true, 19),
+        (2, Fold, 4, false, 4, &[1, 2, 7], 0x3fd5555555555554, true, 80),
+        (2, Fold, 10, true, 1, &[1, 2], 0x0000000000000000, true, 11),
+        (2, Fold, 10, true, 4, &[1, 2], 0x0000000000000000, true, 45),
+        (2, Fold, 10, false, 1, &[1, 2], 0x0000000000000000, true, 24),
+        (2, Fold, 10, false, 4, &[1, 2], 0x0000000000000000, true, 96),
+        (2, Fold, 48, true, 1, &[1, 2], 0x0000000000000000, true, 35),
+        (2, Fold, 48, true, 4, &[1, 2], 0x0000000000000000, true, 141),
+        (2, Fold, 48, false, 1, &[1, 2], 0x0000000000000000, true, 72),
+        (2, Fold, 48, false, 4, &[1, 2], 0x0000000000000000, true, 288),
+        (2, Fold, 80, true, 1, &[1, 2], 0x0000000000000000, true, 35),
+        (2, Fold, 80, true, 4, &[1, 2], 0x0000000000000000, true, 143),
+        (2, Fold, 80, false, 1, &[1, 2], 0x0000000000000000, true, 72),
+        (2, Fold, 80, false, 4, &[1, 2], 0x0000000000000000, true, 288),
+        (3, Filter, 4, true, 1, &[0, 3], 0x3feffffffffffffe, true, 3),
+        (3, Filter, 4, true, 4, &[0, 3], 0x3feffffffffffffe, true, 11),
+        (3, Filter, 4, false, 1, &[1, 4], 0x3feffffffffffffe, true, 17),
+        (3, Filter, 4, false, 4, &[1, 4], 0x3feffffffffffffe, true, 69),
+        (3, Filter, 10, true, 1, &[0, 3], 0x3feffffffffffffe, true, 4),
+        (3, Filter, 10, true, 4, &[0, 3], 0x3feffffffffffffe, true, 16),
+        (3, Filter, 10, false, 1, &[0, 3], 0x3feffffffffffffe, true, 21),
+        (3, Filter, 10, false, 4, &[0, 3], 0x3feffffffffffffe, true, 84),
+        (3, Filter, 48, true, 1, &[6, 9], 0x3feffffffffffffe, true, 4),
+        (3, Filter, 48, true, 4, &[6, 9], 0x3feffffffffffffe, true, 16),
+        (3, Filter, 48, false, 1, &[6, 9], 0x3feffffffffffffe, true, 21),
+        (3, Filter, 48, false, 4, &[6, 9], 0x3feffffffffffffe, true, 84),
+        (3, Filter, 80, true, 1, &[6, 9], 0x3feffffffffffffe, true, 4),
+        (3, Filter, 80, true, 4, &[6, 9], 0x3feffffffffffffe, true, 16),
+        (3, Filter, 80, false, 1, &[6, 9], 0x3feffffffffffffe, true, 21),
+        (3, Filter, 80, false, 4, &[6, 9], 0x3feffffffffffffe, true, 84),
+        (3, Fold, 4, true, 1, &[6, 9], 0x3feffffffffffffe, true, 2),
+        (3, Fold, 4, true, 4, &[6, 9], 0x3feffffffffffffe, true, 10),
+        (3, Fold, 4, false, 1, &[6, 9], 0x3feffffffffffffe, true, 18),
+        (3, Fold, 4, false, 4, &[6, 9], 0x3feffffffffffffe, true, 75),
+        (3, Fold, 10, true, 1, &[2, 5], 0x3feffffffffffffe, true, 4),
+        (3, Fold, 10, true, 4, &[2, 5], 0x3feffffffffffffe, true, 16),
+        (3, Fold, 10, false, 1, &[2, 5], 0x3feffffffffffffe, true, 21),
+        (3, Fold, 10, false, 4, &[2, 5], 0x3feffffffffffffe, true, 84),
+        (3, Fold, 48, true, 1, &[2, 5], 0x3feffffffffffffe, true, 4),
+        (3, Fold, 48, true, 4, &[2, 5], 0x3feffffffffffffe, true, 16),
+        (3, Fold, 48, false, 1, &[2, 5], 0x3feffffffffffffe, true, 21),
+        (3, Fold, 48, false, 4, &[2, 5], 0x3feffffffffffffe, true, 84),
+        (3, Fold, 80, true, 1, &[2, 5], 0x3feffffffffffffe, true, 4),
+        (3, Fold, 80, true, 4, &[2, 5], 0x3feffffffffffffe, true, 16),
+        (3, Fold, 80, false, 1, &[2, 5], 0x3feffffffffffffe, true, 21),
+        (3, Fold, 80, false, 4, &[2, 5], 0x3feffffffffffffe, true, 84),
+    ];
+
+    #[test]
+    fn relaxing_by_signature_prefix_reproduces_the_rebuild_per_round_answers() {
+        let ctx = small_context();
+        for &(p, mode, bits, strict, tables, groups, objective, feasible, candidates) in GOLDEN {
+            let problem = match p {
+                1 => problem_1(loose_params()),
+                2 => problem_2(loose_params()),
+                _ => problem_3(loose_params()),
+            };
+            let mut solver = SmLshSolver::new(mode).with_bits(bits).with_tables(tables);
+            if strict {
+                solver = solver.strict();
+            }
+            let outcome = solver.solve(&ctx, &problem);
+            let row = format!("P{p} {mode:?} bits={bits} strict={strict} tables={tables}");
+            assert_eq!(outcome.groups, groups, "{row}");
+            assert_eq!(outcome.objective.to_bits(), objective, "{row}");
+            assert_eq!(outcome.feasible, feasible, "{row}");
+            assert_eq!(outcome.candidates_evaluated, candidates, "{row}");
+        }
     }
 }

@@ -48,7 +48,6 @@ pub mod entity;
 pub mod error;
 pub mod generator;
 pub mod group;
-pub mod incremental;
 pub mod io;
 pub mod predicate;
 pub mod query;
@@ -60,9 +59,6 @@ pub use dataset::{Dataset, DatasetBuilder, DatasetStats};
 pub use entity::{Item, ItemId, User, UserId};
 pub use error::DataError;
 pub use group::{GroupId, GroupingScheme, TaggingActionGroup};
-pub use incremental::{
-    apply_update, apply_updates, DatasetUpdate, IncrementalGrouping, UpdateEffect,
-};
 pub use predicate::{AtomicPredicate, ConjunctivePredicate, Dimension};
 pub use schema::{AttributeId, Schema, ValueId};
 pub use tag::{TagId, TagVocabulary};

@@ -1,10 +1,10 @@
 //! A small least-recently-used cache for memoized mining artifacts.
 //!
-//! The engine caches a handful of *large* values (mining contexts, distance matrices),
-//! so the cache optimizes for simplicity over asymptotics: entries carry a logical
-//! timestamp, `get` refreshes it, and eviction scans for the stale minimum. With the
-//! double-digit capacities the engine uses, the O(capacity) eviction scan is noise next
-//! to building even one context.
+//! The engine caches mining contexts (large values) and solver outcomes, so the cache
+//! optimizes for simplicity over asymptotics: entries carry a logical timestamp, `get`
+//! refreshes it, and eviction scans for the stale minimum. With the capacities the
+//! engine uses, the O(capacity) eviction scan is noise next to building even one
+//! context or running one solve.
 
 use std::collections::HashMap;
 use std::hash::Hash;

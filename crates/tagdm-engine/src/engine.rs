@@ -6,9 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tagdm_core::context::MiningContext;
-use tagdm_core::problem::TagDmProblem;
 use tagdm_data::dataset::Dataset;
-use tagdm_geometry::distance::DistanceMatrix;
 
 use crate::admission::AdmissionPolicy;
 use crate::error::EngineError;
@@ -29,8 +27,6 @@ pub struct EngineConfig {
     pub context_cache: usize,
     /// Capacity of the solver-outcome LRU cache.
     pub outcome_cache: usize,
-    /// Capacity of the pairwise objective-matrix LRU cache.
-    pub matrix_cache: usize,
     /// Capacity of the job admission queue (at least 1).
     pub queue_capacity: usize,
     /// What happens to submissions when the queue is full.
@@ -45,7 +41,6 @@ impl Default for EngineConfig {
             workers: 4,
             context_cache: 16,
             outcome_cache: 256,
-            matrix_cache: 32,
             queue_capacity: 1024,
             admission: AdmissionPolicy::Reject,
             supervisor: SupervisorConfig::default(),
@@ -82,10 +77,10 @@ impl EngineConfig {
 /// A long-lived, thread-safe mining service over registered datasets.
 ///
 /// The engine memoizes the expensive artifacts of the TagDM pipeline — mining contexts
-/// keyed by `(dataset, grouping scheme, summarizer)`, pairwise objective matrices and
-/// whole solver outcomes — and runs [`SolveRequest`]s on a fixed worker pool with
-/// cooperative deadline cancellation. All methods take `&self`; share an engine across
-/// threads with `Arc` or plain borrows.
+/// keyed by `(dataset, grouping scheme, summarizer)` and whole solver outcomes — and
+/// runs [`SolveRequest`]s on a fixed worker pool with cooperative deadline
+/// cancellation. All methods take `&self`; share an engine across threads with `Arc`
+/// or plain borrows.
 ///
 /// ```
 /// use tagdm_engine::{Engine, EngineConfig};
@@ -110,11 +105,7 @@ impl Default for Engine {
 impl Engine {
     /// Start an engine: spawns the worker pool immediately.
     pub fn new(config: EngineConfig) -> Self {
-        let state = Arc::new(EngineState::new(
-            config.context_cache,
-            config.outcome_cache,
-            config.matrix_cache,
-        ));
+        let state = Arc::new(EngineState::new(config.context_cache, config.outcome_cache));
         let executor = JobExecutor::start(
             config.workers,
             config.queue_capacity,
@@ -184,15 +175,6 @@ impl Engine {
     /// Resolve (building and caching if needed) the context a spec denotes.
     pub fn context(&self, spec: &ContextSpec) -> Result<Arc<MiningContext>, EngineError> {
         self.state.resolve_context(spec).map(|(context, _)| context)
-    }
-
-    /// The memoized pairwise objective matrix of `problem` over the spec's context.
-    pub fn objective_matrix(
-        &self,
-        spec: &ContextSpec,
-        problem: &TagDmProblem,
-    ) -> Result<Arc<DistanceMatrix>, EngineError> {
-        self.state.objective_matrix(spec, problem)
     }
 
     /// Enqueue a request on the worker pool; the ticket resolves to the response.

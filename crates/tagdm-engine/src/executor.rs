@@ -394,10 +394,8 @@ fn run_job(state: &EngineState, request: &SolveRequest, submitted: Instant, repl
     let outcome = solver.solve_cancellable(&context, &request.problem, &token);
     let deadline_hit = token.is_cancelled();
     state.metrics.record_solve(started.elapsed(), false);
-    if deadline_hit {
-        // A truncated search is not the canonical answer; never cache it.
-        state.metrics.job_expired();
-    } else {
+    // A truncated search is not the canonical answer; never cache it.
+    if !deadline_hit {
         state.store_outcome(key, outcome.clone());
     }
     reply.send(

@@ -9,9 +9,8 @@
 //! * **Context caching** — datasets are registered once; mining contexts (the
 //!   expensive LDA/tf·idf signature precomputations) are memoized behind an LRU cache
 //!   keyed by `(dataset, grouping scheme, summarizer)` ([`ContextSpec::key`]), next to
-//!   caches for pairwise objective matrices and whole solver outcomes. Pre-built
-//!   contexts can be pinned under explicit names ([`Engine::install_context`]) for
-//!   corpora no grouping recipe describes.
+//!   a cache of whole solver outcomes. Pre-built contexts can be pinned under explicit
+//!   names ([`Engine::install_context`]) for corpora no grouping recipe describes.
 //! * **Job execution** — typed [`SolveRequest`]s (problem + solver choice + optional
 //!   deadline) run on a fixed worker pool; responses come back over per-job channels
 //!   as [`SolveResponse`]s. Deadlines cancel cooperatively via

@@ -20,7 +20,9 @@ pub struct EngineMetrics {
     pub jobs_submitted: AtomicU64,
     /// Jobs whose response was sent (including errors and expiries).
     pub jobs_completed: AtomicU64,
-    /// Jobs whose deadline fired — while queued or mid-solve.
+    /// Jobs whose deadline fired while they were queued. A solve truncated by its
+    /// deadline still answers `Ok` (flagged by `SolveResponse::deadline_hit`) and is
+    /// not counted here.
     pub jobs_expired: AtomicU64,
     /// Jobs whose solver panicked; the panic was caught and answered as
     /// [`EngineError::WorkerPanicked`](crate::EngineError::WorkerPanicked).
@@ -44,10 +46,6 @@ pub struct EngineMetrics {
     pub outcome_hits: AtomicU64,
     /// Solver-outcome cache misses (each one ran a solver).
     pub outcome_misses: AtomicU64,
-    /// Pairwise objective-matrix cache hits.
-    pub matrix_hits: AtomicU64,
-    /// Pairwise objective-matrix cache misses.
-    pub matrix_misses: AtomicU64,
     /// TCP connections accepted by the `tagdm-net` transport.
     pub net_connections_opened: AtomicU64,
     /// Transport connections closed, whatever the reason (client EOF, protocol
@@ -183,14 +181,6 @@ impl EngineMetrics {
         });
     }
 
-    pub(crate) fn matrix_lookup(&self, hit: bool) {
-        Self::add(if hit {
-            &self.matrix_hits
-        } else {
-            &self.matrix_misses
-        });
-    }
-
     pub(crate) fn record_queue_wait(&self, wait: Duration) {
         self.queue_wait.record(wait);
     }
@@ -224,8 +214,6 @@ impl EngineMetrics {
             context_misses: load(&self.context_misses),
             outcome_hits: load(&self.outcome_hits),
             outcome_misses: load(&self.outcome_misses),
-            matrix_hits: load(&self.matrix_hits),
-            matrix_misses: load(&self.matrix_misses),
             net_connections_opened: load(&self.net_connections_opened),
             net_connections_closed: load(&self.net_connections_closed),
             net_frames_received: load(&self.net_frames_received),
@@ -250,7 +238,7 @@ pub struct MetricsSnapshot {
     pub jobs_submitted: u64,
     /// Jobs answered (success, error or expiry).
     pub jobs_completed: u64,
-    /// Jobs whose deadline fired.
+    /// Jobs whose deadline fired while they were queued.
     pub jobs_expired: u64,
     /// Jobs whose caught solver panic was answered as `WorkerPanicked`.
     pub jobs_panicked: u64,
@@ -272,10 +260,6 @@ pub struct MetricsSnapshot {
     pub outcome_hits: u64,
     /// Outcome-cache misses.
     pub outcome_misses: u64,
-    /// Objective-matrix cache hits.
-    pub matrix_hits: u64,
-    /// Objective-matrix cache misses.
-    pub matrix_misses: u64,
     /// Transport connections accepted.
     pub net_connections_opened: u64,
     /// Transport connections closed.
@@ -376,10 +360,6 @@ impl MetricsSnapshot {
             self.outcome_hits,
             self.outcome_misses,
             100.0 * self.outcome_hit_ratio()
-        ));
-        out.push_str(&format!(
-            "  matrices  hits={} misses={}\n",
-            self.matrix_hits, self.matrix_misses
         ));
         out.push_str(&format!(
             "  network   conns={}/{} frames={}rx/{}tx errors={} deadline_cuts={}\n",

@@ -20,7 +20,6 @@ use tagdm_core::problem::TagDmProblem;
 use tagdm_core::solvers::SolverOutcome;
 use tagdm_data::dataset::Dataset;
 use tagdm_data::group::GroupingScheme;
-use tagdm_geometry::distance::DistanceMatrix;
 
 use crate::cache::LruCache;
 use crate::error::EngineError;
@@ -100,23 +99,17 @@ pub(crate) struct EngineState {
     /// duplicating the work.
     building: Mutex<HashMap<ContextKey, Arc<InFlightBuild>>>,
     outcomes: Mutex<LruCache<OutcomeKey, SolverOutcome>>,
-    matrices: Mutex<LruCache<OutcomeKey, Arc<DistanceMatrix>>>,
     pub(crate) metrics: EngineMetrics,
 }
 
 impl EngineState {
-    pub(crate) fn new(
-        context_capacity: usize,
-        outcome_capacity: usize,
-        matrix_capacity: usize,
-    ) -> Self {
+    pub(crate) fn new(context_capacity: usize, outcome_capacity: usize) -> Self {
         EngineState {
             datasets: RwLock::new(HashMap::new()),
             installed: RwLock::new(HashMap::new()),
             contexts: Mutex::new(LruCache::new(context_capacity)),
             building: Mutex::new(HashMap::new()),
             outcomes: Mutex::new(LruCache::new(outcome_capacity)),
-            matrices: Mutex::new(LruCache::new(matrix_capacity)),
             metrics: EngineMetrics::default(),
         }
     }
@@ -262,29 +255,6 @@ impl EngineState {
 
     pub(crate) fn store_outcome(&self, key: OutcomeKey, outcome: SolverOutcome) {
         lock_recover(&self.outcomes).insert(key, outcome);
-    }
-
-    /// The memoized pairwise objective matrix for a (context, problem-objectives) pair —
-    /// the `S_G` matrix DV-FDP-style solvers and analyses consume.
-    pub(crate) fn objective_matrix(
-        &self,
-        spec: &ContextSpec,
-        problem: &TagDmProblem,
-    ) -> Result<Arc<DistanceMatrix>, EngineError> {
-        let objectives = serde_json::to_string(&problem.objectives)
-            .expect("objective specs serialize infallibly");
-        let key = (spec.key(), objectives);
-        if let Some(matrix) = lock_recover(&self.matrices).get(&key) {
-            self.metrics.matrix_lookup(true);
-            return Ok(matrix);
-        }
-        let (context, _) = self.resolve_context(spec)?;
-        let matrix = Arc::new(DistanceMatrix::from_fn(context.num_groups(), |i, j| {
-            problem.pairwise_objective(&context, i, j)
-        }));
-        self.metrics.matrix_lookup(false);
-        lock_recover(&self.matrices).insert(key, Arc::clone(&matrix));
-        Ok(matrix)
     }
 }
 

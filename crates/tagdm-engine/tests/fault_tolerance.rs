@@ -522,6 +522,33 @@ fn outcome_lookup_fault_answers_the_ticket_and_clears() {
     assert!(response.result.is_ok());
 }
 
+#[test]
+fn deadline_truncated_answer_is_not_a_transient_fault() {
+    let _serial = serial();
+    let (engine, spec) = engine_with_corpus(EngineConfig::default().with_workers(1));
+    engine.context(&spec).expect("the context builds");
+    // The job starts well inside its deadline, then stalls past it at the outcome
+    // lookup, so the solver runs with a token that has already fired.
+    failpoint::arm_times(
+        site::OUTCOME_LOOKUP,
+        1,
+        FailAction::Delay(Duration::from_millis(600)),
+    );
+
+    let response = engine
+        .submit(request(&spec).with_deadline(Duration::from_millis(300)))
+        .wait_timeout(Duration::from_secs(10))
+        .expect("a truncated solve answers its ticket");
+    assert!(response.deadline_hit);
+    assert!(response.result.is_ok(), "{:?}", response.result);
+
+    // The caller learns about the truncation from `deadline_hit`; the fault counters
+    // that circuit breakers watch stay clean.
+    let metrics = engine.metrics();
+    assert_eq!(metrics.jobs_expired, 0);
+    assert_eq!(metrics.transient_faults(), 0);
+}
+
 // --- The chaos storm (acceptance criterion) ------------------------------------------
 
 #[test]

@@ -56,6 +56,10 @@ pub struct HyperplaneFamily {
 
 impl HyperplaneFamily {
     /// Draw `num_bits` independent hyperplanes for a `dims`-dimensional space.
+    ///
+    /// Planes are drawn one after another from one RNG seeded with `seed`, so the
+    /// first `b` planes are exactly `HyperplaneFamily::new(dims, b, seed)`;
+    /// [`LshIndex::truncated`](crate::LshIndex::truncated) relies on this.
     pub fn new(dims: usize, num_bits: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let planes = (0..num_bits)

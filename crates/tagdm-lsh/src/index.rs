@@ -3,11 +3,11 @@
 //! Section 4.1 of the paper hashes every group tag signature vector into `l` hash tables
 //! indexed by independently drawn `d′`-bit hyperplane families. Traditional LSH then
 //! answers nearest-neighbour queries; the paper's SM-LSH instead *enumerates the
-//! buckets* of every table and ranks them with the mining scoring function. The index
-//! therefore exposes both views: [`LshIndex::query`] for classic candidate retrieval and
-//! [`LshIndex::buckets`] for bucket enumeration.
-
-use std::collections::HashMap;
+//! buckets* of every table ([`LshIndex::buckets`]) and ranks them with the mining
+//! scoring function. When no bucket qualifies it relaxes `d′`:
+//! [`LshIndex::truncated`] re-buckets on signature prefixes, which is exactly the index
+//! a fresh build with fewer bits would produce, because a family's first `b` planes are
+//! the `b`-plane family drawn from the same seed.
 
 use crate::hyperplane::HyperplaneFamily;
 use crate::signature::BitSignature;
@@ -44,11 +44,21 @@ impl LshConfig {
     }
 }
 
-/// One hash table: buckets keyed by bit signature.
-#[derive(Debug, Clone)]
-struct Table {
-    family: HyperplaneFamily,
-    buckets: HashMap<BitSignature, Vec<usize>>,
+/// The buckets of one hash table: `(signature, member item indices)` pairs in ascending
+/// signature order, members ascending.
+type Buckets = Vec<(BitSignature, Vec<usize>)>;
+
+/// Group `(signature, item)` pairs into buckets by sorting them.
+fn into_buckets(mut hashed: Vec<(BitSignature, usize)>) -> Buckets {
+    hashed.sort_unstable();
+    let mut buckets: Buckets = Vec::new();
+    for (sig, item) in hashed {
+        match buckets.last_mut() {
+            Some((last, members)) if *last == sig => members.push(item),
+            _ => buckets.push((sig, vec![item])),
+        }
+    }
+    buckets
 }
 
 /// A multi-table random-hyperplane LSH index over a fixed set of items.
@@ -56,22 +66,21 @@ struct Table {
 pub struct LshIndex {
     config: LshConfig,
     num_items: usize,
-    tables: Vec<Table>,
+    tables: Vec<Buckets>,
 }
 
 impl LshIndex {
-    /// Build an index over `items` (each item is a sparse vector). Item indices in the
-    /// returned buckets refer to positions in `items`.
+    /// Build an index over `items` (each item is a sparse vector), hashing every item
+    /// once per table. Item indices in the returned buckets refer to positions in
+    /// `items`.
     pub fn build<'a, I>(config: LshConfig, items: I) -> Self
     where
         I: IntoIterator<Item = SparseVector<'a>>,
-        I::IntoIter: Clone,
     {
         config.validate();
-        let items_iter = items.into_iter();
-        let mut tables: Vec<Table> = (0..config.num_tables)
-            .map(|t| Table {
-                family: HyperplaneFamily::new(
+        let families: Vec<HyperplaneFamily> = (0..config.num_tables)
+            .map(|t| {
+                HyperplaneFamily::new(
                     config.dims,
                     config.num_bits,
                     config
@@ -79,23 +88,50 @@ impl LshIndex {
                         .wrapping_add(t as u64)
                         .wrapping_mul(0x9E37_79B9)
                         .wrapping_add(1),
-                ),
-                buckets: HashMap::new(),
+                )
             })
             .collect();
 
+        let mut hashed: Vec<Vec<(BitSignature, usize)>> = vec![Vec::new(); families.len()];
         let mut num_items = 0;
-        for (idx, item) in items_iter.enumerate() {
+        for (idx, item) in items.into_iter().enumerate() {
             num_items = idx + 1;
-            for table in &mut tables {
-                let sig = table.family.hash(item);
-                table.buckets.entry(sig).or_default().push(idx);
+            for (family, table) in families.iter().zip(&mut hashed) {
+                table.push((family.hash(item), idx));
             }
         }
 
         LshIndex {
             config,
             num_items,
+            tables: hashed.into_iter().map(into_buckets).collect(),
+        }
+    }
+
+    /// The index over the first `bits` bits of every signature (the index
+    /// [`build`](Self::build) would give with `num_bits = bits`), without re-hashing.
+    /// `bits` above the current `d′` leave the index unchanged.
+    pub fn truncated(&self, bits: usize) -> LshIndex {
+        let config = LshConfig {
+            num_bits: bits.min(self.config.num_bits),
+            ..self.config
+        };
+        config.validate();
+        let tables = self
+            .tables
+            .iter()
+            .map(|buckets| {
+                let mut hashed = Vec::with_capacity(self.num_items);
+                for (sig, members) in buckets {
+                    let prefix = sig.truncated(config.num_bits);
+                    hashed.extend(members.iter().map(|&item| (prefix.clone(), item)));
+                }
+                into_buckets(hashed)
+            })
+            .collect();
+        LshIndex {
+            config,
+            num_items: self.num_items,
             tables,
         }
     }
@@ -117,61 +153,28 @@ impl LshIndex {
 
     /// Number of non-empty buckets in one table.
     pub fn num_buckets(&self, table: usize) -> usize {
-        self.tables[table].buckets.len()
+        self.tables[table].len()
     }
 
     /// The buckets of one table, as `(signature, member item indices)` pairs, sorted by
     /// signature for determinism.
-    pub fn buckets(&self, table: usize) -> Vec<(&BitSignature, &[usize])> {
-        let mut out: Vec<(&BitSignature, &[usize])> = self.tables[table]
-            .buckets
-            .iter()
-            .map(|(sig, members)| (sig, members.as_slice()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(b.0));
-        out
+    pub fn buckets(&self, table: usize) -> &[(BitSignature, Vec<usize>)] {
+        &self.tables[table]
     }
 
     /// Every bucket of every table (table-major order).
-    pub fn all_buckets(&self) -> Vec<&[usize]> {
-        (0..self.num_tables())
-            .flat_map(|t| self.buckets(t).into_iter().map(|(_, members)| members))
-            .collect()
-    }
-
-    /// The bit signature of a query vector under one table's hyperplane family.
-    pub fn signature(&self, table: usize, vector: SparseVector<'_>) -> BitSignature {
-        self.tables[table].family.hash(vector)
-    }
-
-    /// Classic LSH candidate retrieval: the union (deduplicated, sorted) of the buckets
-    /// the query vector hashes into across all tables.
-    pub fn query(&self, vector: SparseVector<'_>) -> Vec<usize> {
-        let mut candidates: Vec<usize> = Vec::new();
-        for table in &self.tables {
-            let sig = table.family.hash(vector);
-            if let Some(members) = table.buckets.get(&sig) {
-                candidates.extend_from_slice(members);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        candidates
-    }
-
-    /// The average bucket occupancy of one table (diagnostic for choosing `d′`).
-    pub fn mean_bucket_size(&self, table: usize) -> f64 {
-        let t = &self.tables[table];
-        if t.buckets.is_empty() {
-            return 0.0;
-        }
-        self.num_items as f64 / t.buckets.len() as f64
+    pub fn all_buckets(&self) -> impl Iterator<Item = &[usize]> {
+        self.tables
+            .iter()
+            .flatten()
+            .map(|(_, members)| members.as_slice())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Three clusters of vectors in 6 dimensions.
     fn clustered_items() -> Vec<Vec<(u32, f64)>> {
@@ -188,15 +191,19 @@ mod tests {
         items
     }
 
+    fn config(num_bits: usize, num_tables: usize, seed: u64) -> LshConfig {
+        LshConfig {
+            dims: 6,
+            num_bits,
+            num_tables,
+            seed,
+        }
+    }
+
     fn build(num_bits: usize, num_tables: usize) -> LshIndex {
         let items = clustered_items();
         LshIndex::build(
-            LshConfig {
-                dims: 6,
-                num_bits,
-                num_tables,
-                seed: 99,
-            },
+            config(num_bits, num_tables, 99),
             items.iter().map(|v| v.as_slice()),
         )
     }
@@ -214,16 +221,16 @@ mod tests {
 
     #[test]
     fn same_cluster_items_share_buckets() {
-        let index = build(6, 1);
         let items = clustered_items();
-        // Items 0 and 5 are nearly parallel: same signature.
+        // Items 0 and 5 are nearly parallel: same signature under any family.
+        let family = HyperplaneFamily::new(6, 6, 99);
         assert_eq!(
-            index.signature(0, items[0].as_slice()),
-            index.signature(0, items[5].as_slice())
+            family.hash(items[0].as_slice()),
+            family.hash(items[5].as_slice())
         );
-        // Query with a cluster-0 vector returns cluster-0 items among candidates.
-        let candidates = index.query(&[(0u32, 1.0), (1, 0.95)]);
-        assert!(candidates.iter().any(|&i| i < 10));
+        // Three tight clusters cannot fill more than a handful of 6-bit buckets.
+        let index = build(6, 1);
+        assert!(index.num_buckets(0) < 10, "{}", index.num_buckets(0));
     }
 
     #[test]
@@ -231,7 +238,6 @@ mod tests {
         let coarse = build(2, 1);
         let fine = build(16, 1);
         assert!(fine.num_buckets(0) >= coarse.num_buckets(0));
-        assert!(fine.mean_bucket_size(0) <= coarse.mean_bucket_size(0) + 1e-9);
     }
 
     #[test]
@@ -239,36 +245,25 @@ mod tests {
         let a = build(8, 2);
         let b = build(8, 2);
         for t in 0..2 {
-            let ba: Vec<_> = a
-                .buckets(t)
-                .into_iter()
-                .map(|(s, m)| (s.clone(), m.to_vec()))
-                .collect();
-            let bb: Vec<_> = b
-                .buckets(t)
-                .into_iter()
-                .map(|(s, m)| (s.clone(), m.to_vec()))
-                .collect();
-            assert_eq!(ba, bb);
+            assert_eq!(a.buckets(t), b.buckets(t));
         }
-    }
-
-    #[test]
-    fn query_on_empty_region_returns_nothing_or_few() {
-        let index = build(16, 1);
-        // A vector orthogonal to every indexed cluster direction is unlikely to share a
-        // 16-bit signature with any of them; at minimum the call must not panic and must
-        // return valid indices.
-        let candidates = index.query(&[(0u32, -1.0), (2, -1.0), (4, -1.0)]);
-        assert!(candidates.iter().all(|&i| i < 30));
     }
 
     #[test]
     fn all_buckets_spans_every_table() {
         let index = build(4, 2);
-        let buckets = index.all_buckets();
-        let total: usize = buckets.iter().map(|b| b.len()).sum();
+        let total: usize = index.all_buckets().map(|b| b.len()).sum();
         assert_eq!(total, 2 * 30);
+    }
+
+    #[test]
+    fn truncating_beyond_the_signature_length_changes_nothing() {
+        let index = build(8, 2);
+        let same = index.truncated(20);
+        assert_eq!(same.config().num_bits, 8);
+        for t in 0..2 {
+            assert_eq!(same.buckets(t), index.buckets(t));
+        }
     }
 
     #[test]
@@ -283,5 +278,38 @@ mod tests {
             },
             std::iter::empty::<&[(u32, f64)]>(),
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Relaxing `d′` by prefix truncation is bit-identical to rebuilding with fewer
+        // bits, signatures longer than one 64-bit word included.
+        #[test]
+        fn prop_truncation_matches_a_fresh_build(
+            items in proptest::collection::vec(
+                proptest::collection::vec((0u32..12, -1.0f64..1.0), 1..5),
+                1..40,
+            ),
+            num_tables in 1usize..4,
+            num_bits in 1usize..81,
+            seed in any::<u64>(),
+        ) {
+            let full = LshIndex::build(
+                LshConfig { dims: 12, num_bits, num_tables, seed },
+                items.iter().map(|v| v.as_slice()),
+            );
+            for bits in 1..=num_bits {
+                let fresh = LshIndex::build(
+                    LshConfig { dims: 12, num_bits: bits, num_tables, seed },
+                    items.iter().map(|v| v.as_slice()),
+                );
+                let relaxed = full.truncated(bits);
+                prop_assert_eq!(relaxed.config(), fresh.config());
+                for t in 0..num_tables {
+                    prop_assert_eq!(relaxed.buckets(t), fresh.buckets(t));
+                }
+            }
+        }
     }
 }

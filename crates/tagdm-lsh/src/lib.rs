@@ -18,20 +18,21 @@
 //!
 //! * [`hyperplane`] — random hyperplanes and hyperplane families;
 //! * [`signature`] — compact bit signatures with Hamming utilities;
-//! * [`index`] — multi-table LSH index with bucket enumeration and nearest-neighbour
-//!   queries, plus the collision-probability bounds used in the paper's analysis.
+//! * [`index`] — multi-table LSH index with bucket enumeration and re-bucketing on
+//!   signature prefixes (the d′ relaxation of Algorithm 1).
+//!
+//! The collision-probability bounds used in the paper's analysis live in
+//! [`hyperplane`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hyperplane;
 pub mod index;
-pub mod minhash;
 pub mod signature;
 
 pub use hyperplane::{Hyperplane, HyperplaneFamily};
 pub use index::{LshConfig, LshIndex};
-pub use minhash::{MinHashIndex, MinHasher};
 pub use signature::BitSignature;
 
 /// A sparse vector: `(component, weight)` pairs over some dimensionality. Components

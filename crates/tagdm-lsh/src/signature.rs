@@ -84,13 +84,11 @@ impl BitSignature {
     /// shortens signatures to merge buckets without re-hashing).
     pub fn truncated(&self, len: usize) -> BitSignature {
         let len = len.min(self.len);
-        let mut out = BitSignature::zeros(len);
-        for i in 0..len {
-            if self.get(i) {
-                out.set(i, true);
-            }
+        let mut words = self.words[..len.div_ceil(64)].to_vec();
+        if !len.is_multiple_of(64) {
+            words[len / 64] &= (1u64 << (len % 64)) - 1;
         }
-        out
+        BitSignature { len, words }
     }
 
     /// The bits as booleans.

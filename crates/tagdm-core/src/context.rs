@@ -64,6 +64,8 @@ pub struct MiningContext {
     groups: Vec<TaggingActionGroup>,
     num_input_actions: usize,
     signatures: Vec<TagSignature>,
+    /// L2 norm of each signature, cached for the pairwise tag cosine.
+    signature_norms: Vec<f64>,
     signature_dims: usize,
     /// Per group, per user attribute: the value the description constrains it to.
     user_values: Vec<Vec<Option<ValueId>>>,
@@ -107,6 +109,7 @@ impl MiningContext {
             SummarizerChoice::Lda(config) => (LdaSummarizer::new(config).summarize(&corpus), "lda"),
         };
         let signature_dims = signatures.first().map_or(0, TagSignature::dims);
+        let signature_norms = signatures.iter().map(TagSignature::norm).collect();
 
         // Description values and one-hot encodings.
         let user_arity = dataset.user_schema.arity();
@@ -157,6 +160,7 @@ impl MiningContext {
             groups,
             num_input_actions: dataset.num_actions(),
             signatures,
+            signature_norms,
             signature_dims,
             user_values,
             item_values,
@@ -252,9 +256,12 @@ impl MiningContext {
         b: usize,
     ) -> f64 {
         match (dimension, kind) {
-            (TaggingDimension::Tags, _) | (_, PairwiseKind::TagCosine) => {
-                self.signatures[a].cosine_similarity(&self.signatures[b])
-            }
+            (TaggingDimension::Tags, _) | (_, PairwiseKind::TagCosine) => self.signatures[a]
+                .cosine_with_norms(
+                    &self.signatures[b],
+                    self.signature_norms[a],
+                    self.signature_norms[b],
+                ),
             (TaggingDimension::Users, PairwiseKind::Structural) => {
                 structural_similarity(&self.user_values[a], &self.user_values[b])
             }
@@ -486,7 +493,8 @@ mod tests {
                 let sim =
                     ctx.pairwise_similarity(TaggingDimension::Tags, PairwiseKind::TagCosine, a, b);
                 let expected = ctx.tag_signature(a).cosine_similarity(ctx.tag_signature(b));
-                assert!((sim - expected).abs() < 1e-12);
+                // The cached norms reproduce the signature cosine bit for bit.
+                assert_eq!(sim.to_bits(), expected.to_bits());
                 // Structural kind on the tags dimension falls back to cosine too.
                 let fallback =
                     ctx.pairwise_similarity(TaggingDimension::Tags, PairwiseKind::Structural, a, b);

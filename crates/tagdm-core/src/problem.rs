@@ -29,15 +29,20 @@ impl ConstraintSpec {
         }
     }
 
+    /// Whether a function value reaches the threshold (with a `1e-12` tolerance).
+    pub fn admits(&self, value: f64) -> bool {
+        value + 1e-12 >= self.threshold
+    }
+
     /// Whether the candidate set satisfies this constraint.
     pub fn satisfied(&self, ctx: &MiningContext, set: &[usize]) -> bool {
-        self.function.evaluate(ctx, set) + 1e-12 >= self.threshold
+        self.admits(self.function.evaluate(ctx, set))
     }
 
     /// Whether a single *pair* satisfies the constraint's threshold — used when folding
     /// constraints into greedy selection (DV-FDP-Fo, Section 5.3).
     pub fn pair_satisfied(&self, ctx: &MiningContext, a: usize, b: usize) -> bool {
-        self.function.evaluate_pair(ctx, a, b) + 1e-12 >= self.threshold
+        self.admits(self.function.evaluate_pair(ctx, a, b))
     }
 }
 

@@ -5,16 +5,33 @@
 //! `Σ_j C(n, j)` — exponential in `k` — which is exactly why the paper develops SM-LSH
 //! and DV-FDP; the Exact solver exists as the ground-truth baseline for the quality and
 //! running-time comparisons of Figures 3–8.
+//!
+//! The enumeration is a depth-first search over a per-solve evaluation kernel that
+//! extends each candidate from its parent instead of re-scoring it from scratch:
+//!
+//! * **Support.** Every group gets one `u64` bitset over the input actions. The kernel
+//!   keeps the union of the current set's bitsets per DFS depth, so pushing a group
+//!   costs one OR and one popcount over the words, with no hashing or allocation.
+//! * **Constraints and objectives.** When group `c` is pushed at position `m`, each
+//!   constraint and objective function scores `c` against the `m` groups already in the
+//!   set, once, into a `k × k` table per function. A candidate's value for a function
+//!   is that table's `(i < j)` entries in row-major order, aggregated by the function's
+//!   [`Aggregator`](crate::criteria::Aggregator) — the same scores, in the same order,
+//!   as [`DualMiningFunction::evaluate`], so objectives and feasibility are
+//!   bit-identical to [`TagDmProblem::objective`] and [`TagDmProblem::feasible`].
+//!
+//! All kernel state is sized by the solve's own group count and `k` and dropped with
+//! the solve; the mining context gains nothing.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::context::MiningContext;
+use crate::functions::DualMiningFunction;
 use crate::problem::TagDmProblem;
 use crate::solvers::{CancelToken, Solver, SolverOutcome};
 
 /// How many candidate evaluations pass between cancellation checks: frequent enough
-/// that a deadline lands within microseconds, rare enough to stay off the hot path
-/// (each evaluation is a full feasibility + objective pass over the candidate set).
+/// that a deadline lands within microseconds, rare enough to stay off the hot path.
 const CANCEL_CHECK_MASK: u64 = 0x3F;
 
 /// Exhaustive enumeration solver.
@@ -44,90 +61,19 @@ impl ExactSolver {
         cancel: Option<&CancelToken>,
     ) -> SolverOutcome {
         let start = Instant::now();
-        let n = ctx.num_groups();
-        let mut best: Option<(Vec<usize>, f64)> = None;
-        let mut evaluated: u64 = 0;
-        let mut exhausted = false;
+        let mut kernel = Kernel::new(ctx, problem, self.max_candidates, cancel);
+        kernel.descend(0);
+        self.outcome(ctx, problem, kernel.best, kernel.evaluated, start.elapsed())
+    }
 
-        let mut current: Vec<usize> = Vec::with_capacity(problem.max_groups);
-        // Depth-first enumeration of subsets of size min_groups..=max_groups. The
-        // recursion threads every loop variable explicitly instead of a context
-        // struct so the hot path stays allocation-free; hence the argument count.
-        #[allow(clippy::too_many_arguments)]
-        fn recurse(
-            ctx: &MiningContext,
-            problem: &TagDmProblem,
-            n: usize,
-            start_idx: usize,
-            current: &mut Vec<usize>,
-            best: &mut Option<(Vec<usize>, f64)>,
-            evaluated: &mut u64,
-            cap: u64,
-            exhausted: &mut bool,
-            cancel: Option<&CancelToken>,
-        ) {
-            if *exhausted {
-                return;
-            }
-            if current.len() >= problem.min_groups {
-                *evaluated += 1;
-                if problem.feasible(ctx, current) {
-                    let objective = problem.objective(ctx, current);
-                    if best.as_ref().is_none_or(|(_, b)| objective > *b) {
-                        *best = Some((current.clone(), objective));
-                    }
-                }
-                if cap > 0 && *evaluated >= cap {
-                    *exhausted = true;
-                    return;
-                }
-                if *evaluated & CANCEL_CHECK_MASK == 0 {
-                    if let Some(token) = cancel {
-                        if token.is_cancelled() {
-                            *exhausted = true;
-                            return;
-                        }
-                    }
-                }
-            }
-            if current.len() == problem.max_groups {
-                return;
-            }
-            for i in start_idx..n {
-                current.push(i);
-                recurse(
-                    ctx,
-                    problem,
-                    n,
-                    i + 1,
-                    current,
-                    best,
-                    evaluated,
-                    cap,
-                    exhausted,
-                    cancel,
-                );
-                current.pop();
-                if *exhausted {
-                    return;
-                }
-            }
-        }
-
-        recurse(
-            ctx,
-            problem,
-            n,
-            0,
-            &mut current,
-            &mut best,
-            &mut evaluated,
-            self.max_candidates,
-            &mut exhausted,
-            cancel,
-        );
-
-        let elapsed = start.elapsed();
+    fn outcome(
+        &self,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        best: Option<(Vec<usize>, f64)>,
+        evaluated: u64,
+        elapsed: Duration,
+    ) -> SolverOutcome {
         match best {
             Some((groups, objective)) => SolverOutcome {
                 solver: self.name(),
@@ -165,13 +111,485 @@ impl Solver for ExactSolver {
     }
 }
 
+/// One action bitset per group of `ctx`, concatenated: returns the words per bitset
+/// and the bits, where group `g` owns `bits[g * words..(g + 1) * words]`.
+fn action_bitsets(ctx: &MiningContext) -> (usize, Vec<u64>) {
+    let words = ctx
+        .groups()
+        .iter()
+        .filter_map(|g| g.actions.last())
+        .map(|a| a.0 as usize / 64 + 1)
+        .max()
+        .unwrap_or(0);
+    let mut bits = vec![0u64; ctx.num_groups() * words];
+    for (row, group) in bits.chunks_exact_mut(words.max(1)).zip(ctx.groups()) {
+        for a in &group.actions {
+            row[a.0 as usize / 64] |= 1 << (a.0 % 64);
+        }
+    }
+    (words, bits)
+}
+
+/// The per-solve state of the depth-first enumeration.
+struct Kernel<'a> {
+    ctx: &'a MiningContext,
+    problem: &'a TagDmProblem,
+    cancel: Option<&'a CancelToken>,
+    cap: u64,
+    /// The candidate set under evaluation, in push order (ascending group index).
+    set: Vec<usize>,
+    /// Deepest set size the search reaches: `min(k, n)`.
+    depth: usize,
+    /// Words per action bitset.
+    words: usize,
+    /// Per-group action bitsets (see [`action_bitsets`]).
+    group_bits: Vec<u64>,
+    /// `depth + 1` rows of `words`: row `d` is the union of the first `d` groups' bits.
+    covered: Vec<u64>,
+    /// `support[d]` is the popcount of `covered` row `d`.
+    support: Vec<usize>,
+    /// The problem's constraint functions, then its objective functions.
+    functions: Vec<DualMiningFunction>,
+    /// One `depth × depth` table per function: entry `(i, j)`, `i < j`, scores
+    /// `(set[i], set[j])`.
+    pairs: Vec<f64>,
+    /// Reused buffer of one function's pair scores over the current set.
+    scores: Vec<f64>,
+    best: Option<(Vec<usize>, f64)>,
+    evaluated: u64,
+    exhausted: bool,
+}
+
+impl<'a> Kernel<'a> {
+    fn new(
+        ctx: &'a MiningContext,
+        problem: &'a TagDmProblem,
+        cap: u64,
+        cancel: Option<&'a CancelToken>,
+    ) -> Self {
+        let depth = problem.max_groups.min(ctx.num_groups());
+        let (words, group_bits) = action_bitsets(ctx);
+        let functions: Vec<DualMiningFunction> = problem
+            .constraints
+            .iter()
+            .map(|c| c.function)
+            .chain(problem.objectives.iter().map(|o| o.function))
+            .collect();
+        Kernel {
+            ctx,
+            problem,
+            cancel,
+            cap,
+            set: Vec::with_capacity(depth),
+            depth,
+            words,
+            group_bits,
+            covered: vec![0; (depth + 1) * words],
+            support: vec![0; depth + 1],
+            pairs: vec![0.0; functions.len() * depth * depth],
+            functions,
+            scores: Vec::with_capacity(depth * depth.saturating_sub(1) / 2),
+            best: None,
+            evaluated: 0,
+            exhausted: false,
+        }
+    }
+
+    /// Evaluate the current set if it is large enough, then extend it with every group
+    /// from `start` on, in index order.
+    fn descend(&mut self, start: usize) {
+        if self.exhausted {
+            return;
+        }
+        let len = self.set.len();
+        if len >= self.problem.min_groups {
+            self.evaluated += 1;
+            self.evaluate();
+            if self.cap > 0 && self.evaluated >= self.cap {
+                self.exhausted = true;
+                return;
+            }
+            if self.evaluated & CANCEL_CHECK_MASK == 0
+                && self.cancel.is_some_and(CancelToken::is_cancelled)
+            {
+                self.exhausted = true;
+                return;
+            }
+        }
+        if len == self.problem.max_groups {
+            return;
+        }
+        for c in start..self.ctx.num_groups() {
+            self.push(c);
+            self.descend(c + 1);
+            self.set.pop();
+            if self.exhausted {
+                return;
+            }
+        }
+    }
+
+    /// Append group `c`: extend the support union and score `c` against every group
+    /// already in the set under every function.
+    fn push(&mut self, c: usize) {
+        let m = self.set.len();
+        let w = self.words;
+        let (parent, child) = self.covered[m * w..(m + 2) * w].split_at_mut(w);
+        let bits = &self.group_bits[c * w..(c + 1) * w];
+        let mut support = 0;
+        for ((out, &p), &g) in child.iter_mut().zip(parent.iter()).zip(bits) {
+            *out = p | g;
+            support += out.count_ones() as usize;
+        }
+        self.support[m + 1] = support;
+
+        let square = self.depth * self.depth;
+        for (function, table) in self
+            .functions
+            .iter()
+            .zip(self.pairs.chunks_exact_mut(square))
+        {
+            for (i, &a) in self.set.iter().enumerate() {
+                table[i * self.depth + m] = function.evaluate_pair(self.ctx, a, c);
+            }
+        }
+        self.set.push(c);
+    }
+
+    /// Function `f`'s value on the current set: its pair scores in row-major `(i < j)`
+    /// order, aggregated.
+    fn value(&mut self, f: usize) -> f64 {
+        let len = self.set.len();
+        let square = self.depth * self.depth;
+        let table = &self.pairs[f * square..(f + 1) * square];
+        self.scores.clear();
+        for i in 0..len {
+            let row = &table[i * self.depth..];
+            self.scores.extend_from_slice(&row[i + 1..len]);
+        }
+        self.functions[f].aggregator.aggregate(&self.scores)
+    }
+
+    /// Check the current set's feasibility and, if feasible, keep it when it beats the
+    /// incumbent. Mirrors [`TagDmProblem::feasible`] and [`TagDmProblem::objective`].
+    fn evaluate(&mut self) {
+        let problem = self.problem;
+        // `size_ok` holds by construction: `descend` evaluates sets of
+        // `min_groups..=max_groups` groups only.
+        let feasible = self.support[self.set.len()] >= problem.min_support
+            && problem
+                .constraints
+                .iter()
+                .enumerate()
+                .all(|(f, c)| c.admits(self.value(f)));
+        if !feasible {
+            return;
+        }
+        let offset = problem.constraints.len();
+        let objective: f64 = problem
+            .objectives
+            .iter()
+            .enumerate()
+            .map(|(o, spec)| spec.weight * self.value(offset + o))
+            .sum();
+        if self.best.as_ref().is_none_or(|(_, b)| objective > *b) {
+            self.best = Some((self.set.clone(), objective));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{problem_1, problem_6, ProblemParams};
-    use crate::criteria::{MiningCriterion, TaggingDimension};
-    use crate::problem::{ObjectiveSpec, TagDmProblem};
+    use crate::catalog::{problem, problem_1, problem_6, ProblemParams};
+    use crate::context::SummarizerChoice;
+    use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
+    use crate::problem::{ConstraintSpec, ObjectiveSpec, TagDmProblem};
     use crate::solvers::test_support::small_context;
+    use proptest::prelude::*;
+    use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
+    use tagdm_data::group::GroupingScheme;
+    use tagdm_topics::lda::LdaConfig;
+
+    /// The reference oracle: the depth-first enumeration that scores every candidate
+    /// from scratch through [`TagDmProblem::feasible`] and [`TagDmProblem::objective`].
+    /// The kernel must reproduce its outcomes bit for bit.
+    fn reference(
+        solver: &ExactSolver,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        cancel: Option<&CancelToken>,
+    ) -> SolverOutcome {
+        struct Search<'a> {
+            ctx: &'a MiningContext,
+            problem: &'a TagDmProblem,
+            cancel: Option<&'a CancelToken>,
+            cap: u64,
+            current: Vec<usize>,
+            best: Option<(Vec<usize>, f64)>,
+            evaluated: u64,
+            exhausted: bool,
+        }
+        impl Search<'_> {
+            fn recurse(&mut self, start_idx: usize) {
+                if self.exhausted {
+                    return;
+                }
+                if self.current.len() >= self.problem.min_groups {
+                    self.evaluated += 1;
+                    if self.problem.feasible(self.ctx, &self.current) {
+                        let objective = self.problem.objective(self.ctx, &self.current);
+                        if self.best.as_ref().is_none_or(|(_, b)| objective > *b) {
+                            self.best = Some((self.current.clone(), objective));
+                        }
+                    }
+                    if self.cap > 0 && self.evaluated >= self.cap {
+                        self.exhausted = true;
+                        return;
+                    }
+                    if self.evaluated & CANCEL_CHECK_MASK == 0 {
+                        if let Some(token) = self.cancel {
+                            if token.is_cancelled() {
+                                self.exhausted = true;
+                                return;
+                            }
+                        }
+                    }
+                }
+                if self.current.len() == self.problem.max_groups {
+                    return;
+                }
+                for i in start_idx..self.ctx.num_groups() {
+                    self.current.push(i);
+                    self.recurse(i + 1);
+                    self.current.pop();
+                    if self.exhausted {
+                        return;
+                    }
+                }
+            }
+        }
+        let mut search = Search {
+            ctx,
+            problem,
+            cancel,
+            cap: solver.max_candidates,
+            current: Vec::new(),
+            best: None,
+            evaluated: 0,
+            exhausted: false,
+        };
+        search.recurse(0);
+        solver.outcome(ctx, problem, search.best, search.evaluated, Duration::ZERO)
+    }
+
+    /// Run the kernel and the oracle and require identical outcomes.
+    fn assert_matches_reference(
+        solver: &ExactSolver,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        cancel: Option<&CancelToken>,
+    ) {
+        let kernel = solver.solve_impl(ctx, problem, cancel);
+        let oracle = reference(solver, ctx, problem, cancel);
+        let what = problem.describe();
+        assert_eq!(kernel.groups, oracle.groups, "groups: {what}");
+        assert_eq!(
+            kernel.objective.to_bits(),
+            oracle.objective.to_bits(),
+            "objective {} vs {}: {what}",
+            kernel.objective,
+            oracle.objective
+        );
+        assert_eq!(kernel.feasible, oracle.feasible, "feasible: {what}");
+        assert_eq!(
+            kernel.candidates_evaluated, oracle.candidates_evaluated,
+            "candidates: {what}"
+        );
+    }
+
+    /// Walk every candidate set through the kernel and require each function value and
+    /// the support to match the from-scratch evaluation bit for bit — every candidate,
+    /// not only the winner, so a summation-order slip cannot hide behind the argmax.
+    fn assert_every_candidate_matches(ctx: &MiningContext, problem: &TagDmProblem) {
+        fn walk(kernel: &mut Kernel, start: usize) {
+            let set = kernel.set.clone();
+            assert_eq!(
+                kernel.support[set.len()],
+                kernel.ctx.support(&set),
+                "{set:?}"
+            );
+            for f in 0..kernel.functions.len() {
+                let expected = kernel.functions[f].evaluate(kernel.ctx, &set);
+                assert_eq!(kernel.value(f).to_bits(), expected.to_bits(), "{set:?}");
+            }
+            if set.len() < kernel.depth {
+                for c in start..kernel.ctx.num_groups() {
+                    kernel.push(c);
+                    walk(kernel, c + 1);
+                    kernel.set.pop();
+                }
+            }
+        }
+        walk(&mut Kernel::new(ctx, problem, 0, None), 0);
+    }
+
+    /// Groupings of the generator's schema small enough for an oracle run at k = 4.
+    const GROUPINGS: [&[(&str, &str)]; 4] = [
+        &[("user", "gender"), ("item", "genre")],
+        &[("user", "occupation")],
+        &[("user", "age"), ("user", "gender")],
+        &[("item", "genre")],
+    ];
+
+    /// A random small corpus grouped by one of [`GROUPINGS`].
+    fn random_context(seed: u64, actions: usize, grouping: usize) -> MiningContext {
+        let config = GeneratorConfig {
+            num_actions: actions,
+            ..GeneratorConfig::small().with_seed(seed)
+        };
+        let ds = MovieLensStyleGenerator::new(config).generate();
+        let groups = GroupingScheme::over(&ds, GROUPINGS[grouping])
+            .unwrap()
+            .min_group_size(2)
+            .enumerate(&ds);
+        MiningContext::build(&ds, groups, SummarizerChoice::Frequency)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_kernel_matches_the_reference_on_random_corpora(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            id in 1usize..7,
+            k in 1usize..5,
+            min_groups in 1usize..5,
+            min_support in 1usize..80,
+            threshold in 0.0f64..1.0,
+        ) {
+            let ctx = random_context(seed, actions, grouping);
+            let params = ProblemParams {
+                k,
+                min_support,
+                user_threshold: threshold,
+                item_threshold: 1.0 - threshold,
+            };
+            let problem = problem(id, params).with_min_groups(min_groups.min(k));
+            assert_matches_reference(&ExactSolver::new(), &ctx, &problem, None);
+        }
+
+        #[test]
+        fn prop_bitset_popcount_equals_group_support(
+            seed in 0u64..1_000,
+            actions in 1usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            picks in proptest::collection::vec(0usize..64, 0..6),
+        ) {
+            let ctx = random_context(seed, actions, grouping);
+            let (words, bits) = action_bitsets(&ctx);
+            let n = ctx.num_groups();
+            let set: Vec<usize> = picks.iter().filter(|_| n > 0).map(|p| p % n).collect();
+            let mut union = vec![0u64; words];
+            for &g in &set {
+                for (u, b) in union.iter_mut().zip(&bits[g * words..(g + 1) * words]) {
+                    *u |= b;
+                }
+            }
+            let popcount: usize = union.iter().map(|w| w.count_ones() as usize).sum();
+            prop_assert_eq!(popcount, ctx.support(&set));
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_for_every_aggregator_and_kind() {
+        let ctx = small_context();
+        let aggregators = [
+            Aggregator::Mean,
+            Aggregator::Min,
+            Aggregator::Max,
+            Aggregator::Sum,
+        ];
+        let kinds = [
+            PairwiseKind::Structural,
+            PairwiseKind::ItemSetJaccard,
+            PairwiseKind::TagCosine,
+        ];
+        for aggregator in aggregators {
+            for kind in kinds {
+                for criterion in MiningCriterion::ALL {
+                    let function = |dimension| {
+                        crate::functions::DualMiningFunction::standard(dimension, criterion)
+                            .with_kind(kind)
+                            .with_aggregator(aggregator)
+                    };
+                    for k in 1..=4 {
+                        let problem = TagDmProblem::new("kinds", k, 2)
+                            .with_constraint(ConstraintSpec {
+                                function: function(TaggingDimension::Users),
+                                threshold: 0.3,
+                            })
+                            .with_objective(ObjectiveSpec {
+                                function: function(TaggingDimension::Tags),
+                                weight: 0.7,
+                            })
+                            .with_objective(ObjectiveSpec {
+                                function: function(TaggingDimension::Items),
+                                weight: 1.3,
+                            });
+                        assert_matches_reference(&ExactSolver::new(), &ctx, &problem, None);
+                        assert_every_candidate_matches(&ctx, &problem);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_under_caps_and_cancellation() {
+        let ctx = small_context();
+        let fired = CancelToken::new();
+        fired.cancel();
+        for id in 1..=6 {
+            for k in [3, 4] {
+                let problem = problem(
+                    id,
+                    ProblemParams {
+                        k,
+                        ..loose_params()
+                    },
+                );
+                for cap in [1, 7, 100] {
+                    assert_matches_reference(&ExactSolver::with_cap(cap), &ctx, &problem, None);
+                }
+                assert_matches_reference(&ExactSolver::new(), &ctx, &problem, Some(&fired));
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_on_the_medium_occupation_context() {
+        // The benchmark's solver-bound traffic: Exact at k = 3 over the occupation
+        // groups of the medium corpus, one request per support threshold 1..=20.
+        let ds = MovieLensStyleGenerator::new(GeneratorConfig::medium()).generate();
+        let groups = GroupingScheme::over(&ds, &[("user", "occupation")])
+            .unwrap()
+            .min_group_size(5)
+            .enumerate(&ds);
+        let summarizer = SummarizerChoice::Lda(LdaConfig::with_topics(25));
+        let ctx = MiningContext::build(&ds, groups, summarizer);
+        for i in 0..20 {
+            let params = ProblemParams {
+                k: 3,
+                min_support: 1 + i,
+                user_threshold: 0.0,
+                item_threshold: 0.0,
+            };
+            assert_matches_reference(&ExactSolver::new(), &ctx, &problem(1 + i % 6, params), None);
+        }
+    }
 
     fn loose_params() -> ProblemParams {
         ProblemParams {

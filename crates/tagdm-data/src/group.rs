@@ -8,7 +8,7 @@
 //! exactly that, in a single pass over the actions rather than by materializing the
 //! 40-billion-element cartesian product.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -128,15 +128,27 @@ impl TaggingActionGroup {
 
 /// Group support (Definition 1): the number of input tagging-action tuples that belong
 /// to **at least one** of the groups in `groups`.
+///
+/// A merge over the groups' sorted, duplicate-free `actions` lists: each step counts
+/// the smallest remaining action once and moves every list that starts with it.
 pub fn group_support<'a, I>(groups: I) -> usize
 where
     I: IntoIterator<Item = &'a TaggingActionGroup>,
 {
-    let mut seen: HashSet<ActionId> = HashSet::new();
-    for group in groups {
-        seen.extend(group.actions.iter().copied());
+    // An exhausted list's head is `u64::MAX`, above every `u32` action id.
+    let head = |list: &[ActionId]| list.first().map_or(u64::MAX, |a| u64::from(a.0));
+    let mut lists: Vec<&[ActionId]> = groups.into_iter().map(|g| &g.actions[..]).collect();
+    let mut count = 0;
+    loop {
+        let min = lists.iter().map(|l| head(l)).min().unwrap_or(u64::MAX);
+        if min == u64::MAX {
+            return count;
+        }
+        count += 1;
+        for list in &mut lists {
+            *list = &list[usize::from(head(list) == min)..];
+        }
     }
-    seen.len()
 }
 
 /// Specification of how candidate groups are enumerated from a dataset.
@@ -358,6 +370,34 @@ mod tests {
         assert_eq!(group_support(std::iter::once(&groups[0])), groups[0].len());
         // Overlapping copies do not double count.
         assert_eq!(group_support(vec![&groups[0], &groups[0]]), groups[0].len());
+    }
+
+    #[test]
+    fn group_support_merges_duplicate_overlapping_and_empty_sets() {
+        let ds = dataset();
+        let groups = GroupingScheme::over(&ds, &[("user", "gender"), ("item", "genre")])
+            .unwrap()
+            .enumerate(&ds);
+        let everyone =
+            TaggingActionGroup::from_predicate(GroupId(9), &ds, ConjunctivePredicate::trivial());
+        // The empty set supports nothing.
+        assert_eq!(group_support(std::iter::empty()), 0);
+        // Duplicate groups count their tuples once, however often they repeat.
+        let triple = [&groups[1], &groups[1], &groups[1]];
+        assert_eq!(group_support(triple), groups[1].len());
+        // Overlapping groups count the union: every group lies inside `everyone`.
+        for g in &groups {
+            assert_eq!(group_support([g, &everyone]), ds.num_actions());
+            assert_eq!(group_support([&everyone, g, g]), ds.num_actions());
+        }
+        // Disjoint groups add up; interleaved action ids merge in any order.
+        let (a, b) = (&groups[0], &groups[groups.len() - 1]);
+        assert_eq!(group_support([a, b]), a.len() + b.len());
+        assert_eq!(group_support([b, a]), a.len() + b.len());
+        // An empty group contributes nothing.
+        let mut empty = groups[0].clone();
+        empty.actions.clear();
+        assert_eq!(group_support([&empty, b]), b.len());
     }
 
     #[test]

@@ -326,7 +326,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn run_job(state: &EngineState, request: &SolveRequest, submitted: Instant, reply: &Responder) {
-    let started = Instant::now();
     let deadline = request.deadline.map(|d| submitted + d);
 
     // Inside the boundary: an injected panic here is caught and answered.
@@ -359,13 +358,19 @@ fn run_job(state: &EngineState, request: &SolveRequest, submitted: Instant, repl
         return;
     }
 
-    let (context, context_hit) = match state.resolve_context(&request.context) {
+    let resolving = Instant::now();
+    let resolved = state.resolve_context(&request.context);
+    state.metrics.record_context_resolve(resolving.elapsed());
+    let (context, context_hit) = match resolved {
         Ok(resolved) => resolved,
         Err(error) => {
             reply.send(state, Err(error), CacheReport::default(), false);
             return;
         }
     };
+    // The solve clock starts once the context is in hand, so context builds and waits
+    // on a deduplicated build land in `context_resolve`, not in `solve_hit`/`solve_miss`.
+    let started = Instant::now();
 
     let key = EngineState::outcome_key(&request.context.key(), &request.solver, &request.problem);
     if let Err(error) = failpoint::check(failpoint::site::OUTCOME_LOOKUP) {

@@ -69,9 +69,12 @@ pub struct EngineMetrics {
     pub queue_wait: LatencyHistogram,
     /// Time spent building mining contexts (cache-miss path only).
     pub context_build: LatencyHistogram,
-    /// Worker time for jobs answered from the outcome cache.
+    /// Worker time spent obtaining each job's context: a cache hit, a build, or a wait
+    /// on a build already in flight.
+    pub context_resolve: LatencyHistogram,
+    /// Worker time, after context resolution, for jobs answered from the outcome cache.
     pub solve_hit: LatencyHistogram,
-    /// Worker time for jobs that ran a solver.
+    /// Worker time, after context resolution, for jobs that ran a solver.
     pub solve_miss: LatencyHistogram,
 }
 
@@ -189,6 +192,10 @@ impl EngineMetrics {
         self.context_build.record(elapsed);
     }
 
+    pub(crate) fn record_context_resolve(&self, elapsed: Duration) {
+        self.context_resolve.record(elapsed);
+    }
+
     pub(crate) fn record_solve(&self, elapsed: Duration, outcome_hit: bool) {
         if outcome_hit {
             self.solve_hit.record(elapsed);
@@ -225,6 +232,7 @@ impl EngineMetrics {
             net_acceptor_restarts: load(&self.net_acceptor_restarts),
             queue_wait: self.queue_wait.snapshot(),
             context_build: self.context_build.snapshot(),
+            context_resolve: self.context_resolve.snapshot(),
             solve_hit: self.solve_hit.snapshot(),
             solve_miss: self.solve_miss.snapshot(),
         }
@@ -282,9 +290,11 @@ pub struct MetricsSnapshot {
     pub queue_wait: HistogramSnapshot,
     /// Context-build latency distribution (misses only).
     pub context_build: HistogramSnapshot,
-    /// Worker latency for outcome-cache hits.
+    /// Context-resolution latency: hits, builds and waits on deduplicated builds.
+    pub context_resolve: HistogramSnapshot,
+    /// Worker latency after context resolution, for outcome-cache hits.
     pub solve_hit: HistogramSnapshot,
-    /// Worker latency for jobs that ran a solver.
+    /// Worker latency after context resolution, for jobs that ran a solver.
     pub solve_miss: HistogramSnapshot,
 }
 
@@ -379,6 +389,10 @@ impl MetricsSnapshot {
             "  context build {}\n",
             self.context_build.render()
         ));
+        out.push_str(&format!(
+            "  ctx resolve   {}\n",
+            self.context_resolve.render()
+        ));
         out.push_str(&format!("  solve (hit)   {}\n", self.solve_hit.render()));
         out.push_str(&format!("  solve (miss)  {}\n", self.solve_miss.render()));
         out
@@ -417,6 +431,7 @@ mod tests {
         metrics.record_solve(Duration::from_micros(3), true);
         metrics.record_solve(Duration::from_millis(4), false);
         metrics.record_queue_wait(Duration::from_micros(15));
+        metrics.record_context_resolve(Duration::from_micros(40));
         metrics.net_connection_opened();
         metrics.net_connection_opened();
         metrics.net_connection_closed();
@@ -446,7 +461,9 @@ mod tests {
         assert_eq!(snap.solve_hit.count, 1);
         assert_eq!(snap.solve_miss.count, 1);
         assert!(snap.solve_hit.mean_us < snap.solve_miss.mean_us);
+        assert_eq!(snap.context_resolve.count, 1);
         let report = snap.render();
+        assert!(report.contains("ctx resolve"));
         assert!(report.contains("hits=1"));
         assert!(report.contains("solve (hit)"));
         assert!(report.contains("panics=1"));

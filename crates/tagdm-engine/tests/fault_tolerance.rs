@@ -495,6 +495,42 @@ fn panicking_build_wakes_waiters_instead_of_stranding_them() {
     assert!(engine.solve(request(&spec)).result.is_ok());
 }
 
+#[test]
+fn slow_context_build_is_timed_as_resolve_not_as_solve() {
+    let _serial = serial();
+    let config = EngineConfig {
+        context_cache: 1,
+        ..EngineConfig::default().with_workers(1)
+    };
+    let (engine, spec) = engine_with_corpus(config);
+    let other = ContextSpec::grouped(
+        "ml-small",
+        &[("user", "occupation")],
+        5,
+        SummarizerChoice::FrequencyNormalized,
+    );
+    // Cache the outcome, then evict its context so the next request rebuilds it.
+    assert!(engine.solve(request(&spec)).result.is_ok());
+    assert!(engine.solve(request(&other)).result.is_ok());
+    let build = Duration::from_millis(200);
+    failpoint::arm(site::CONTEXT_BUILD, FailAction::Delay(build));
+
+    let response = engine.solve(request(&spec));
+    assert!(response.result.is_ok());
+    assert!(!response.cache.context_hit && response.cache.outcome_hit);
+
+    let metrics = engine.metrics();
+    let build_us = build.as_micros() as u64;
+    assert_eq!(metrics.solve_hit.count, 1);
+    assert!(
+        metrics.solve_hit.max_us < build_us,
+        "the rebuild leaked into solve_hit: {}",
+        metrics.solve_hit.render()
+    );
+    assert_eq!(metrics.context_resolve.count, 3);
+    assert!(metrics.context_resolve.max_us >= build_us);
+}
+
 // --- Outcome-lookup fault injection ---------------------------------------------------
 
 #[test]

@@ -122,7 +122,13 @@ impl TagSignature {
     /// Cosine similarity in `[0, 1]` (weights are non-negative). Zero vectors have
     /// similarity 0 with everything (including themselves) by convention.
     pub fn cosine_similarity(&self, other: &TagSignature) -> f64 {
-        let denom = self.norm() * other.norm();
+        self.cosine_with_norms(other, self.norm(), other.norm())
+    }
+
+    /// [`TagSignature::cosine_similarity`] given both signatures' L2 norms, for callers
+    /// that cache them.
+    pub fn cosine_with_norms(&self, other: &TagSignature, norm: f64, other_norm: f64) -> f64 {
+        let denom = norm * other_norm;
         if denom == 0.0 {
             return 0.0;
         }

@@ -89,7 +89,7 @@ impl ShardBackend for LocalShard {
     }
 
     fn health(&self) -> Result<HealthReport, ShardError> {
-        Ok(HealthReport::gather(&self.engine, false))
+        Ok(HealthReport::gather(&self.engine, false, 0))
     }
 
     fn kind(&self) -> &'static str {

@@ -24,6 +24,8 @@ use std::sync::RwLock;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use tagdm_engine::histogram::LatencyHistogram;
+use tagdm_engine::metrics::Counter;
 use tagdm_engine::{
     read_recover, write_recover, CacheReport, ContextKey, EngineError, JobId, RetryPolicy,
     SolveRequest, SolveResponse,
@@ -32,7 +34,7 @@ use tagdm_engine::{
 use crate::backend::ShardBackend;
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use crate::health::{ClusterHealth, ShardHealth};
-use crate::metrics::{ClusterMetrics, ClusterMetricsSnapshot, ShardMetricsSnapshot};
+use crate::metrics::{ClusterMetricsSnapshot, ShardMetricsSnapshot};
 use crate::ring::HashRing;
 
 /// What the router does with a request whose candidate shard is refused (open
@@ -105,11 +107,19 @@ impl ClusterConfig {
 /// and that shard's requests tagged with their positions in the original batch.
 type ShardGroup = (Option<usize>, Vec<(usize, SolveRequest)>);
 
-/// One shard slot: name, backend, breaker.
+/// One shard slot: name, backend, breaker and routing counters.
 struct Shard {
     name: String,
     backend: Box<dyn ShardBackend>,
     breaker: CircuitBreaker,
+    /// Requests dispatched here as the key's primary owner.
+    routed: Counter,
+    /// Requests dispatched here after spilling past an earlier candidate.
+    spilled: Counter,
+    /// Requests this shard's open breaker refused.
+    denied: Counter,
+    /// Dispatches that failed at the conversation level (transport faults).
+    failed: Counter,
 }
 
 /// Assembles a [`Cluster`]: add shards, then [`build`](ClusterBuilder::build).
@@ -125,6 +135,10 @@ impl ClusterBuilder {
             name: name.into(),
             backend,
             breaker: CircuitBreaker::new(self.config.breaker),
+            routed: Counter::default(),
+            spilled: Counter::default(),
+            denied: Counter::default(),
+            failed: Counter::default(),
         });
         self
     }
@@ -149,12 +163,11 @@ impl ClusterBuilder {
         for (index, shard) in self.shards.iter().enumerate() {
             ring.insert(index, &shard.name);
         }
-        let metrics = ClusterMetrics::new(self.shards.len());
         Cluster {
             config: self.config,
             shards: self.shards,
             ring: RwLock::new(ring),
-            metrics,
+            routing: LatencyHistogram::new(),
         }
     }
 }
@@ -180,7 +193,8 @@ pub struct Cluster {
     /// Leaf lock (`ring` in `crates/tagdm-lint/lock_order.toml`): every access
     /// is confined to a one-statement helper, no other lock is taken under it.
     ring: RwLock<HashRing>,
-    metrics: ClusterMetrics,
+    /// Routing latency: request arrival to response, spills included.
+    routing: LatencyHistogram,
 }
 
 impl Cluster {
@@ -261,7 +275,7 @@ impl Cluster {
             let spilling = hop > 0;
             match shard.breaker.admit() {
                 Admission::Deny => {
-                    ClusterMetrics::add(&self.metrics.shards[index].denied);
+                    shard.denied.inc();
                     detail = format!("shard `{}` breaker open", shard.name);
                     if self.config.spill == SpillPolicy::FailFast {
                         break;
@@ -271,7 +285,7 @@ impl Cluster {
                 Admission::Probe => {
                     if let Err(error) = shard.backend.ping() {
                         shard.breaker.record_failure();
-                        ClusterMetrics::add(&self.metrics.shards[index].failed);
+                        shard.failed.inc();
                         detail = format!("shard `{}` probe failed: {error}", shard.name);
                         if self.config.spill == SpillPolicy::FailFast {
                             break;
@@ -282,11 +296,11 @@ impl Cluster {
                 }
                 Admission::Allow => {}
             }
-            ClusterMetrics::add(if spilling {
-                &self.metrics.shards[index].spilled
+            if spilling {
+                shard.spilled.inc();
             } else {
-                &self.metrics.shards[index].routed
-            });
+                shard.routed.inc();
+            }
             match shard.backend.solve(request.clone()) {
                 Ok(response) => {
                     // The typed result feeds the breaker: sustained transient
@@ -296,11 +310,11 @@ impl Cluster {
                         Err(error) if error.is_transient() => shard.breaker.record_failure(),
                         _ => shard.breaker.record_success(),
                     }
-                    self.metrics.routing.record(started.elapsed());
+                    self.routing.record(started.elapsed());
                     return response;
                 }
                 Err(error) => {
-                    ClusterMetrics::add(&self.metrics.shards[index].failed);
+                    shard.failed.inc();
                     if error.transient {
                         shard.breaker.record_failure();
                     }
@@ -311,7 +325,7 @@ impl Cluster {
                 }
             }
         }
-        self.metrics.routing.record(started.elapsed());
+        self.routing.record(started.elapsed());
         unavailable_response(primary, detail, started.elapsed())
     }
 
@@ -382,25 +396,23 @@ impl Cluster {
 
     /// A point-in-time copy of the cluster's routing counters and breakers.
     pub fn metrics(&self) -> ClusterMetricsSnapshot {
-        use std::sync::atomic::Ordering;
         let shards = self
             .shards
             .iter()
-            .zip(&self.metrics.shards)
-            .map(|(shard, counters)| ShardMetricsSnapshot {
+            .map(|shard| ShardMetricsSnapshot {
                 name: shard.name.clone(),
                 kind: shard.backend.kind().to_string(),
-                routed: counters.routed.load(Ordering::Relaxed),
-                spilled: counters.spilled.load(Ordering::Relaxed),
-                denied: counters.denied.load(Ordering::Relaxed),
-                failed: counters.failed.load(Ordering::Relaxed),
+                routed: shard.routed.get(),
+                spilled: shard.spilled.get(),
+                denied: shard.denied.get(),
+                failed: shard.failed.get(),
                 breaker: shard.breaker.state(),
                 breaker_transitions: shard.breaker.transitions(),
             })
             .collect();
         ClusterMetricsSnapshot {
             shards,
-            routing: self.metrics.routing.snapshot(),
+            routing: self.routing.snapshot(),
         }
     }
 

@@ -1,51 +1,16 @@
-//! Cluster-level observability: per-shard routing counters plus a
-//! routing-latency histogram, snapshotted into serializable reports.
+//! Cluster-level observability: serializable snapshots of the per-shard routing
+//! counters and the routing-latency histogram.
 //!
-//! Mirrors the engine's metrics idiom (`tagdm_engine::metrics`): live state is
-//! relaxed atomics stamped on the hot path, a snapshot is a consistent-enough
-//! point-in-time copy, and the snapshot renders as a plain-text report.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Mirrors the engine's metrics idiom (`tagdm_engine::metrics`): each shard slot
+//! carries its own [`Counter`](tagdm_engine::metrics::Counter)s, stamped on the hot
+//! path; [`Cluster::metrics`](crate::Cluster::metrics) copies them into a
+//! [`ClusterMetricsSnapshot`], which renders as a plain-text report.
 
 use serde::{Deserialize, Serialize};
 
-use tagdm_engine::histogram::LatencyHistogram;
 use tagdm_engine::HistogramSnapshot;
 
 use crate::breaker::BreakerState;
-
-/// Live routing counters for one shard.
-#[derive(Default)]
-pub(crate) struct ShardCounters {
-    /// Requests dispatched here as the key's primary owner.
-    pub(crate) routed: AtomicU64,
-    /// Requests dispatched here after spilling past an earlier candidate.
-    pub(crate) spilled: AtomicU64,
-    /// Requests this shard's open breaker refused.
-    pub(crate) denied: AtomicU64,
-    /// Dispatches that failed at the conversation level (transport faults).
-    pub(crate) failed: AtomicU64,
-}
-
-/// Live cluster counters: one [`ShardCounters`] per shard plus the
-/// routing-latency histogram (request arrival to response, including spills).
-pub(crate) struct ClusterMetrics {
-    pub(crate) shards: Vec<ShardCounters>,
-    pub(crate) routing: LatencyHistogram,
-}
-
-impl ClusterMetrics {
-    pub(crate) fn new(num_shards: usize) -> Self {
-        ClusterMetrics {
-            shards: (0..num_shards).map(|_| ShardCounters::default()).collect(),
-            routing: LatencyHistogram::new(),
-        }
-    }
-
-    pub(crate) fn add(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
 
 /// Point-in-time routing counters for one shard, plus its breaker's position.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -103,18 +68,6 @@ impl ClusterMetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn counters_land_in_the_snapshot_shape() {
-        let metrics = ClusterMetrics::new(2);
-        ClusterMetrics::add(&metrics.shards[0].routed);
-        ClusterMetrics::add(&metrics.shards[1].spilled);
-        metrics.routing.record(Duration::from_micros(250));
-        assert_eq!(metrics.shards[0].routed.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.shards[1].spilled.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.routing.snapshot().count, 1);
-    }
 
     #[test]
     fn snapshots_round_trip_through_serde_and_render() {

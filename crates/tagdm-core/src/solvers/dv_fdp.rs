@@ -51,19 +51,25 @@ impl DvFdpSolver {
             problem.pairwise_objective(ctx, i, j)
         })
     }
+}
 
-    fn solve_impl(
+impl Solver for DvFdpSolver {
+    fn name(&self) -> String {
+        format!("DV-FDP{}", self.mode.suffix())
+    }
+
+    fn solve_cancellable(
         &self,
         ctx: &MiningContext,
         problem: &TagDmProblem,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> SolverOutcome {
         let start = Instant::now();
         let n = ctx.num_groups();
         // Cancellation is coarse here: the quadratic matrix build is one uninterruptible
         // block, so the token is honoured before it and at every greedy admissibility
         // test after it.
-        if n == 0 || cancel.is_some_and(|token| token.is_cancelled()) {
+        if n == 0 || cancel.is_cancelled() {
             return SolverOutcome {
                 elapsed: start.elapsed(),
                 ..SolverOutcome::null(self.name())
@@ -81,7 +87,7 @@ impl DvFdpSolver {
                 // The greedy add only admits a candidate if the grown set still satisfies
                 // every non-support constraint (support is checked after selection).
                 max_avg_greedy_with(&matrix, problem.max_groups, |selected, candidate| {
-                    if cancel.is_some_and(|token| token.is_cancelled()) {
+                    if cancel.is_cancelled() {
                         return false;
                     }
                     if selected.is_empty() {
@@ -122,25 +128,6 @@ impl DvFdpSolver {
             elapsed,
             candidates_evaluated: evaluated,
         }
-    }
-}
-
-impl Solver for DvFdpSolver {
-    fn name(&self) -> String {
-        format!("DV-FDP{}", self.mode.suffix())
-    }
-
-    fn solve(&self, ctx: &MiningContext, problem: &TagDmProblem) -> SolverOutcome {
-        self.solve_impl(ctx, problem, None)
-    }
-
-    fn solve_cancellable(
-        &self,
-        ctx: &MiningContext,
-        problem: &TagDmProblem,
-        cancel: &CancelToken,
-    ) -> SolverOutcome {
-        self.solve_impl(ctx, problem, Some(cancel))
     }
 }
 

@@ -54,18 +54,6 @@ impl ExactSolver {
         ExactSolver { max_candidates }
     }
 
-    fn solve_impl(
-        &self,
-        ctx: &MiningContext,
-        problem: &TagDmProblem,
-        cancel: Option<&CancelToken>,
-    ) -> SolverOutcome {
-        let start = Instant::now();
-        let mut kernel = Kernel::new(ctx, problem, self.max_candidates, cancel);
-        kernel.descend(0);
-        self.outcome(ctx, problem, kernel.best, kernel.evaluated, start.elapsed())
-    }
-
     fn outcome(
         &self,
         ctx: &MiningContext,
@@ -97,17 +85,16 @@ impl Solver for ExactSolver {
         "Exact".to_string()
     }
 
-    fn solve(&self, ctx: &MiningContext, problem: &TagDmProblem) -> SolverOutcome {
-        self.solve_impl(ctx, problem, None)
-    }
-
     fn solve_cancellable(
         &self,
         ctx: &MiningContext,
         problem: &TagDmProblem,
         cancel: &CancelToken,
     ) -> SolverOutcome {
-        self.solve_impl(ctx, problem, Some(cancel))
+        let start = Instant::now();
+        let mut kernel = Kernel::new(ctx, problem, self.max_candidates, cancel);
+        kernel.descend(0);
+        self.outcome(ctx, problem, kernel.best, kernel.evaluated, start.elapsed())
     }
 }
 
@@ -134,7 +121,7 @@ fn action_bitsets(ctx: &MiningContext) -> (usize, Vec<u64>) {
 struct Kernel<'a> {
     ctx: &'a MiningContext,
     problem: &'a TagDmProblem,
-    cancel: Option<&'a CancelToken>,
+    cancel: &'a CancelToken,
     cap: u64,
     /// The candidate set under evaluation, in push order (ascending group index).
     set: Vec<usize>,
@@ -165,7 +152,7 @@ impl<'a> Kernel<'a> {
         ctx: &'a MiningContext,
         problem: &'a TagDmProblem,
         cap: u64,
-        cancel: Option<&'a CancelToken>,
+        cancel: &'a CancelToken,
     ) -> Self {
         let depth = problem.max_groups.min(ctx.num_groups());
         let (words, group_bits) = action_bitsets(ctx);
@@ -209,9 +196,7 @@ impl<'a> Kernel<'a> {
                 self.exhausted = true;
                 return;
             }
-            if self.evaluated & CANCEL_CHECK_MASK == 0
-                && self.cancel.is_some_and(CancelToken::is_cancelled)
-            {
+            if self.evaluated & CANCEL_CHECK_MASK == 0 && self.cancel.is_cancelled() {
                 self.exhausted = true;
                 return;
             }
@@ -390,7 +375,10 @@ mod tests {
         problem: &TagDmProblem,
         cancel: Option<&CancelToken>,
     ) {
-        let kernel = solver.solve_impl(ctx, problem, cancel);
+        let kernel = match cancel {
+            Some(token) => solver.solve_cancellable(ctx, problem, token),
+            None => solver.solve(ctx, problem),
+        };
         let oracle = reference(solver, ctx, problem, cancel);
         let what = problem.describe();
         assert_eq!(kernel.groups, oracle.groups, "groups: {what}");
@@ -431,7 +419,7 @@ mod tests {
                 }
             }
         }
-        walk(&mut Kernel::new(ctx, problem, 0, None), 0);
+        walk(&mut Kernel::new(ctx, problem, 0, &CancelToken::new()), 0);
     }
 
     /// Groupings of the generator's schema small enough for an oracle run at k = 4.

@@ -102,23 +102,20 @@ pub trait Solver {
     /// The solver's display name (e.g. `"SM-LSH-Fo"`).
     fn name(&self) -> String;
 
-    /// Solve `problem` over the candidate groups of `ctx`.
-    fn solve(&self, ctx: &MiningContext, problem: &TagDmProblem) -> SolverOutcome;
+    /// Solve `problem` over the candidate groups of `ctx`: a
+    /// [`solve_cancellable`](Solver::solve_cancellable) whose token never fires.
+    fn solve(&self, ctx: &MiningContext, problem: &TagDmProblem) -> SolverOutcome {
+        self.solve_cancellable(ctx, problem, &CancelToken::new())
+    }
 
     /// Solve with a cooperative [`CancelToken`]. When the token fires mid-search the
     /// solver stops at its next checkpoint and returns the best result found so far.
-    /// With a token that never fires this must behave exactly like
-    /// [`solve`](Solver::solve). The default implementation ignores the token, which is
-    /// correct (if unresponsive) for solvers without internal checkpoints.
     fn solve_cancellable(
         &self,
         ctx: &MiningContext,
         problem: &TagDmProblem,
         cancel: &CancelToken,
-    ) -> SolverOutcome {
-        let _ = cancel;
-        self.solve(ctx, problem)
-    }
+    ) -> SolverOutcome;
 }
 
 /// Greedily pick at most `limit` members of `candidates` maximizing the problem's
@@ -361,13 +358,19 @@ mod tests {
     }
 
     #[test]
-    fn default_solve_cancellable_matches_solve() {
+    fn provided_solve_matches_solve_cancellable() {
         struct Fixed;
         impl Solver for Fixed {
             fn name(&self) -> String {
                 "fixed".into()
             }
-            fn solve(&self, _ctx: &MiningContext, _problem: &TagDmProblem) -> SolverOutcome {
+            fn solve_cancellable(
+                &self,
+                _ctx: &MiningContext,
+                _problem: &TagDmProblem,
+                cancel: &CancelToken,
+            ) -> SolverOutcome {
+                assert!(!cancel.is_cancelled());
                 SolverOutcome::null("fixed")
             }
         }

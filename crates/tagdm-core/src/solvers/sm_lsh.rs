@@ -115,12 +115,12 @@ impl SmLshSolver {
         ctx: &MiningContext,
         problem: &TagDmProblem,
         index: &LshIndex,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> (Option<(Vec<usize>, f64)>, u64) {
         let mut best: Option<(Vec<usize>, f64)> = None;
         let mut evaluated = 0u64;
         for bucket in index.all_buckets() {
-            if cancel.is_some_and(|token| token.is_cancelled()) {
+            if cancel.is_cancelled() {
                 break;
             }
             if bucket.len() < problem.min_groups {
@@ -190,12 +190,18 @@ impl SmLshSolver {
         }
         (best, evaluated)
     }
+}
 
-    fn solve_impl(
+impl Solver for SmLshSolver {
+    fn name(&self) -> String {
+        format!("SM-LSH{}", self.mode.suffix())
+    }
+
+    fn solve_cancellable(
         &self,
         ctx: &MiningContext,
         problem: &TagDmProblem,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> SolverOutcome {
         let start = Instant::now();
         let (fold_users, fold_items) = self.fold_dimensions(problem);
@@ -231,7 +237,7 @@ impl SmLshSolver {
             // A fired token ends the relaxation: re-bucketing with fewer bits restarts
             // the whole bucket sweep, which a deadline-bound caller cannot afford.
             let bits = index.config().num_bits;
-            if bits == 1 || cancel.is_some_and(|token| token.is_cancelled()) {
+            if bits == 1 || cancel.is_cancelled() {
                 break;
             }
             relaxed = full.truncated(bits / 2);
@@ -254,25 +260,6 @@ impl SmLshSolver {
                 ..SolverOutcome::null(self.name())
             },
         }
-    }
-}
-
-impl Solver for SmLshSolver {
-    fn name(&self) -> String {
-        format!("SM-LSH{}", self.mode.suffix())
-    }
-
-    fn solve(&self, ctx: &MiningContext, problem: &TagDmProblem) -> SolverOutcome {
-        self.solve_impl(ctx, problem, None)
-    }
-
-    fn solve_cancellable(
-        &self,
-        ctx: &MiningContext,
-        problem: &TagDmProblem,
-        cancel: &CancelToken,
-    ) -> SolverOutcome {
-        self.solve_impl(ctx, problem, Some(cancel))
     }
 }
 

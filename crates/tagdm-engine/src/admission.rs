@@ -104,7 +104,7 @@ impl JobQueue {
         if inner.queue.len() >= self.capacity {
             match self.policy {
                 AdmissionPolicy::Reject => {
-                    metrics.job_rejected();
+                    metrics.jobs_rejected.inc();
                     return Err(Box::new((
                         job,
                         EngineError::Overloaded {
@@ -125,7 +125,7 @@ impl JobQueue {
                         return Err(Box::new((job, EngineError::Shutdown)));
                     }
                     if wait.timed_out() && inner.queue.len() >= self.capacity {
-                        metrics.job_rejected();
+                        metrics.jobs_rejected.inc();
                         return Err(Box::new((
                             job,
                             EngineError::Overloaded {
@@ -154,14 +154,14 @@ impl JobQueue {
                         expired
                     };
                     for shed in expired {
-                        metrics.job_shed();
-                        metrics.job_expired();
+                        metrics.jobs_shed.inc();
+                        metrics.jobs_expired.inc();
                         let waited = shed.submitted.elapsed();
                         shed.answer_error(EngineError::DeadlineExpiredInQueue { waited }, metrics);
                     }
                     if inner.queue.len() >= self.capacity {
                         if let Some(oldest) = inner.queue.pop_front() {
-                            metrics.job_shed();
+                            metrics.jobs_shed.inc();
                             oldest.answer_error(
                                 EngineError::Overloaded {
                                     capacity: self.capacity,

@@ -144,10 +144,12 @@ impl Engine {
         self.executor.queue_depth()
     }
 
-    /// Register (or replace) a dataset under `name`. Existing cached contexts built
-    /// from a replaced dataset stay valid for their own `Arc`'d data but new grouped
-    /// specs resolve against the new registration — re-register under a fresh name to
-    /// keep both.
+    /// Register (or replace) a dataset under `name`. Every registration gets a fresh
+    /// generation that is part of the engine's context and outcome cache keys, so after
+    /// a replacement grouped specs naming `name` resolve against the new data and
+    /// never see a context or outcome cached for the old one. Contexts already handed
+    /// out stay valid for their own `Arc`'d data. Register under a fresh name to keep
+    /// both datasets servable.
     pub fn register_dataset(&self, name: impl Into<String>, dataset: Dataset) -> Arc<Dataset> {
         self.state.register_dataset(name.into(), dataset)
     }
@@ -162,8 +164,10 @@ impl Engine {
         self.state.dataset_names()
     }
 
-    /// Install a pre-built context under an explicit name, pinned outside the LRU
-    /// cache. Requests reference it with [`ContextSpec::installed`].
+    /// Install (or replace) a pre-built context under an explicit name, pinned outside
+    /// the LRU cache. Requests reference it with [`ContextSpec::installed`]. Like
+    /// [`register_dataset`](Self::register_dataset), every installation gets a fresh
+    /// generation, so outcomes cached for a replaced context are never served again.
     pub fn install_context(
         &self,
         name: impl Into<String>,
@@ -174,7 +178,9 @@ impl Engine {
 
     /// Resolve (building and caching if needed) the context a spec denotes.
     pub fn context(&self, spec: &ContextSpec) -> Result<Arc<MiningContext>, EngineError> {
-        self.state.resolve_context(spec).map(|(context, _)| context)
+        self.state
+            .resolve_context(spec)
+            .map(|(context, ..)| context)
     }
 
     /// Enqueue a request on the worker pool; the ticket resolves to the response.
@@ -185,7 +191,7 @@ impl Engine {
     /// rejected jobs resolve to [`EngineError::Overloaded`] immediately.
     pub fn submit(&self, request: SolveRequest) -> JobTicket {
         let id = JobId(self.next_job.fetch_add(1, Ordering::Relaxed));
-        self.state.metrics.job_submitted();
+        self.state.metrics.jobs_submitted.inc();
         let (reply, receiver) = channel();
         let job = Job {
             id,
@@ -221,7 +227,7 @@ impl Engine {
             if !retryable || attempt + 1 >= attempts {
                 return response;
             }
-            self.state.metrics.job_retried();
+            self.state.metrics.jobs_retried.inc();
             std::thread::sleep(policy.backoff.delay(attempt));
             attempt += 1;
         }
@@ -237,14 +243,5 @@ impl Engine {
     /// A point-in-time copy of the engine's counters and latency histograms.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.state.metrics.snapshot()
-    }
-
-    /// The live metrics registry the engine stamps as it works.
-    ///
-    /// Transports and other co-resident subsystems fold their own counters into this
-    /// registry (the `net_*` family) so one [`metrics`](Self::metrics) snapshot
-    /// covers the whole service; everyone else should prefer the snapshot.
-    pub fn metrics_registry(&self) -> &crate::metrics::EngineMetrics {
-        &self.state.metrics
     }
 }

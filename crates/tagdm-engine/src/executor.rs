@@ -51,7 +51,7 @@ impl Job {
     /// Answer the job with an error without running it (admission failure, shed).
     pub(crate) fn answer_error(self, error: EngineError, metrics: &EngineMetrics) {
         let deadline_hit = matches!(error, EngineError::DeadlineExpiredInQueue { .. });
-        metrics.job_completed();
+        metrics.jobs_completed.inc();
         let _ = self.reply.send(SolveResponse {
             job: self.id,
             result: Err(error),
@@ -254,7 +254,7 @@ fn execute(state: &EngineState, job: Job) {
         reply,
     } = job;
     let queue_wait = submitted.elapsed();
-    state.metrics.record_queue_wait(queue_wait);
+    state.metrics.queue_wait.record(queue_wait);
     let responder = Responder {
         id,
         reply,
@@ -266,7 +266,7 @@ fn execute(state: &EngineState, job: Job) {
         run_job(state, &request, submitted, &responder);
     }));
     if let Err(payload) = unwound {
-        state.metrics.job_panicked();
+        state.metrics.jobs_panicked.inc();
         responder.send(
             state,
             Err(EngineError::WorkerPanicked {
@@ -301,7 +301,7 @@ impl Responder {
         if self.sent.swap(true, Ordering::SeqCst) {
             return;
         }
-        state.metrics.job_completed();
+        state.metrics.jobs_completed.inc();
         // A dropped ticket just means nobody is waiting for this answer.
         let _ = self.reply.send(SolveResponse {
             job: self.id,
@@ -336,7 +336,7 @@ fn run_job(state: &EngineState, request: &SolveRequest, submitted: Instant, repl
 
     // A deadline that fired while the job was queued: don't start the solve at all.
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        state.metrics.job_expired();
+        state.metrics.jobs_expired.inc();
         reply.send(
             state,
             Err(EngineError::DeadlineExpiredInQueue {
@@ -360,8 +360,8 @@ fn run_job(state: &EngineState, request: &SolveRequest, submitted: Instant, repl
 
     let resolving = Instant::now();
     let resolved = state.resolve_context(&request.context);
-    state.metrics.record_context_resolve(resolving.elapsed());
-    let (context, context_hit) = match resolved {
+    state.metrics.context_resolve.record(resolving.elapsed());
+    let (context, context_hit, context_id) = match resolved {
         Ok(resolved) => resolved,
         Err(error) => {
             reply.send(state, Err(error), CacheReport::default(), false);
@@ -372,7 +372,7 @@ fn run_job(state: &EngineState, request: &SolveRequest, submitted: Instant, repl
     // on a deduplicated build land in `context_resolve`, not in `solve_hit`/`solve_miss`.
     let started = Instant::now();
 
-    let key = EngineState::outcome_key(&request.context.key(), &request.solver, &request.problem);
+    let key = EngineState::outcome_key(&context_id, &request.solver, &request.problem);
     if let Err(error) = failpoint::check(failpoint::site::OUTCOME_LOOKUP) {
         reply.send(state, Err(error), CacheReport::default(), false);
         return;

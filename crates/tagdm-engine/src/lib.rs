@@ -8,17 +8,18 @@
 //!
 //! * **Context caching** — datasets are registered once; mining contexts (the
 //!   expensive LDA/tf·idf signature precomputations) are memoized behind an LRU cache
-//!   keyed by `(dataset, grouping scheme, summarizer)` ([`ContextSpec::key`]), next to
-//!   a cache of whole solver outcomes. Pre-built contexts can be pinned under explicit
+//!   keyed by `(dataset, grouping scheme, summarizer)` ([`ContextSpec::key`]) and the
+//!   dataset's registration generation, next to a cache of whole solver outcomes. Pre-built contexts can be pinned under explicit
 //!   names ([`Engine::install_context`]) for corpora no grouping recipe describes.
 //! * **Job execution** — typed [`SolveRequest`]s (problem + solver choice + optional
 //!   deadline) run on a fixed worker pool; responses come back over per-job channels
 //!   as [`SolveResponse`]s. Deadlines cancel cooperatively via
 //!   [`CancelToken`](tagdm_core::solvers::CancelToken): an expired solve returns the
 //!   best result found so far and is flagged, never cached.
-//! * **Metrics** — atomic counters and lock-free latency histograms for cache
-//!   hits/misses, queue wait and solve time, exposed as a serializable
-//!   [`MetricsSnapshot`] via [`Engine::metrics`].
+//! * **Metrics** — [`Counter`](metrics::Counter)s and lock-free latency
+//!   histograms for cache hits/misses, queue wait and solve time, exposed as a
+//!   serializable [`MetricsSnapshot`] via [`Engine::metrics`]. The transport and
+//!   the cluster count with the same `Counter` type.
 //!
 //! The engine is built to degrade predictably under faults and load:
 //!
@@ -78,7 +79,7 @@ pub use engine::{Engine, EngineConfig};
 pub use error::EngineError;
 pub use histogram::HistogramSnapshot;
 pub use job::{CacheReport, JobId, JobTicket, SolveRequest, SolveResponse, SolverChoice};
-pub use metrics::{EngineMetrics, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use retry::{Backoff, RetryPolicy};
 pub use spec::{ContextKey, ContextSpec};
 pub use state::{lock_recover, read_recover, write_recover};

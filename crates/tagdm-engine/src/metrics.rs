@@ -1,10 +1,13 @@
-//! Built-in engine observability: atomic counters plus latency histograms.
+//! Built-in observability: one [`Counter`] type, plus the engine's counters and
+//! latency histograms.
 //!
-//! Every cache layer and the job executor stamp [`EngineMetrics`] as they work; a
-//! [`snapshot`](EngineMetrics::snapshot) is a consistent-enough point-in-time copy
-//! (individual loads are relaxed — counters may be mid-update across fields, which is
-//! fine for monitoring). The snapshot is serializable and renders as a plain-text
-//! report for examples and operators.
+//! Every cache layer and the job executor stamp the engine's live counters as they
+//! work; [`Engine::metrics`](crate::Engine::metrics) copies them into a
+//! [`MetricsSnapshot`], a consistent-enough point-in-time view (individual loads are
+//! relaxed — counters may be mid-update across fields, which is fine for monitoring).
+//! The snapshot is serializable and renders as a plain-text report for examples and
+//! operators. The transport and the cluster count with the same [`Counter`] and own
+//! their counters themselves.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -13,187 +16,91 @@ use serde::{Deserialize, Serialize};
 
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 
+/// A monotonically increasing event count. Relaxed ordering: counters are for
+/// monitoring and never order other memory.
+///
+/// ```
+/// let sent = tagdm_engine::metrics::Counter::default();
+/// sent.inc();
+/// sent.inc();
+/// assert_eq!(sent.get(), 2);
+/// ```
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Count one event.
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The events counted so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 /// Live counters and histograms shared by the engine's caches and workers.
 #[derive(Default)]
-pub struct EngineMetrics {
+pub(crate) struct EngineMetrics {
     /// Jobs accepted by [`Engine::submit`](crate::Engine::submit).
-    pub jobs_submitted: AtomicU64,
+    pub(crate) jobs_submitted: Counter,
     /// Jobs whose response was sent (including errors and expiries).
-    pub jobs_completed: AtomicU64,
+    pub(crate) jobs_completed: Counter,
     /// Jobs whose deadline fired while they were queued. A solve truncated by its
     /// deadline still answers `Ok` (flagged by `SolveResponse::deadline_hit`) and is
     /// not counted here.
-    pub jobs_expired: AtomicU64,
+    pub(crate) jobs_expired: Counter,
     /// Jobs whose solver panicked; the panic was caught and answered as
     /// [`EngineError::WorkerPanicked`](crate::EngineError::WorkerPanicked).
-    pub jobs_panicked: AtomicU64,
+    pub(crate) jobs_panicked: Counter,
     /// Jobs refused at admission because the queue was full (reject or block-timeout).
-    pub jobs_rejected: AtomicU64,
+    pub(crate) jobs_rejected: Counter,
     /// Queued jobs shed by the shed-oldest admission policy (expired sweeps and
     /// oldest-evictions).
-    pub jobs_shed: AtomicU64,
+    pub(crate) jobs_shed: Counter,
     /// Transparent resubmissions performed by [`Engine::solve_with`](crate::Engine::solve_with).
-    pub jobs_retried: AtomicU64,
+    pub(crate) jobs_retried: Counter,
     /// Dead workers respawned by the supervisor.
-    pub worker_restarts: AtomicU64,
+    pub(crate) worker_restarts: Counter,
     /// Context-cache misses that joined an in-flight build instead of duplicating it.
-    pub context_builds_deduped: AtomicU64,
+    pub(crate) context_builds_deduped: Counter,
     /// Context-cache hits (including installed contexts).
-    pub context_hits: AtomicU64,
+    context_hits: Counter,
     /// Context-cache misses (each one paid a full context build).
-    pub context_misses: AtomicU64,
+    context_misses: Counter,
     /// Solver-outcome cache hits.
-    pub outcome_hits: AtomicU64,
+    outcome_hits: Counter,
     /// Solver-outcome cache misses (each one ran a solver).
-    pub outcome_misses: AtomicU64,
-    /// TCP connections accepted by the `tagdm-net` transport.
-    pub net_connections_opened: AtomicU64,
-    /// Transport connections closed, whatever the reason (client EOF, protocol
-    /// fault, deadline cut, draining shutdown).
-    pub net_connections_closed: AtomicU64,
-    /// Request frames the transport decoded successfully.
-    pub net_frames_received: AtomicU64,
-    /// Response frames the transport wrote successfully.
-    pub net_frames_sent: AtomicU64,
-    /// Frames rejected as protocol faults (bad magic, version, kind, length or JSON).
-    pub net_frame_errors: AtomicU64,
-    /// Connections cut because a read or write deadline fired (slow or stalled peer).
-    pub net_deadline_disconnects: AtomicU64,
-    /// `GoAway` frames sent while draining for shutdown.
-    pub net_goaways_sent: AtomicU64,
-    /// Connection handlers that panicked; the panic was isolated to that connection.
-    pub net_conn_panics: AtomicU64,
-    /// Acceptor threads respawned by the transport's supervision guard.
-    pub net_acceptor_restarts: AtomicU64,
+    outcome_misses: Counter,
     /// Time jobs spent queued before a worker picked them up.
-    pub queue_wait: LatencyHistogram,
+    pub(crate) queue_wait: LatencyHistogram,
     /// Time spent building mining contexts (cache-miss path only).
-    pub context_build: LatencyHistogram,
+    pub(crate) context_build: LatencyHistogram,
     /// Worker time spent obtaining each job's context: a cache hit, a build, or a wait
     /// on a build already in flight.
-    pub context_resolve: LatencyHistogram,
+    pub(crate) context_resolve: LatencyHistogram,
     /// Worker time, after context resolution, for jobs answered from the outcome cache.
-    pub solve_hit: LatencyHistogram,
+    solve_hit: LatencyHistogram,
     /// Worker time, after context resolution, for jobs that ran a solver.
-    pub solve_miss: LatencyHistogram,
+    solve_miss: LatencyHistogram,
 }
 
 impl EngineMetrics {
-    fn add(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn job_submitted(&self) {
-        Self::add(&self.jobs_submitted);
-    }
-
-    pub(crate) fn job_completed(&self) {
-        Self::add(&self.jobs_completed);
-    }
-
-    pub(crate) fn job_expired(&self) {
-        Self::add(&self.jobs_expired);
-    }
-
-    pub(crate) fn job_panicked(&self) {
-        Self::add(&self.jobs_panicked);
-    }
-
-    pub(crate) fn job_rejected(&self) {
-        Self::add(&self.jobs_rejected);
-    }
-
-    pub(crate) fn job_shed(&self) {
-        Self::add(&self.jobs_shed);
-    }
-
-    pub(crate) fn job_retried(&self) {
-        Self::add(&self.jobs_retried);
-    }
-
-    pub(crate) fn worker_restarted(&self) {
-        Self::add(&self.worker_restarts);
-    }
-
-    pub(crate) fn context_build_deduped(&self) {
-        Self::add(&self.context_builds_deduped);
-    }
-
-    // The `net_*` recorders are `pub`: they are stamped by the out-of-crate
-    // `tagdm-net` transport, which folds its connection/frame counters into this
-    // registry so one `MetricsSnapshot` covers the whole service.
-
-    /// Record an accepted transport connection.
-    pub fn net_connection_opened(&self) {
-        Self::add(&self.net_connections_opened);
-    }
-
-    /// Record a closed transport connection.
-    pub fn net_connection_closed(&self) {
-        Self::add(&self.net_connections_closed);
-    }
-
-    /// Record a request frame decoded successfully.
-    pub fn net_frame_received(&self) {
-        Self::add(&self.net_frames_received);
-    }
-
-    /// Record a response frame written successfully.
-    pub fn net_frame_sent(&self) {
-        Self::add(&self.net_frames_sent);
-    }
-
-    /// Record a frame rejected as a protocol fault.
-    pub fn net_frame_error(&self) {
-        Self::add(&self.net_frame_errors);
-    }
-
-    /// Record a connection cut at its read/write deadline.
-    pub fn net_deadline_disconnect(&self) {
-        Self::add(&self.net_deadline_disconnects);
-    }
-
-    /// Record a `GoAway` frame sent while draining.
-    pub fn net_goaway_sent(&self) {
-        Self::add(&self.net_goaways_sent);
-    }
-
-    /// Record a connection handler panic that was isolated.
-    pub fn net_conn_panicked(&self) {
-        Self::add(&self.net_conn_panics);
-    }
-
-    /// Record an acceptor-thread respawn.
-    pub fn net_acceptor_restarted(&self) {
-        Self::add(&self.net_acceptor_restarts);
-    }
-
     pub(crate) fn context_lookup(&self, hit: bool) {
-        Self::add(if hit {
-            &self.context_hits
+        if hit {
+            self.context_hits.inc();
         } else {
-            &self.context_misses
-        });
+            self.context_misses.inc();
+        }
     }
 
     pub(crate) fn outcome_lookup(&self, hit: bool) {
-        Self::add(if hit {
-            &self.outcome_hits
+        if hit {
+            self.outcome_hits.inc();
         } else {
-            &self.outcome_misses
-        });
-    }
-
-    pub(crate) fn record_queue_wait(&self, wait: Duration) {
-        self.queue_wait.record(wait);
-    }
-
-    pub(crate) fn record_context_build(&self, elapsed: Duration) {
-        self.context_build.record(elapsed);
-    }
-
-    pub(crate) fn record_context_resolve(&self, elapsed: Duration) {
-        self.context_resolve.record(elapsed);
+            self.outcome_misses.inc();
+        }
     }
 
     pub(crate) fn record_solve(&self, elapsed: Duration, outcome_hit: bool) {
@@ -205,31 +112,21 @@ impl EngineMetrics {
     }
 
     /// A point-in-time copy of every counter and histogram.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            jobs_submitted: load(&self.jobs_submitted),
-            jobs_completed: load(&self.jobs_completed),
-            jobs_expired: load(&self.jobs_expired),
-            jobs_panicked: load(&self.jobs_panicked),
-            jobs_rejected: load(&self.jobs_rejected),
-            jobs_shed: load(&self.jobs_shed),
-            jobs_retried: load(&self.jobs_retried),
-            worker_restarts: load(&self.worker_restarts),
-            context_builds_deduped: load(&self.context_builds_deduped),
-            context_hits: load(&self.context_hits),
-            context_misses: load(&self.context_misses),
-            outcome_hits: load(&self.outcome_hits),
-            outcome_misses: load(&self.outcome_misses),
-            net_connections_opened: load(&self.net_connections_opened),
-            net_connections_closed: load(&self.net_connections_closed),
-            net_frames_received: load(&self.net_frames_received),
-            net_frames_sent: load(&self.net_frames_sent),
-            net_frame_errors: load(&self.net_frame_errors),
-            net_deadline_disconnects: load(&self.net_deadline_disconnects),
-            net_goaways_sent: load(&self.net_goaways_sent),
-            net_conn_panics: load(&self.net_conn_panics),
-            net_acceptor_restarts: load(&self.net_acceptor_restarts),
+            jobs_submitted: self.jobs_submitted.get(),
+            jobs_completed: self.jobs_completed.get(),
+            jobs_expired: self.jobs_expired.get(),
+            jobs_panicked: self.jobs_panicked.get(),
+            jobs_rejected: self.jobs_rejected.get(),
+            jobs_shed: self.jobs_shed.get(),
+            jobs_retried: self.jobs_retried.get(),
+            worker_restarts: self.worker_restarts.get(),
+            context_builds_deduped: self.context_builds_deduped.get(),
+            context_hits: self.context_hits.get(),
+            context_misses: self.context_misses.get(),
+            outcome_hits: self.outcome_hits.get(),
+            outcome_misses: self.outcome_misses.get(),
             queue_wait: self.queue_wait.snapshot(),
             context_build: self.context_build.snapshot(),
             context_resolve: self.context_resolve.snapshot(),
@@ -239,7 +136,7 @@ impl EngineMetrics {
     }
 }
 
-/// Serializable point-in-time view of [`EngineMetrics`].
+/// Serializable point-in-time view of the engine's counters and histograms.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Jobs accepted by the engine.
@@ -268,24 +165,6 @@ pub struct MetricsSnapshot {
     pub outcome_hits: u64,
     /// Outcome-cache misses.
     pub outcome_misses: u64,
-    /// Transport connections accepted.
-    pub net_connections_opened: u64,
-    /// Transport connections closed.
-    pub net_connections_closed: u64,
-    /// Request frames decoded by the transport.
-    pub net_frames_received: u64,
-    /// Response frames written by the transport.
-    pub net_frames_sent: u64,
-    /// Frames rejected as protocol faults.
-    pub net_frame_errors: u64,
-    /// Connections cut at a read/write deadline.
-    pub net_deadline_disconnects: u64,
-    /// `GoAway` frames sent while draining.
-    pub net_goaways_sent: u64,
-    /// Isolated connection-handler panics.
-    pub net_conn_panics: u64,
-    /// Acceptor-thread respawns.
-    pub net_acceptor_restarts: u64,
     /// Queue-wait latency distribution.
     pub queue_wait: HistogramSnapshot,
     /// Context-build latency distribution (misses only).
@@ -371,19 +250,6 @@ impl MetricsSnapshot {
             self.outcome_misses,
             100.0 * self.outcome_hit_ratio()
         ));
-        out.push_str(&format!(
-            "  network   conns={}/{} frames={}rx/{}tx errors={} deadline_cuts={}\n",
-            self.net_connections_opened,
-            self.net_connections_closed,
-            self.net_frames_received,
-            self.net_frames_sent,
-            self.net_frame_errors,
-            self.net_deadline_disconnects
-        ));
-        out.push_str(&format!(
-            "  net-faults goaways={} conn_panics={} acceptor_restarts={}\n",
-            self.net_goaways_sent, self.net_conn_panics, self.net_acceptor_restarts
-        ));
         out.push_str(&format!("  queue wait    {}\n", self.queue_wait.render()));
         out.push_str(&format!(
             "  context build {}\n",
@@ -415,33 +281,23 @@ mod tests {
     #[test]
     fn snapshot_reflects_recorded_events() {
         let metrics = EngineMetrics::default();
-        metrics.job_submitted();
-        metrics.job_submitted();
-        metrics.job_completed();
-        metrics.job_panicked();
-        metrics.job_rejected();
-        metrics.job_shed();
-        metrics.job_retried();
-        metrics.job_retried();
-        metrics.worker_restarted();
-        metrics.context_build_deduped();
+        metrics.jobs_submitted.inc();
+        metrics.jobs_submitted.inc();
+        metrics.jobs_completed.inc();
+        metrics.jobs_panicked.inc();
+        metrics.jobs_rejected.inc();
+        metrics.jobs_shed.inc();
+        metrics.jobs_retried.inc();
+        metrics.jobs_retried.inc();
+        metrics.worker_restarts.inc();
+        metrics.context_builds_deduped.inc();
         metrics.context_lookup(true);
         metrics.context_lookup(false);
         metrics.outcome_lookup(true);
         metrics.record_solve(Duration::from_micros(3), true);
         metrics.record_solve(Duration::from_millis(4), false);
-        metrics.record_queue_wait(Duration::from_micros(15));
-        metrics.record_context_resolve(Duration::from_micros(40));
-        metrics.net_connection_opened();
-        metrics.net_connection_opened();
-        metrics.net_connection_closed();
-        metrics.net_frame_received();
-        metrics.net_frame_sent();
-        metrics.net_frame_error();
-        metrics.net_deadline_disconnect();
-        metrics.net_goaway_sent();
-        metrics.net_conn_panicked();
-        metrics.net_acceptor_restarted();
+        metrics.queue_wait.record(Duration::from_micros(15));
+        metrics.context_resolve.record(Duration::from_micros(40));
 
         let snap = metrics.snapshot();
         assert_eq!(snap.jobs_submitted, 2);
@@ -461,6 +317,7 @@ mod tests {
         assert_eq!(snap.solve_hit.count, 1);
         assert_eq!(snap.solve_miss.count, 1);
         assert!(snap.solve_hit.mean_us < snap.solve_miss.mean_us);
+        assert_eq!(snap.queue_wait.count, 1);
         assert_eq!(snap.context_resolve.count, 1);
         let report = snap.render();
         assert!(report.contains("ctx resolve"));
@@ -469,17 +326,6 @@ mod tests {
         assert!(report.contains("panics=1"));
         assert!(report.contains("restarts=1"));
         assert!(report.contains("deduped=1"));
-        assert_eq!(snap.net_connections_opened, 2);
-        assert_eq!(snap.net_connections_closed, 1);
-        assert_eq!(snap.net_frames_received, 1);
-        assert_eq!(snap.net_frames_sent, 1);
-        assert_eq!(snap.net_frame_errors, 1);
-        assert_eq!(snap.net_deadline_disconnects, 1);
-        assert_eq!(snap.net_goaways_sent, 1);
-        assert_eq!(snap.net_conn_panics, 1);
-        assert_eq!(snap.net_acceptor_restarts, 1);
-        assert!(report.contains("conns=2/1"));
-        assert!(report.contains("acceptor_restarts=1"));
     }
 
     #[test]

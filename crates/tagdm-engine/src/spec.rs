@@ -4,7 +4,10 @@
 //! registered dataset to read, how to enumerate candidate groups and which tag
 //! summarizer to run. Two requests with the same recipe memoize to the same cached
 //! context via [`ContextKey`], so the expensive LDA / signature work runs once per
-//! distinct `(dataset, grouping scheme, summarizer)` triple.
+//! distinct `(dataset, grouping scheme, summarizer)` triple. Inside the engine the
+//! key is paired with the generation of the registration it resolved against, so a
+//! dataset or installed context replaced under the same name never serves entries
+//! cached for the old data; the key alone is what the cluster ring places.
 //!
 //! [`MiningContext`]: tagdm_core::context::MiningContext
 

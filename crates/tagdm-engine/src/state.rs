@@ -10,6 +10,7 @@
 //! hanging.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
     Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
@@ -53,9 +54,20 @@ pub fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Engine-internal identity of a resolved context: the spec's [`ContextKey`] plus the
+/// generation of the registration it resolved against (the dataset for grouped specs,
+/// the installation for installed ones). Replacing the data under a name leaves the
+/// old cache entries unreachable, so they age out of the LRUs instead of being served.
+/// The generation stays out of [`ContextSpec::key`], which names a context for
+/// placement (the cluster ring) whatever is registered.
+pub(crate) type ContextId = (ContextKey, u64);
+
 /// Key of a cached solver outcome: the context identity plus a canonical rendering of
 /// the problem and the solver choice.
-pub(crate) type OutcomeKey = (ContextKey, String);
+pub(crate) type OutcomeKey = (ContextId, String);
+
+/// A resolved context, whether it was a cache hit, and its identity.
+pub(crate) type Resolved = (Arc<MiningContext>, bool, ContextId);
 
 type BuildResult = Result<Arc<MiningContext>, EngineError>;
 
@@ -91,13 +103,17 @@ impl InFlightBuild {
 }
 
 pub(crate) struct EngineState {
-    datasets: RwLock<HashMap<String, Arc<Dataset>>>,
-    /// Pre-built contexts pinned under explicit names (never LRU-evicted).
-    installed: RwLock<HashMap<String, Arc<MiningContext>>>,
-    contexts: Mutex<LruCache<ContextKey, Arc<MiningContext>>>,
+    /// Registered datasets with their registration generations.
+    datasets: RwLock<HashMap<String, (u64, Arc<Dataset>)>>,
+    /// Pre-built contexts pinned under explicit names (never LRU-evicted), with their
+    /// installation generations.
+    installed: RwLock<HashMap<String, (u64, Arc<MiningContext>)>>,
+    /// Source of registration generations, shared by datasets and installed contexts.
+    generations: AtomicU64,
+    contexts: Mutex<LruCache<ContextId, Arc<MiningContext>>>,
     /// Context builds currently running, for racing misses to wait on instead of
     /// duplicating the work.
-    building: Mutex<HashMap<ContextKey, Arc<InFlightBuild>>>,
+    building: Mutex<HashMap<ContextId, Arc<InFlightBuild>>>,
     outcomes: Mutex<LruCache<OutcomeKey, SolverOutcome>>,
     pub(crate) metrics: EngineMetrics,
 }
@@ -107,6 +123,7 @@ impl EngineState {
         EngineState {
             datasets: RwLock::new(HashMap::new()),
             installed: RwLock::new(HashMap::new()),
+            generations: AtomicU64::new(0),
             contexts: Mutex::new(LruCache::new(context_capacity)),
             building: Mutex::new(HashMap::new()),
             outcomes: Mutex::new(LruCache::new(outcome_capacity)),
@@ -114,13 +131,24 @@ impl EngineState {
         }
     }
 
+    fn next_generation(&self) -> u64 {
+        self.generations.fetch_add(1, Ordering::Relaxed)
+    }
+
     pub(crate) fn register_dataset(&self, name: String, dataset: Dataset) -> Arc<Dataset> {
         let dataset = Arc::new(dataset);
-        write_recover(&self.datasets).insert(name, Arc::clone(&dataset));
+        let generation = self.next_generation();
+        write_recover(&self.datasets).insert(name, (generation, Arc::clone(&dataset)));
         dataset
     }
 
     pub(crate) fn dataset(&self, name: &str) -> Option<Arc<Dataset>> {
+        self.registration(name).map(|(_, dataset)| dataset)
+    }
+
+    /// The generation and dataset registered under `name`. The read guard is confined
+    /// to this helper so it never overlaps another lock.
+    fn registration(&self, name: &str) -> Option<(u64, Arc<Dataset>)> {
         read_recover(&self.datasets).get(name).cloned()
     }
 
@@ -136,30 +164,32 @@ impl EngineState {
         context: MiningContext,
     ) -> Arc<MiningContext> {
         let context = Arc::new(context);
-        write_recover(&self.installed).insert(name, Arc::clone(&context));
+        let generation = self.next_generation();
+        write_recover(&self.installed).insert(name, (generation, Arc::clone(&context)));
         context
     }
 
-    /// Resolve a context spec to a (possibly cached) context. Returns the context and
-    /// whether it was a cache hit; records hit/miss and build-time metrics.
-    pub(crate) fn resolve_context(
-        &self,
-        spec: &ContextSpec,
-    ) -> Result<(Arc<MiningContext>, bool), EngineError> {
+    /// Resolve a context spec to a (possibly cached) context. Returns the context,
+    /// whether it was a cache hit and its identity; records hit/miss and build-time
+    /// metrics.
+    pub(crate) fn resolve_context(&self, spec: &ContextSpec) -> Result<Resolved, EngineError> {
         match spec {
             ContextSpec::Installed { name } => {
-                let context = read_recover(&self.installed)
+                let (generation, context) = read_recover(&self.installed)
                     .get(name)
                     .cloned()
                     .ok_or_else(|| EngineError::UnknownContext(name.clone()))?;
                 self.metrics.context_lookup(true);
-                Ok((context, true))
+                Ok((context, true, (spec.key(), generation)))
             }
-            ContextSpec::Grouped { .. } => {
-                let key = spec.key();
+            ContextSpec::Grouped { dataset: name, .. } => {
+                let (generation, dataset) = self
+                    .registration(name)
+                    .ok_or_else(|| EngineError::UnknownDataset(name.clone()))?;
+                let key = (spec.key(), generation);
                 if let Some(context) = lock_recover(&self.contexts).get(&key) {
                     self.metrics.context_lookup(true);
-                    return Ok((context, true));
+                    return Ok((context, true, key));
                 }
                 // Miss: claim the build, or join one already in flight.
                 let (slot, is_builder) = {
@@ -174,9 +204,9 @@ impl EngineState {
                     }
                 };
                 if !is_builder {
-                    self.metrics.context_build_deduped();
+                    self.metrics.context_builds_deduped.inc();
                     self.metrics.context_lookup(false);
-                    return slot.wait().map(|context| (context, false));
+                    return slot.wait().map(|context| (context, false, key));
                 }
                 // Publish on every exit — including an unwind (e.g. a panicking
                 // summarizer): the guard's Drop wakes waiters with an error rather
@@ -186,55 +216,53 @@ impl EngineState {
                     key: Some(key.clone()),
                     slot: &slot,
                 };
-                let built = self.build_context(spec);
+                let built = self.build_context(spec, &dataset);
                 guard.publish(built.clone());
                 if let Ok(context) = &built {
                     self.metrics.context_lookup(false);
-                    lock_recover(&self.contexts).insert(key, Arc::clone(context));
+                    lock_recover(&self.contexts).insert(key.clone(), Arc::clone(context));
                 }
-                built.map(|context| (context, false))
+                built.map(|context| (context, false, key))
             }
         }
     }
 
-    /// Run one grouped-context build (the caller holds the in-flight claim).
-    fn build_context(&self, spec: &ContextSpec) -> BuildResult {
+    /// Run one grouped-context build over `dataset` (the caller holds the in-flight
+    /// claim).
+    fn build_context(&self, spec: &ContextSpec, dataset: &Dataset) -> BuildResult {
         let ContextSpec::Grouped {
-            dataset,
             grouping,
             min_group_size,
             summarizer,
+            ..
         } = spec
         else {
             unreachable!("only grouped specs are built");
         };
         failpoint::check(failpoint::site::CONTEXT_BUILD)?;
-        let dataset = self
-            .dataset(dataset)
-            .ok_or_else(|| EngineError::UnknownDataset(dataset.clone()))?;
         let started = Instant::now();
         let attrs: Vec<(&str, &str)> = grouping
             .iter()
             .map(|(dim, attr)| (dim.as_str(), attr.as_str()))
             .collect();
-        let groups = GroupingScheme::over(&dataset, &attrs)
+        let groups = GroupingScheme::over(dataset, &attrs)
             .map_err(|e| EngineError::InvalidGrouping(e.to_string()))?
             .min_group_size(*min_group_size)
-            .enumerate(&dataset);
-        let context = Arc::new(MiningContext::build(&dataset, groups, *summarizer));
-        self.metrics.record_context_build(started.elapsed());
+            .enumerate(dataset);
+        let context = Arc::new(MiningContext::build(dataset, groups, *summarizer));
+        self.metrics.context_build.record(started.elapsed());
         Ok(context)
     }
 
     /// Deregister an in-flight build claim, filling its slot so waiters wake.
-    fn release_build_claim(&self, key: &ContextKey, slot: &InFlightBuild, result: BuildResult) {
+    fn release_build_claim(&self, key: &ContextId, slot: &InFlightBuild, result: BuildResult) {
         slot.fill(result);
         lock_recover(&self.building).remove(key);
     }
 
     /// The outcome-cache key for a request triple.
     pub(crate) fn outcome_key(
-        context_key: &ContextKey,
+        context: &ContextId,
         solver: &SolverChoice,
         problem: &TagDmProblem,
     ) -> OutcomeKey {
@@ -243,7 +271,7 @@ impl EngineState {
             solver.tag(),
             serde_json::to_string(problem).expect("problems serialize infallibly")
         );
-        (context_key.clone(), fingerprint)
+        (context.clone(), fingerprint)
     }
 
     /// Look up a cached outcome, recording the hit/miss.
@@ -264,7 +292,7 @@ impl EngineState {
 /// deduplicated waiters wake with a failure instead of blocking forever.
 struct BuildClaim<'a> {
     state: &'a EngineState,
-    key: Option<ContextKey>,
+    key: Option<ContextId>,
     slot: &'a InFlightBuild,
 }
 

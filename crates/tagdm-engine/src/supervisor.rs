@@ -102,7 +102,7 @@ pub(crate) fn supervise(
             continue;
         }
         restarts += 1;
-        state.metrics.worker_restarted();
+        state.metrics.worker_restarts.inc();
         shared.live.fetch_add(1, Ordering::SeqCst);
         let handle = spawn_worker(
             index,

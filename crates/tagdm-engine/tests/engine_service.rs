@@ -7,7 +7,8 @@ use std::time::Duration;
 use tagdm_core::catalog::{problem_1, problem_2, problem_4, problem_6, ProblemParams};
 use tagdm_core::context::{MiningContext, SummarizerChoice};
 use tagdm_core::problem::TagDmProblem;
-use tagdm_core::solvers::ConstraintMode;
+use tagdm_core::solvers::{ConstraintMode, SolverOutcome};
+use tagdm_data::dataset::Dataset;
 use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
 use tagdm_data::group::GroupingScheme;
 use tagdm_engine::{ContextSpec, Engine, EngineConfig, EngineError, SolveRequest, SolverChoice};
@@ -25,14 +26,18 @@ fn params() -> ProblemParams {
     }
 }
 
-/// The same corpus the engine tests register, built the way the engine builds it.
-fn direct_context() -> MiningContext {
-    let dataset = MovieLensStyleGenerator::new(GeneratorConfig::small()).generate();
-    let groups = GroupingScheme::over(&dataset, &GROUPING)
+/// The small corpus generated from `seed`.
+fn corpus(seed: u64) -> Dataset {
+    MovieLensStyleGenerator::new(GeneratorConfig::small().with_seed(seed)).generate()
+}
+
+/// A context over `dataset`, built the way the engine builds it.
+fn direct_context(dataset: &Dataset) -> MiningContext {
+    let groups = GroupingScheme::over(dataset, &GROUPING)
         .expect("grouping attributes exist")
         .min_group_size(MIN_GROUP_SIZE)
-        .enumerate(&dataset);
-    MiningContext::build(&dataset, groups, SUMMARIZER)
+        .enumerate(dataset);
+    MiningContext::build(dataset, groups, SUMMARIZER)
 }
 
 fn engine_with_registered_corpus(workers: usize) -> (Engine, ContextSpec) {
@@ -65,7 +70,8 @@ fn mixed_workload() -> Vec<(TagDmProblem, SolverChoice)> {
 fn concurrent_engine_solves_match_direct_solver_calls() {
     let (engine, spec) = engine_with_registered_corpus(4);
     assert!(engine.num_workers() >= 4);
-    let context = direct_context();
+    let context =
+        direct_context(&MovieLensStyleGenerator::new(GeneratorConfig::small()).generate());
     let workload = mixed_workload();
 
     // Everything submitted up front: the batch runs concurrently across the pool.
@@ -175,4 +181,68 @@ fn unknown_names_surface_typed_errors() {
         missing_context.result,
         Err(EngineError::UnknownContext("nope".to_string()))
     );
+}
+
+/// Solve `request` on the engine and check the answer equals a direct solve over
+/// `context`; returns the engine's outcome.
+fn assert_solves_like_direct(
+    engine: &Engine,
+    request: &SolveRequest,
+    context: &MiningContext,
+) -> SolverOutcome {
+    let outcome = engine
+        .solve(request.clone())
+        .result
+        .expect("solve succeeds");
+    let direct = request
+        .solver
+        .instantiate(&request.problem)
+        .solve(context, &request.problem);
+    assert_eq!(outcome.groups, direct.groups);
+    assert_eq!(outcome.objective.to_bits(), direct.objective.to_bits());
+    assert_eq!(outcome.feasible, direct.feasible);
+    assert_eq!(outcome.candidates_evaluated, direct.candidates_evaluated);
+    outcome
+}
+
+/// Replacing a dataset under its name must not serve the context or the outcomes
+/// cached for the old data.
+#[test]
+fn re_registered_dataset_is_solved_on_its_new_data() {
+    let engine = Engine::new(EngineConfig::default().with_workers(2));
+    let spec = ContextSpec::grouped("ml", &GROUPING, MIN_GROUP_SIZE, SUMMARIZER);
+    let request = SolveRequest::new(spec, problem_1(params()), SolverChoice::Exact);
+
+    let (old, new) = (corpus(1), corpus(2));
+    let (old_context, new_context) = (direct_context(&old), direct_context(&new));
+    engine.register_dataset("ml", old);
+    let before = assert_solves_like_direct(&engine, &request, &old_context);
+    engine.register_dataset("ml", new);
+    let after = assert_solves_like_direct(&engine, &request, &new_context);
+    assert_ne!(before.groups, after.groups, "the two corpora must disagree");
+    assert_eq!(
+        engine.metrics().context_misses,
+        2,
+        "the new data gets its own build"
+    );
+}
+
+/// Reinstalling a context under its name must not serve outcomes cached for the
+/// context it replaced.
+#[test]
+fn reinstalled_context_is_solved_on_its_new_data() {
+    let engine = Engine::new(EngineConfig::default().with_workers(2));
+    let request = SolveRequest::new(
+        ContextSpec::installed("bin"),
+        problem_1(params()),
+        SolverChoice::Exact,
+    );
+
+    let old_context = direct_context(&corpus(1));
+    let new_context = direct_context(&corpus(2));
+    engine.install_context("bin", old_context.clone());
+    let before = assert_solves_like_direct(&engine, &request, &old_context);
+    engine.install_context("bin", new_context.clone());
+    let after = assert_solves_like_direct(&engine, &request, &new_context);
+    assert_ne!(before.groups, after.groups, "the two corpora must disagree");
 }

@@ -45,12 +45,11 @@ pub(crate) fn spawn_conn(shared: &Arc<ServerShared>, stream: TcpStream, peer: So
                 shared: Arc::clone(&thread_shared),
                 done: thread_done,
             };
-            thread_shared.metrics().net_connection_opened();
+            thread_shared.metrics.connections_opened.inc();
             run_conn(&thread_shared, stream);
         });
-    match spawned {
-        Ok(handle) => shared.register_conn(ConnHandle { done, handle }),
-        Err(_) => shared.metrics().net_frame_error(),
+    if let Ok(handle) = spawned {
+        shared.register_conn(ConnHandle { done, handle });
     }
 }
 
@@ -66,9 +65,9 @@ struct ConnGuard {
 impl Drop for ConnGuard {
     fn drop(&mut self) {
         if thread::panicking() {
-            self.shared.metrics().net_conn_panicked();
+            self.shared.metrics.conn_panics.inc();
         }
-        self.shared.metrics().net_connection_closed();
+        self.shared.metrics.connections_closed.inc();
         self.done.store(true, Ordering::Release);
     }
 }
@@ -78,9 +77,11 @@ fn run_conn(shared: &ServerShared, mut stream: TcpStream) {
     match serve_conn(shared, &mut stream) {
         Ok(()) => {}
         Err(error) => {
-            shared.metrics().net_frame_error();
+            if error.is_protocol_fault() {
+                shared.metrics.frame_errors.inc();
+            }
             if matches!(error, NetError::DeadlineExceeded(_)) {
-                shared.metrics().net_deadline_disconnect();
+                shared.metrics.deadline_disconnects.inc();
             }
             let farewell = Frame::Error(WireError {
                 code: error.wire_code(),
@@ -102,9 +103,10 @@ fn serve_conn(shared: &ServerShared, stream: &mut TcpStream) -> Result<(), NetEr
     // kills this handler thread only. Evaluated once per connection (not per poll
     // tick) so an armed one-shot deterministically hits the next connection.
     if let Err(error) = failpoint::check(site::NET_CONN) {
-        return Err(NetError::Malformed(format!(
-            "injected connection fault: {error}"
-        )));
+        return Err(NetError::Io {
+            kind: ErrorKind::Other,
+            message: format!("injected connection fault: {error}"),
+        });
     }
     stream.set_read_timeout(Some(TICK))?;
     stream.set_nodelay(true).ok();
@@ -112,7 +114,7 @@ fn serve_conn(shared: &ServerShared, stream: &mut TcpStream) -> Result<(), NetEr
     let mut read_deadline = Instant::now() + shared.config.read_timeout;
     loop {
         if shared.is_draining() {
-            shared.metrics().net_goaway_sent();
+            shared.metrics.goaways_sent.inc();
             let _ = stream.set_write_timeout(Some(FAREWELL_TIMEOUT));
             let _ = write_frame(
                 stream,
@@ -138,7 +140,7 @@ fn serve_conn(shared: &ServerShared, stream: &mut TcpStream) -> Result<(), NetEr
             ReadEvent::Tick => continue,
             ReadEvent::Eof => return Ok(()), // Client hung up cleanly.
             ReadEvent::Frame(frame) => {
-                shared.metrics().net_frame_received();
+                shared.metrics.frames_received.inc();
                 handle_frame(shared, stream, *frame)?;
                 read_deadline = Instant::now() + shared.config.read_timeout;
             }
@@ -173,7 +175,11 @@ fn handle_frame(
         Frame::Health => write_response(
             shared,
             stream,
-            &Frame::HealthReport(HealthReport::gather(&shared.engine, shared.is_draining())),
+            &Frame::HealthReport(HealthReport::gather(
+                &shared.engine,
+                shared.is_draining(),
+                shared.metrics.connections_open(),
+            )),
         ),
         // Response kinds arriving at the server are a protocol fault.
         other => Err(NetError::UnknownKind(other.kind())),
@@ -192,9 +198,10 @@ fn write_response(
     // Fault injection: a delay here consumes the write budget, modelling a client
     // that stopped reading, without having to actually fill socket buffers.
     if let Err(error) = failpoint::check(site::NET_WRITE_FRAME) {
-        return Err(NetError::Malformed(format!(
-            "injected write fault: {error}"
-        )));
+        return Err(NetError::Io {
+            kind: ErrorKind::Other,
+            message: format!("injected write fault: {error}"),
+        });
     }
     let now = Instant::now();
     if now >= deadline {
@@ -205,7 +212,7 @@ fn write_response(
     stream.set_write_timeout(Some(deadline - now))?;
     match write_frame(stream, frame, shared.config.max_frame_len) {
         Ok(()) => {
-            shared.metrics().net_frame_sent();
+            shared.metrics.frames_sent.inc();
             Ok(())
         }
         Err(NetError::Io { kind, message })

@@ -75,6 +75,20 @@ impl NetError {
         }
     }
 
+    /// Whether the peer broke the protocol: bad magic, version, kind or length, or a
+    /// malformed payload. A server counts these, and only these, as
+    /// [`frame_errors`](crate::ServerMetrics::frame_errors).
+    pub(crate) fn is_protocol_fault(&self) -> bool {
+        matches!(
+            self,
+            NetError::BadMagic(_)
+                | NetError::UnsupportedVersion { .. }
+                | NetError::UnknownKind(_)
+                | NetError::FrameTooLarge { .. }
+                | NetError::Malformed(_)
+        )
+    }
+
     /// The [`code`] a server reports this fault under in an error frame.
     pub fn wire_code(&self) -> u16 {
         match self {

@@ -17,8 +17,9 @@ pub enum HealthStatus {
 }
 
 /// The payload of a `HEALTH_REPORT` frame: a condensed view of the engine's
-/// [`MetricsSnapshot`](tagdm_engine::MetricsSnapshot) plus the transport's own
-/// connection gauge, gathered at probe time.
+/// [`MetricsSnapshot`](tagdm_engine::MetricsSnapshot) plus the server's open
+/// connections (from its [`ServerMetrics`](crate::ServerMetrics)), gathered at probe
+/// time.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthReport {
     /// The coarse verdict.
@@ -38,7 +39,8 @@ pub struct HealthReport {
     pub queue_depth: u64,
     /// Dead workers respawned by the engine's supervisor over its lifetime.
     pub worker_restarts: u64,
-    /// Network connections open right now (opened minus closed).
+    /// Network connections open right now on the answering server (opened minus
+    /// closed). An in-process cluster shard has no server and reports 0.
     pub connections_open: u64,
     /// Datasets registered on the engine.
     pub datasets: u64,
@@ -47,8 +49,9 @@ pub struct HealthReport {
 impl HealthReport {
     /// Gather a report from a live engine. `draining` is the transport's shutdown
     /// flag; it wins over worker-level degradation because a draining server should
-    /// stop receiving traffic regardless of capacity.
-    pub fn gather(engine: &Engine, draining: bool) -> Self {
+    /// stop receiving traffic regardless of capacity. `connections_open` is the
+    /// server's own gauge ([`ServerMetrics::connections_open`](crate::ServerMetrics::connections_open)).
+    pub fn gather(engine: &Engine, draining: bool, connections_open: u64) -> Self {
         let metrics = engine.metrics();
         let alive = engine.live_workers() as u64;
         let configured = engine.num_workers() as u64;
@@ -68,9 +71,7 @@ impl HealthReport {
             jobs_rejected: metrics.jobs_rejected,
             queue_depth: engine.queue_depth() as u64,
             worker_restarts: metrics.worker_restarts,
-            connections_open: metrics
-                .net_connections_opened
-                .saturating_sub(metrics.net_connections_closed),
+            connections_open,
             datasets: engine.dataset_names().len() as u64,
         }
     }
@@ -84,7 +85,7 @@ mod tests {
     #[test]
     fn a_fresh_engine_reports_ok() {
         let engine = Engine::new(EngineConfig::default().with_workers(2));
-        let report = HealthReport::gather(&engine, false);
+        let report = HealthReport::gather(&engine, false, 0);
         assert_eq!(report.status, HealthStatus::Ok);
         assert_eq!(report.workers_alive, 2);
         assert_eq!(report.workers_configured, 2);
@@ -97,14 +98,14 @@ mod tests {
     #[test]
     fn draining_wins_over_everything() {
         let engine = Engine::new(EngineConfig::default().with_workers(1));
-        let report = HealthReport::gather(&engine, true);
+        let report = HealthReport::gather(&engine, true, 0);
         assert_eq!(report.status, HealthStatus::Draining);
     }
 
     #[test]
     fn reports_round_trip_through_serde() {
         let engine = Engine::new(EngineConfig::default().with_workers(1));
-        let report = HealthReport::gather(&engine, false);
+        let report = HealthReport::gather(&engine, false, 3);
         let json = serde_json::to_string(&report).expect("serialize");
         let back: HealthReport = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, report);

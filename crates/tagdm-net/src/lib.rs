@@ -22,13 +22,14 @@
 //!   transparently retries [transient](NetError::is_transient) failures on a
 //!   fresh connection, pacing reconnects with the engine's
 //!   [`RetryPolicy`](tagdm_engine::RetryPolicy) backoff.
-//! * **Observability** — the transport owns no registry of its own: connection,
-//!   frame and fault counters fold into the engine's metrics
-//!   ([`Engine::metrics`](tagdm_engine::Engine::metrics) covers the whole
-//!   service), and `HEALTH` probes answer from the same snapshot. With the
-//!   `failpoints` feature, the transport evaluates its named sites
-//!   (`net.accept`, `net.conn`, `net.write_frame`) through the engine's single
-//!   fault-injection registry.
+//! * **Observability** — each server owns its connection, frame and fault
+//!   counters ([`Server::metrics`], a [`ServerMetrics`] of engine
+//!   [`Counter`](tagdm_engine::metrics::Counter)s); the engine's own counters
+//!   stay on [`Engine::metrics`](tagdm_engine::Engine::metrics). `HEALTH`
+//!   probes answer with the engine's snapshot plus the server's open
+//!   connections. With the `failpoints` feature, the transport evaluates its
+//!   named sites (`net.accept`, `net.conn`, `net.write_frame`) through the
+//!   engine's single fault-injection registry.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -53,6 +54,7 @@ mod conn;
 mod error;
 pub mod frame;
 mod health;
+mod metrics;
 pub mod proto;
 mod server;
 mod shutdown;
@@ -60,4 +62,5 @@ mod shutdown;
 pub use client::{Client, ClientConfig};
 pub use error::NetError;
 pub use health::{HealthReport, HealthStatus};
+pub use metrics::ServerMetrics;
 pub use server::{Server, ServerConfig};

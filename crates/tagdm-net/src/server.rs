@@ -16,6 +16,7 @@ use tagdm_engine::Engine;
 
 use crate::conn::spawn_conn;
 use crate::error::NetError;
+use crate::metrics::ServerMetrics;
 use crate::proto::DEFAULT_MAX_FRAME_LEN;
 use crate::shutdown::ServerShared;
 
@@ -115,6 +116,11 @@ impl Server {
         self.shared.addr
     }
 
+    /// The transport's connection, frame and fault counters.
+    pub fn metrics(&self) -> &ServerMetrics {
+        &self.shared.metrics
+    }
+
     /// The engine this server fronts.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.shared.engine
@@ -174,7 +180,7 @@ impl Drop for AcceptorGuard {
         {
             return; // Budget exhausted: the server stops accepting for good.
         }
-        self.shared.metrics().net_acceptor_restarted();
+        self.shared.metrics.acceptor_restarts.inc();
         let _ = spawn_acceptor(&self.shared);
     }
 }

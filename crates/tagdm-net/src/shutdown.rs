@@ -13,8 +13,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tagdm_engine::{lock_recover, Engine, EngineMetrics};
+use tagdm_engine::{lock_recover, Engine};
 
+use crate::metrics::ServerMetrics;
 use crate::server::ServerConfig;
 
 /// How long a drain waits for its self-connect acceptor wake-up.
@@ -34,6 +35,7 @@ pub(crate) struct ServerShared {
     pub(crate) config: ServerConfig,
     pub(crate) listener: TcpListener,
     pub(crate) addr: SocketAddr,
+    pub(crate) metrics: ServerMetrics,
     draining: AtomicBool,
     /// Remaining acceptor respawns (decremented by the acceptor guard).
     pub(crate) acceptor_budget: AtomicU32,
@@ -56,16 +58,12 @@ impl ServerShared {
             config,
             listener,
             addr,
+            metrics: ServerMetrics::default(),
             draining: AtomicBool::new(false),
             acceptor_budget: AtomicU32::new(config.acceptor_restarts),
             conns: Mutex::new(Vec::new()),
             acceptors: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The engine's live metrics registry the transport folds its counters into.
-    pub(crate) fn metrics(&self) -> &EngineMetrics {
-        self.engine.metrics_registry()
     }
 
     pub(crate) fn is_draining(&self) -> bool {

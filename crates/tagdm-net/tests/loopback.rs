@@ -114,7 +114,7 @@ fn job_deadlines_are_clamped_to_the_server_cap() {
 }
 
 #[test]
-fn server_metrics_fold_into_the_engine_registry() {
+fn server_counts_its_connections_and_frames() {
     let (engine, _) = engine_with_corpus(1);
     let server =
         Server::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default()).expect("bind");
@@ -124,14 +124,11 @@ fn server_metrics_fold_into_the_engine_registry() {
     drop(client);
     server.drain();
 
-    let metrics = engine.metrics();
-    assert!(metrics.net_connections_opened >= 1);
-    assert_eq!(
-        metrics.net_connections_opened,
-        metrics.net_connections_closed
-    );
-    assert!(metrics.net_frames_received >= 2);
-    assert!(metrics.net_frames_sent >= 2);
+    let metrics = server.metrics();
+    assert!(metrics.connections_opened.get() >= 1);
+    assert_eq!(metrics.connections_open(), 0);
+    assert!(metrics.frames_received.get() >= 2);
+    assert!(metrics.frames_sent.get() >= 2);
 }
 
 /// Dropping a `Client` half-closes the socket at a frame boundary, so the
@@ -147,13 +144,10 @@ fn dropping_a_client_disconnects_cleanly() {
         drop(client); // shutdown(Write) at a frame boundary — nothing mid-frame
     }
     server.drain(); // joins every handler, so every disconnect is accounted for
-    let metrics = engine.metrics();
-    assert_eq!(metrics.net_frame_errors, 0, "drop tore a frame");
-    assert_eq!(
-        metrics.net_connections_opened,
-        metrics.net_connections_closed
-    );
-    assert!(metrics.net_connections_opened >= 3);
+    let metrics = server.metrics();
+    assert_eq!(metrics.frame_errors.get(), 0, "drop tore a frame");
+    assert_eq!(metrics.connections_open(), 0);
+    assert!(metrics.connections_opened.get() >= 3);
 }
 
 /// Raw-socket tests below drive the protocol edges a well-behaved `Client` never
@@ -177,6 +171,8 @@ fn garbage_magic_is_refused_with_a_typed_error() {
         Ok(Frame::Error(wire)) => assert_eq!(wire.code, code::MALFORMED),
         other => panic!("expected an error frame, got {other:?}"),
     }
+    // The fault was counted before the farewell went out.
+    assert!(server.metrics().frame_errors.get() >= 1);
     // The connection is closed after the error: no further frame ever arrives
     // (the close may surface as EOF or as a reset, since our garbage bytes beyond
     // the header were never consumed).
@@ -303,7 +299,7 @@ fn drain_sends_goaway_to_idle_connections_and_joins() {
         Ok(Frame::GoAway(goaway)) => assert!(goaway.reason.contains("drain")),
         other => panic!("expected a go-away frame, got {other:?}"),
     }
-    assert!(engine.metrics().net_goaways_sent >= 1);
+    assert!(server.metrics().goaways_sent.get() >= 1);
 
     // Draining twice is a no-op, and the client's typed error is transient (a
     // reconnect-elsewhere is sensible).

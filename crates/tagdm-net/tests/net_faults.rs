@@ -137,7 +137,7 @@ fn slow_reader_is_cut_at_the_write_deadline_without_stalling_others() {
     // The victim is disconnected at the write deadline, counted as such.
     assert!(
         wait_for(Duration::from_secs(10), || {
-            engine.metrics().net_deadline_disconnects >= 1
+            server.metrics().deadline_disconnects.get() >= 1
         }),
         "the slow reader was never cut at its write deadline"
     );
@@ -153,10 +153,9 @@ fn slow_reader_is_cut_at_the_write_deadline_without_stalling_others() {
     }
 
     server.drain();
-    assert_eq!(
-        engine.metrics().net_connections_opened,
-        engine.metrics().net_connections_closed
-    );
+    assert_eq!(server.metrics().connections_open(), 0);
+    // A deadline cut is not a protocol fault.
+    assert_eq!(server.metrics().frame_errors.get(), 0);
 }
 
 /// A client that disconnects mid-job does not hurt the engine: the job finishes,
@@ -206,10 +205,7 @@ fn mid_job_disconnect_leaves_the_engine_healthy() {
     assert!(response.result.is_ok());
 
     server.drain();
-    assert_eq!(
-        engine.metrics().net_connections_opened,
-        engine.metrics().net_connections_closed
-    );
+    assert_eq!(server.metrics().connections_open(), 0);
 }
 
 /// A panic inside one connection handler kills only that connection: the panic is
@@ -234,7 +230,7 @@ fn connection_panics_are_isolated() {
     let _doomed = TcpStream::connect(server.local_addr()).expect("connect doomed");
     assert!(
         wait_for(Duration::from_secs(10), || {
-            engine.metrics().net_conn_panics >= 1
+            server.metrics().conn_panics.get() >= 1
         }),
         "the injected connection panic never fired"
     );
@@ -245,16 +241,13 @@ fn connection_panics_are_isolated() {
     fresh.ping("fresh").expect("fresh after panic");
 
     server.drain();
-    let metrics = engine.metrics();
-    assert_eq!(metrics.net_conn_panics, 1);
-    assert_eq!(
-        metrics.net_connections_opened,
-        metrics.net_connections_closed
-    );
+    let metrics = server.metrics();
+    assert_eq!(metrics.conn_panics.get(), 1);
+    assert_eq!(metrics.connections_open(), 0);
 }
 
 /// A panicking acceptor thread is respawned (within its restart budget) and the
-/// server keeps accepting; the respawn is counted in the engine's metrics.
+/// server keeps accepting; the respawn is counted in the server's metrics.
 #[test]
 fn acceptor_panics_are_respawned_within_budget() {
     let _serial = serial();
@@ -275,7 +268,7 @@ fn acceptor_panics_are_respawned_within_budget() {
     }
     assert!(
         wait_for(Duration::from_secs(10), || {
-            engine.metrics().net_acceptor_restarts >= 2
+            server.metrics().acceptor_restarts.get() >= 2
         }),
         "the acceptor was never respawned"
     );
@@ -284,7 +277,7 @@ fn acceptor_panics_are_respawned_within_budget() {
     let mut client = no_retry_client(&server);
     client.ping("after respawn").expect("ping after respawn");
     server.drain();
-    assert_eq!(engine.metrics().net_acceptor_restarts, 2);
+    assert_eq!(server.metrics().acceptor_restarts.get(), 2);
 }
 
 /// The transport's error taxonomy stays truthful under injected faults: an

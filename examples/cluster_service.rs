@@ -190,5 +190,6 @@ fn main() {
         health.available_shards(),
         health.shards.len()
     );
+    println!("\n{}", cluster.metrics().render());
     server.drain();
 }

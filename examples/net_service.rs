@@ -114,6 +114,10 @@ fn main() {
     server.drain();
     println!("server drained (draining={})", server.is_draining());
 
-    // --- 5. One metrics snapshot covers engine *and* transport ----------------------
+    // --- 5. The engine's counters, then the transport's own --------------------------
     println!("\n{}", engine.metrics().render());
+    let transport = server.metrics();
+    println!("{}", transport.render());
+    assert_eq!(transport.connections_open(), 0);
+    assert_eq!(transport.frame_errors.get(), 0);
 }

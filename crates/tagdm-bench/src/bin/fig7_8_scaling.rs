@@ -1,10 +1,6 @@
 //! Reproduces Figures 7–8: execution time and quality as the number of input tagging
 //! tuples varies (size-binned sub-corpora), comparing Exact against SM-LSH-Fo on
 //! Problem 1 and against DV-FDP-Fo on Problem 6.
-//!
-//! Set `TAGDM_ENGINE=1` to route every solve through a resident `tagdm-engine` worker
-//! pool (four solves per bin run concurrently) and print the engine's metrics snapshot
-//! after the tables.
 
 use tagdm_bench::experiments::scaling;
 use tagdm_bench::report::write_json;
@@ -12,31 +8,10 @@ use tagdm_bench::workloads::ExperimentScale;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    let use_engine = matches!(
-        std::env::var("TAGDM_ENGINE").unwrap_or_default().as_str(),
-        "1" | "true" | "yes"
-    );
-    eprintln!(
-        "running scaling sweep at {} scale ({}) ...",
-        scale.name(),
-        if use_engine {
-            "engine-backed"
-        } else {
-            "direct solver calls"
-        }
-    );
-    let result = if use_engine {
-        let (result, metrics) = scaling::run_with_engine(scale, None);
-        println!("{}", result.time_table());
-        println!("{}", result.quality_table());
-        println!("{}", metrics.render());
-        result
-    } else {
-        let result = scaling::run(scale, None);
-        println!("{}", result.time_table());
-        println!("{}", result.quality_table());
-        result
-    };
+    eprintln!("running scaling sweep at {} scale ...", scale.name());
+    let result = scaling::run(scale, None);
+    println!("{}", result.time_table());
+    println!("{}", result.quality_table());
     if let Some(path) = write_json("fig7_8_scaling", &result) {
         eprintln!("wrote {}", path.display());
     }

@@ -13,9 +13,6 @@ use tagdm_core::catalog::{self, ProblemParams};
 use tagdm_core::evaluation::{evaluate, QualityReport};
 use tagdm_core::solvers::{ConstraintMode, DvFdpSolver, ExactSolver, SmLshSolver, Solver};
 use tagdm_data::query::size_bins;
-use tagdm_engine::{
-    ContextSpec, Engine, EngineConfig, MetricsSnapshot, SolveRequest, SolverChoice,
-};
 
 use crate::report::{format_ms, render_table};
 use crate::workloads::{ExperimentScale, Workload};
@@ -165,81 +162,6 @@ pub fn run(scale: ExperimentScale, params_override: Option<ProblemParams>) -> Sc
     }
 }
 
-/// Run the scaling sweep through a resident [`Engine`] instead of direct solver calls.
-///
-/// Each bin's pre-built mining context is installed under a pinned name (the subsampled
-/// corpora cannot be described by a grouping recipe, so they use
-/// [`ContextSpec::installed`]) and the four solves per bin are submitted as one batch,
-/// running concurrently across the engine's worker pool. Returns the same
-/// [`ScalingResult`] the direct sweep produces plus the engine's metrics snapshot, so
-/// the figure binaries can print queue-wait and solve-latency histograms next to the
-/// tables.
-pub fn run_with_engine(
-    scale: ExperimentScale,
-    params_override: Option<ProblemParams>,
-) -> (ScalingResult, MetricsSnapshot) {
-    let engine = Engine::new(EngineConfig::default().with_workers(4));
-    let base = Workload::build(scale);
-    let sizes = bin_sizes(scale, base.dataset.num_actions());
-    let datasets = size_bins(&base.dataset, &sizes, 0x5CA1E);
-
-    let mut bins = Vec::with_capacity(datasets.len());
-    for (index, dataset) in datasets.into_iter().enumerate() {
-        let workload = Workload::from_dataset(scale, dataset);
-        let params = params_override.unwrap_or_else(|| workload.relaxed_params());
-        let p1 = catalog::problem_1(params);
-        let p6 = catalog::problem_6(params);
-        let num_actions = workload.dataset.num_actions();
-        let num_groups = workload.num_groups();
-
-        let exact = if num_groups > 1_500 {
-            SolverChoice::ExactCapped(5_000_000)
-        } else {
-            SolverChoice::Exact
-        };
-
-        let name = format!("scaling-bin-{index}-{num_actions}");
-        let context = engine.install_context(name.clone(), workload.context);
-        let spec = ContextSpec::installed(name);
-
-        let responses = engine.solve_batch(vec![
-            SolveRequest::new(spec.clone(), p1.clone(), exact),
-            SolveRequest::new(
-                spec.clone(),
-                p1.clone(),
-                SolverChoice::SmLsh(ConstraintMode::Fold),
-            ),
-            SolveRequest::new(spec.clone(), p6.clone(), exact),
-            SolveRequest::new(spec, p6.clone(), SolverChoice::DvFdp(ConstraintMode::Fold)),
-        ]);
-        let mut outcomes = responses.into_iter().map(|response| {
-            response
-                .result
-                .expect("engine-backed scaling solves succeed")
-        });
-        let exact_p1 = evaluate(&context, &p1, &outcomes.next().expect("four responses"));
-        let smart_p1 = evaluate(&context, &p1, &outcomes.next().expect("four responses"));
-        let exact_p6 = evaluate(&context, &p6, &outcomes.next().expect("four responses"));
-        let smart_p6 = evaluate(&context, &p6, &outcomes.next().expect("four responses"));
-
-        bins.push(BinResult {
-            num_actions,
-            num_groups,
-            exact_p1,
-            smart_p1,
-            exact_p6,
-            smart_p6,
-        });
-    }
-
-    let result = ScalingResult {
-        scale: scale.name().to_string(),
-        params: params_override.unwrap_or_else(|| base.relaxed_params()),
-        bins,
-    };
-    (result, engine.metrics())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,25 +198,5 @@ mod tests {
         let q = result.quality_table();
         assert!(t.contains("Exact (P1)"));
         assert!(q.contains("tag-div"));
-    }
-
-    #[test]
-    fn engine_backed_sweep_runs_every_solve_through_the_pool() {
-        let (result, metrics) = run_with_engine(ExperimentScale::Small, None);
-        assert_eq!(result.bins.len(), 4);
-        // 4 bins x 4 solves, every one answered by the worker pool against an
-        // installed (pinned, always-hit) context; no repeated request, so no
-        // outcome-cache hits.
-        assert_eq!(metrics.jobs_submitted, 16);
-        assert_eq!(metrics.jobs_completed, 16);
-        assert_eq!(metrics.context_hits, 16);
-        assert_eq!(metrics.context_misses, 0);
-        assert_eq!(metrics.outcome_misses, 16);
-        for bin in &result.bins {
-            assert!(bin.num_groups > 0);
-            if !bin.exact_p1.null_result && !bin.smart_p1.null_result {
-                assert!(bin.smart_p1.objective <= bin.exact_p1.objective + 1e-9);
-            }
-        }
     }
 }

@@ -1,5 +1,5 @@
 //! Experiment workloads: datasets, group enumerations and mining contexts shared by the
-//! figure binaries, the integration tests and the Criterion benches.
+//! figure binaries and the tests.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +13,7 @@ use tagdm_data::group::{GroupingScheme, TaggingActionGroup};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExperimentScale {
     /// A few hundred groups; every experiment (including Exact) finishes in seconds.
-    /// Used by the integration tests and the default Criterion benches.
+    /// Used by the tests.
     Small,
     /// Around a thousand candidate groups — large enough that the Exact baseline is
     /// visibly slower than the heuristics while still finishing; the default for the

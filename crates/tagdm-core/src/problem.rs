@@ -52,7 +52,7 @@ impl ConstraintSpec {
 pub struct ObjectiveSpec {
     /// The maximized dual mining function.
     pub function: DualMiningFunction,
-    /// The weight of this function in the overall goal.
+    /// The weight of this function in the overall goal (positive and finite).
     pub weight: f64,
 }
 
@@ -127,8 +127,12 @@ impl TagDmProblem {
         if self.objectives.is_empty() {
             return Err("a TagDM problem needs at least one optimization criterion".into());
         }
-        if self.objectives.iter().any(|o| o.weight <= 0.0) {
-            return Err("objective weights must be positive".into());
+        if !self
+            .objectives
+            .iter()
+            .all(|o| o.weight.is_finite() && o.weight > 0.0)
+        {
+            return Err("objective weights must be positive and finite".into());
         }
         if self
             .constraints
@@ -338,9 +342,11 @@ mod tests {
         bad_threshold.constraints[0].threshold = 1.5;
         assert!(bad_threshold.validate().is_err());
 
-        let mut bad_weight = sample_problem();
-        bad_weight.objectives[0].weight = 0.0;
-        assert!(bad_weight.validate().is_err());
+        for weight in [0.0, f64::INFINITY, f64::NAN] {
+            let mut bad_weight = sample_problem();
+            bad_weight.objectives[0].weight = weight;
+            assert!(bad_weight.validate().is_err(), "weight {weight}");
+        }
     }
 
     #[test]

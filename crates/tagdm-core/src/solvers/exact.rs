@@ -290,7 +290,7 @@ mod tests {
     use crate::context::SummarizerChoice;
     use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
     use crate::problem::{ConstraintSpec, ObjectiveSpec, TagDmProblem};
-    use crate::solvers::test_support::small_context;
+    use crate::solvers::test_support::{random_context, small_context, GROUPINGS};
     use proptest::prelude::*;
     use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
     use tagdm_data::group::GroupingScheme;
@@ -420,28 +420,6 @@ mod tests {
             }
         }
         walk(&mut Kernel::new(ctx, problem, 0, &CancelToken::new()), 0);
-    }
-
-    /// Groupings of the generator's schema small enough for an oracle run at k = 4.
-    const GROUPINGS: [&[(&str, &str)]; 4] = [
-        &[("user", "gender"), ("item", "genre")],
-        &[("user", "occupation")],
-        &[("user", "age"), ("user", "gender")],
-        &[("item", "genre")],
-    ];
-
-    /// A random small corpus grouped by one of [`GROUPINGS`].
-    fn random_context(seed: u64, actions: usize, grouping: usize) -> MiningContext {
-        let config = GeneratorConfig {
-            num_actions: actions,
-            ..GeneratorConfig::small().with_seed(seed)
-        };
-        let ds = MovieLensStyleGenerator::new(config).generate();
-        let groups = GroupingScheme::over(&ds, GROUPINGS[grouping])
-            .unwrap()
-            .min_group_size(2)
-            .enumerate(&ds);
-        MiningContext::build(&ds, groups, SummarizerChoice::Frequency)
     }
 
     proptest! {

@@ -118,80 +118,30 @@ pub trait Solver {
     ) -> SolverOutcome;
 }
 
-/// Greedily pick at most `limit` members of `candidates` maximizing the problem's
-/// pairwise objective: seed with the best pair, then repeatedly add the candidate with
-/// the largest total pairwise objective to the already-selected ones. Shared by the LSH
-/// bucket refinement and by tests.
-pub(crate) fn greedy_select_by_objective(
+/// Greedily walk `candidates` by the problem's pairwise objective: seed with the best
+/// admissible pair, then repeatedly add the admissible candidate with the largest total
+/// pairwise objective to the groups already chosen, until `limit` groups are chosen or
+/// no candidate is admissible. `admit` is asked about every trial set (a seed pair, or
+/// the chosen groups plus one candidate).
+///
+/// Returns the groups in the order they were chosen, or nothing when `limit < 2` or no
+/// pair is admissible. A larger `limit` only runs more iterations of the same loop, so
+/// the first `s ≥ 2` groups of a walk are the walk to `s`. The SM-LSH bucket refinement
+/// relies on that to serve every refined size from one walk.
+pub(crate) fn greedy_walk(
     ctx: &MiningContext,
     problem: &TagDmProblem,
     candidates: &[usize],
     limit: usize,
-) -> Vec<usize> {
-    if candidates.len() <= limit {
-        return candidates.to_vec();
-    }
-    if limit == 0 {
-        return Vec::new();
-    }
-    if limit == 1 {
-        return vec![candidates[0]];
-    }
-    // Seed with the best pair.
-    let mut best_pair = (candidates[0], candidates[1]);
-    let mut best_score = f64::NEG_INFINITY;
-    for (i, &a) in candidates.iter().enumerate() {
-        for &b in candidates.iter().skip(i + 1) {
-            let score = problem.pairwise_objective(ctx, a, b);
-            if score > best_score {
-                best_score = score;
-                best_pair = (a, b);
-            }
-        }
-    }
-    let mut selected = vec![best_pair.0, best_pair.1];
-    while selected.len() < limit {
-        let mut best: Option<(usize, f64)> = None;
-        for &candidate in candidates {
-            if selected.contains(&candidate) {
-                continue;
-            }
-            let gain: f64 = selected
-                .iter()
-                .map(|&s| problem.pairwise_objective(ctx, candidate, s))
-                .sum();
-            if best.is_none_or(|(_, g)| gain > g) {
-                best = Some((candidate, gain));
-            }
-        }
-        match best {
-            Some((candidate, _)) => selected.push(candidate),
-            None => break,
-        }
-    }
-    selected.sort_unstable();
-    selected
-}
-
-/// Constraint-aware variant of [`greedy_select_by_objective`]: grow the set greedily by
-/// pairwise objective but only admit a candidate if the grown set still satisfies every
-/// hard constraint of the problem. Used by the LSH bucket refinement so that a bucket
-/// whose objective-best subset violates a constraint can still contribute a feasible
-/// (slightly lower-scoring) subset.
-pub(crate) fn greedy_select_feasible(
-    ctx: &MiningContext,
-    problem: &TagDmProblem,
-    candidates: &[usize],
-    limit: usize,
+    mut admit: impl FnMut(&[usize]) -> bool,
 ) -> Vec<usize> {
     if limit < 2 || candidates.len() < 2 {
         return Vec::new();
     }
-    // Seed with the best constraint-satisfying pair.
     let mut best_pair: Option<(usize, usize, f64)> = None;
     for (i, &a) in candidates.iter().enumerate() {
-        for &b in candidates.iter().skip(i + 1) {
-            if !problem.constraints_satisfied(ctx, &[a, b]) {
+        for &b in &candidates[i + 1..] {
+            if !admit(&[a, b]) {
                 continue;
             }
             let score = problem.pairwise_objective(ctx, a, b);
@@ -203,19 +153,20 @@ pub(crate) fn greedy_select_feasible(
     let Some((a, b, _)) = best_pair else {
         return Vec::new();
     };
-    let mut selected = vec![a, b];
-    while selected.len() < limit {
+    let mut walk = vec![a, b];
+    while walk.len() < limit {
         let mut best: Option<(usize, f64)> = None;
         for &candidate in candidates {
-            if selected.contains(&candidate) {
+            if walk.contains(&candidate) {
                 continue;
             }
-            let mut trial = selected.clone();
-            trial.push(candidate);
-            if !problem.constraints_satisfied(ctx, &trial) {
+            walk.push(candidate);
+            let admitted = admit(&walk);
+            walk.pop();
+            if !admitted {
                 continue;
             }
-            let gain: f64 = selected
+            let gain: f64 = walk
                 .iter()
                 .map(|&s| problem.pairwise_objective(ctx, candidate, s))
                 .sum();
@@ -224,12 +175,11 @@ pub(crate) fn greedy_select_feasible(
             }
         }
         match best {
-            Some((candidate, _)) => selected.push(candidate),
+            Some((candidate, _)) => walk.push(candidate),
             None => break,
         }
     }
-    selected.sort_unstable();
-    selected
+    walk
 }
 
 #[cfg(test)]
@@ -239,6 +189,7 @@ pub(crate) mod test_support {
 
     use crate::context::{MiningContext, SummarizerChoice};
     use tagdm_data::dataset::{Dataset, DatasetBuilder};
+    use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
     use tagdm_data::group::GroupingScheme;
 
     /// A hand-built corpus where male/female teens tag comedy and action movies with
@@ -319,12 +270,147 @@ pub(crate) mod test_support {
         .enumerate(&ds);
         MiningContext::build(&ds, groups, SummarizerChoice::FrequencyNormalized)
     }
+
+    /// Groupings of the generator's schema small enough for an oracle run at k = 4.
+    pub const GROUPINGS: [&[(&str, &str)]; 4] = [
+        &[("user", "gender"), ("item", "genre")],
+        &[("user", "occupation")],
+        &[("user", "age"), ("user", "gender")],
+        &[("item", "genre")],
+    ];
+
+    /// A random small corpus grouped by one of [`GROUPINGS`].
+    pub fn random_context(seed: u64, actions: usize, grouping: usize) -> MiningContext {
+        let config = GeneratorConfig {
+            num_actions: actions,
+            ..GeneratorConfig::small().with_seed(seed)
+        };
+        let ds = MovieLensStyleGenerator::new(config).generate();
+        let groups = GroupingScheme::over(&ds, GROUPINGS[grouping])
+            .unwrap()
+            .min_group_size(2)
+            .enumerate(&ds);
+        MiningContext::build(&ds, groups, SummarizerChoice::Frequency)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{problem_1, ProblemParams};
+    use crate::catalog::{problem, problem_1, ProblemParams};
+    use proptest::prelude::*;
+
+    /// The oracle for the unconstrained [`greedy_walk`], run afresh for each size
+    /// `limit`: pick at most `limit` members of `candidates` maximizing the problem's
+    /// pairwise objective by seeding with the best pair, then repeatedly adding the
+    /// candidate with the largest total pairwise objective to the already-selected ones.
+    fn greedy_select_by_objective(
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        candidates: &[usize],
+        limit: usize,
+    ) -> Vec<usize> {
+        if candidates.len() <= limit {
+            return candidates.to_vec();
+        }
+        if limit == 0 {
+            return Vec::new();
+        }
+        if limit == 1 {
+            return vec![candidates[0]];
+        }
+        // Seed with the best pair.
+        let mut best_pair = (candidates[0], candidates[1]);
+        let mut best_score = f64::NEG_INFINITY;
+        for (i, &a) in candidates.iter().enumerate() {
+            for &b in candidates.iter().skip(i + 1) {
+                let score = problem.pairwise_objective(ctx, a, b);
+                if score > best_score {
+                    best_score = score;
+                    best_pair = (a, b);
+                }
+            }
+        }
+        let mut selected = vec![best_pair.0, best_pair.1];
+        while selected.len() < limit {
+            let mut best: Option<(usize, f64)> = None;
+            for &candidate in candidates {
+                if selected.contains(&candidate) {
+                    continue;
+                }
+                let gain: f64 = selected
+                    .iter()
+                    .map(|&s| problem.pairwise_objective(ctx, candidate, s))
+                    .sum();
+                if best.is_none_or(|(_, g)| gain > g) {
+                    best = Some((candidate, gain));
+                }
+            }
+            match best {
+                Some((candidate, _)) => selected.push(candidate),
+                None => break,
+            }
+        }
+        selected.sort_unstable();
+        selected
+    }
+
+    /// The oracle for the constrained [`greedy_walk`]: grow the set greedily by pairwise
+    /// objective but only admit a candidate if the grown set still satisfies every hard
+    /// constraint of the problem.
+    fn greedy_select_feasible(
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        candidates: &[usize],
+        limit: usize,
+    ) -> Vec<usize> {
+        if limit < 2 || candidates.len() < 2 {
+            return Vec::new();
+        }
+        // Seed with the best constraint-satisfying pair.
+        let mut best_pair: Option<(usize, usize, f64)> = None;
+        for (i, &a) in candidates.iter().enumerate() {
+            for &b in candidates.iter().skip(i + 1) {
+                if !problem.constraints_satisfied(ctx, &[a, b]) {
+                    continue;
+                }
+                let score = problem.pairwise_objective(ctx, a, b);
+                if best_pair.is_none_or(|(_, _, s)| score > s) {
+                    best_pair = Some((a, b, score));
+                }
+            }
+        }
+        let Some((a, b, _)) = best_pair else {
+            return Vec::new();
+        };
+        let mut selected = vec![a, b];
+        while selected.len() < limit {
+            let mut best: Option<(usize, f64)> = None;
+            for &candidate in candidates {
+                if selected.contains(&candidate) {
+                    continue;
+                }
+                let mut trial = selected.clone();
+                trial.push(candidate);
+                if !problem.constraints_satisfied(ctx, &trial) {
+                    continue;
+                }
+                let gain: f64 = selected
+                    .iter()
+                    .map(|&s| problem.pairwise_objective(ctx, candidate, s))
+                    .sum();
+                if best.is_none_or(|(_, g)| gain > g) {
+                    best = Some((candidate, gain));
+                }
+            }
+            match best {
+                Some((candidate, _)) => selected.push(candidate),
+                None => break,
+            }
+        }
+        selected.sort_unstable();
+        selected
+    }
 
     #[test]
     fn constraint_mode_suffixes() {
@@ -398,23 +484,85 @@ mod tests {
             item_threshold: 0.0,
         });
         let candidates: Vec<usize> = (0..ctx.num_groups()).collect();
-        let picked = greedy_select_by_objective(&ctx, &problem, &candidates, 3);
+        let mut picked = greedy_walk(&ctx, &problem, &candidates, 3, |_| true);
         assert_eq!(picked.len(), 3.min(ctx.num_groups()));
-        let mut dedup = picked.clone();
-        dedup.dedup();
-        assert_eq!(dedup.len(), picked.len());
-        // Candidate lists at or below the limit are returned unchanged.
+        picked.sort_unstable();
+        picked.dedup();
+        assert_eq!(picked.len(), 3.min(ctx.num_groups()));
+        // A walk whose limit exceeds the candidate list takes every candidate.
         assert_eq!(
-            greedy_select_by_objective(&ctx, &problem, &[1, 2], 3),
+            greedy_walk(&ctx, &problem, &[1, 2], 3, |_| true),
             vec![1, 2]
         );
-        assert_eq!(
-            greedy_select_by_objective(&ctx, &problem, &candidates, 0).len(),
-            0
-        );
-        assert_eq!(
-            greedy_select_by_objective(&ctx, &problem, &candidates, 1).len(),
-            1
-        );
+        for limit in [0, 1] {
+            assert!(greedy_walk(&ctx, &problem, &candidates, limit, |_| true).is_empty());
+        }
+        assert!(greedy_walk(&ctx, &problem, &candidates, 3, |_| false).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Sorted prefixes of one unconstrained walk equal the per-size greedy, and the
+        // sorted constrained walk equals the constraint-aware greedy, on random
+        // candidate lists drawn from random small corpora.
+        #[test]
+        fn prop_greedy_walk_matches_the_per_size_greedies(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..test_support::GROUPINGS.len() + 1,
+            id in 1usize..7,
+            picks in proptest::collection::vec(0usize..64, 0..12),
+            limit in 0usize..7,
+            threshold in 0.0f64..1.0,
+        ) {
+            // The last grouping index draws the hand-built corpus: its groups with
+            // equal signatures tie, which exercises the walk's tie-breaking.
+            let ctx = if grouping == test_support::GROUPINGS.len() {
+                test_support::small_context()
+            } else {
+                test_support::random_context(seed, actions, grouping)
+            };
+            let n = ctx.num_groups();
+            let mut candidates: Vec<usize> = Vec::new();
+            for g in picks.iter().filter(|_| n > 0).map(|p| p % n) {
+                if !candidates.contains(&g) {
+                    candidates.push(g);
+                }
+            }
+            let problem = problem(id, ProblemParams {
+                k: 3,
+                min_support: 1,
+                user_threshold: threshold,
+                item_threshold: 1.0 - threshold,
+            });
+
+            let walk = greedy_walk(&ctx, &problem, &candidates, limit, |_| true);
+            let expected_len = if limit < 2 || candidates.len() < 2 {
+                0
+            } else {
+                limit.min(candidates.len())
+            };
+            prop_assert_eq!(walk.len(), expected_len);
+            // The old greedy returns a list no longer than its limit unchanged, so it
+            // is the oracle only for sizes below the list length.
+            for size in (2..=walk.len()).filter(|&size| size < candidates.len()) {
+                let mut prefix = walk[..size].to_vec();
+                prefix.sort_unstable();
+                prop_assert_eq!(
+                    prefix,
+                    greedy_select_by_objective(&ctx, &problem, &candidates, size)
+                );
+            }
+
+            let mut constrained = greedy_walk(&ctx, &problem, &candidates, limit, |set| {
+                problem.constraints_satisfied(&ctx, set)
+            });
+            constrained.sort_unstable();
+            prop_assert_eq!(
+                constrained,
+                greedy_select_feasible(&ctx, &problem, &candidates, limit)
+            );
+        }
     }
 }

@@ -32,9 +32,7 @@ use tagdm_lsh::index::{LshConfig, LshIndex};
 use crate::context::MiningContext;
 use crate::criteria::TaggingDimension;
 use crate::problem::TagDmProblem;
-use crate::solvers::{
-    greedy_select_by_objective, CancelToken, ConstraintMode, Solver, SolverOutcome,
-};
+use crate::solvers::{greedy_walk, CancelToken, ConstraintMode, Solver, SolverOutcome};
 
 /// Tag-similarity maximization by locality sensitive hashing.
 #[derive(Debug, Clone)]
@@ -139,22 +137,32 @@ impl SmLshSolver {
                 candidates.push(bucket.to_vec());
             }
             if !self.strict_bucket_semantics {
+                // One walk serves every refined size `s ≥ 2`: the greedy to `s` groups
+                // is the walk's first `s` steps.
                 let upper = problem.max_groups.min(bucket.len());
+                let walk_limit = upper.min(bucket.len().saturating_sub(1));
+                let walk = greedy_walk(ctx, problem, bucket, walk_limit, |_| true);
                 for size in (problem.min_groups..=upper).rev() {
                     if size == bucket.len() {
                         continue; // already covered by the full bucket
                     }
-                    candidates.push(greedy_select_by_objective(ctx, problem, bucket, size));
+                    let mut refined = if size == 1 {
+                        vec![bucket[0]]
+                    } else {
+                        walk[..size].to_vec()
+                    };
+                    refined.sort_unstable();
+                    candidates.push(refined);
                 }
                 // A constraint-aware selection rescues buckets whose objective-best
                 // subset violates a hard constraint that some other subset satisfies.
                 if self.mode != ConstraintMode::Ignore && !problem.constraints.is_empty() {
-                    candidates.push(crate::solvers::greedy_select_feasible(
-                        ctx,
-                        problem,
-                        bucket,
-                        problem.max_groups,
-                    ));
+                    let mut feasible =
+                        greedy_walk(ctx, problem, bucket, problem.max_groups, |set| {
+                            problem.constraints_satisfied(ctx, set)
+                        });
+                    feasible.sort_unstable();
+                    candidates.push(feasible);
                 }
                 // A support-oriented selection (the bucket's largest groups) rescues
                 // buckets whose objective-best subsets cover too few tuples to meet the

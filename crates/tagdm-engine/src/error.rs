@@ -14,7 +14,8 @@ pub enum EngineError {
     UnknownDataset(String),
     /// The request referenced an installed context name that does not exist.
     UnknownContext(String),
-    /// The grouping recipe did not match the dataset's schema.
+    /// The context recipe is invalid: its grouping does not match the dataset's schema,
+    /// or its summarizer cannot run (e.g. an LDA configuration with no topics).
     InvalidGrouping(String),
     /// The problem failed [`TagDmProblem::validate`](tagdm_core::problem::TagDmProblem::validate).
     InvalidProblem(String),
@@ -89,7 +90,9 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::UnknownDataset(name) => write!(f, "unknown dataset `{name}`"),
             EngineError::UnknownContext(name) => write!(f, "unknown installed context `{name}`"),
-            EngineError::InvalidGrouping(message) => write!(f, "invalid grouping: {message}"),
+            EngineError::InvalidGrouping(message) => {
+                write!(f, "invalid context recipe: {message}")
+            }
             EngineError::InvalidProblem(message) => write!(f, "invalid problem: {message}"),
             EngineError::DeadlineExpiredInQueue { waited } => {
                 write!(f, "deadline expired after {waited:?} in queue")

@@ -16,7 +16,7 @@ use std::sync::{
 };
 use std::time::Instant;
 
-use tagdm_core::context::MiningContext;
+use tagdm_core::context::{MiningContext, SummarizerChoice};
 use tagdm_core::problem::TagDmProblem;
 use tagdm_core::solvers::SolverOutcome;
 use tagdm_data::dataset::Dataset;
@@ -182,7 +182,11 @@ impl EngineState {
                 self.metrics.context_lookup(true);
                 Ok((context, true, (spec.key(), generation)))
             }
-            ContextSpec::Grouped { dataset: name, .. } => {
+            ContextSpec::Grouped {
+                dataset: name,
+                summarizer,
+                ..
+            } => {
                 let (generation, dataset) = self
                     .registration(name)
                     .ok_or_else(|| EngineError::UnknownDataset(name.clone()))?;
@@ -190,6 +194,11 @@ impl EngineState {
                 if let Some(context) = lock_recover(&self.contexts).get(&key) {
                     self.metrics.context_lookup(true);
                     return Ok((context, true, key));
+                }
+                // A recipe the summarizer cannot run is the caller's error, answered
+                // before any build is claimed.
+                if let SummarizerChoice::Lda(config) = summarizer {
+                    config.validate().map_err(EngineError::InvalidGrouping)?;
                 }
                 // Miss: claim the build, or join one already in flight.
                 let (slot, is_builder) = {

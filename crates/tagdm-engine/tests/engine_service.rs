@@ -11,7 +11,10 @@ use tagdm_core::solvers::{ConstraintMode, SolverOutcome};
 use tagdm_data::dataset::Dataset;
 use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
 use tagdm_data::group::GroupingScheme;
-use tagdm_engine::{ContextSpec, Engine, EngineConfig, EngineError, SolveRequest, SolverChoice};
+use tagdm_engine::{
+    ContextSpec, Engine, EngineConfig, EngineError, RetryPolicy, SolveRequest, SolverChoice,
+};
+use tagdm_topics::lda::LdaConfig;
 
 const GROUPING: [(&str, &str); 3] = [("user", "gender"), ("user", "age"), ("item", "genre")];
 const MIN_GROUP_SIZE: usize = 5;
@@ -181,6 +184,54 @@ fn unknown_names_surface_typed_errors() {
         missing_context.result,
         Err(EngineError::UnknownContext("nope".to_string()))
     );
+}
+
+/// An infinite weight (`1e999` in a hand-written SOLVE frame) would make every
+/// objective `inf`, which JSON cannot carry back in the ANSWER.
+#[test]
+fn infinite_objective_weight_is_an_invalid_problem() {
+    let (engine, spec) = engine_with_registered_corpus(1);
+    let mut problem = problem_1(params());
+    problem.objectives[0].weight = f64::INFINITY;
+    let response = engine.solve(SolveRequest::new(spec, problem, SolverChoice::Exact));
+    match response.result {
+        Err(EngineError::InvalidProblem(_)) => {}
+        other => panic!("expected InvalidProblem, got {other:?}"),
+    }
+}
+
+/// An LDA configuration the sampler cannot run is the caller's error: answered as a
+/// non-transient `InvalidGrouping`, not as a worker panic that retries and breakers
+/// would count as a fault.
+#[test]
+fn unrunnable_lda_config_is_an_invalid_recipe_not_a_panic() {
+    let (engine, _) = engine_with_registered_corpus(1);
+    let fast = LdaConfig::fast(4);
+    let invalid = [
+        LdaConfig::fast(0),
+        LdaConfig {
+            burn_in: fast.iterations,
+            ..fast
+        },
+        LdaConfig { alpha: 0.0, ..fast },
+    ];
+    for config in invalid {
+        let spec = ContextSpec::grouped(
+            "ml-small",
+            &GROUPING,
+            MIN_GROUP_SIZE,
+            SummarizerChoice::Lda(config),
+        );
+        let request = SolveRequest::new(spec, problem_1(params()), SolverChoice::Exact);
+        let response = engine.solve_with(request, RetryPolicy::attempts(3));
+        match response.result {
+            Err(error @ EngineError::InvalidGrouping(_)) => assert!(!error.is_transient()),
+            other => panic!("expected InvalidGrouping for {config:?}, got {other:?}"),
+        }
+    }
+    let metrics = engine.metrics();
+    assert_eq!(metrics.jobs_panicked, 0);
+    assert_eq!(metrics.jobs_retried, 0);
 }
 
 /// Solve `request` on the engine and check the answer equals a direct solve over

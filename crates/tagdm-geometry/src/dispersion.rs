@@ -74,95 +74,72 @@ pub fn max_avg_greedy_with(
     selected
 }
 
-/// Greedy MAX-MIN dispersion (Gonzalez-style): seed with the maximum-distance pair, then
-/// repeatedly add the point whose *minimum* distance to the selected set is largest.
-/// Used by the ablation benchmarks to compare dispersion objectives.
-pub fn max_min_greedy(matrix: &DistanceMatrix, k: usize) -> Vec<usize> {
-    let n = matrix.len();
-    if n == 0 || k == 0 {
-        return Vec::new();
-    }
-    if k == 1 || n == 1 {
-        return vec![0];
-    }
-    let Some((a, b, _)) = matrix.max_pair() else {
-        return vec![0];
-    };
-    let mut selected = vec![a.min(b), a.max(b)];
-    while selected.len() < k && selected.len() < n {
-        let mut best: Option<(usize, f64)> = None;
-        for candidate in 0..n {
-            if selected.contains(&candidate) {
-                continue;
-            }
-            let closest = selected
-                .iter()
-                .map(|&s| matrix.get(candidate, s))
-                .fold(f64::INFINITY, f64::min);
-            if best.is_none_or(|(_, bd)| closest > bd) {
-                best = Some((candidate, closest));
-            }
-        }
-        match best {
-            Some((candidate, _)) => selected.push(candidate),
-            None => break,
-        }
-    }
-    selected.sort_unstable();
-    selected
-}
-
-/// Exact MAX-AVG dispersion by exhaustive enumeration of all `k`-subsets. Exponential;
-/// only suitable for small instances (tests, approximation-ratio measurements and the
-/// paper's Exact baseline on reduced corpora).
-pub fn exact_max_avg(matrix: &DistanceMatrix, k: usize) -> Vec<usize> {
-    let n = matrix.len();
-    if n == 0 || k == 0 {
-        return Vec::new();
-    }
-    let k = k.min(n);
-    let mut best_subset: Vec<usize> = Vec::new();
-    let mut best_score = f64::NEG_INFINITY;
-    let mut current: Vec<usize> = Vec::with_capacity(k);
-    enumerate_subsets(n, k, 0, &mut current, &mut |subset| {
-        let score = matrix.subset_average(subset);
-        if score > best_score {
-            best_score = score;
-            best_subset = subset.to_vec();
-        }
-    });
-    best_subset
-}
-
-/// Call `visit` on every `k`-subset of `{start, …, n-1}` extending `current`.
-fn enumerate_subsets(
-    n: usize,
-    k: usize,
-    start: usize,
-    current: &mut Vec<usize>,
-    visit: &mut impl FnMut(&[usize]),
-) {
-    if current.len() == k {
-        visit(current);
-        return;
-    }
-    let remaining = k - current.len();
-    for i in start..n {
-        if n - i < remaining {
-            break;
-        }
-        current.push(i);
-        enumerate_subsets(n, k, i + 1, current, visit);
-        current.pop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Average pairwise distance within `subset` (0 for fewer than two points): the
+    /// MAX-AVG dispersion objective.
+    fn subset_average(matrix: &DistanceMatrix, subset: &[usize]) -> f64 {
+        let pairs = subset.len() * subset.len().saturating_sub(1) / 2;
+        if pairs == 0 {
+            return 0.0;
+        }
+        let mut sum = 0.0;
+        for (a, &i) in subset.iter().enumerate() {
+            for &j in &subset[a + 1..] {
+                sum += matrix.get(i, j);
+            }
+        }
+        sum / pairs as f64
+    }
+
+    /// Exact MAX-AVG dispersion by exhaustive enumeration of all `k`-subsets: the
+    /// oracle for the factor-4 guarantee (Theorem 4). Exponential in `k`.
+    fn exact_max_avg(matrix: &DistanceMatrix, k: usize) -> Vec<usize> {
+        let n = matrix.len();
+        if n == 0 || k == 0 {
+            return Vec::new();
+        }
+        let k = k.min(n);
+        let mut best_subset: Vec<usize> = Vec::new();
+        let mut best_score = f64::NEG_INFINITY;
+        let mut current: Vec<usize> = Vec::with_capacity(k);
+        enumerate_subsets(n, k, 0, &mut current, &mut |subset| {
+            let score = subset_average(matrix, subset);
+            if score > best_score {
+                best_score = score;
+                best_subset = subset.to_vec();
+            }
+        });
+        best_subset
+    }
+
+    /// Call `visit` on every `k`-subset of `{start, …, n-1}` extending `current`.
+    fn enumerate_subsets(
+        n: usize,
+        k: usize,
+        start: usize,
+        current: &mut Vec<usize>,
+        visit: &mut impl FnMut(&[usize]),
+    ) {
+        if current.len() == k {
+            visit(current);
+            return;
+        }
+        let remaining = k - current.len();
+        for i in start..n {
+            if n - i < remaining {
+                break;
+            }
+            current.push(i);
+            enumerate_subsets(n, k, i + 1, current, visit);
+            current.pop();
+        }
+    }
 
     fn line_metric(points: &[f64]) -> DistanceMatrix {
         DistanceMatrix::from_fn(points.len(), |i, j| (points[i] - points[j]).abs())
@@ -202,7 +179,6 @@ mod tests {
         assert_eq!(max_avg_greedy(&m, 10), vec![0, 1, 2]);
         let empty = DistanceMatrix::from_fn(0, |_, _| 0.0);
         assert!(max_avg_greedy(&empty, 3).is_empty());
-        assert!(max_min_greedy(&empty, 3).is_empty());
         assert!(exact_max_avg(&empty, 2).is_empty());
     }
 
@@ -213,7 +189,7 @@ mod tests {
         // Exact is at least as good as greedy by definition.
         let greedy = max_avg_greedy(&m, 3);
         let exact = exact_max_avg(&m, 3);
-        assert!(m.subset_average(&exact) >= m.subset_average(&greedy) - 1e-12);
+        assert!(subset_average(&m, &exact) >= subset_average(&m, &greedy) - 1e-12);
     }
 
     #[test]
@@ -223,8 +199,8 @@ mod tests {
             for k in 2..=4 {
                 let exact = exact_max_avg(&m, k);
                 let greedy = max_avg_greedy(&m, k);
-                let opt = m.subset_average(&exact);
-                let app = m.subset_average(&greedy);
+                let opt = subset_average(&m, &exact);
+                let app = subset_average(&m, &greedy);
                 assert!(
                     opt <= 4.0 * app + 1e-9,
                     "approximation ratio violated: opt={opt} app={app} (seed {seed}, k {k})"
@@ -250,31 +226,6 @@ mod tests {
         assert!(picks.iter().filter(|&&s| s < 3).count() <= 2);
     }
 
-    #[test]
-    fn max_min_prefers_spread_out_points() {
-        // Clustered line: {0, 0.1, 0.2} and {10, 10.1} and {20}.
-        let m = line_metric(&[0.0, 0.1, 0.2, 10.0, 10.1, 20.0]);
-        let picks = max_min_greedy(&m, 3);
-        // One point per cluster maximizes the minimum distance.
-        let clusters: std::collections::HashSet<usize> = picks
-            .iter()
-            .map(|&i| {
-                if i < 3 {
-                    0
-                } else if i < 5 {
-                    1
-                } else {
-                    2
-                }
-            })
-            .collect();
-        assert_eq!(
-            clusters.len(),
-            3,
-            "picks {picks:?} should cover all clusters"
-        );
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -284,13 +235,12 @@ mod tests {
             k in 2usize..5,
         ) {
             let m = line_metric(&values);
-            for picks in [max_avg_greedy(&m, k), max_min_greedy(&m, k)] {
-                prop_assert_eq!(picks.len(), k.min(values.len()));
-                let mut dedup = picks.clone();
-                dedup.dedup();
-                prop_assert_eq!(dedup.len(), picks.len());
-                prop_assert!(picks.iter().all(|&i| i < values.len()));
-            }
+            let picks = max_avg_greedy(&m, k);
+            prop_assert_eq!(picks.len(), k.min(values.len()));
+            let mut dedup = picks.clone();
+            dedup.dedup();
+            prop_assert_eq!(dedup.len(), picks.len());
+            prop_assert!(picks.iter().all(|&i| i < values.len()));
         }
 
         #[test]
@@ -301,7 +251,7 @@ mod tests {
             let m = line_metric(&values);
             let exact = exact_max_avg(&m, k);
             let greedy = max_avg_greedy(&m, k);
-            prop_assert!(m.subset_average(&exact) >= m.subset_average(&greedy) - 1e-9);
+            prop_assert!(subset_average(&m, &exact) >= subset_average(&m, &greedy) - 1e-9);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Symmetric pairwise distance matrices and subset scoring.
+//! Symmetric pairwise distance matrices.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,75 +46,9 @@ impl DistanceMatrix {
         self.data[hi * (hi - 1) / 2 + lo]
     }
 
-    /// The pair of points with the largest distance, together with that distance.
-    /// Returns `None` for fewer than two points.
-    pub fn max_pair(&self) -> Option<(usize, usize, f64)> {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for i in 1..self.n {
-            for j in 0..i {
-                let d = self.get(i, j);
-                if best.is_none_or(|(_, _, bd)| d > bd) {
-                    best = Some((i, j, d));
-                }
-            }
-        }
-        best
-    }
-
-    /// Sum of pairwise distances within `subset`.
-    pub fn subset_sum(&self, subset: &[usize]) -> f64 {
-        let mut acc = 0.0;
-        for (a, &i) in subset.iter().enumerate() {
-            for &j in subset.iter().skip(a + 1) {
-                acc += self.get(i, j);
-            }
-        }
-        acc
-    }
-
-    /// Average pairwise distance within `subset` (0 for fewer than two points). This is
-    /// the MAX-AVG dispersion objective and the quality measure reported in the paper's
-    /// Figures 4, 6 and 8 (there as average pairwise similarity).
-    pub fn subset_average(&self, subset: &[usize]) -> f64 {
-        let pairs = subset.len() * subset.len().saturating_sub(1) / 2;
-        if pairs == 0 {
-            0.0
-        } else {
-            self.subset_sum(subset) / pairs as f64
-        }
-    }
-
-    /// Minimum pairwise distance within `subset` (infinity for fewer than two points).
-    /// This is the MAX-MIN dispersion objective.
-    pub fn subset_min(&self, subset: &[usize]) -> f64 {
-        let mut min = f64::INFINITY;
-        for (a, &i) in subset.iter().enumerate() {
-            for &j in subset.iter().skip(a + 1) {
-                min = min.min(self.get(i, j));
-            }
-        }
-        min
-    }
-
     /// Sum of distances from point `p` to every point in `subset`.
     pub fn distance_to_set(&self, p: usize, subset: &[usize]) -> f64 {
         subset.iter().map(|&s| self.get(p, s)).sum()
-    }
-
-    /// Largest violation of the triangle inequality across all ordered triples
-    /// (0 means the matrix is a metric up to floating-point error). Quadratic–cubic in
-    /// `n`; intended for tests and diagnostics, not hot paths.
-    pub fn max_triangle_violation(&self) -> f64 {
-        let mut worst: f64 = 0.0;
-        for i in 0..self.n {
-            for j in 0..self.n {
-                for k in 0..self.n {
-                    let violation = self.get(i, j) - (self.get(i, k) + self.get(k, j));
-                    worst = worst.max(violation);
-                }
-            }
-        }
-        worst
     }
 }
 
@@ -138,24 +72,10 @@ mod tests {
     }
 
     #[test]
-    fn max_pair_finds_the_diameter() {
-        let m = line_metric(&[0.0, 1.0, 3.0, 7.0]);
-        let (i, j, d) = m.max_pair().unwrap();
-        assert_eq!(d, 7.0);
-        assert_eq!((i.min(j), i.max(j)), (0, 3));
-        assert!(line_metric(&[1.0]).max_pair().is_none());
-    }
-
-    #[test]
-    fn subset_scores() {
+    fn distance_to_set_sums_distances() {
         let m = line_metric(&[0.0, 1.0, 3.0]);
-        let all = [0usize, 1, 2];
-        assert!((m.subset_sum(&all) - (1.0 + 3.0 + 2.0)).abs() < 1e-12);
-        assert!((m.subset_average(&all) - 2.0).abs() < 1e-12);
-        assert_eq!(m.subset_min(&all), 1.0);
-        assert_eq!(m.subset_average(&[0]), 0.0);
-        assert_eq!(m.subset_min(&[0]), f64::INFINITY);
         assert!((m.distance_to_set(2, &[0, 1]) - 5.0).abs() < 1e-12);
+        assert_eq!(m.distance_to_set(0, &[]), 0.0);
     }
 
     #[test]
@@ -163,12 +83,6 @@ mod tests {
         let m = DistanceMatrix::from_fn(3, |i, j| if (i, j) == (1, 0) { -5.0 } else { f64::NAN });
         assert_eq!(m.get(1, 0), 0.0);
         assert_eq!(m.get(2, 1), 0.0);
-    }
-
-    #[test]
-    fn line_metrics_satisfy_triangle_inequality() {
-        let m = line_metric(&[0.0, 0.5, 2.0, 2.5, 9.0]);
-        assert!(m.max_triangle_violation() < 1e-12);
     }
 
     proptest! {
@@ -181,15 +95,6 @@ mod tests {
                     prop_assert!((m.get(i, j) - expected).abs() < 1e-12);
                 }
             }
-        }
-
-        #[test]
-        fn prop_subset_average_bounded_by_diameter(values in proptest::collection::vec(0.0f64..50.0, 3..10)) {
-            let m = line_metric(&values);
-            let all: Vec<usize> = (0..values.len()).collect();
-            let diameter = m.max_pair().unwrap().2;
-            prop_assert!(m.subset_average(&all) <= diameter + 1e-12);
-            prop_assert!(m.subset_min(&all) <= m.subset_average(&all) + 1e-12);
         }
     }
 }

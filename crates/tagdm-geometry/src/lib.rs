@@ -6,14 +6,12 @@
 //! The paper maps tag-diversity maximization onto the **facility dispersion problem**
 //! (FDP): given `n` points (group tag-signature vectors in a unit hypercube) and a
 //! pairwise distance satisfying the triangle inequality, choose `k` points maximizing
-//! the average (MAX-AVG) or minimum (MAX-MIN) pairwise distance. Both variants are
-//! NP-hard; Ravi, Rosenkrantz & Tayi's greedy heuristic gives a factor-4 approximation
-//! for MAX-AVG (Theorem 4 of the paper).
+//! the average pairwise distance (MAX-AVG). The problem is NP-hard; Ravi, Rosenkrantz
+//! & Tayi's greedy heuristic gives a factor-4 approximation (Theorem 4 of the paper).
 //!
-//! * [`distance`] — symmetric pairwise distance matrices and subset scoring;
-//! * [`dispersion`] — the greedy MAX-AVG heuristic (optionally with an admissibility
-//!   predicate, used by the constraint-folding DV-FDP-Fo variant), a MAX-MIN greedy,
-//!   and exact brute-force baselines for small instances.
+//! * [`distance`] — symmetric pairwise distance matrices;
+//! * [`dispersion`] — the greedy MAX-AVG heuristic, optionally with an admissibility
+//!   predicate (used by the constraint-folding DV-FDP-Fo variant).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,5 +19,5 @@
 pub mod dispersion;
 pub mod distance;
 
-pub use dispersion::{exact_max_avg, max_avg_greedy, max_avg_greedy_with, max_min_greedy};
+pub use dispersion::{max_avg_greedy, max_avg_greedy_with};
 pub use distance::DistanceMatrix;

@@ -76,17 +76,20 @@ impl LdaConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.num_topics > 0, "LDA needs at least one topic");
-        assert!(self.iterations > 0, "LDA needs at least one iteration");
-        assert!(
-            self.burn_in < self.iterations,
-            "burn-in must be shorter than training"
-        );
-        assert!(
-            self.alpha > 0.0 && self.beta > 0.0,
-            "Dirichlet priors must be positive"
-        );
+    /// Check that the sampler can run: at least one topic, a burn-in shorter than
+    /// training (so at least one iteration), and positive finite Dirichlet priors.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.num_topics == 0 {
+            return Err("LDA needs at least one topic".into());
+        }
+        if self.burn_in >= self.iterations {
+            return Err("burn-in must be shorter than training".into());
+        }
+        let positive = |prior: f64| prior.is_finite() && prior > 0.0;
+        if !(positive(self.alpha) && positive(self.beta)) {
+            return Err("Dirichlet priors must be positive and finite".into());
+        }
+        Ok(())
     }
 }
 
@@ -107,8 +110,14 @@ pub struct LdaModel {
 
 impl LdaModel {
     /// Train a model on `corpus` by collapsed Gibbs sampling.
+    ///
+    /// # Panics
+    ///
+    /// If `config` fails [`LdaConfig::validate`].
     pub fn train(corpus: &Corpus, config: LdaConfig) -> Self {
-        config.validate();
+        if let Err(message) = config.validate() {
+            panic!("invalid LDA configuration: {message}");
+        }
         let k = config.num_topics;
         let v = corpus.num_terms().max(1);
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -529,6 +538,36 @@ mod tests {
                 seed: 0,
             },
         );
+    }
+
+    #[test]
+    fn validate_rejects_configs_the_sampler_cannot_run() {
+        LdaConfig::default().validate().unwrap();
+        LdaConfig::fast(4).validate().unwrap();
+        let fast = LdaConfig::fast(4);
+        for bad in [
+            LdaConfig::fast(0),
+            LdaConfig {
+                iterations: 0,
+                burn_in: 0,
+                ..fast
+            },
+            LdaConfig {
+                burn_in: fast.iterations,
+                ..fast
+            },
+            LdaConfig { alpha: 0.0, ..fast },
+            LdaConfig {
+                beta: f64::NAN,
+                ..fast
+            },
+            LdaConfig {
+                alpha: f64::INFINITY,
+                ..fast
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   synthetic MovieLens-style corpus generator;
 //! * [`topics`] (`tagdm-topics`) — group tag signatures: frequency, tf·idf and LDA;
 //! * [`lsh`] (`tagdm-lsh`) — random-hyperplane cosine LSH;
-//! * [`geometry`] (`tagdm-geometry`) — distance matrices and facility-dispersion
-//!   heuristics;
+//! * [`geometry`] (`tagdm-geometry`) — distance matrices and the MAX-AVG
+//!   facility-dispersion greedy;
 //! * [`core`] (`tagdm-core`) — the dual mining framework itself: problems, constraints,
 //!   objectives and the Exact / SM-LSH / DV-FDP solvers;
 //! * [`engine`] (`tagdm-engine`) — a concurrent mining service: context/outcome caching,

@@ -40,9 +40,12 @@ impl ConstraintSpec {
     }
 
     /// Whether a single *pair* satisfies the constraint's threshold — used when folding
-    /// constraints into greedy selection (DV-FDP-Fo, Section 5.3).
+    /// constraints into greedy selection (DV-FDP-Fo, Section 5.3). The pair's one score
+    /// is aggregated as a one-pair set, so this equals [`satisfied`](Self::satisfied)
+    /// on `[a, b]` without building the set.
     pub fn pair_satisfied(&self, ctx: &MiningContext, a: usize, b: usize) -> bool {
-        self.admits(self.function.evaluate_pair(ctx, a, b))
+        let score = self.function.evaluate_pair(ctx, a, b);
+        self.admits(self.function.aggregator.aggregate(&[score]))
     }
 }
 

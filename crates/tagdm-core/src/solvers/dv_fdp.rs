@@ -3,10 +3,11 @@
 //!
 //! Every candidate group is a point (its tag signature vector in the unit hypercube);
 //! the pairwise "distance" is the problem's pairwise objective contribution (for the
-//! canonical diversity problems, `1 − cos θ` between tag signatures). DV-FDP builds the
-//! `n × n` distance matrix and runs the Ravi–Rosenkrantz–Tayi MAX-AVG greedy
+//! canonical diversity problems, `1 − cos θ` between tag signatures), clamped to 0 when
+//! negative or not finite. DV-FDP runs the Ravi–Rosenkrantz–Tayi MAX-AVG greedy
 //! (Algorithm 2), which carries a factor-4 approximation guarantee for the
-//! unconstrained problem (Theorem 4).
+//! unconstrained problem (Theorem 4): seed with the pair at the largest distance, then
+//! repeatedly add the group with the largest total distance to the groups chosen.
 //!
 //! Constraint handling:
 //!
@@ -17,18 +18,29 @@
 //!   it still satisfies every user/item constraint — and the support constraint is
 //!   post-checked (Section 5.3).
 //!
+//! The greedy runs on the shared pair kernel (`solvers::pairs`) and builds no distance
+//! matrix. The seed scan visits the pairs `(i, j)` for `i in 1..n`, `j in 0..i`, and
+//! keeps the first strict maximum. Under Fo each pair's constraint functions are scored
+//! once, and its distance only when it passes. A greedy round scores each candidate
+//! against the chosen groups only, into `k × k` constraint tables. A solve allocates
+//! `O(n + k²)`.
+//!
+//! `candidates_evaluated` counts the `n(n−1)/2` pairs of the seed scan. Fo adds one for
+//! each pair's `[i, j]` test, one more for its `[j, i]` test when the first passes, and
+//! one for each candidate tested in a greedy round. The token is polled once per
+//! seed-scan row and once per greedy candidate; when it fires the solver returns the
+//! best admissible selection so far and counts only the pairs it scanned.
+//!
 //! Because the distance is simply the pairwise objective, the same solver also handles
 //! similarity-maximization instances (the "may also be extended to determine a set of
 //! tagging action groups that are similar" remark of Section 5), which the ablation
 //! benchmarks exercise.
 
-use std::time::Instant;
-
-use tagdm_geometry::dispersion::{max_avg_greedy, max_avg_greedy_with};
-use tagdm_geometry::distance::DistanceMatrix;
+use std::time::{Duration, Instant};
 
 use crate::context::MiningContext;
 use crate::problem::TagDmProblem;
+use crate::solvers::pairs::{pair_admits, PairTable, Walk};
 use crate::solvers::{CancelToken, ConstraintMode, Solver, SolverOutcome};
 
 /// Tag-diversity (or, generally, pairwise-objective) maximization by greedy facility
@@ -39,17 +51,119 @@ pub struct DvFdpSolver {
     pub mode: ConstraintMode,
 }
 
+/// The dispersion distance between two groups: their pairwise objective, clamped to 0
+/// when negative or not finite.
+fn distance(ctx: &MiningContext, problem: &TagDmProblem, a: usize, b: usize) -> f64 {
+    let d = problem.pairwise_objective(ctx, a, b);
+    if d.is_finite() && d > 0.0 {
+        d
+    } else {
+        0.0
+    }
+}
+
 impl DvFdpSolver {
     /// Create a solver with the given constraint-handling mode.
     pub fn new(mode: ConstraintMode) -> Self {
         DvFdpSolver { mode }
     }
 
-    /// Build the pairwise-objective matrix `S_G` of Algorithm 2.
-    fn objective_matrix(&self, ctx: &MiningContext, problem: &TagDmProblem) -> DistanceMatrix {
-        DistanceMatrix::from_fn(ctx.num_groups(), |i, j| {
-            problem.pairwise_objective(ctx, i, j)
-        })
+    /// Algorithm 2: the selection, sorted, and the number of candidates evaluated.
+    fn select(
+        &self,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        cancel: &CancelToken,
+    ) -> (Vec<usize>, u64) {
+        let n = ctx.num_groups();
+        let k = problem.max_groups.min(n);
+        let fold = self.mode == ConstraintMode::Fold;
+        if k < 2 {
+            // Any single group maximizes the vacuous average distance. No pair needs a
+            // score, but the count still covers the seed scan, as for every `k`.
+            let pairs = (n * n.saturating_sub(1) / 2) as u64;
+            return (if k == 0 { Vec::new() } else { vec![0] }, pairs);
+        }
+
+        let mut evaluated = 0u64;
+        let mut seed: Option<(usize, usize, f64)> = None;
+        for i in 1..n {
+            if cancel.is_cancelled() {
+                break;
+            }
+            evaluated += i as u64;
+            for j in 0..i {
+                if fold {
+                    // One score per constraint function answers both the `[i, j]` and
+                    // the `[j, i]` test; each test still counts.
+                    evaluated += 1;
+                    if !pair_admits(ctx, problem, i, j) {
+                        continue;
+                    }
+                    evaluated += 1;
+                }
+                let d = distance(ctx, problem, i, j);
+                if seed.is_none_or(|(_, _, best)| d > best) {
+                    seed = Some((i, j, d));
+                }
+            }
+        }
+        let Some((i, j, _)) = seed else {
+            return (Vec::new(), evaluated);
+        };
+
+        let table = fold.then(|| PairTable::constraints(problem, k));
+        let mut walk = Walk::new(ctx, problem, table);
+        walk.seed(j, i);
+        walk.grow(
+            0..n,
+            k,
+            |c, s| distance(ctx, problem, c, s),
+            || {
+                if cancel.is_cancelled() {
+                    return false;
+                }
+                evaluated += u64::from(fold);
+                true
+            },
+        );
+        let mut selection = walk.groups;
+        selection.sort_unstable();
+        (selection, evaluated)
+    }
+
+    /// The outcome for a greedy `selection`: null when it is empty or too small, and
+    /// under Filter when it violates a constraint.
+    fn outcome(
+        &self,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        selection: Vec<usize>,
+        evaluated: u64,
+        elapsed: Duration,
+    ) -> SolverOutcome {
+        let null = SolverOutcome {
+            elapsed,
+            candidates_evaluated: evaluated,
+            ..SolverOutcome::null(self.name())
+        };
+        if selection.is_empty() || selection.len() < problem.min_groups {
+            return null;
+        }
+        let feasible = problem.feasible(ctx, &selection);
+        // Filtering semantics: a constraint-violating greedy result is a null result
+        // (the paper notes DV-FDP-Fi "may return null results frequently").
+        if self.mode == ConstraintMode::Filter && !feasible {
+            return null;
+        }
+        SolverOutcome {
+            solver: self.name(),
+            objective: problem.objective(ctx, &selection),
+            groups: selection,
+            feasible,
+            elapsed,
+            candidates_evaluated: evaluated,
+        }
     }
 }
 
@@ -65,31 +179,58 @@ impl Solver for DvFdpSolver {
         cancel: &CancelToken,
     ) -> SolverOutcome {
         let start = Instant::now();
-        let n = ctx.num_groups();
-        // Cancellation is coarse here: the quadratic matrix build is one uninterruptible
-        // block, so the token is honoured before it and at every greedy admissibility
-        // test after it.
-        if n == 0 || cancel.is_cancelled() {
-            return SolverOutcome {
-                elapsed: start.elapsed(),
-                ..SolverOutcome::null(self.name())
-            };
-        }
-        let matrix = self.objective_matrix(ctx, problem);
-        // Building the matrix evaluates every pair once.
-        let mut evaluated = (n as u64) * (n.saturating_sub(1) as u64) / 2;
+        let (selection, evaluated) = if ctx.num_groups() == 0 || cancel.is_cancelled() {
+            (Vec::new(), 0)
+        } else {
+            self.select(ctx, problem, cancel)
+        };
+        self.outcome(ctx, problem, selection, evaluated, start.elapsed())
+    }
+}
 
-        let selection = match self.mode {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::{problem, problem_4, problem_5, problem_6, ProblemParams};
+    use crate::context::SummarizerChoice;
+    use crate::criteria::{MiningCriterion, PairwiseKind, TaggingDimension};
+    use crate::functions::DualMiningFunction;
+    use crate::problem::{ObjectiveSpec, TagDmProblem};
+    use crate::solvers::test_support::{random_context, small_context, GROUPINGS};
+    use crate::solvers::ExactSolver;
+    use proptest::prelude::*;
+    use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
+    use tagdm_data::group::GroupingScheme;
+    use tagdm_geometry::dispersion::{max_avg_greedy, max_avg_greedy_with};
+    use tagdm_geometry::distance::DistanceMatrix;
+
+    const MODES: [ConstraintMode; 3] = [
+        ConstraintMode::Ignore,
+        ConstraintMode::Filter,
+        ConstraintMode::Fold,
+    ];
+
+    /// The reference oracle: the solver before the pair kernel. It builds the `n × n`
+    /// matrix of clamped pair objectives and runs the MAX-AVG greedy over it, folding
+    /// the constraints into the admissibility predicate as from-scratch set
+    /// evaluations. The kernel must reproduce its outcomes bit for bit.
+    fn reference(
+        solver: &DvFdpSolver,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+    ) -> SolverOutcome {
+        let n = ctx.num_groups();
+        if n == 0 {
+            return solver.outcome(ctx, problem, Vec::new(), 0, Duration::ZERO);
+        }
+        let matrix = DistanceMatrix::from_fn(n, |i, j| problem.pairwise_objective(ctx, i, j));
+        let mut evaluated = (n as u64) * (n as u64 - 1) / 2;
+        let selection = match solver.mode {
             ConstraintMode::Ignore | ConstraintMode::Filter => {
                 max_avg_greedy(&matrix, problem.max_groups)
             }
             ConstraintMode::Fold => {
-                // The greedy add only admits a candidate if the grown set still satisfies
-                // every non-support constraint (support is checked after selection).
                 max_avg_greedy_with(&matrix, problem.max_groups, |selected, candidate| {
-                    if cancel.is_cancelled() {
-                        return false;
-                    }
                     if selected.is_empty() {
                         return true;
                     }
@@ -100,45 +241,114 @@ impl Solver for DvFdpSolver {
                 })
             }
         };
+        solver.outcome(ctx, problem, selection, evaluated, Duration::ZERO)
+    }
 
-        let elapsed = start.elapsed();
-        if selection.is_empty() || selection.len() < problem.min_groups {
-            return SolverOutcome {
-                elapsed,
-                candidates_evaluated: evaluated,
-                ..SolverOutcome::null(self.name())
+    /// Run the kernel and the oracle and require identical outcomes.
+    fn assert_matches_reference(solver: &DvFdpSolver, ctx: &MiningContext, problem: &TagDmProblem) {
+        let kernel = solver.solve(ctx, problem);
+        let oracle = reference(solver, ctx, problem);
+        let what = format!("{}: {}", solver.name(), problem.describe());
+        assert_eq!(kernel.groups, oracle.groups, "groups: {what}");
+        assert_eq!(
+            kernel.objective.to_bits(),
+            oracle.objective.to_bits(),
+            "objective {} vs {}: {what}",
+            kernel.objective,
+            oracle.objective
+        );
+        assert_eq!(kernel.feasible, oracle.feasible, "feasible: {what}");
+        assert_eq!(
+            kernel.candidates_evaluated, oracle.candidates_evaluated,
+            "candidates: {what}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // The last grouping index draws the hand-built corpus: its groups with equal
+        // signatures and descriptions tie, which exercises the first-strict-maximum
+        // tie-breaking of the seed scan and of every greedy round.
+        #[test]
+        fn prop_kernel_matches_the_reference(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len() + 1,
+            mode in 0usize..3,
+            id in 1usize..7,
+            k in 1usize..5,
+            min_groups in 1usize..5,
+            min_support in 1usize..80,
+            threshold in 0.0f64..1.0,
+        ) {
+            let ctx = if grouping == GROUPINGS.len() {
+                small_context()
+            } else {
+                random_context(seed, actions, grouping)
             };
-        }
-        let objective = problem.objective(ctx, &selection);
-        let feasible = problem.feasible(ctx, &selection);
-        // Filtering semantics: a constraint-violating greedy result is a null result
-        // (the paper notes DV-FDP-Fi "may return null results frequently").
-        if self.mode == ConstraintMode::Filter && !feasible {
-            return SolverOutcome {
-                elapsed,
-                candidates_evaluated: evaluated,
-                ..SolverOutcome::null(self.name())
+            let params = ProblemParams {
+                k,
+                min_support,
+                user_threshold: threshold,
+                item_threshold: 1.0 - threshold,
             };
+            let problem = problem(id, params).with_min_groups(min_groups.min(k));
+            assert_matches_reference(&DvFdpSolver::new(MODES[mode]), &ctx, &problem);
         }
-        SolverOutcome {
-            solver: self.name(),
-            groups: selection,
-            objective,
-            feasible,
-            elapsed,
-            candidates_evaluated: evaluated,
+
+        // Theorem 4: on a metric, the unconstrained greedy's average pairwise distance
+        // is at least a quarter of the best `k`-set's. `1 − Jaccard` over item sets is
+        // a metric (`1 − cos` is not).
+        #[test]
+        fn prop_unconstrained_greedy_is_within_a_factor_of_4_on_a_metric(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            k in 2usize..5,
+        ) {
+            let ctx = random_context(seed, actions, grouping);
+            prop_assume!(ctx.num_groups() >= k);
+            let function =
+                DualMiningFunction::standard(TaggingDimension::Users, MiningCriterion::Diversity)
+                    .with_kind(PairwiseKind::ItemSetJaccard);
+            let problem = TagDmProblem::new("metric dispersion", k, 0)
+                .with_min_groups(k)
+                .with_objective(ObjectiveSpec { function, weight: 1.0 });
+            let greedy = DvFdpSolver::new(ConstraintMode::Ignore).solve(&ctx, &problem);
+            let exact = ExactSolver::new().solve(&ctx, &problem);
+            prop_assert_eq!(greedy.groups.len(), k);
+            prop_assert!(
+                4.0 * greedy.objective >= exact.objective - 1e-9,
+                "greedy {} vs exact {}",
+                greedy.objective,
+                exact.objective
+            );
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::catalog::{problem_4, problem_5, problem_6, ProblemParams};
-    use crate::criteria::{MiningCriterion, TaggingDimension};
-    use crate::problem::{ObjectiveSpec, TagDmProblem};
-    use crate::solvers::test_support::small_context;
-    use crate::solvers::ExactSolver;
+    #[test]
+    fn kernel_matches_the_reference_on_every_problem_mode_and_size() {
+        let ctx = small_context();
+        for id in 1..=6 {
+            for k in 1..=4 {
+                for min_groups in 1..=k {
+                    for threshold in [0.0, 0.25, 0.5, 1.0] {
+                        let params = ProblemParams {
+                            k,
+                            min_support: 2,
+                            user_threshold: threshold,
+                            item_threshold: threshold,
+                        };
+                        let problem = problem(id, params).with_min_groups(min_groups);
+                        for mode in MODES {
+                            assert_matches_reference(&DvFdpSolver::new(mode), &ctx, &problem);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn loose_params() -> ProblemParams {
         ProblemParams {
@@ -231,12 +441,46 @@ mod tests {
     }
 
     #[test]
-    fn work_counter_reflects_the_quadratic_matrix_build() {
+    fn work_counter_covers_every_seed_pair() {
         let ctx = small_context();
         let n = ctx.num_groups() as u64;
         let problem = problem_6(loose_params());
-        let outcome = DvFdpSolver::new(ConstraintMode::Filter).solve(&ctx, &problem);
-        assert!(outcome.candidates_evaluated >= n * (n - 1) / 2);
+        let filter = DvFdpSolver::new(ConstraintMode::Filter).solve(&ctx, &problem);
+        assert_eq!(filter.candidates_evaluated, n * (n - 1) / 2);
+        let fold = DvFdpSolver::new(ConstraintMode::Fold).solve(&ctx, &problem);
+        assert!(fold.candidates_evaluated > n * (n - 1) / 2);
+    }
+
+    #[test]
+    fn a_deadline_cuts_the_seed_scan_short() {
+        // Occupation × age × genre × actor over the medium corpus: well over 1,500
+        // groups, so the full seed scan scores over a million pairs.
+        let ds = MovieLensStyleGenerator::new(GeneratorConfig::medium()).generate();
+        let groups = GroupingScheme::over(
+            &ds,
+            &[
+                ("user", "occupation"),
+                ("user", "age"),
+                ("item", "genre"),
+                ("item", "actor"),
+            ],
+        )
+        .unwrap()
+        .min_group_size(1)
+        .enumerate(&ds);
+        let ctx = MiningContext::build(&ds, groups, SummarizerChoice::Frequency);
+        let n = ctx.num_groups() as u64;
+        assert!(n >= 1_500, "{n} groups");
+        let problem = problem_6(loose_params());
+        let token = CancelToken::after(Duration::from_millis(1));
+        let outcome =
+            DvFdpSolver::new(ConstraintMode::Filter).solve_cancellable(&ctx, &problem, &token);
+        assert!(
+            outcome.candidates_evaluated < n * (n - 1) / 2,
+            "{} of {} pairs",
+            outcome.candidates_evaluated,
+            n * (n - 1) / 2
+        );
     }
 
     #[test]
@@ -250,7 +494,7 @@ mod tests {
         assert_eq!(direct.groups, cancellable.groups);
         assert_eq!(direct.objective, cancellable.objective);
 
-        // A pre-fired token returns a null result before the matrix build.
+        // A pre-fired token returns a null result before the seed scan.
         token.cancel();
         let truncated = solver.solve_cancellable(&ctx, &problem, &token);
         assert!(truncated.is_null());

@@ -14,11 +14,13 @@
 //!   costs one OR and one popcount over the words, with no hashing or allocation.
 //! * **Constraints and objectives.** When group `c` is pushed at position `m`, each
 //!   constraint and objective function scores `c` against the `m` groups already in the
-//!   set, once, into a `k × k` table per function. A candidate's value for a function
-//!   is that table's `(i < j)` entries in row-major order, aggregated by the function's
-//!   [`Aggregator`](crate::criteria::Aggregator) — the same scores, in the same order,
-//!   as [`DualMiningFunction::evaluate`], so objectives and feasibility are
-//!   bit-identical to [`TagDmProblem::objective`] and [`TagDmProblem::feasible`].
+//!   set, once, into the shared [`PairTable`]: a `k × k` table per function. A
+//!   candidate's value for a function is that table's `(i < j)` entries in row-major
+//!   order, aggregated by the function's [`Aggregator`](crate::criteria::Aggregator) —
+//!   the same scores, in the same order, as
+//!   [`DualMiningFunction::evaluate`](crate::functions::DualMiningFunction::evaluate),
+//!   so objectives and feasibility are bit-identical to [`TagDmProblem::objective`] and
+//!   [`TagDmProblem::feasible`].
 //!
 //! All kernel state is sized by the solve's own group count and `k` and dropped with
 //! the solve; the mining context gains nothing.
@@ -26,8 +28,8 @@
 use std::time::{Duration, Instant};
 
 use crate::context::MiningContext;
-use crate::functions::DualMiningFunction;
 use crate::problem::TagDmProblem;
+use crate::solvers::pairs::PairTable;
 use crate::solvers::{CancelToken, Solver, SolverOutcome};
 
 /// How many candidate evaluations pass between cancellation checks: frequent enough
@@ -125,8 +127,6 @@ struct Kernel<'a> {
     cap: u64,
     /// The candidate set under evaluation, in push order (ascending group index).
     set: Vec<usize>,
-    /// Deepest set size the search reaches: `min(k, n)`.
-    depth: usize,
     /// Words per action bitset.
     words: usize,
     /// Per-group action bitsets (see [`action_bitsets`]).
@@ -135,13 +135,9 @@ struct Kernel<'a> {
     covered: Vec<u64>,
     /// `support[d]` is the popcount of `covered` row `d`.
     support: Vec<usize>,
-    /// The problem's constraint functions, then its objective functions.
-    functions: Vec<DualMiningFunction>,
-    /// One `depth × depth` table per function: entry `(i, j)`, `i < j`, scores
-    /// `(set[i], set[j])`.
-    pairs: Vec<f64>,
-    /// Reused buffer of one function's pair scores over the current set.
-    scores: Vec<f64>,
+    /// Pair scores of the current set under the problem's constraint functions, then
+    /// its objective functions.
+    table: PairTable,
     best: Option<(Vec<usize>, f64)>,
     evaluated: u64,
     exhausted: bool,
@@ -156,7 +152,7 @@ impl<'a> Kernel<'a> {
     ) -> Self {
         let depth = problem.max_groups.min(ctx.num_groups());
         let (words, group_bits) = action_bitsets(ctx);
-        let functions: Vec<DualMiningFunction> = problem
+        let functions = problem
             .constraints
             .iter()
             .map(|c| c.function)
@@ -168,14 +164,11 @@ impl<'a> Kernel<'a> {
             cancel,
             cap,
             set: Vec::with_capacity(depth),
-            depth,
             words,
             group_bits,
             covered: vec![0; (depth + 1) * words],
             support: vec![0; depth + 1],
-            pairs: vec![0.0; functions.len() * depth * depth],
-            functions,
-            scores: Vec::with_capacity(depth * depth.saturating_sub(1) / 2),
+            table: PairTable::new(functions, depth),
             best: None,
             evaluated: 0,
             exhausted: false,
@@ -227,32 +220,13 @@ impl<'a> Kernel<'a> {
             support += out.count_ones() as usize;
         }
         self.support[m + 1] = support;
-
-        let square = self.depth * self.depth;
-        for (function, table) in self
-            .functions
-            .iter()
-            .zip(self.pairs.chunks_exact_mut(square))
-        {
-            for (i, &a) in self.set.iter().enumerate() {
-                table[i * self.depth + m] = function.evaluate_pair(self.ctx, a, c);
-            }
-        }
+        self.table.score_all(self.ctx, &self.set, c);
         self.set.push(c);
     }
 
-    /// Function `f`'s value on the current set: its pair scores in row-major `(i < j)`
-    /// order, aggregated.
+    /// Function `f`'s value on the current set.
     fn value(&mut self, f: usize) -> f64 {
-        let len = self.set.len();
-        let square = self.depth * self.depth;
-        let table = &self.pairs[f * square..(f + 1) * square];
-        self.scores.clear();
-        for i in 0..len {
-            let row = &table[i * self.depth..];
-            self.scores.extend_from_slice(&row[i + 1..len]);
-        }
-        self.functions[f].aggregator.aggregate(&self.scores)
+        self.table.value(f, self.set.len())
     }
 
     /// Check the current set's feasibility and, if feasible, keep it when it beats the
@@ -407,11 +381,17 @@ mod tests {
                 kernel.ctx.support(&set),
                 "{set:?}"
             );
-            for f in 0..kernel.functions.len() {
-                let expected = kernel.functions[f].evaluate(kernel.ctx, &set);
+            let functions = kernel
+                .problem
+                .constraints
+                .iter()
+                .map(|c| c.function)
+                .chain(kernel.problem.objectives.iter().map(|o| o.function));
+            for (f, function) in functions.enumerate() {
+                let expected = function.evaluate(kernel.ctx, &set);
                 assert_eq!(kernel.value(f).to_bits(), expected.to_bits(), "{set:?}");
             }
-            if set.len() < kernel.depth {
+            if set.len() < kernel.problem.max_groups {
                 for c in start..kernel.ctx.num_groups() {
                     kernel.push(c);
                     walk(kernel, c + 1);

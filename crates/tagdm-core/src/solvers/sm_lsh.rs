@@ -23,7 +23,10 @@
 //! One practical extension over the paper's pseudo-code: buckets larger than `k` are not
 //! discarded but greedily refined to their best `k`-subset (disable with
 //! [`SmLshSolver::strict_bucket_semantics`]), which avoids needless null results when
-//! `d′` is small.
+//! `d′` is small. The refinement runs two greedy walks per bucket on the shared pair
+//! kernel (`solvers::pairs`): one by pairwise objective alone and, when constraints are
+//! enforced, one that only admits constraint-satisfying sets. One pass over the
+//! bucket's pairs seeds both, scoring each pair's objective once.
 
 use std::time::Instant;
 
@@ -32,7 +35,8 @@ use tagdm_lsh::index::{LshConfig, LshIndex};
 use crate::context::MiningContext;
 use crate::criteria::TaggingDimension;
 use crate::problem::TagDmProblem;
-use crate::solvers::{greedy_walk, CancelToken, ConstraintMode, Solver, SolverOutcome};
+use crate::solvers::pairs::{pair_admits, PairTable, Walk};
+use crate::solvers::{CancelToken, ConstraintMode, Solver, SolverOutcome};
 
 /// Tag-similarity maximization by locality sensitive hashing.
 #[derive(Debug, Clone)]
@@ -113,6 +117,7 @@ impl SmLshSolver {
         ctx: &MiningContext,
         problem: &TagDmProblem,
         index: &LshIndex,
+        walks: &mut BucketWalks,
         cancel: &CancelToken,
     ) -> (Option<(Vec<usize>, f64)>, u64) {
         let mut best: Option<(Vec<usize>, f64)> = None;
@@ -137,11 +142,18 @@ impl SmLshSolver {
                 candidates.push(bucket.to_vec());
             }
             if !self.strict_bucket_semantics {
+                let upper = problem.max_groups.min(bucket.len());
+                // A constraint-aware walk rescues buckets whose objective-best subset
+                // violates a hard constraint that some other subset satisfies.
+                let constrained =
+                    self.mode != ConstraintMode::Ignore && !problem.constraints.is_empty();
+                walks.run(
+                    bucket,
+                    upper.min(bucket.len().saturating_sub(1)),
+                    if constrained { problem.max_groups } else { 0 },
+                );
                 // One walk serves every refined size `s ≥ 2`: the greedy to `s` groups
                 // is the walk's first `s` steps.
-                let upper = problem.max_groups.min(bucket.len());
-                let walk_limit = upper.min(bucket.len().saturating_sub(1));
-                let walk = greedy_walk(ctx, problem, bucket, walk_limit, |_| true);
                 for size in (problem.min_groups..=upper).rev() {
                     if size == bucket.len() {
                         continue; // already covered by the full bucket
@@ -149,18 +161,13 @@ impl SmLshSolver {
                     let mut refined = if size == 1 {
                         vec![bucket[0]]
                     } else {
-                        walk[..size].to_vec()
+                        walks.free.groups[..size].to_vec()
                     };
                     refined.sort_unstable();
                     candidates.push(refined);
                 }
-                // A constraint-aware selection rescues buckets whose objective-best
-                // subset violates a hard constraint that some other subset satisfies.
-                if self.mode != ConstraintMode::Ignore && !problem.constraints.is_empty() {
-                    let mut feasible =
-                        greedy_walk(ctx, problem, bucket, problem.max_groups, |set| {
-                            problem.constraints_satisfied(ctx, set)
-                        });
+                if constrained {
+                    let mut feasible = walks.bound.groups.clone();
                     feasible.sort_unstable();
                     candidates.push(feasible);
                 }
@@ -233,10 +240,11 @@ impl Solver for SmLshSolver {
         // relaxed index re-buckets prefixes of the signatures hashed above.
         let mut evaluated_total = 0u64;
         let mut best: Option<(Vec<usize>, f64)> = None;
+        let mut walks = BucketWalks::new(ctx, problem);
         let mut relaxed: LshIndex;
         let mut index = &full;
         loop {
-            let (found, evaluated) = self.evaluate_buckets(ctx, problem, index, cancel);
+            let (found, evaluated) = self.evaluate_buckets(ctx, problem, index, &mut walks, cancel);
             evaluated_total += evaluated;
             if found.is_some() {
                 best = found;
@@ -271,13 +279,300 @@ impl Solver for SmLshSolver {
     }
 }
 
+/// The two refinement walks of a bucket: `free` greedily maximizes the pairwise
+/// objective; `bound` does the same over sets that satisfy every constraint.
+struct BucketWalks<'a> {
+    ctx: &'a MiningContext,
+    problem: &'a TagDmProblem,
+    free: Walk<'a>,
+    bound: Walk<'a>,
+}
+
+impl<'a> BucketWalks<'a> {
+    /// Walks for `problem`; the constrained walk holds at most `problem.max_groups`
+    /// groups.
+    fn new(ctx: &'a MiningContext, problem: &'a TagDmProblem) -> Self {
+        let k = problem.max_groups.min(ctx.num_groups());
+        BucketWalks {
+            ctx,
+            problem,
+            free: Walk::new(ctx, problem, None),
+            bound: Walk::new(ctx, problem, Some(PairTable::constraints(problem, k))),
+        }
+    }
+
+    /// Walk `bucket` to at most `free_limit` groups by pairwise objective, and to at
+    /// most `bound_limit` groups over constraint-satisfying sets. A walk is left empty
+    /// when its limit is below 2 or no pair of the bucket is admissible to it.
+    ///
+    /// One pass over the bucket's pairs in `(a < b)` order seeds both walks and scores
+    /// each pair's objective once: the free walk starts from the first pair of largest
+    /// score, the bound walk from the first such pair that satisfies every constraint.
+    /// Each walk then adds, per round, the bucket member with the largest total
+    /// objective to its groups (see [`Walk::grow`]). A larger limit only runs more
+    /// rounds, so the first `s ≥ 2` groups of a walk are the walk to `s`.
+    fn run(&mut self, bucket: &[usize], free_limit: usize, bound_limit: usize) {
+        self.free.groups.clear();
+        self.bound.groups.clear();
+        if bucket.len() < 2 || free_limit.max(bound_limit) < 2 {
+            return;
+        }
+        let (ctx, problem) = (self.ctx, self.problem);
+        let mut free: Option<(usize, usize, f64)> = None;
+        let mut bound: Option<(usize, usize, f64)> = None;
+        for (i, &a) in bucket.iter().enumerate() {
+            for &b in &bucket[i + 1..] {
+                let score = problem.pairwise_objective(ctx, a, b);
+                if free.is_none_or(|(_, _, s)| score > s) {
+                    free = Some((a, b, score));
+                }
+                if bound_limit >= 2
+                    && bound.is_none_or(|(_, _, s)| score > s)
+                    && pair_admits(ctx, problem, a, b)
+                {
+                    bound = Some((a, b, score));
+                }
+            }
+        }
+        let objective = |c, s| problem.pairwise_objective(ctx, c, s);
+        for (walk, seed, limit) in [
+            (&mut self.free, free, free_limit),
+            (&mut self.bound, bound, bound_limit),
+        ] {
+            if let Some((a, b, _)) = seed.filter(|_| limit >= 2) {
+                walk.seed(a, b);
+                walk.grow(bucket.iter().copied(), limit, objective, || true);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{problem_1, problem_2, problem_3, ProblemParams};
-    use crate::solvers::test_support::small_context;
+    use crate::catalog::{problem, problem_1, problem_2, problem_3, ProblemParams};
+    use crate::solvers::test_support::{random_context, small_context, GROUPINGS};
     use crate::solvers::ExactSolver;
+    use proptest::prelude::*;
     use ConstraintMode::{Filter, Fold};
+
+    /// The oracle for the unconstrained bucket walk, run afresh for each size
+    /// `limit`: pick at most `limit` members of `candidates` maximizing the problem's
+    /// pairwise objective by seeding with the best pair, then repeatedly adding the
+    /// candidate with the largest total pairwise objective to the already-selected ones.
+    fn greedy_select_by_objective(
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        candidates: &[usize],
+        limit: usize,
+    ) -> Vec<usize> {
+        if candidates.len() <= limit {
+            return candidates.to_vec();
+        }
+        if limit == 0 {
+            return Vec::new();
+        }
+        if limit == 1 {
+            return vec![candidates[0]];
+        }
+        // Seed with the best pair.
+        let mut best_pair = (candidates[0], candidates[1]);
+        let mut best_score = f64::NEG_INFINITY;
+        for (i, &a) in candidates.iter().enumerate() {
+            for &b in candidates.iter().skip(i + 1) {
+                let score = problem.pairwise_objective(ctx, a, b);
+                if score > best_score {
+                    best_score = score;
+                    best_pair = (a, b);
+                }
+            }
+        }
+        let mut selected = vec![best_pair.0, best_pair.1];
+        while selected.len() < limit {
+            let mut best: Option<(usize, f64)> = None;
+            for &candidate in candidates {
+                if selected.contains(&candidate) {
+                    continue;
+                }
+                let gain: f64 = selected
+                    .iter()
+                    .map(|&s| problem.pairwise_objective(ctx, candidate, s))
+                    .sum();
+                if best.is_none_or(|(_, g)| gain > g) {
+                    best = Some((candidate, gain));
+                }
+            }
+            match best {
+                Some((candidate, _)) => selected.push(candidate),
+                None => break,
+            }
+        }
+        selected.sort_unstable();
+        selected
+    }
+
+    /// The oracle for the constrained bucket walk: grow the set greedily by pairwise
+    /// objective but only admit a candidate if the grown set still satisfies every hard
+    /// constraint of the problem.
+    fn greedy_select_feasible(
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        candidates: &[usize],
+        limit: usize,
+    ) -> Vec<usize> {
+        if limit < 2 || candidates.len() < 2 {
+            return Vec::new();
+        }
+        // Seed with the best constraint-satisfying pair.
+        let mut best_pair: Option<(usize, usize, f64)> = None;
+        for (i, &a) in candidates.iter().enumerate() {
+            for &b in candidates.iter().skip(i + 1) {
+                if !problem.constraints_satisfied(ctx, &[a, b]) {
+                    continue;
+                }
+                let score = problem.pairwise_objective(ctx, a, b);
+                if best_pair.is_none_or(|(_, _, s)| score > s) {
+                    best_pair = Some((a, b, score));
+                }
+            }
+        }
+        let Some((a, b, _)) = best_pair else {
+            return Vec::new();
+        };
+        let mut selected = vec![a, b];
+        while selected.len() < limit {
+            let mut best: Option<(usize, f64)> = None;
+            for &candidate in candidates {
+                if selected.contains(&candidate) {
+                    continue;
+                }
+                let mut trial = selected.clone();
+                trial.push(candidate);
+                if !problem.constraints_satisfied(ctx, &trial) {
+                    continue;
+                }
+                let gain: f64 = selected
+                    .iter()
+                    .map(|&s| problem.pairwise_objective(ctx, candidate, s))
+                    .sum();
+                if best.is_none_or(|(_, g)| gain > g) {
+                    best = Some((candidate, gain));
+                }
+            }
+            match best {
+                Some((candidate, _)) => selected.push(candidate),
+                None => break,
+            }
+        }
+        selected.sort_unstable();
+        selected
+    }
+
+    #[test]
+    fn bucket_walks_return_bounded_distinct_sets() {
+        let ctx = small_context();
+        let problem = problem_1(ProblemParams {
+            k: 3,
+            min_support: 1,
+            user_threshold: 0.0,
+            item_threshold: 0.0,
+        });
+        let candidates: Vec<usize> = (0..ctx.num_groups()).collect();
+        let mut walks = BucketWalks::new(&ctx, &problem);
+        walks.run(&candidates, 3, 3);
+        for walk in [&walks.free.groups, &walks.bound.groups] {
+            let mut picked = walk.clone();
+            picked.sort_unstable();
+            picked.dedup();
+            assert_eq!(picked.len(), 3.min(ctx.num_groups()));
+        }
+        // A walk whose limit exceeds the candidate list takes every candidate; a zero
+        // limit skips the walk.
+        walks.run(&[1, 2], 3, 0);
+        assert_eq!(walks.free.groups, vec![1, 2]);
+        assert!(walks.bound.groups.is_empty());
+        for limit in [0, 1] {
+            walks.run(&candidates, limit, limit);
+            assert!(walks.free.groups.is_empty() && walks.bound.groups.is_empty());
+        }
+        // No pair satisfies an unreachable threshold: the constrained walk stays empty.
+        let mut impossible = problem.clone();
+        for c in &mut impossible.constraints {
+            c.threshold = 2.0;
+        }
+        let mut walks = BucketWalks::new(&ctx, &impossible);
+        walks.run(&candidates, 3, 3);
+        assert_eq!(walks.free.groups.len(), 3);
+        assert!(walks.bound.groups.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Sorted prefixes of the unconstrained walk equal the per-size greedy, and the
+        // sorted constrained walk equals the constraint-aware greedy, on random
+        // candidate lists drawn from random small corpora.
+        #[test]
+        fn prop_bucket_walks_match_the_per_size_greedies(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len() + 1,
+            id in 1usize..7,
+            picks in proptest::collection::vec(0usize..64, 0..12),
+            limit in 0usize..7,
+            threshold in 0.0f64..1.0,
+        ) {
+            // The last grouping index draws the hand-built corpus: its groups with
+            // equal signatures tie, which exercises the walks' tie-breaking.
+            let ctx = if grouping == GROUPINGS.len() {
+                small_context()
+            } else {
+                random_context(seed, actions, grouping)
+            };
+            let n = ctx.num_groups();
+            let mut candidates: Vec<usize> = Vec::new();
+            for g in picks.iter().filter(|_| n > 0).map(|p| p % n) {
+                if !candidates.contains(&g) {
+                    candidates.push(g);
+                }
+            }
+            // The constrained walk holds at most `k` groups; nothing else in the walks
+            // reads `k`.
+            let problem = problem(id, ProblemParams {
+                k: limit.max(1),
+                min_support: 1,
+                user_threshold: threshold,
+                item_threshold: 1.0 - threshold,
+            });
+            let mut walks = BucketWalks::new(&ctx, &problem);
+            walks.run(&candidates, limit, limit);
+
+            let walk = &walks.free.groups;
+            let expected_len = if limit < 2 || candidates.len() < 2 {
+                0
+            } else {
+                limit.min(candidates.len())
+            };
+            prop_assert_eq!(walk.len(), expected_len);
+            // The old greedy returns a list no longer than its limit unchanged, so it
+            // is the oracle only for sizes below the list length.
+            for size in (2..=walk.len()).filter(|&size| size < candidates.len()) {
+                let mut prefix = walk[..size].to_vec();
+                prefix.sort_unstable();
+                prop_assert_eq!(
+                    prefix,
+                    greedy_select_by_objective(&ctx, &problem, &candidates, size)
+                );
+            }
+
+            let mut constrained = walks.bound.groups.clone();
+            constrained.sort_unstable();
+            prop_assert_eq!(
+                constrained,
+                greedy_select_feasible(&ctx, &problem, &candidates, limit)
+            );
+        }
+    }
 
     fn loose_params() -> ProblemParams {
         ProblemParams {

@@ -11,7 +11,13 @@
 //!
 //! * [`distance`] — symmetric pairwise distance matrices;
 //! * [`dispersion`] — the greedy MAX-AVG heuristic, optionally with an admissibility
-//!   predicate (used by the constraint-folding DV-FDP-Fo variant).
+//!   predicate (the constraint-folding DV-FDP-Fo variant's add test).
+//!
+//! This crate is off the solver path. DV-FDP runs on `tagdm-core`'s per-solve pair
+//! kernel and builds no matrix; `tagdm-core` uses this crate only in tests, as the
+//! reference its DV-FDP outcomes must match bit for bit. Deleting the crate rewrites
+//! `perfbench/Cargo.lock`, so it stays until a change that may edit the benchmark
+//! package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

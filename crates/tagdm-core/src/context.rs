@@ -37,24 +37,9 @@ pub enum SummarizerChoice {
 }
 
 impl SummarizerChoice {
-    /// The paper's configuration: LDA with 25 global topic categories.
-    pub fn paper_lda() -> Self {
-        SummarizerChoice::Lda(LdaConfig::with_topics(25))
-    }
-
     /// A fast LDA configuration for tests and examples.
     pub fn fast_lda(num_topics: usize) -> Self {
         SummarizerChoice::Lda(LdaConfig::fast(num_topics))
-    }
-
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SummarizerChoice::Frequency => "frequency",
-            SummarizerChoice::FrequencyNormalized => "frequency-normalized",
-            SummarizerChoice::TfIdf => "tf-idf",
-            SummarizerChoice::Lda(_) => "lda",
-        }
     }
 }
 
@@ -79,7 +64,6 @@ pub struct MiningContext {
     item_arity: usize,
     user_domain: usize,
     item_domain: usize,
-    summarizer: &'static str,
 }
 
 impl MiningContext {
@@ -97,16 +81,13 @@ impl MiningContext {
                 .map(|g| g.tag_counts.iter().map(|&(t, c)| (t.0, c)).collect())
                 .collect(),
         );
-        let (signatures, summarizer_name) = match summarizer {
-            SummarizerChoice::Frequency => {
-                (FrequencySummarizer::new().summarize(&corpus), "frequency")
+        let signatures = match summarizer {
+            SummarizerChoice::Frequency => FrequencySummarizer::new().summarize(&corpus),
+            SummarizerChoice::FrequencyNormalized => {
+                FrequencySummarizer::normalized().summarize(&corpus)
             }
-            SummarizerChoice::FrequencyNormalized => (
-                FrequencySummarizer::normalized().summarize(&corpus),
-                "frequency-normalized",
-            ),
-            SummarizerChoice::TfIdf => (TfIdfSummarizer::new().summarize(&corpus), "tf-idf"),
-            SummarizerChoice::Lda(config) => (LdaSummarizer::new(config).summarize(&corpus), "lda"),
+            SummarizerChoice::TfIdf => TfIdfSummarizer.summarize(&corpus),
+            SummarizerChoice::Lda(config) => LdaSummarizer::new(config).summarize(&corpus),
         };
         let signature_dims = signatures.first().map_or(0, TagSignature::dims);
         let signature_norms = signatures.iter().map(TagSignature::norm).collect();
@@ -170,7 +151,6 @@ impl MiningContext {
             item_arity,
             user_domain,
             item_domain,
-            summarizer: summarizer_name,
         }
     }
 
@@ -208,11 +188,6 @@ impl MiningContext {
     /// Dimensionality of the group tag signatures (25 for the paper's LDA setting).
     pub fn signature_dims(&self) -> usize {
         self.signature_dims
-    }
-
-    /// Name of the summarizer used to build the signatures.
-    pub fn summarizer_name(&self) -> &'static str {
-        self.summarizer
     }
 
     /// Arity of the user schema (number of user attributes).
@@ -452,7 +427,6 @@ mod tests {
         assert_eq!(ctx.num_groups(), 4);
         assert_eq!(ctx.tag_signatures().len(), 4);
         assert_eq!(ctx.signature_dims(), 7); // vocabulary size
-        assert_eq!(ctx.summarizer_name(), "frequency");
         assert_eq!(ctx.num_input_actions(), 6);
     }
 
@@ -605,8 +579,5 @@ mod tests {
     fn lda_context_uses_topic_space() {
         let (_, ctx) = context(SummarizerChoice::fast_lda(4));
         assert_eq!(ctx.signature_dims(), 4);
-        assert_eq!(ctx.summarizer_name(), "lda");
-        assert_eq!(SummarizerChoice::paper_lda().name(), "lda");
-        assert_eq!(SummarizerChoice::TfIdf.name(), "tf-idf");
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! The **TagDM** (Tagging Behaviour Dual Mining) framework of "Who Tags What? An
 //! Analysis Framework" (Das et al., PVLDB 5(11), 2012), on top of the substrates in
-//! `tagdm-data`, `tagdm-topics`, `tagdm-lsh` and `tagdm-geometry`.
+//! `tagdm-data`, `tagdm-topics` and `tagdm-lsh`. `tagdm-geometry`'s dispersion greedy
+//! is used only in tests, as the reference DV-FDP is checked against.
 //!
 //! A TagDM problem (Definition 4 of the paper) asks for a set of *describable*
 //! tagging-action groups `G_opt = {g_1, g_2, …}` such that

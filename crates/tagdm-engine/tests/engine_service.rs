@@ -209,6 +209,7 @@ fn unrunnable_lda_config_is_an_invalid_recipe_not_a_panic() {
     let fast = LdaConfig::fast(4);
     let invalid = [
         LdaConfig::fast(0),
+        LdaConfig::fast(70_000),
         LdaConfig {
             burn_in: fast.iterations,
             ..fast

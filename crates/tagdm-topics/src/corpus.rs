@@ -15,16 +15,8 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Create a corpus over a vocabulary of `num_terms` terms.
-    pub fn new(num_terms: usize) -> Self {
-        Corpus {
-            num_terms,
-            documents: Vec::new(),
-        }
-    }
-
-    /// Create a corpus from existing documents. Term ids outside the vocabulary are
-    /// dropped.
+    /// Create a corpus over a vocabulary of `num_terms` terms. Out-of-vocabulary terms
+    /// and zero counts are dropped.
     pub fn from_documents(num_terms: usize, documents: Vec<TagBag>) -> Self {
         let documents = documents
             .into_iter()
@@ -38,17 +30,6 @@ impl Corpus {
             num_terms,
             documents,
         }
-    }
-
-    /// Add one document; out-of-vocabulary terms and zero counts are dropped. Returns
-    /// the document's index.
-    pub fn push(&mut self, doc: TagBag) -> usize {
-        let doc: TagBag = doc
-            .into_iter()
-            .filter(|(t, c)| (*t as usize) < self.num_terms && *c > 0)
-            .collect();
-        self.documents.push(doc);
-        self.documents.len() - 1
     }
 
     /// Vocabulary size.
@@ -71,20 +52,6 @@ impl Corpus {
         &self.documents
     }
 
-    /// One document by index.
-    pub fn document(&self, idx: usize) -> &TagBag {
-        &self.documents[idx]
-    }
-
-    /// Total number of token occurrences across all documents.
-    pub fn total_tokens(&self) -> u64 {
-        self.documents
-            .iter()
-            .flat_map(|d| d.iter())
-            .map(|(_, c)| u64::from(*c))
-            .sum()
-    }
-
     /// Number of documents containing each term (document frequency), used by tf·idf.
     pub fn document_frequencies(&self) -> Vec<u32> {
         let mut df = vec![0u32; self.num_terms];
@@ -105,11 +72,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_filters_out_of_vocabulary_terms() {
-        let mut corpus = Corpus::new(5);
-        corpus.push(vec![(0, 2), (4, 1), (9, 3), (2, 0)]);
-        assert_eq!(corpus.document(0), &vec![(0, 2), (4, 1)]);
-        assert_eq!(corpus.total_tokens(), 3);
+    fn from_documents_filters_out_of_vocabulary_terms() {
+        let corpus = Corpus::from_documents(5, vec![vec![(0, 2), (4, 1), (9, 3), (2, 0)]]);
+        assert_eq!(corpus.documents(), &[vec![(0, 2), (4, 1)]]);
+        assert_eq!(corpus.len(), 1);
+        assert!(!corpus.is_empty());
+        assert_eq!(corpus.num_terms(), 5);
     }
 
     #[test]
@@ -123,19 +91,5 @@ mod tests {
             ],
         );
         assert_eq!(corpus.document_frequencies(), vec![2, 2, 0, 1]);
-    }
-
-    #[test]
-    fn from_documents_matches_push() {
-        let docs = vec![vec![(0, 1)], vec![(1, 2), (7, 1)]];
-        let a = Corpus::from_documents(3, docs.clone());
-        let mut b = Corpus::new(3);
-        for d in docs {
-            b.push(d);
-        }
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 2);
-        assert!(!a.is_empty());
-        assert_eq!(a.num_terms(), 3);
     }
 }

@@ -30,11 +30,7 @@ impl FrequencySummarizer {
 }
 
 impl GroupSummarizer for FrequencySummarizer {
-    fn signature_dims(&self, corpus: &Corpus) -> usize {
-        corpus.num_terms()
-    }
-
-    fn summarize(&mut self, corpus: &Corpus) -> Vec<TagSignature> {
+    fn summarize(&self, corpus: &Corpus) -> Vec<TagSignature> {
         corpus
             .documents()
             .iter()
@@ -50,14 +46,6 @@ impl GroupSummarizer for FrequencySummarizer {
                 }
             })
             .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        if self.normalize {
-            "frequency (normalized)"
-        } else {
-            "frequency"
-        }
     }
 }
 

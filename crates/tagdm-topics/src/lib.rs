@@ -13,15 +13,16 @@
 //! This crate provides the pieces needed for that pipeline, independent of any
 //! particular data model (documents are just bags of `u32` term ids):
 //!
-//! * [`signature`] — sparse weighted vectors ([`TagSignature`]) with cosine/angular
-//!   measures;
+//! * [`signature`] — sparse weighted vectors ([`TagSignature`]) with the cosine
+//!   measure;
 //! * [`corpus`] — bags of terms and corpora;
 //! * [`frequency`] — the simple frequency signature `T_rep(g) = {(t, freq(t))}`;
 //! * [`tfidf`] — tf·idf weighted signatures;
-//! * [`lda`] — Latent Dirichlet Allocation trained by collapsed Gibbs sampling with
-//!   fold-in inference, the summarizer the paper uses for its evaluation (d = 25
-//!   topics);
-//! * [`summarizer`] — a common [`GroupSummarizer`] trait over all three.
+//! * [`lda`] — Latent Dirichlet Allocation trained by collapsed Gibbs sampling, the
+//!   summarizer the paper uses for its evaluation (d = 25 topics); it computes the
+//!   per-group topic distributions θ and nothing else;
+//! * [`summarizer`] — the [`GroupSummarizer`] trait over all three: a corpus in, one
+//!   signature per document out.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,14 +14,6 @@ pub struct TagSignature {
 }
 
 impl TagSignature {
-    /// An all-zero signature over `dims` components.
-    pub fn zero(dims: usize) -> Self {
-        TagSignature {
-            dims,
-            entries: Vec::new(),
-        }
-    }
-
     /// Build a signature from (component, weight) pairs. Duplicate components are
     /// summed; zero and negative weights are dropped; entries are sorted.
     pub fn from_entries(dims: usize, entries: impl IntoIterator<Item = (u32, f64)>) -> Self {
@@ -56,11 +48,6 @@ impl TagSignature {
         self.dims
     }
 
-    /// The number of non-zero components.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether every component is zero.
     pub fn is_zero(&self) -> bool {
         self.entries.is_empty()
@@ -77,15 +64,6 @@ impl TagSignature {
     /// The non-zero `(component, weight)` entries, sorted by component.
     pub fn entries(&self) -> &[(u32, f64)] {
         &self.entries
-    }
-
-    /// Expand to a dense `Vec<f64>` of length `dims`.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut dense = vec![0.0; self.dims];
-        for &(i, w) in &self.entries {
-            dense[i as usize] = w;
-        }
-        dense
     }
 
     /// Euclidean (L2) norm.
@@ -135,19 +113,6 @@ impl TagSignature {
         (self.dot(other) / denom).clamp(0.0, 1.0)
     }
 
-    /// The angle `θ` between the two signatures in radians, in `[0, π/2]` for
-    /// non-negative vectors.
-    pub fn angle(&self, other: &TagSignature) -> f64 {
-        self.cosine_similarity(other).clamp(-1.0, 1.0).acos()
-    }
-
-    /// Angular distance `θ/π ∈ [0, 1]` — the diversity measure dual to the paper's
-    /// cosine similarity (and the collision probability complement of random-hyperplane
-    /// LSH, Theorem 2).
-    pub fn angular_distance(&self, other: &TagSignature) -> f64 {
-        self.angle(other) / std::f64::consts::PI
-    }
-
     /// L1-normalize into a probability distribution (no-op for the zero signature).
     pub fn normalized(&self) -> TagSignature {
         let total = self.sum();
@@ -158,55 +123,6 @@ impl TagSignature {
             dims: self.dims,
             entries: self.entries.iter().map(|&(i, w)| (i, w / total)).collect(),
         }
-    }
-
-    /// L2-normalize to unit length (no-op for the zero signature).
-    pub fn unit(&self) -> TagSignature {
-        let norm = self.norm();
-        if norm == 0.0 {
-            return self.clone();
-        }
-        TagSignature {
-            dims: self.dims,
-            entries: self.entries.iter().map(|&(i, w)| (i, w / norm)).collect(),
-        }
-    }
-
-    /// Concatenate two signatures into one over `self.dims + other.dims` components
-    /// (`other`'s components are shifted). Used by the *folding* algorithm variants that
-    /// concatenate unarized attribute vectors with tag signatures (Section 4.3).
-    pub fn concat(&self, other: &TagSignature) -> TagSignature {
-        let mut entries = self.entries.clone();
-        entries.extend(
-            other
-                .entries
-                .iter()
-                .map(|&(i, w)| (i + self.dims as u32, w)),
-        );
-        TagSignature {
-            dims: self.dims + other.dims,
-            entries,
-        }
-    }
-
-    /// The component with the largest weight, if any.
-    pub fn top_component(&self) -> Option<(u32, f64)> {
-        self.entries
-            .iter()
-            .copied()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
-    /// The `k` heaviest components, sorted by descending weight (ties by component id).
-    pub fn top_k(&self, k: usize) -> Vec<(u32, f64)> {
-        let mut sorted = self.entries.clone();
-        sorted.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        sorted.truncate(k);
-        sorted
     }
 }
 
@@ -219,7 +135,6 @@ mod tests {
     fn from_entries_merges_and_sorts() {
         let s = TagSignature::from_entries(10, vec![(3, 1.0), (1, 2.0), (3, 0.5), (9, 0.0)]);
         assert_eq!(s.entries(), &[(1, 2.0), (3, 1.5)]);
-        assert_eq!(s.nnz(), 2);
         assert_eq!(s.weight(3), 1.5);
         assert_eq!(s.weight(5), 0.0);
     }
@@ -234,7 +149,6 @@ mod tests {
     fn cosine_of_identical_vectors_is_one() {
         let s = TagSignature::from_entries(5, vec![(0, 1.0), (2, 2.0)]);
         assert!((s.cosine_similarity(&s) - 1.0).abs() < 1e-12);
-        assert!(s.angle(&s).abs() < 1e-6);
     }
 
     #[test]
@@ -242,12 +156,11 @@ mod tests {
         let a = TagSignature::from_entries(4, vec![(0, 1.0), (1, 1.0)]);
         let b = TagSignature::from_entries(4, vec![(2, 3.0), (3, 1.0)]);
         assert_eq!(a.cosine_similarity(&b), 0.0);
-        assert!((a.angular_distance(&b) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn zero_vector_has_zero_similarity() {
-        let z = TagSignature::zero(3);
+        let z = TagSignature::from_entries(3, []);
         let a = TagSignature::from_entries(3, vec![(1, 1.0)]);
         assert_eq!(z.cosine_similarity(&a), 0.0);
         assert_eq!(z.cosine_similarity(&z), 0.0);
@@ -255,10 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_roundtrip() {
-        let dense = vec![0.0, 1.5, 0.0, 2.0];
-        let s = TagSignature::from_dense(&dense);
-        assert_eq!(s.to_dense(), dense);
+    fn from_dense_keeps_the_non_zero_weights() {
+        let s = TagSignature::from_dense(&[0.0, 1.5, 0.0, 2.0]);
+        assert_eq!(s.entries(), &[(1, 1.5), (3, 2.0)]);
         assert_eq!(s.dims(), 4);
     }
 
@@ -267,29 +179,10 @@ mod tests {
         let s = TagSignature::from_entries(3, vec![(0, 1.0), (1, 3.0)]);
         let l1 = s.normalized();
         assert!((l1.sum() - 1.0).abs() < 1e-12);
-        let l2 = s.unit();
-        assert!((l2.norm() - 1.0).abs() < 1e-12);
         // Normalizing preserves direction (cosine 1 with original).
-        assert!((s.cosine_similarity(&l2) - 1.0).abs() < 1e-12);
+        assert!((s.cosine_similarity(&l1) - 1.0).abs() < 1e-12);
         // The zero signature stays zero.
-        assert!(TagSignature::zero(3).normalized().is_zero());
-    }
-
-    #[test]
-    fn concat_shifts_components() {
-        let a = TagSignature::from_entries(2, vec![(1, 1.0)]);
-        let b = TagSignature::from_entries(3, vec![(0, 2.0), (2, 1.0)]);
-        let c = a.concat(&b);
-        assert_eq!(c.dims(), 5);
-        assert_eq!(c.entries(), &[(1, 1.0), (2, 2.0), (4, 1.0)]);
-    }
-
-    #[test]
-    fn top_k_orders_by_weight() {
-        let s = TagSignature::from_entries(6, vec![(0, 1.0), (1, 5.0), (2, 3.0)]);
-        assert_eq!(s.top_component(), Some((1, 5.0)));
-        assert_eq!(s.top_k(2), vec![(1, 5.0), (2, 3.0)]);
-        assert_eq!(s.top_k(10).len(), 3);
+        assert!(TagSignature::from_entries(3, []).normalized().is_zero());
     }
 
     proptest! {
@@ -304,23 +197,6 @@ mod tests {
             let ba = sb.cosine_similarity(&sa);
             prop_assert!((ab - ba).abs() < 1e-12);
             prop_assert!((0.0..=1.0).contains(&ab));
-        }
-
-        #[test]
-        fn prop_angular_distance_satisfies_triangle_inequality(
-            a in proptest::collection::vec(0.0f64..10.0, 6),
-            b in proptest::collection::vec(0.0f64..10.0, 6),
-            c in proptest::collection::vec(0.0f64..10.0, 6),
-        ) {
-            let sa = TagSignature::from_dense(&a);
-            let sb = TagSignature::from_dense(&b);
-            let sc = TagSignature::from_dense(&c);
-            // Skip degenerate zero vectors, for which our convention breaks metricity.
-            prop_assume!(!sa.is_zero() && !sb.is_zero() && !sc.is_zero());
-            let ab = sa.angular_distance(&sb);
-            let bc = sb.angular_distance(&sc);
-            let ac = sa.angular_distance(&sc);
-            prop_assert!(ac <= ab + bc + 1e-9);
         }
 
         #[test]

@@ -9,17 +9,12 @@ use crate::signature::TagSignature;
 ///
 /// The paper deliberately does not prescribe one summarizer (Section 2.1.2); it lists
 /// plain frequency counts, tf·idf and LDA as options and uses LDA with 25 topics in the
-/// evaluation. All three are implemented in this crate behind this trait.
+/// evaluation. All three are implemented in this crate behind this trait; none keeps
+/// state between calls.
 pub trait GroupSummarizer {
-    /// The dimensionality of the signatures this summarizer produces for `corpus`.
-    fn signature_dims(&self, corpus: &Corpus) -> usize;
-
     /// Summarize every document of the corpus. The returned vector is parallel to
     /// `corpus.documents()`.
-    fn summarize(&mut self, corpus: &Corpus) -> Vec<TagSignature>;
-
-    /// Human-readable name used in experiment reports.
-    fn name(&self) -> &'static str;
+    fn summarize(&self, corpus: &Corpus) -> Vec<TagSignature>;
 }
 
 #[cfg(test)]
@@ -41,31 +36,35 @@ mod tests {
     }
 
     /// All summarizers implement the same contract: one signature per document, shared
-    /// dimensionality, non-negative weights.
+    /// dimensionality (the vocabulary for frequency and tf·idf, the topic count for
+    /// LDA), non-negative weights.
     #[test]
     fn all_summarizers_respect_the_contract() {
         let corpus = corpus();
-        let mut summarizers: Vec<Box<dyn GroupSummarizer>> = vec![
-            Box::new(FrequencySummarizer::new()),
-            Box::new(TfIdfSummarizer::new()),
-            Box::new(LdaSummarizer::new(LdaConfig {
-                num_topics: 3,
-                iterations: 30,
-                burn_in: 10,
-                alpha: 0.5,
-                beta: 0.1,
-                seed: 1,
-            })),
+        let summarizers: [(&str, Box<dyn GroupSummarizer>, usize); 4] = [
+            ("frequency", Box::new(FrequencySummarizer::new()), 6),
+            ("normalized", Box::new(FrequencySummarizer::normalized()), 6),
+            ("tf-idf", Box::new(TfIdfSummarizer), 6),
+            (
+                "lda",
+                Box::new(LdaSummarizer::new(LdaConfig {
+                    num_topics: 3,
+                    iterations: 30,
+                    burn_in: 10,
+                    alpha: 0.5,
+                    beta: 0.1,
+                    seed: 1,
+                })),
+                3,
+            ),
         ];
-        for summarizer in &mut summarizers {
-            let dims = summarizer.signature_dims(&corpus);
+        for (name, summarizer, dims) in &summarizers {
             let signatures = summarizer.summarize(&corpus);
-            assert_eq!(signatures.len(), corpus.len(), "{}", summarizer.name());
+            assert_eq!(signatures.len(), corpus.len(), "{name}");
             for sig in &signatures {
-                assert_eq!(sig.dims(), dims, "{}", summarizer.name());
+                assert_eq!(sig.dims(), *dims, "{name}");
                 assert!(sig.entries().iter().all(|&(_, w)| w >= 0.0));
             }
-            assert!(!summarizer.name().is_empty());
         }
     }
 }

@@ -1,7 +1,6 @@
 //! tf·idf weighted tag signatures (Salton & Buckley, 1988 — reference \[19\] of the paper).
 //!
-//! Term frequency is dampened logarithmically and weighted by inverse document
-//! frequency, so tags that appear in almost every group (e.g. the director's name in
+//! Raw term frequency is weighted by smoothed inverse document frequency, so tags that appear in almost every group (e.g. the director's name in
 //! Figures 1–2) stop dominating the comparison and group-specific tags gain weight.
 
 use crate::corpus::Corpus;
@@ -9,25 +8,10 @@ use crate::signature::TagSignature;
 use crate::summarizer::GroupSummarizer;
 
 /// Summarizes each group with tf·idf weights over the whole vocabulary.
-#[derive(Debug, Clone, Default)]
-pub struct TfIdfSummarizer {
-    /// Use `1 + ln(tf)` instead of raw term frequency.
-    sublinear_tf: bool,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TfIdfSummarizer;
 
 impl TfIdfSummarizer {
-    /// Standard tf·idf with raw term frequencies.
-    pub fn new() -> Self {
-        TfIdfSummarizer {
-            sublinear_tf: false,
-        }
-    }
-
-    /// tf·idf with sublinear (logarithmic) term-frequency scaling.
-    pub fn sublinear() -> Self {
-        TfIdfSummarizer { sublinear_tf: true }
-    }
-
     /// The smoothed inverse document frequency of every term:
     /// `idf(t) = ln((1 + N) / (1 + df(t))) + 1`.
     pub fn inverse_document_frequencies(corpus: &Corpus) -> Vec<f64> {
@@ -41,39 +25,26 @@ impl TfIdfSummarizer {
 }
 
 impl GroupSummarizer for TfIdfSummarizer {
-    fn signature_dims(&self, corpus: &Corpus) -> usize {
-        corpus.num_terms()
-    }
-
-    fn summarize(&mut self, corpus: &Corpus) -> Vec<TagSignature> {
+    fn summarize(&self, corpus: &Corpus) -> Vec<TagSignature> {
         let idf = Self::inverse_document_frequencies(corpus);
         corpus
             .documents()
             .iter()
             .map(|doc| {
-                // Merge duplicate term entries before applying the sublinear transform.
-                let mut counts: std::collections::HashMap<u32, f64> =
-                    std::collections::HashMap::new();
-                for &(t, c) in doc {
-                    *counts.entry(t).or_insert(0.0) += f64::from(c);
-                }
+                // Merge duplicate term entries first, so a term's weight is its whole
+                // frequency times its idf.
+                let tf = TagSignature::from_entries(
+                    corpus.num_terms(),
+                    doc.iter().map(|&(t, c)| (t, f64::from(c))),
+                );
                 TagSignature::from_entries(
                     corpus.num_terms(),
-                    counts.into_iter().map(|(t, tf)| {
-                        let tf = if self.sublinear_tf { 1.0 + tf.ln() } else { tf };
-                        (t, tf * idf[t as usize])
-                    }),
+                    tf.entries()
+                        .iter()
+                        .map(|&(t, tf)| (t, tf * idf[t as usize])),
                 )
             })
             .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        if self.sublinear_tf {
-            "tf-idf (sublinear)"
-        } else {
-            "tf-idf"
-        }
     }
 }
 
@@ -104,32 +75,17 @@ mod tests {
     #[test]
     fn rare_terms_outweigh_common_terms_with_equal_tf() {
         let corpus = Corpus::from_documents(2, vec![vec![(0, 2), (1, 2)], vec![(0, 5)]]);
-        let sigs = TfIdfSummarizer::new().summarize(&corpus);
+        let sigs = TfIdfSummarizer.summarize(&corpus);
         // In doc 0, term 1 (unique to it) should carry more weight than term 0 (shared).
         assert!(sigs[0].weight(1) > sigs[0].weight(0));
     }
 
     #[test]
-    fn sublinear_scaling_dampens_heavy_counts() {
-        let corpus = Corpus::from_documents(2, vec![vec![(1, 100)], vec![(0, 1)]]);
-        let raw = TfIdfSummarizer::new().summarize(&corpus);
-        let sub = TfIdfSummarizer::sublinear().summarize(&corpus);
-        assert!(sub[0].weight(1) < raw[0].weight(1));
-        assert!(sub[0].weight(1) > 0.0);
-    }
-
-    #[test]
     fn duplicate_entries_are_merged_before_weighting() {
         let corpus = Corpus::from_documents(2, vec![vec![(1, 2), (1, 3)], vec![(0, 1)]]);
-        let merged = TfIdfSummarizer::new().summarize(&corpus);
+        let merged = TfIdfSummarizer.summarize(&corpus);
         let corpus2 = Corpus::from_documents(2, vec![vec![(1, 5)], vec![(0, 1)]]);
-        let expected = TfIdfSummarizer::new().summarize(&corpus2);
+        let expected = TfIdfSummarizer.summarize(&corpus2);
         assert!((merged[0].weight(1) - expected[0].weight(1)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn signature_dims_equal_vocabulary() {
-        let corpus = corpus();
-        assert_eq!(TfIdfSummarizer::new().signature_dims(&corpus), 3);
     }
 }

@@ -42,9 +42,13 @@ impl CancelToken {
         }
     }
 
-    /// A token that fires automatically `timeout` from now.
+    /// A token that fires automatically `timeout` from now. A timeout beyond the range
+    /// of `Instant` never fires.
     pub fn after(timeout: Duration) -> Self {
-        CancelToken::with_deadline(Instant::now() + timeout)
+        match Instant::now().checked_add(timeout) {
+            Some(deadline) => CancelToken::with_deadline(deadline),
+            None => CancelToken::new(),
+        }
     }
 
     /// Request cancellation. Idempotent.
@@ -105,5 +109,12 @@ mod tests {
         let token = CancelToken::after(Duration::from_secs(3600));
         assert!(!token.is_cancelled());
         assert!(token.deadline().is_some());
+    }
+
+    #[test]
+    fn deadline_beyond_instant_range_never_fires() {
+        let token = CancelToken::after(Duration::MAX);
+        assert!(!token.is_cancelled());
+        assert!(token.deadline().is_none());
     }
 }

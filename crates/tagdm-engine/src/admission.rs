@@ -210,7 +210,13 @@ impl JobQueue {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::channel;
+
+    use tagdm_core::catalog::{problem_1, ProblemParams};
+
     use super::*;
+    use crate::job::{JobId, SolveRequest, SolverChoice};
+    use crate::spec::ContextSpec;
 
     #[test]
     fn admission_policies_round_trip_through_serde() {
@@ -225,5 +231,32 @@ mod tests {
             let back: AdmissionPolicy = serde_json::from_str(&json).expect("policies deserialize");
             assert_eq!(back, policy);
         }
+    }
+
+    #[test]
+    fn shedding_past_a_deadline_beyond_instant_range_does_not_panic() {
+        let queue = JobQueue::new(1, AdmissionPolicy::ShedOldest);
+        let metrics = EngineMetrics::default();
+        let (reply, answers) = channel();
+        let job = |id| Job {
+            id: JobId(id),
+            request: SolveRequest::new(
+                ContextSpec::installed("ctx"),
+                problem_1(ProblemParams::default()),
+                SolverChoice::Recommended,
+            )
+            .with_deadline(Duration::MAX),
+            submitted: Instant::now(),
+            reply: reply.clone(),
+        };
+        assert!(queue.push(job(0), &metrics).is_ok());
+        // The queue is full: the sweep must skip the never-firing deadline and shed the
+        // oldest job for overload instead.
+        assert!(queue.push(job(1), &metrics).is_ok());
+        let shed = answers.try_recv().expect("the oldest job is answered");
+        assert_eq!(shed.job, JobId(0));
+        assert!(matches!(shed.result, Err(EngineError::Overloaded { .. })));
+        assert_eq!(metrics.jobs_expired.get(), 0);
+        assert_eq!(queue.depth(), 1);
     }
 }

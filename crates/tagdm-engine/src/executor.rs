@@ -43,9 +43,12 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    /// The absolute instant this job's deadline fires, if it has one.
+    /// The absolute instant this job's deadline fires, if it has one. A deadline
+    /// beyond the range of `Instant` never fires.
     pub(crate) fn deadline_instant(&self) -> Option<Instant> {
-        self.request.deadline.map(|d| self.submitted + d)
+        self.request
+            .deadline
+            .and_then(|d| self.submitted.checked_add(d))
     }
 
     /// Answer the job with an error without running it (admission failure, shed).
@@ -247,6 +250,7 @@ fn worker_loop(queue: &JobQueue, state: &EngineState) {
 
 /// Run one job inside the panic-isolation boundary, guaranteeing exactly one reply.
 fn execute(state: &EngineState, job: Job) {
+    let deadline = job.deadline_instant();
     let Job {
         id,
         request,
@@ -263,7 +267,7 @@ fn execute(state: &EngineState, job: Job) {
         sent: AtomicBool::new(false),
     };
     let unwound = catch_unwind(AssertUnwindSafe(|| {
-        run_job(state, &request, submitted, &responder);
+        run_job(state, &request, deadline, &responder);
     }));
     if let Err(payload) = unwound {
         state.metrics.jobs_panicked.inc();
@@ -325,9 +329,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_job(state: &EngineState, request: &SolveRequest, submitted: Instant, reply: &Responder) {
-    let deadline = request.deadline.map(|d| submitted + d);
-
+fn run_job(
+    state: &EngineState,
+    request: &SolveRequest,
+    deadline: Option<Instant>,
+    reply: &Responder,
+) {
     // Inside the boundary: an injected panic here is caught and answered.
     if let Err(error) = failpoint::check(failpoint::site::RUN_JOB) {
         reply.send(state, Err(error), CacheReport::default(), false);

@@ -163,6 +163,17 @@ fn zero_deadline_expires_in_queue_without_running_the_solver() {
 }
 
 #[test]
+fn deadline_beyond_instant_range_never_fires() {
+    let (engine, spec) = engine_with_registered_corpus(1);
+    let request = SolveRequest::new(spec, problem_1(params()), SolverChoice::Recommended)
+        .with_deadline(Duration::MAX);
+    let response = engine.solve(request);
+    assert!(!response.deadline_hit);
+    assert!(response.result.is_ok(), "{:?}", response.result);
+    assert_eq!(engine.metrics().jobs_panicked, 0);
+}
+
+#[test]
 fn unknown_names_surface_typed_errors() {
     let (engine, _) = engine_with_registered_corpus(2);
     let missing_dataset = engine.solve(SolveRequest::new(

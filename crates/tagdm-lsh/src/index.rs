@@ -1,16 +1,23 @@
-//! Multi-table LSH index.
+//! Multi-table LSH index over packed signatures.
 //!
-//! Section 4.1 of the paper hashes every group tag signature vector into `l` hash tables
-//! indexed by independently drawn `d′`-bit hyperplane families. Traditional LSH then
-//! answers nearest-neighbour queries; the paper's SM-LSH instead *enumerates the
-//! buckets* of every table ([`LshIndex::buckets`]) and ranks them with the mining
+//! Section 4.1 of the paper hashes every group tag signature vector into `l` hash tables,
+//! each with its own independently drawn family of `d′` random hyperplanes. Traditional
+//! LSH then answers nearest-neighbour queries; the paper's SM-LSH instead *enumerates the
+//! buckets* of every table ([`LshIndex::all_buckets`]) and ranks them with the mining
 //! scoring function. When no bucket qualifies it relaxes `d′`:
 //! [`LshIndex::truncated`] re-buckets on signature prefixes, which is exactly the index
-//! a fresh build with fewer bits would produce, because a family's first `b` planes are
-//! the `b`-plane family drawn from the same seed.
+//! a fresh build with fewer bits would produce, because a table's first `b` planes are
+//! the `b` planes a fresh build draws from the same seed.
+//!
+//! A table is plain data. Each item's `d′`-bit signature is packed into
+//! `⌈d′/64⌉` words (bit `b` is bit `b % 64` of word `b / 64`), item-major in one
+//! `Vec<u64>`. Next to it sit the items sorted by `(signature words, item)` and the
+//! offsets where each bucket of equal signatures starts.
 
-use crate::hyperplane::HyperplaneFamily;
-use crate::signature::BitSignature;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rand_distr::{Distribution, StandardNormal};
+
 use crate::SparseVector;
 
 /// Configuration of an [`LshIndex`].
@@ -27,84 +34,115 @@ pub struct LshConfig {
 }
 
 impl LshConfig {
-    /// A single-table configuration (the paper's experiments use `l = 1`, `d′ = 10`).
-    pub fn single_table(dims: usize, num_bits: usize, seed: u64) -> Self {
-        LshConfig {
-            dims,
-            num_bits,
-            num_tables: 1,
-            seed,
-        }
-    }
-
     fn validate(&self) {
         assert!(self.dims > 0, "LSH needs a positive dimensionality");
         assert!(self.num_bits > 0, "LSH needs at least one hash bit");
         assert!(self.num_tables > 0, "LSH needs at least one table");
     }
+
+    /// Words per packed signature.
+    fn words(&self) -> usize {
+        self.num_bits.div_ceil(64)
+    }
+
+    /// Table `t`'s hyperplanes, plane-major: `num_bits` planes of `dims` i.i.d. N(0, 1)
+    /// coefficients, drawn one after another, so the first `b` planes are the planes a
+    /// `b`-bit configuration draws.
+    fn planes(&self, table: usize) -> Vec<f64> {
+        let len = self
+            .num_bits
+            .checked_mul(self.dims)
+            .expect("LSH hyperplane coefficients overflow usize");
+        let seed = self
+            .seed
+            .wrapping_add(table as u64)
+            .wrapping_mul(0x9E37_79B9)
+            .wrapping_add(1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len).map(|_| StandardNormal.sample(&mut rng)).collect()
+    }
 }
 
-/// The buckets of one hash table: `(signature, member item indices)` pairs in ascending
-/// signature order, members ascending.
-type Buckets = Vec<(BitSignature, Vec<usize>)>;
+/// One hash table: every item's packed signature and the items in bucket order.
+#[derive(Debug, Clone, PartialEq)]
+struct Table {
+    /// Words per signature.
+    words: usize,
+    /// Item-major packed signatures: item `i` owns `signatures[i * words..][..words]`.
+    signatures: Vec<u64>,
+    /// Item indices sorted by `(signature words, item)`.
+    order: Vec<usize>,
+    /// Where each bucket starts in `order`, then `order.len()`.
+    starts: Vec<usize>,
+}
 
-/// Group `(signature, item)` pairs into buckets by sorting them.
-fn into_buckets(mut hashed: Vec<(BitSignature, usize)>) -> Buckets {
-    hashed.sort_unstable();
-    let mut buckets: Buckets = Vec::new();
-    for (sig, item) in hashed {
-        match buckets.last_mut() {
-            Some((last, members)) if *last == sig => members.push(item),
-            _ => buckets.push((sig, vec![item])),
+impl Table {
+    /// Sort the items of `signatures` into buckets.
+    fn new(words: usize, signatures: Vec<u64>) -> Self {
+        let signature = |item: usize| &signatures[item * words..(item + 1) * words];
+        let mut order: Vec<usize> = (0..signatures.len() / words).collect();
+        order.sort_unstable_by(|&a, &b| signature(a).cmp(signature(b)).then(a.cmp(&b)));
+        let starts = (0..order.len())
+            .filter(|&i| i == 0 || signature(order[i - 1]) != signature(order[i]))
+            .chain([order.len()])
+            .collect();
+        Table {
+            words,
+            signatures,
+            order,
+            starts,
         }
     }
-    buckets
+
+    fn buckets(&self) -> impl Iterator<Item = &[usize]> {
+        self.starts.windows(2).map(|w| &self.order[w[0]..w[1]])
+    }
 }
 
 /// A multi-table random-hyperplane LSH index over a fixed set of items.
 #[derive(Debug, Clone)]
 pub struct LshIndex {
     config: LshConfig,
-    num_items: usize,
-    tables: Vec<Buckets>,
+    tables: Vec<Table>,
 }
 
 impl LshIndex {
     /// Build an index over `items` (each item is a sparse vector), hashing every item
     /// once per table. Item indices in the returned buckets refer to positions in
     /// `items`.
+    ///
+    /// Bit `b` of an item's signature is set when the projection onto plane `b`, the sum
+    /// of `plane[i] * w` over the item's entries in order with `i < dims`, is `≥ 0`.
     pub fn build<'a, I>(config: LshConfig, items: I) -> Self
     where
         I: IntoIterator<Item = SparseVector<'a>>,
     {
         config.validate();
-        let families: Vec<HyperplaneFamily> = (0..config.num_tables)
-            .map(|t| {
-                HyperplaneFamily::new(
-                    config.dims,
-                    config.num_bits,
-                    config
-                        .seed
-                        .wrapping_add(t as u64)
-                        .wrapping_mul(0x9E37_79B9)
-                        .wrapping_add(1),
-                )
-            })
-            .collect();
-
-        let mut hashed: Vec<Vec<(BitSignature, usize)>> = vec![Vec::new(); families.len()];
-        let mut num_items = 0;
-        for (idx, item) in items.into_iter().enumerate() {
-            num_items = idx + 1;
-            for (family, table) in families.iter().zip(&mut hashed) {
-                table.push((family.hash(item), idx));
+        let words = config.words();
+        let planes: Vec<Vec<f64>> = (0..config.num_tables).map(|t| config.planes(t)).collect();
+        let mut signatures: Vec<Vec<u64>> = vec![Vec::new(); config.num_tables];
+        for item in items {
+            for (table_planes, packed) in planes.iter().zip(&mut signatures) {
+                let start = packed.len();
+                packed.resize(start + words, 0);
+                for (bit, plane) in table_planes.chunks_exact(config.dims).enumerate() {
+                    let projection: f64 = item
+                        .iter()
+                        .filter(|(i, _)| (*i as usize) < config.dims)
+                        .map(|&(i, w)| plane[i as usize] * w)
+                        .sum();
+                    if projection >= 0.0 {
+                        packed[start + bit / 64] |= 1 << (bit % 64);
+                    }
+                }
             }
         }
-
         LshIndex {
             config,
-            num_items,
-            tables: hashed.into_iter().map(into_buckets).collect(),
+            tables: signatures
+                .into_iter()
+                .map(|packed| Table::new(words, packed))
+                .collect(),
         }
     }
 
@@ -117,23 +155,24 @@ impl LshIndex {
             ..self.config
         };
         config.validate();
+        let words = config.words();
+        let tail = match config.num_bits % 64 {
+            0 => u64::MAX,
+            rest => (1 << rest) - 1,
+        };
         let tables = self
             .tables
             .iter()
-            .map(|buckets| {
-                let mut hashed = Vec::with_capacity(self.num_items);
-                for (sig, members) in buckets {
-                    let prefix = sig.truncated(config.num_bits);
-                    hashed.extend(members.iter().map(|&item| (prefix.clone(), item)));
+            .map(|table| {
+                let mut packed = Vec::with_capacity(table.order.len() * words);
+                for signature in table.signatures.chunks_exact(table.words) {
+                    packed.extend_from_slice(&signature[..words]);
+                    *packed.last_mut().expect("signatures have a word") &= tail;
                 }
-                into_buckets(hashed)
+                Table::new(words, packed)
             })
             .collect();
-        LshIndex {
-            config,
-            num_items: self.num_items,
-            tables,
-        }
+        LshIndex { config, tables }
     }
 
     /// The index configuration.
@@ -141,33 +180,15 @@ impl LshIndex {
         &self.config
     }
 
-    /// Number of indexed items.
-    pub fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    /// Number of hash tables.
-    pub fn num_tables(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Number of non-empty buckets in one table.
     pub fn num_buckets(&self, table: usize) -> usize {
-        self.tables[table].len()
+        self.tables[table].starts.len() - 1
     }
 
-    /// The buckets of one table, as `(signature, member item indices)` pairs, sorted by
-    /// signature for determinism.
-    pub fn buckets(&self, table: usize) -> &[(BitSignature, Vec<usize>)] {
-        &self.tables[table]
-    }
-
-    /// Every bucket of every table (table-major order).
+    /// Every bucket of every table (table-major order), each as its member item indices.
+    /// A table's buckets come in ascending signature order, members ascending.
     pub fn all_buckets(&self) -> impl Iterator<Item = &[usize]> {
-        self.tables
-            .iter()
-            .flatten()
-            .map(|(_, members)| members.as_slice())
+        self.tables.iter().flat_map(Table::buckets)
     }
 }
 
@@ -200,37 +221,119 @@ mod tests {
         }
     }
 
+    fn index_over(config: LshConfig, items: &[Vec<(u32, f64)>]) -> LshIndex {
+        LshIndex::build(config, items.iter().map(Vec::as_slice))
+    }
+
     fn build(num_bits: usize, num_tables: usize) -> LshIndex {
-        let items = clustered_items();
-        LshIndex::build(
-            config(num_bits, num_tables, 99),
-            items.iter().map(|v| v.as_slice()),
-        )
+        index_over(config(num_bits, num_tables, 99), &clustered_items())
+    }
+
+    fn signature(table: &Table, item: usize) -> &[u64] {
+        &table.signatures[item * table.words..(item + 1) * table.words]
+    }
+
+    /// The number of bits on which items `a` and `b` agree in table 0.
+    fn agreement(index: &LshIndex, a: usize, b: usize) -> usize {
+        let table = &index.tables[0];
+        let differing: u32 = signature(table, a)
+            .iter()
+            .zip(signature(table, b))
+            .map(|(x, y)| (x ^ y).count_ones())
+            .sum();
+        index.config.num_bits - differing as usize
     }
 
     #[test]
     fn every_item_lands_in_exactly_one_bucket_per_table() {
         let index = build(8, 3);
-        assert_eq!(index.num_items(), 30);
-        assert_eq!(index.num_tables(), 3);
-        for t in 0..3 {
-            let total: usize = index.buckets(t).iter().map(|(_, m)| m.len()).sum();
-            assert_eq!(total, 30);
+        assert_eq!(index.tables.len(), 3);
+        for table in &index.tables {
+            let mut members: Vec<usize> = table.buckets().flatten().copied().collect();
+            members.sort_unstable();
+            assert_eq!(members, (0..30).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn same_cluster_items_share_buckets() {
-        let items = clustered_items();
-        // Items 0 and 5 are nearly parallel: same signature under any family.
-        let family = HyperplaneFamily::new(6, 6, 99);
-        assert_eq!(
-            family.hash(items[0].as_slice()),
-            family.hash(items[5].as_slice())
-        );
+        // Items 0 and 5 are nearly parallel: same signature in every table.
+        let index = build(6, 4);
+        for table in &index.tables {
+            assert_eq!(signature(table, 0), signature(table, 5));
+        }
         // Three tight clusters cannot fill more than a handful of 6-bit buckets.
         let index = build(6, 1);
         assert!(index.num_buckets(0) < 10, "{}", index.num_buckets(0));
+    }
+
+    #[test]
+    fn scaled_copies_collide() {
+        let items = vec![vec![(1u32, 1.0), (4, 3.0)], vec![(1u32, 2.0), (4, 6.0)]];
+        let index = index_over(
+            LshConfig {
+                dims: 8,
+                ..config(32, 3, 7)
+            },
+            &items,
+        );
+        for table in &index.tables {
+            assert_eq!(signature(table, 0), signature(table, 1));
+        }
+    }
+
+    #[test]
+    fn components_beyond_dims_are_ignored() {
+        let items = vec![
+            vec![(0u32, 1.0), (1, -0.5)],
+            vec![(0u32, 1.0), (5, 100.0), (1, -0.5), (2, -7.0)],
+        ];
+        let index = index_over(
+            LshConfig {
+                dims: 2,
+                ..config(70, 2, 5)
+            },
+            &items,
+        );
+        for table in &index.tables {
+            assert_eq!(signature(table, 0), signature(table, 1));
+        }
+    }
+
+    #[test]
+    fn a_different_seed_draws_different_tables() {
+        let items = clustered_items();
+        let a = index_over(config(16, 2, 42), &items);
+        let b = index_over(config(16, 2, 42), &items);
+        let c = index_over(config(16, 2, 43), &items);
+        assert_eq!(a.tables, b.tables);
+        assert_ne!(a.tables, c.tables);
+    }
+
+    #[test]
+    fn bit_agreement_follows_theorem_2() {
+        // Orthogonal vectors agree on one bit with probability 1 − (π/2)/π = 0.5; a pair
+        // at a small angle agrees more often.
+        let items = vec![
+            vec![(0u32, 1.0), (1, 1.0)],
+            vec![(0u32, 1.0), (1, 0.9)],
+            vec![(2u32, 1.0), (3, 1.0)],
+        ];
+        let index = index_over(
+            LshConfig {
+                dims: 4,
+                ..config(2000, 1, 3)
+            },
+            &items,
+        );
+        let far = agreement(&index, 0, 2);
+        let rate = far as f64 / 2000.0;
+        assert!((rate - 0.5).abs() < 0.05, "empirical agreement {rate}");
+        let close = agreement(&index, 0, 1);
+        assert!(
+            close > far,
+            "close pair agreed on {close} bits, far pair on {far}"
+        );
     }
 
     #[test]
@@ -238,15 +341,6 @@ mod tests {
         let coarse = build(2, 1);
         let fine = build(16, 1);
         assert!(fine.num_buckets(0) >= coarse.num_buckets(0));
-    }
-
-    #[test]
-    fn build_is_deterministic() {
-        let a = build(8, 2);
-        let b = build(8, 2);
-        for t in 0..2 {
-            assert_eq!(a.buckets(t), b.buckets(t));
-        }
     }
 
     #[test]
@@ -261,9 +355,7 @@ mod tests {
         let index = build(8, 2);
         let same = index.truncated(20);
         assert_eq!(same.config().num_bits, 8);
-        for t in 0..2 {
-            assert_eq!(same.buckets(t), index.buckets(t));
-        }
+        assert_eq!(same.tables, index.tables);
     }
 
     #[test]
@@ -295,20 +387,13 @@ mod tests {
             num_bits in 1usize..81,
             seed in any::<u64>(),
         ) {
-            let full = LshIndex::build(
-                LshConfig { dims: 12, num_bits, num_tables, seed },
-                items.iter().map(|v| v.as_slice()),
-            );
+            let config = |num_bits| LshConfig { dims: 12, num_bits, num_tables, seed };
+            let full = index_over(config(num_bits), &items);
             for bits in 1..=num_bits {
-                let fresh = LshIndex::build(
-                    LshConfig { dims: 12, num_bits: bits, num_tables, seed },
-                    items.iter().map(|v| v.as_slice()),
-                );
+                let fresh = index_over(config(bits), &items);
                 let relaxed = full.truncated(bits);
                 prop_assert_eq!(relaxed.config(), fresh.config());
-                for t in 0..num_tables {
-                    prop_assert_eq!(relaxed.buckets(t), fresh.buckets(t));
-                }
+                prop_assert_eq!(relaxed.tables, fresh.tables);
             }
         }
     }

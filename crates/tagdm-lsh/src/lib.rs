@@ -16,24 +16,17 @@
 //! group tag signature vectors, optionally concatenated with unarized attribute vectors
 //! (the *folding* variant of Section 4.3).
 //!
-//! * [`hyperplane`] — random hyperplanes and hyperplane families;
-//! * [`signature`] — compact bit signatures with Hamming utilities;
-//! * [`index`] — multi-table LSH index with bucket enumeration and re-bucketing on
-//!   signature prefixes (the d′ relaxation of Algorithm 1).
-//!
-//! The collision-probability bounds used in the paper's analysis live in
-//! [`hyperplane`].
+//! [`index`] holds the whole scheme. An [`LshIndex`] draws `l` seeded tables of `d′`
+//! hyperplanes, hashes every item once per table into a signature packed into 64-bit
+//! words, and sorts the items of each table into buckets of equal signatures. It lists
+//! the buckets and re-buckets on signature prefixes (the d′ relaxation of Algorithm 1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hyperplane;
 pub mod index;
-pub mod signature;
 
-pub use hyperplane::{Hyperplane, HyperplaneFamily};
 pub use index::{LshConfig, LshIndex};
-pub use signature::BitSignature;
 
 /// A sparse vector: `(component, weight)` pairs over some dimensionality. Components
 /// may appear in any order; duplicate components contribute additively to projections.

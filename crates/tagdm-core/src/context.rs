@@ -7,6 +7,15 @@
 //! algorithm variants — so that the Exact, SM-LSH and DV-FDP solvers all operate on
 //! identical inputs and their running times are directly comparable, exactly as in the
 //! paper's experimental setup.
+//!
+//! A context also holds SM-LSH's pre-processing step (Algorithm 1): the LSH index over
+//! the groups' folded vectors, one per fold variant `(fold_users, fold_items)`. It is
+//! hashed lazily by the first SM-LSH solve of that variant, whose `elapsed` therefore
+//! includes the hashing, and reused by every later solve with the same LSH
+//! configuration.
+
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -14,6 +23,7 @@ use tagdm_data::dataset::Dataset;
 use tagdm_data::group::{group_support, TaggingActionGroup};
 use tagdm_data::predicate::Dimension;
 use tagdm_data::schema::ValueId;
+use tagdm_lsh::index::{LshConfig, LshIndex};
 use tagdm_topics::corpus::Corpus;
 use tagdm_topics::frequency::FrequencySummarizer;
 use tagdm_topics::lda::{LdaConfig, LdaSummarizer};
@@ -64,6 +74,9 @@ pub struct MiningContext {
     item_arity: usize,
     user_domain: usize,
     item_domain: usize,
+    /// The LSH index of each fold variant, slot `2 · fold_users + fold_items`, filled
+    /// by the first [`MiningContext::lsh_index`] call for that variant.
+    lsh: [OnceLock<LshIndex>; 4],
 }
 
 impl MiningContext {
@@ -151,6 +164,7 @@ impl MiningContext {
             item_arity,
             user_domain,
             item_domain,
+            lsh: Default::default(),
         }
     }
 
@@ -317,6 +331,31 @@ impl MiningContext {
             out.extend(self.item_onehot[idx].iter().map(|&(i, w)| (i + offset, w)));
         }
         out
+    }
+
+    /// The LSH index of every group's folded vector under `config`. The first call for
+    /// a fold variant hashes the groups and keeps the index; a later call with the same
+    /// `config` returns it, and one with another `config` hashes afresh without keeping
+    /// the result. Either way the index is the one [`LshIndex::build`] gives.
+    pub(crate) fn lsh_index(
+        &self,
+        fold_users: bool,
+        fold_items: bool,
+        config: LshConfig,
+    ) -> Cow<'_, LshIndex> {
+        let hash = || {
+            let vectors: Vec<Vec<(u32, f64)>> = (0..self.num_groups())
+                .map(|i| self.folded_vector(i, fold_users, fold_items))
+                .collect();
+            LshIndex::build(config, vectors.iter().map(|v| v.as_slice()))
+        };
+        let slot = &self.lsh[2 * usize::from(fold_users) + usize::from(fold_items)];
+        let kept = slot.get_or_init(hash);
+        if *kept.config() == config {
+            Cow::Borrowed(kept)
+        } else {
+            Cow::Owned(hash())
+        }
     }
 }
 
@@ -573,6 +612,45 @@ mod tests {
         let self_sim =
             ctx.pairwise_similarity(TaggingDimension::Users, PairwiseKind::ItemSetJaccard, 0, 0);
         assert!((self_sim - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lsh_index_keeps_the_first_configuration_of_each_fold_variant() {
+        let (_, ctx) = context(SummarizerChoice::Frequency);
+        let buckets = |index: &LshIndex| -> Vec<Vec<usize>> {
+            index.all_buckets().map(<[usize]>::to_vec).collect()
+        };
+        for (fold_users, fold_items) in [(false, false), (true, false), (false, true), (true, true)]
+        {
+            let built = |seed| {
+                let config = LshConfig {
+                    dims: ctx.folded_dims(fold_users, fold_items),
+                    num_bits: 4,
+                    num_tables: 2,
+                    seed,
+                };
+                let vectors: Vec<_> = (0..ctx.num_groups())
+                    .map(|i| ctx.folded_vector(i, fold_users, fold_items))
+                    .collect();
+                (
+                    config,
+                    LshIndex::build(config, vectors.iter().map(|v| v.as_slice())),
+                )
+            };
+            let (first, first_index) = built(1);
+            let (other, other_index) = built(2);
+            // The first call fills the slot; another seed misses it and is not kept.
+            for (config, index, kept) in [
+                (first, &first_index, true),
+                (other, &other_index, false),
+                (first, &first_index, true),
+            ] {
+                let got = ctx.lsh_index(fold_users, fold_items, config);
+                assert_eq!(matches!(got, Cow::Borrowed(_)), kept);
+                assert_eq!(*got.config(), config);
+                assert_eq!(buckets(&got), buckets(index));
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! family), so every relaxed round re-buckets signature prefixes instead of hashing
 //! again.
 //!
+//! Hashing is the algorithm's pre-processing step: it depends on the context, the fold
+//! variant and the LSH configuration, not on the query. The [`MiningContext`] keeps the
+//! full-width index of each fold variant, so the first solve of a variant hashes (and
+//! its `elapsed` includes the hashing) and later solves with the same `d′`, `l` and
+//! seed only evaluate buckets. A solve with another configuration hashes its own index.
+//!
 //! Constraint handling:
 //!
 //! * **SM-LSH-Fi** ([`ConstraintMode::Filter`]): buckets are post-filtered for the hard
@@ -220,29 +226,23 @@ impl Solver for SmLshSolver {
     ) -> SolverOutcome {
         let start = Instant::now();
         let (fold_users, fold_items) = self.fold_dimensions(problem);
-        let dims = ctx.folded_dims(fold_users, fold_items).max(1);
-        let vectors: Vec<Vec<(u32, f64)>> = (0..ctx.num_groups())
-            .map(|i| ctx.folded_vector(i, fold_users, fold_items))
-            .collect();
-
-        let full = LshIndex::build(
-            LshConfig {
-                dims,
-                num_bits: self.initial_bits,
-                num_tables: self.num_tables,
-                seed: self.seed,
-            },
-            vectors.iter().map(|v| v.as_slice()),
-        );
+        // The pub fields skip the builders' clamps: zero bits or tables hash like one.
+        let config = LshConfig {
+            dims: ctx.folded_dims(fold_users, fold_items).max(1),
+            num_bits: self.initial_bits.max(1),
+            num_tables: self.num_tables.max(1),
+            seed: self.seed,
+        };
+        let full = ctx.lsh_index(fold_users, fold_items, config);
 
         // Iterative relaxation of d′ (Algorithm 1): start from the configured d′; on a
         // null result, halve the bits (larger buckets) down to a single bit. Each
-        // relaxed index re-buckets prefixes of the signatures hashed above.
+        // relaxed index re-buckets prefixes of the context's hashed signatures.
         let mut evaluated_total = 0u64;
         let mut best: Option<(Vec<usize>, f64)> = None;
         let mut walks = BucketWalks::new(ctx, problem);
         let mut relaxed: LshIndex;
-        let mut index = &full;
+        let mut index: &LshIndex = &full;
         loop {
             let (found, evaluated) = self.evaluate_buckets(ctx, problem, index, &mut walks, cancel);
             evaluated_total += evaluated;
@@ -354,6 +354,9 @@ mod tests {
     use crate::solvers::test_support::{random_context, small_context, GROUPINGS};
     use crate::solvers::ExactSolver;
     use proptest::prelude::*;
+    use std::collections::HashSet;
+    use std::sync::{Arc, Barrier};
+    use std::thread;
     use ConstraintMode::{Filter, Fold};
 
     /// The oracle for the unconstrained bucket walk, run afresh for each size
@@ -730,6 +733,169 @@ mod tests {
             .solve(&ctx, &problem);
         assert_eq!(a.groups, b.groups);
         assert_eq!(a.objective, b.objective);
+    }
+
+    /// What a solve answers: groups, objective bits, feasibility and work done.
+    fn answer(outcome: &SolverOutcome) -> (Vec<usize>, u64, bool, u64) {
+        (
+            outcome.groups.clone(),
+            outcome.objective.to_bits(),
+            outcome.feasible,
+            outcome.candidates_evaluated,
+        )
+    }
+
+    /// One run per fold variant: Filter hashes bare signatures, and Fold on P1, P2 and
+    /// P3 folds users and items, users only and items only.
+    fn fold_variants() -> Vec<(TagDmProblem, ConstraintMode)> {
+        vec![
+            (problem_1(loose_params()), Filter),
+            (problem_1(loose_params()), Fold),
+            (problem_2(loose_params()), Fold),
+            (problem_3(loose_params()), Fold),
+        ]
+    }
+
+    #[test]
+    fn kept_indexes_answer_like_a_fresh_context() {
+        let variants = fold_variants();
+        let folds: HashSet<(bool, bool)> = variants
+            .iter()
+            .map(|(problem, mode)| SmLshSolver::new(*mode).fold_dimensions(problem))
+            .collect();
+        assert_eq!(folds.len(), 4, "one run per fold variant");
+
+        // The default configuration fills every slot of the shared context; the other
+        // configurations differ from it in seed, d′ or l and miss their slot.
+        let shared = small_context();
+        for (problem, mode) in &variants {
+            SmLshSolver::new(*mode).solve(&shared, problem);
+        }
+        let configs: [fn(SmLshSolver) -> SmLshSolver; 4] = [
+            |s| s,
+            |s| s.with_seed(9),
+            |s| s.with_bits(6),
+            |s| s.with_tables(3),
+        ];
+        for (problem, mode) in &variants {
+            for configure in configs {
+                let solver = configure(SmLshSolver::new(*mode));
+                let fresh = solver.solve(&small_context(), problem);
+                let kept = solver.solve(&shared, problem);
+                assert_eq!(answer(&kept), answer(&fresh), "{} {solver:?}", problem.name);
+            }
+        }
+    }
+
+    #[test]
+    fn threads_sharing_a_context_get_the_serial_answers() {
+        let runs: Vec<(TagDmProblem, ConstraintMode)> = [problem_1, problem_2, problem_3]
+            .into_iter()
+            .flat_map(|p| [(p(loose_params()), Filter), (p(loose_params()), Fold)])
+            .collect();
+        let serial: Vec<_> = runs
+            .iter()
+            .map(|(problem, mode)| {
+                answer(&SmLshSolver::new(*mode).solve(&small_context(), problem))
+            })
+            .collect();
+
+        let shared = Arc::new(small_context());
+        let runs = Arc::new(runs);
+        let start = Arc::new(Barrier::new(4));
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let (ctx, runs, start) =
+                    (Arc::clone(&shared), Arc::clone(&runs), Arc::clone(&start));
+                thread::spawn(move || {
+                    start.wait();
+                    // Each thread starts at another run, so the threads race to fill
+                    // different slots.
+                    (0..runs.len())
+                        .map(|i| (i + t) % runs.len())
+                        .map(|r| {
+                            let (problem, mode) = &runs[r];
+                            (r, answer(&SmLshSolver::new(*mode).solve(&ctx, problem)))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in threads {
+            for (r, got) in handle.join().expect("solver thread panicked") {
+                assert_eq!(got, serial[r], "run {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_bits_or_tables_solve_like_one() {
+        let ctx = small_context();
+        for (problem, mode) in fold_variants() {
+            let base = SmLshSolver::new(mode);
+            let zero_bits = SmLshSolver {
+                initial_bits: 0,
+                ..base.clone()
+            };
+            let zero_tables = SmLshSolver {
+                num_tables: 0,
+                ..base.clone()
+            };
+            assert_eq!(
+                answer(&zero_bits.solve(&ctx, &problem)),
+                answer(&base.clone().with_bits(1).solve(&ctx, &problem)),
+                "{mode:?} {}",
+                problem.name
+            );
+            assert_eq!(
+                answer(&zero_tables.solve(&ctx, &problem)),
+                answer(&base.with_tables(1).solve(&ctx, &problem)),
+                "{mode:?} {}",
+                problem.name
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // SM-LSH-Fi and -Fo report their answer's own objective and feasibility, and a
+        // non-null answer never beats Exact on the similarity problems P1–P3.
+        #[test]
+        fn prop_answers_report_the_truth_and_stay_within_exact(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            id in 1usize..4,
+            fold in any::<bool>(),
+            k in 1usize..4,
+            min_support in 1usize..80,
+            threshold in 0.0f64..1.0,
+        ) {
+            let ctx = random_context(seed, actions, grouping);
+            let problem = problem(id, ProblemParams {
+                k,
+                min_support,
+                user_threshold: threshold,
+                item_threshold: 1.0 - threshold,
+            });
+            let mode = if fold { Fold } else { Filter };
+            let lsh = SmLshSolver::new(mode).solve(&ctx, &problem);
+            prop_assert_eq!(
+                lsh.objective.to_bits(),
+                problem.objective(&ctx, &lsh.groups).to_bits()
+            );
+            prop_assert_eq!(lsh.feasible, problem.feasible(&ctx, &lsh.groups));
+            if !lsh.is_null() {
+                let exact = ExactSolver::new().solve(&ctx, &problem);
+                prop_assert!(
+                    lsh.objective <= exact.objective,
+                    "SM-LSH {} vs Exact {}",
+                    lsh.objective,
+                    exact.objective
+                );
+            }
+        }
     }
 
     type GoldenRow = (

@@ -78,12 +78,6 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Override the virtual-node count.
-    pub fn with_virtual_nodes(mut self, virtual_nodes: usize) -> Self {
-        self.virtual_nodes = virtual_nodes;
-        self
-    }
-
     /// Override the ring seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -2,11 +2,16 @@
 //! and solver.
 //!
 //! Building a context performs the expensive, solver-independent work once — group tag
-//! signature generation (LDA/tf·idf/frequency), extraction of each group's description
-//! values, and the unarized (one-hot) attribute vectors used by the constraint-folding
-//! algorithm variants — so that the Exact, SM-LSH and DV-FDP solvers all operate on
-//! identical inputs and their running times are directly comparable, exactly as in the
-//! paper's experimental setup.
+//! signature generation (LDA/tf·idf/frequency) with each signature's norm, and each
+//! group's description as one row of values per side — so that the Exact, SM-LSH and
+//! DV-FDP solvers all operate on identical inputs and their running times are directly
+//! comparable, exactly as in the paper's experimental setup. A description is stored
+//! once: the unarized (one-hot) block that the constraint-folding variants append to a
+//! signature is derived from its row when SM-LSH hashes.
+//!
+//! The context holds data; [`DualMiningFunction`](crate::functions::DualMiningFunction)
+//! scores with it, through the context's one crate-private pair primitive,
+//! `pairwise_similarity`.
 //!
 //! A context also holds SM-LSH's pre-processing step (Algorithm 1): the LSH index over
 //! the groups' folded vectors, one per fold variant `(fold_users, fold_items)`. It is
@@ -31,7 +36,7 @@ use tagdm_topics::signature::TagSignature;
 use tagdm_topics::summarizer::GroupSummarizer;
 use tagdm_topics::tfidf::TfIdfSummarizer;
 
-use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
+use crate::criteria::{PairwiseKind, TaggingDimension};
 
 /// Which group tag summarizer to use when building a [`MiningContext`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,12 +71,10 @@ pub struct MiningContext {
     user_values: Vec<Vec<Option<ValueId>>>,
     /// Per group, per item attribute: the value the description constrains it to.
     item_values: Vec<Vec<Option<ValueId>>>,
-    /// Unarized (one-hot) user description vectors.
-    user_onehot: Vec<Vec<(u32, f64)>>,
-    /// Unarized (one-hot) item description vectors.
-    item_onehot: Vec<Vec<(u32, f64)>>,
-    user_arity: usize,
-    item_arity: usize,
+    /// Start of each user attribute's block in the unarized user space.
+    user_offsets: Vec<usize>,
+    /// Start of each item attribute's block in the unarized item space.
+    item_offsets: Vec<usize>,
     user_domain: usize,
     item_domain: usize,
     /// The LSH index of each fold variant, slot `2 · fold_users + fold_items`, filled
@@ -105,49 +108,23 @@ impl MiningContext {
         let signature_dims = signatures.first().map_or(0, TagSignature::dims);
         let signature_norms = signatures.iter().map(TagSignature::norm).collect();
 
-        // Description values and one-hot encodings.
-        let user_arity = dataset.user_schema.arity();
-        let item_arity = dataset.item_schema.arity();
+        // Description values, one row per side.
         let user_offsets = dataset.user_schema.unarization_offsets();
         let item_offsets = dataset.item_schema.unarization_offsets();
-        let user_domain = dataset.user_schema.total_domain_size();
-        let item_domain = dataset.item_schema.total_domain_size();
-
         let mut user_values = Vec::with_capacity(groups.len());
         let mut item_values = Vec::with_capacity(groups.len());
-        let mut user_onehot = Vec::with_capacity(groups.len());
-        let mut item_onehot = Vec::with_capacity(groups.len());
         for group in &groups {
-            let mut uv = vec![None; user_arity];
-            let mut iv = vec![None; item_arity];
-            let mut uo = Vec::new();
-            let mut io = Vec::new();
+            let mut uv = vec![None; user_offsets.len()];
+            let mut iv = vec![None; item_offsets.len()];
             for cond in group.description.conditions() {
-                match cond.dimension {
-                    Dimension::User => {
-                        uv[cond.attribute.0 as usize] = Some(cond.value);
-                        uo.push((
-                            (user_offsets[cond.attribute.0 as usize] + cond.value.0 as usize)
-                                as u32,
-                            1.0,
-                        ));
-                    }
-                    Dimension::Item => {
-                        iv[cond.attribute.0 as usize] = Some(cond.value);
-                        io.push((
-                            (item_offsets[cond.attribute.0 as usize] + cond.value.0 as usize)
-                                as u32,
-                            1.0,
-                        ));
-                    }
-                }
+                let row = match cond.dimension {
+                    Dimension::User => &mut uv,
+                    Dimension::Item => &mut iv,
+                };
+                row[cond.attribute.0 as usize] = Some(cond.value);
             }
-            uo.sort_by_key(|&(i, _)| i);
-            io.sort_by_key(|&(i, _)| i);
             user_values.push(uv);
             item_values.push(iv);
-            user_onehot.push(uo);
-            item_onehot.push(io);
         }
 
         MiningContext {
@@ -158,12 +135,10 @@ impl MiningContext {
             signature_dims,
             user_values,
             item_values,
-            user_onehot,
-            item_onehot,
-            user_arity,
-            item_arity,
-            user_domain,
-            item_domain,
+            user_offsets,
+            item_offsets,
+            user_domain: dataset.user_schema.total_domain_size(),
+            item_domain: dataset.item_schema.total_domain_size(),
             lsh: Default::default(),
         }
     }
@@ -189,11 +164,6 @@ impl MiningContext {
         &self.groups[idx]
     }
 
-    /// The tag signature of one group.
-    pub fn tag_signature(&self, idx: usize) -> &TagSignature {
-        &self.signatures[idx]
-    }
-
     /// All group tag signatures (parallel to [`MiningContext::groups`]).
     pub fn tag_signatures(&self) -> &[TagSignature] {
         &self.signatures
@@ -204,40 +174,16 @@ impl MiningContext {
         self.signature_dims
     }
 
-    /// Arity of the user schema (number of user attributes).
-    pub fn user_arity(&self) -> usize {
-        self.user_arity
-    }
-
-    /// Arity of the item schema (number of item attributes).
-    pub fn item_arity(&self) -> usize {
-        self.item_arity
-    }
-
-    /// Total size of the unarized user-attribute space.
-    pub fn user_domain_size(&self) -> usize {
-        self.user_domain
-    }
-
-    /// Total size of the unarized item-attribute space.
-    pub fn item_domain_size(&self) -> usize {
-        self.item_domain
-    }
-
-    /// The unarized user description vector of a group.
-    pub fn user_onehot(&self, idx: usize) -> &[(u32, f64)] {
-        &self.user_onehot[idx]
-    }
-
-    /// The unarized item description vector of a group.
-    pub fn item_onehot(&self, idx: usize) -> &[(u32, f64)] {
-        &self.item_onehot[idx]
-    }
-
-    /// The pairwise *similarity* `F_p(g_a, g_b, dimension, similarity) ∈ [0, 1]` under a
-    /// concrete comparison kind. For the tags dimension the structural kind is
-    /// meaningless and falls back to signature cosine.
-    pub fn pairwise_similarity(
+    /// The pairwise *similarity* `F_p(g_a, g_b, dimension, kind) ∈ [0, 1]`, unoriented:
+    /// the one pair primitive, which [`DualMiningFunction`] orients and aggregates.
+    ///
+    /// On the tags dimension every kind scores signature cosine: `Structural` and
+    /// `ItemSetJaccard` compare descriptions and item sets, not tags, so both fall back
+    /// to `TagCosine`. On users and items, `TagCosine` still scores the signatures and
+    /// `ItemSetJaccard` the item sets, whichever of the two dimensions is named.
+    ///
+    /// [`DualMiningFunction`]: crate::functions::DualMiningFunction
+    pub(crate) fn pairwise_similarity(
         &self,
         dimension: TaggingDimension,
         kind: PairwiseKind,
@@ -261,38 +207,6 @@ impl MiningContext {
                 jaccard(&self.groups[a].items, &self.groups[b].items)
             }
         }
-    }
-
-    /// The oriented pairwise score `F_p(g_a, g_b, dimension, criterion)`.
-    pub fn pairwise_score(
-        &self,
-        dimension: TaggingDimension,
-        criterion: MiningCriterion,
-        kind: PairwiseKind,
-        a: usize,
-        b: usize,
-    ) -> f64 {
-        criterion.orient(self.pairwise_similarity(dimension, kind, a, b))
-    }
-
-    /// The pair-wise aggregation dual mining function `F_pa(G, b, m)` (Definition 3):
-    /// aggregate the oriented pairwise scores over all unordered pairs of `set`.
-    /// Sets with fewer than two groups score 0.
-    pub fn set_score(
-        &self,
-        set: &[usize],
-        dimension: TaggingDimension,
-        criterion: MiningCriterion,
-        kind: PairwiseKind,
-        aggregator: Aggregator,
-    ) -> f64 {
-        let mut scores = Vec::with_capacity(set.len() * set.len().saturating_sub(1) / 2);
-        for (i, &a) in set.iter().enumerate() {
-            for &b in set.iter().skip(i + 1) {
-                scores.push(self.pairwise_score(dimension, criterion, kind, a, b));
-            }
-        }
-        aggregator.aggregate(&scores)
     }
 
     /// Group support (Definition 1) of a candidate set: the number of distinct input
@@ -319,16 +233,19 @@ impl MiningContext {
     }
 
     /// The folded vector of a group: its tag signature, optionally concatenated with its
-    /// unarized user and/or item description vectors.
+    /// unarized user and/or item description vectors. A block holds `1.0` at
+    /// `offset(attribute) + value` for each attribute the description constrains, derived
+    /// from the group's description row; offsets grow with the attribute, so the indices
+    /// come out ascending.
     pub fn folded_vector(&self, idx: usize, fold_users: bool, fold_items: bool) -> Vec<(u32, f64)> {
         let mut out: Vec<(u32, f64)> = self.signatures[idx].entries().to_vec();
-        let mut offset = self.signature_dims as u32;
+        let mut base = self.signature_dims;
         if fold_users {
-            out.extend(self.user_onehot[idx].iter().map(|&(i, w)| (i + offset, w)));
-            offset += self.user_domain as u32;
+            push_onehot(&mut out, base, &self.user_offsets, &self.user_values[idx]);
+            base += self.user_domain;
         }
         if fold_items {
-            out.extend(self.item_onehot[idx].iter().map(|&(i, w)| (i + offset, w)));
+            push_onehot(&mut out, base, &self.item_offsets, &self.item_values[idx]);
         }
         out
     }
@@ -357,6 +274,14 @@ impl MiningContext {
             Cow::Owned(hash())
         }
     }
+}
+
+/// Append the one-hot block of a description row at `base`: `(base + offsets[a] + v,
+/// 1.0)` for each attribute `a` the row constrains to value `v`, in attribute order.
+fn push_onehot(out: &mut Vec<(u32, f64)>, base: usize, offsets: &[usize], row: &[Option<ValueId>]) {
+    out.extend(offsets.iter().zip(row).filter_map(|(&offset, value)| {
+        value.map(|v| ((base + offset + v.0 as usize) as u32, 1.0))
+    }));
 }
 
 /// Structural similarity of two group descriptions (Section 2.1.1): over the set `A` of
@@ -405,8 +330,11 @@ fn jaccard<T: Ord>(a: &[T], b: &[T]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solvers::test_support::random_dataset;
+    use proptest::prelude::*;
     use tagdm_data::dataset::DatasetBuilder;
     use tagdm_data::group::GroupingScheme;
+    use tagdm_data::schema::AttributeId;
 
     fn dataset() -> Dataset {
         let mut b = DatasetBuilder::movielens_style();
@@ -472,10 +400,14 @@ mod tests {
     #[test]
     fn structural_similarity_reflects_shared_description_values() {
         let (_, ctx) = context(SummarizerChoice::Frequency);
-        // Find the two groups with gender=male: they share the user side entirely.
+        // Find the two groups with gender=male (the first interned user attribute and
+        // value): they share the user side entirely.
         let male_groups: Vec<usize> = (0..ctx.num_groups())
             .filter(|&i| {
-                ctx.user_onehot(i).iter().any(|&(c, _)| c == 0) // first unarized slot = gender=male (first interned)
+                ctx.group(i)
+                    .description
+                    .value_for(Dimension::User, AttributeId(0))
+                    == Some(ValueId(0))
             })
             .collect();
         assert_eq!(male_groups.len(), 2);
@@ -501,69 +433,21 @@ mod tests {
     #[test]
     fn tag_similarity_uses_signature_cosine() {
         let (_, ctx) = context(SummarizerChoice::Frequency);
+        let signatures = ctx.tag_signatures();
         for a in 0..ctx.num_groups() {
             for b in 0..ctx.num_groups() {
                 let sim =
                     ctx.pairwise_similarity(TaggingDimension::Tags, PairwiseKind::TagCosine, a, b);
-                let expected = ctx.tag_signature(a).cosine_similarity(ctx.tag_signature(b));
+                let expected = signatures[a].cosine_similarity(&signatures[b]);
                 // The cached norms reproduce the signature cosine bit for bit.
                 assert_eq!(sim.to_bits(), expected.to_bits());
-                // Structural kind on the tags dimension falls back to cosine too.
-                let fallback =
-                    ctx.pairwise_similarity(TaggingDimension::Tags, PairwiseKind::Structural, a, b);
-                assert!((fallback - expected).abs() < 1e-12);
+                // Every other kind on the tags dimension is the signature cosine too.
+                for kind in [PairwiseKind::Structural, PairwiseKind::ItemSetJaccard] {
+                    let fallback = ctx.pairwise_similarity(TaggingDimension::Tags, kind, a, b);
+                    assert_eq!(fallback.to_bits(), sim.to_bits(), "{}", kind.name());
+                }
             }
         }
-    }
-
-    #[test]
-    fn diversity_is_one_minus_similarity() {
-        let (_, ctx) = context(SummarizerChoice::Frequency);
-        let sim = ctx.pairwise_score(
-            TaggingDimension::Tags,
-            MiningCriterion::Similarity,
-            PairwiseKind::TagCosine,
-            0,
-            1,
-        );
-        let div = ctx.pairwise_score(
-            TaggingDimension::Tags,
-            MiningCriterion::Diversity,
-            PairwiseKind::TagCosine,
-            0,
-            1,
-        );
-        assert!((sim + div - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn set_score_aggregates_all_pairs() {
-        let (_, ctx) = context(SummarizerChoice::Frequency);
-        let set = [0usize, 1, 2];
-        let mean = ctx.set_score(
-            &set,
-            TaggingDimension::Tags,
-            MiningCriterion::Similarity,
-            PairwiseKind::TagCosine,
-            Aggregator::Mean,
-        );
-        let manual =
-            (ctx.pairwise_similarity(TaggingDimension::Tags, PairwiseKind::TagCosine, 0, 1)
-                + ctx.pairwise_similarity(TaggingDimension::Tags, PairwiseKind::TagCosine, 0, 2)
-                + ctx.pairwise_similarity(TaggingDimension::Tags, PairwiseKind::TagCosine, 1, 2))
-                / 3.0;
-        assert!((mean - manual).abs() < 1e-12);
-        // Singleton and empty sets score zero.
-        assert_eq!(
-            ctx.set_score(
-                &[0],
-                TaggingDimension::Tags,
-                MiningCriterion::Similarity,
-                PairwiseKind::TagCosine,
-                Aggregator::Mean
-            ),
-            0.0
-        );
     }
 
     #[test]
@@ -577,28 +461,107 @@ mod tests {
 
     #[test]
     fn folded_vectors_concatenate_blocks() {
-        let (_, ctx) = context(SummarizerChoice::Frequency);
+        let (ds, ctx) = context(SummarizerChoice::Frequency);
         let plain = ctx.folded_vector(0, false, false);
-        assert_eq!(plain, ctx.tag_signature(0).entries().to_vec());
+        assert_eq!(plain, ctx.tag_signatures()[0].entries().to_vec());
 
         let folded = ctx.folded_vector(0, true, true);
         assert_eq!(
             ctx.folded_dims(true, true),
-            ctx.signature_dims() + ctx.user_domain_size() + ctx.item_domain_size()
+            ctx.signature_dims()
+                + ds.user_schema.total_domain_size()
+                + ds.item_schema.total_domain_size()
         );
-        // Folded vector has the one-hot entries beyond the signature block.
+        // Folded vector has one one-hot entry per description condition beyond the
+        // signature block.
         let beyond: Vec<_> = folded
             .iter()
             .filter(|&&(i, _)| (i as usize) >= ctx.signature_dims())
             .collect();
-        assert_eq!(
-            beyond.len(),
-            ctx.user_onehot(0).len() + ctx.item_onehot(0).len()
-        );
+        assert_eq!(beyond.len(), ctx.group(0).description.len());
         // All components fall inside the declared folded dimensionality.
         assert!(folded
             .iter()
             .all(|&(i, _)| (i as usize) < ctx.folded_dims(true, true)));
+    }
+
+    /// The folded vector as built from a stored one-hot encoding per group: each
+    /// condition's `offset(attribute) + value`, sorted, shifted past the blocks before it.
+    fn reference_folded_vector(
+        ds: &Dataset,
+        ctx: &MiningContext,
+        idx: usize,
+        fold_users: bool,
+        fold_items: bool,
+    ) -> Vec<(u32, f64)> {
+        let user_offsets = ds.user_schema.unarization_offsets();
+        let item_offsets = ds.item_schema.unarization_offsets();
+        let (mut user_onehot, mut item_onehot) = (Vec::new(), Vec::new());
+        for cond in ctx.group(idx).description.conditions() {
+            let (onehot, offsets) = match cond.dimension {
+                Dimension::User => (&mut user_onehot, &user_offsets),
+                Dimension::Item => (&mut item_onehot, &item_offsets),
+            };
+            onehot.push((
+                (offsets[cond.attribute.0 as usize] + cond.value.0 as usize) as u32,
+                1.0,
+            ));
+        }
+        user_onehot.sort_by_key(|&(i, _)| i);
+        item_onehot.sort_by_key(|&(i, _)| i);
+        let mut out = ctx.tag_signatures()[idx].entries().to_vec();
+        let mut offset = ctx.signature_dims() as u32;
+        if fold_users {
+            out.extend(user_onehot.iter().map(|&(i, w)| (i + offset, w)));
+            offset += ds.user_schema.total_domain_size() as u32;
+        }
+        if fold_items {
+            out.extend(item_onehot.iter().map(|&(i, w)| (i + offset, w)));
+        }
+        out
+    }
+
+    /// Groupings of the generator's schema, some listing their attributes out of schema
+    /// order, so the one-hot blocks span several attributes per side.
+    const FOLD_GROUPINGS: [&[(&str, &str)]; 4] = [
+        &[("user", "gender"), ("item", "genre")],
+        &[("item", "director"), ("user", "state"), ("user", "gender")],
+        &[("user", "occupation"), ("user", "age"), ("item", "genre")],
+        &[("item", "actor"), ("item", "genre"), ("user", "age")],
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn prop_folded_vectors_match_the_stored_onehot_reference(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..FOLD_GROUPINGS.len(),
+        ) {
+            let ds = random_dataset(seed, actions);
+            let groups = GroupingScheme::over(&ds, FOLD_GROUPINGS[grouping])
+                .unwrap()
+                .enumerate(&ds);
+            let ctx = MiningContext::build(&ds, groups, SummarizerChoice::Frequency);
+            for (fold_users, fold_items) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                for i in 0..ctx.num_groups() {
+                    let got: Vec<(u32, u64)> = ctx
+                        .folded_vector(i, fold_users, fold_items)
+                        .iter()
+                        .map(|&(j, w)| (j, w.to_bits()))
+                        .collect();
+                    let want: Vec<(u32, u64)> =
+                        reference_folded_vector(&ds, &ctx, i, fold_users, fold_items)
+                            .iter()
+                            .map(|&(j, w)| (j, w.to_bits()))
+                            .collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 
     #[test]

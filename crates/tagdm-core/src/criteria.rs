@@ -74,7 +74,9 @@ impl MiningCriterion {
 
 /// The concrete pairwise comparison function `F_p(g_1, g_2, b, m)` used for a dimension
 /// (Section 2.1 of the paper). Every kind produces a *similarity* in `[0, 1]`; diversity
-/// is obtained by [`MiningCriterion::orient`].
+/// is obtained by [`MiningCriterion::orient`]. On [`TaggingDimension::Tags`] every kind
+/// scores like [`PairwiseKind::TagCosine`]: descriptions and item sets are not tags, so
+/// `Structural` and `ItemSetJaccard` fall back to the signature cosine there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PairwiseKind {
     /// Structural distance between group descriptions: the fraction of schema attributes

@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 use tagdm_data::dataset::Dataset;
 
 use crate::context::MiningContext;
-use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
+use crate::criteria::{MiningCriterion, TaggingDimension};
+use crate::functions::DualMiningFunction;
 use crate::problem::TagDmProblem;
 use crate::solvers::{Solver, SolverOutcome};
 
@@ -53,30 +54,16 @@ pub fn evaluate(
     problem: &TagDmProblem,
     outcome: &SolverOutcome,
 ) -> QualityReport {
-    let similarity = ctx.set_score(
-        &outcome.groups,
-        TaggingDimension::Tags,
-        MiningCriterion::Similarity,
-        PairwiseKind::TagCosine,
-        Aggregator::Mean,
-    );
-    let diversity = ctx.set_score(
-        &outcome.groups,
-        TaggingDimension::Tags,
-        MiningCriterion::Diversity,
-        PairwiseKind::TagCosine,
-        Aggregator::Mean,
-    );
+    let tags = |criterion| {
+        DualMiningFunction::standard(TaggingDimension::Tags, criterion)
+            .evaluate(ctx, &outcome.groups)
+    };
     QualityReport {
         solver: outcome.solver.clone(),
         groups: outcome.groups.clone(),
         objective: outcome.objective,
-        avg_pairwise_tag_similarity: similarity,
-        avg_pairwise_tag_diversity: if outcome.groups.len() < 2 {
-            0.0
-        } else {
-            diversity
-        },
+        avg_pairwise_tag_similarity: tags(MiningCriterion::Similarity),
+        avg_pairwise_tag_diversity: tags(MiningCriterion::Diversity),
         support: ctx.support(&outcome.groups),
         support_fraction: ctx.support_fraction(&outcome.groups),
         feasible: outcome.feasible && problem.feasible(ctx, &outcome.groups),

@@ -5,7 +5,9 @@
 //! pair-wise aggregation dual mining function `F_pa`, which evaluates a pairwise
 //! comparison `F_p` on every unordered pair of groups and aggregates the results with
 //! `F_a`. [`DualMiningFunction`] is that subclass, parameterized by the comparison kind
-//! and the aggregator.
+//! and the aggregator, and it is the one place a pair or a set is scored: the
+//! [`MiningContext`] supplies an unoriented pair similarity, and the function owns the
+//! criterion's orientation, the row-major `(i < j)` pair order and `F_a`.
 
 use serde::{Deserialize, Serialize};
 
@@ -49,21 +51,25 @@ impl DualMiningFunction {
         self
     }
 
-    /// Evaluate the function on a candidate set of groups. Sets with fewer than two
-    /// groups score 0 (there are no pairs to compare).
+    /// Evaluate the function on a candidate set: [`evaluate_pair`](Self::evaluate_pair)
+    /// on its unordered pairs in row-major `(i < j)` order, aggregated by `F_a`. Sets
+    /// with fewer than two groups have no pairs and score 0.
     pub fn evaluate(&self, ctx: &MiningContext, set: &[usize]) -> f64 {
-        ctx.set_score(
-            set,
-            self.dimension,
-            self.criterion,
-            self.kind,
-            self.aggregator,
-        )
+        let mut scores = Vec::with_capacity(set.len() * set.len().saturating_sub(1) / 2);
+        for (i, &a) in set.iter().enumerate() {
+            for &b in &set[i + 1..] {
+                scores.push(self.evaluate_pair(ctx, a, b));
+            }
+        }
+        self.aggregator.aggregate(&scores)
     }
 
-    /// Evaluate the underlying pairwise comparison on a single pair.
+    /// Evaluate the oriented pairwise comparison `F_p(g_a, g_b, dimension, criterion)` on
+    /// a single pair. On the tags dimension every kind compares the tag signatures by
+    /// cosine, so `Structural` and `ItemSetJaccard` score like `TagCosine` there.
     pub fn evaluate_pair(&self, ctx: &MiningContext, a: usize, b: usize) -> f64 {
-        ctx.pairwise_score(self.dimension, self.criterion, self.kind, a, b)
+        self.criterion
+            .orient(ctx.pairwise_similarity(self.dimension, self.kind, a, b))
     }
 
     /// A short description such as `"tags similarity (tag-cosine, mean)"`.
@@ -130,18 +136,21 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_matches_context_set_score() {
+    fn evaluate_aggregates_all_pairs() {
         let ctx = ctx();
         let f = DualMiningFunction::standard(TaggingDimension::Tags, MiningCriterion::Similarity);
-        let set: Vec<usize> = (0..ctx.num_groups()).collect();
-        let expected = ctx.set_score(
-            &set,
-            TaggingDimension::Tags,
-            MiningCriterion::Similarity,
-            PairwiseKind::TagCosine,
-            Aggregator::Mean,
-        );
-        assert!((f.evaluate(&ctx, &set) - expected).abs() < 1e-12);
+        let mean = f.evaluate(&ctx, &[0, 1, 2]);
+        let manual = (f.evaluate_pair(&ctx, 0, 1)
+            + f.evaluate_pair(&ctx, 0, 2)
+            + f.evaluate_pair(&ctx, 1, 2))
+            / 3.0;
+        assert_eq!(mean.to_bits(), manual.to_bits());
+        // Singleton and empty sets score zero, under either criterion.
+        let g = DualMiningFunction::standard(TaggingDimension::Tags, MiningCriterion::Diversity);
+        for set in [&[0usize][..], &[]] {
+            assert_eq!(f.evaluate(&ctx, set), 0.0);
+            assert_eq!(g.evaluate(&ctx, set), 0.0);
+        }
     }
 
     #[test]

@@ -38,15 +38,6 @@ impl ConstraintSpec {
     pub fn satisfied(&self, ctx: &MiningContext, set: &[usize]) -> bool {
         self.admits(self.function.evaluate(ctx, set))
     }
-
-    /// Whether a single *pair* satisfies the constraint's threshold — used when folding
-    /// constraints into greedy selection (DV-FDP-Fo, Section 5.3). The pair's one score
-    /// is aggregated as a one-pair set, so this equals [`satisfied`](Self::satisfied)
-    /// on `[a, b]` without building the set.
-    pub fn pair_satisfied(&self, ctx: &MiningContext, a: usize, b: usize) -> bool {
-        let score = self.function.evaluate_pair(ctx, a, b);
-        self.admits(self.function.aggregator.aggregate(&[score]))
-    }
 }
 
 /// One optimization criterion `o_j`: a dual mining function and its weight `o_j.Wt` in
@@ -186,18 +177,6 @@ impl TagDmProblem {
         self.size_ok(set.len()) && self.support_ok(ctx, set) && self.constraints_satisfied(ctx, set)
     }
 
-    /// The dimensions that appear in the optimization goal.
-    pub fn objective_dimensions(&self) -> Vec<TaggingDimension> {
-        let mut dims: Vec<TaggingDimension> = self
-            .objectives
-            .iter()
-            .map(|o| o.function.dimension)
-            .collect();
-        dims.sort();
-        dims.dedup();
-        dims
-    }
-
     /// Whether any objective asks for similarity (drives the choice of SM-LSH).
     pub fn maximizes_similarity(&self) -> bool {
         self.objectives
@@ -218,13 +197,6 @@ impl TagDmProblem {
         self.constraints
             .iter()
             .filter(|c| c.function.criterion == MiningCriterion::Similarity)
-    }
-
-    /// The constraints whose criterion is diversity.
-    pub fn diversity_constraints(&self) -> impl Iterator<Item = &ConstraintSpec> {
-        self.constraints
-            .iter()
-            .filter(|c| c.function.criterion == MiningCriterion::Diversity)
     }
 
     /// One-line description of the problem shape, e.g.
@@ -272,7 +244,6 @@ impl TagDmProblem {
 mod tests {
     use super::*;
     use crate::context::{MiningContext, SummarizerChoice};
-    use crate::criteria::PairwiseKind;
     use tagdm_data::dataset::DatasetBuilder;
     use tagdm_data::group::GroupingScheme;
 
@@ -404,36 +375,9 @@ mod tests {
         let problem = sample_problem();
         assert!(problem.maximizes_similarity());
         assert!(!problem.maximizes_diversity());
-        assert_eq!(problem.objective_dimensions(), vec![TaggingDimension::Tags]);
         assert_eq!(problem.similarity_constraints().count(), 1);
-        assert_eq!(problem.diversity_constraints().count(), 0);
         let desc = problem.describe();
         assert!(desc.contains("users similarity"));
         assert!(desc.contains("tags similarity"));
-    }
-
-    #[test]
-    fn pair_satisfied_matches_set_constraint_for_pairs() {
-        let ctx = ctx();
-        let constraint =
-            ConstraintSpec::standard(TaggingDimension::Items, MiningCriterion::Similarity, 0.3);
-        for a in 0..ctx.num_groups() {
-            for b in (a + 1)..ctx.num_groups() {
-                assert_eq!(
-                    constraint.pair_satisfied(&ctx, a, b),
-                    constraint.satisfied(&ctx, &[a, b])
-                );
-            }
-        }
-        // A Jaccard-kind constraint builds and evaluates too.
-        let jaccard = ConstraintSpec {
-            function: DualMiningFunction::standard(
-                TaggingDimension::Users,
-                MiningCriterion::Similarity,
-            )
-            .with_kind(PairwiseKind::ItemSetJaccard),
-            threshold: 0.0,
-        };
-        assert!(jaccard.satisfied(&ctx, &[0, 1]));
     }
 }

@@ -229,13 +229,18 @@ pub(crate) mod test_support {
         &[("item", "genre")],
     ];
 
-    /// A random small corpus grouped by one of [`GROUPINGS`].
-    pub fn random_context(seed: u64, actions: usize, grouping: usize) -> MiningContext {
+    /// A random small corpus of `actions` tagging actions.
+    pub fn random_dataset(seed: u64, actions: usize) -> Dataset {
         let config = GeneratorConfig {
             num_actions: actions,
             ..GeneratorConfig::small().with_seed(seed)
         };
-        let ds = MovieLensStyleGenerator::new(config).generate();
+        MovieLensStyleGenerator::new(config).generate()
+    }
+
+    /// A random small corpus grouped by one of [`GROUPINGS`].
+    pub fn random_context(seed: u64, actions: usize, grouping: usize) -> MiningContext {
+        let ds = random_dataset(seed, actions);
         let groups = GroupingScheme::over(&ds, GROUPINGS[grouping])
             .unwrap()
             .min_group_size(2)

@@ -24,15 +24,15 @@ use crate::context::MiningContext;
 use crate::functions::DualMiningFunction;
 use crate::problem::TagDmProblem;
 
-/// Whether the 2-set `{a, b}` satisfies every constraint of `problem`, each constraint
-/// function scoring the pair once (see [`ConstraintSpec::pair_satisfied`]).
-///
-/// [`ConstraintSpec::pair_satisfied`]: crate::problem::ConstraintSpec::pair_satisfied
+/// Whether the 2-set `{a, b}` satisfies every constraint of `problem`. Each constraint
+/// function scores the pair once and aggregates that one score as a one-pair set, so
+/// this equals [`TagDmProblem::constraints_satisfied`] on `[a, b]` without building the
+/// set. DV-FDP-Fo's seed scan and SM-LSH's bucket walks test pairs with it.
 pub(crate) fn pair_admits(ctx: &MiningContext, problem: &TagDmProblem, a: usize, b: usize) -> bool {
-    problem
-        .constraints
-        .iter()
-        .all(|c| c.pair_satisfied(ctx, a, b))
+    problem.constraints.iter().all(|c| {
+        let f = &c.function;
+        c.admits(f.aggregator.aggregate(&[f.evaluate_pair(ctx, a, b)]))
+    })
 }
 
 /// One `k × k` table of pair scores per function, over a set of at most `k` groups kept
@@ -221,7 +221,9 @@ impl<'a> Walk<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::criteria::{MiningCriterion, PairwiseKind, TaggingDimension};
+    use crate::catalog::{problem, ProblemParams};
+    use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
+    use crate::problem::ConstraintSpec;
     use crate::solvers::test_support::{random_context, small_context, GROUPINGS};
     use proptest::prelude::*;
 
@@ -259,6 +261,27 @@ mod tests {
         assert_pair_scores_are_symmetric(&small_context());
     }
 
+    /// Require [`pair_admits`] to equal `constraints_satisfied` on the 2-set for every
+    /// pair of `ctx`, in both orders.
+    fn assert_pair_admits_matches_the_set_test(ctx: &MiningContext, problem: &TagDmProblem) {
+        for a in 0..ctx.num_groups() {
+            for b in 0..ctx.num_groups() {
+                assert_eq!(
+                    pair_admits(ctx, problem, a, b),
+                    problem.constraints_satisfied(ctx, &[a, b]),
+                    "{} on ({a}, {b})",
+                    problem.describe()
+                );
+            }
+        }
+    }
+
+    /// A constraint threshold: half the time a quarter step, which structural scores
+    /// can hit exactly, otherwise any value in `[0, 1)`.
+    fn threshold() -> impl Strategy<Value = f64> {
+        (0u32..10, 0.0f64..1.0).prop_map(|(q, x)| if q < 5 { f64::from(q) / 4.0 } else { x })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -269,6 +292,45 @@ mod tests {
             grouping in 0usize..GROUPINGS.len(),
         ) {
             assert_pair_scores_are_symmetric(&random_context(seed, actions, grouping));
+        }
+
+        #[test]
+        fn prop_pair_admits_matches_the_set_constraints(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            user_threshold in threshold(),
+            item_threshold in threshold(),
+            jaccard_threshold in threshold(),
+            min_threshold in threshold(),
+        ) {
+            let params = ProblemParams {
+                k: 3,
+                min_support: 1,
+                user_threshold,
+                item_threshold,
+            };
+            let mut problems: Vec<TagDmProblem> = (1..=6).map(|id| problem(id, params)).collect();
+            let jaccard = DualMiningFunction::standard(
+                TaggingDimension::Users,
+                MiningCriterion::Similarity,
+            )
+            .with_kind(PairwiseKind::ItemSetJaccard);
+            let min = DualMiningFunction::standard(
+                TaggingDimension::Items,
+                MiningCriterion::Diversity,
+            )
+            .with_aggregator(Aggregator::Min);
+            for (function, threshold) in [(jaccard, jaccard_threshold), (min, min_threshold)] {
+                let mut extra = problems[0].clone();
+                extra.constraints = vec![ConstraintSpec { function, threshold }];
+                problems.push(extra);
+            }
+            for ctx in [random_context(seed, actions, grouping), small_context()] {
+                for problem in &problems {
+                    assert_pair_admits_matches_the_set_test(&ctx, problem);
+                }
+            }
         }
     }
 }

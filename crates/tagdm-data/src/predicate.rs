@@ -136,20 +136,6 @@ impl ConjunctivePredicate {
         &self.conditions
     }
 
-    /// Only the user-side conjuncts.
-    pub fn user_conditions(&self) -> impl Iterator<Item = &AtomicPredicate> {
-        self.conditions
-            .iter()
-            .filter(|c| c.dimension == Dimension::User)
-    }
-
-    /// Only the item-side conjuncts.
-    pub fn item_conditions(&self) -> impl Iterator<Item = &AtomicPredicate> {
-        self.conditions
-            .iter()
-            .filter(|c| c.dimension == Dimension::Item)
-    }
-
     /// Add a conjunct, keeping the canonical order.
     pub fn and(&self, extra: AtomicPredicate) -> Self {
         let mut conditions = self.conditions.clone();

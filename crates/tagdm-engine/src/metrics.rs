@@ -210,17 +210,6 @@ impl MetricsSnapshot {
         self.jobs_panicked + self.jobs_rejected + self.jobs_shed + self.jobs_expired
     }
 
-    /// Transient faults as a fraction of completed jobs (0 when none completed).
-    /// A sustained rate near 1.0 means the engine is answering mostly with
-    /// panics/overload — the trip signal for a per-shard circuit breaker.
-    pub fn fault_rate(&self) -> f64 {
-        if self.jobs_completed == 0 {
-            0.0
-        } else {
-            self.transient_faults() as f64 / self.jobs_completed as f64
-        }
-    }
-
     /// Multi-line plain-text report, e.g. for `examples/engine_service.rs`.
     pub fn render(&self) -> String {
         let mut out = String::new();

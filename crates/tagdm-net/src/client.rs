@@ -42,12 +42,6 @@ impl Default for ClientConfig {
 }
 
 impl ClientConfig {
-    /// Override the connect budget.
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
     /// Override the per-response read budget.
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
@@ -101,11 +95,6 @@ impl Client {
             Ok(Frame::Health) // Placeholder; only the connect outcome matters here.
         })?;
         Ok(client)
-    }
-
-    /// The server address this client talks to.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Solve `request` remotely. The response is exactly what the server's

@@ -136,13 +136,9 @@ fn quality_reports_match_recomputed_scores() {
     let outcome = SmLshSolver::new(ConstraintMode::Fold).solve(&ctx, &problem);
     let report = evaluation::evaluate(&ctx, &problem, &outcome);
     if !outcome.is_null() {
-        let recomputed = ctx.set_score(
-            &outcome.groups,
-            TaggingDimension::Tags,
-            MiningCriterion::Similarity,
-            PairwiseKind::TagCosine,
-            Aggregator::Mean,
-        );
+        let recomputed =
+            DualMiningFunction::standard(TaggingDimension::Tags, MiningCriterion::Similarity)
+                .evaluate(&ctx, &outcome.groups);
         assert!((report.avg_pairwise_tag_similarity - recomputed).abs() < 1e-12);
         assert!((report.objective - problem.objective(&ctx, &outcome.groups)).abs() < 1e-12);
     }

@@ -49,14 +49,15 @@ proptest! {
         for a in 0..ctx.num_groups() {
             for b in 0..ctx.num_groups() {
                 for dim in [TaggingDimension::Users, TaggingDimension::Items, TaggingDimension::Tags] {
-                    let kind = PairwiseKind::default_for(dim);
-                    let sim = ctx.pairwise_score(dim, MiningCriterion::Similarity, kind, a, b);
-                    let div = ctx.pairwise_score(dim, MiningCriterion::Diversity, kind, a, b);
+                    let similarity = DualMiningFunction::standard(dim, MiningCriterion::Similarity);
+                    let diversity = DualMiningFunction::standard(dim, MiningCriterion::Diversity);
+                    let sim = similarity.evaluate_pair(&ctx, a, b);
+                    let div = diversity.evaluate_pair(&ctx, a, b);
                     prop_assert!((0.0..=1.0).contains(&sim), "sim {sim} out of range");
                     prop_assert!((0.0..=1.0).contains(&div), "div {div} out of range");
                     prop_assert!((sim + div - 1.0).abs() < 1e-9);
                     // Symmetry.
-                    let sim_ba = ctx.pairwise_score(dim, MiningCriterion::Similarity, kind, b, a);
+                    let sim_ba = similarity.evaluate_pair(&ctx, b, a);
                     prop_assert!((sim - sim_ba).abs() < 1e-9);
                 }
             }

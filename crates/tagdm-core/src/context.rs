@@ -3,15 +3,30 @@
 //!
 //! Building a context performs the expensive, solver-independent work once — group tag
 //! signature generation (LDA/tf·idf/frequency) with each signature's norm, and each
-//! group's description as one row of values per side — so that the Exact, SM-LSH and
-//! DV-FDP solvers all operate on identical inputs and their running times are directly
-//! comparable, exactly as in the paper's experimental setup. A description is stored
-//! once: the unarized (one-hot) block that the constraint-folding variants append to a
-//! signature is derived from its row when SM-LSH hashes.
+//! group's description — so that the Exact, SM-LSH and DV-FDP solvers all operate on
+//! identical inputs and their running times are directly comparable, exactly as in the
+//! paper's experimental setup.
 //!
 //! The context holds data; [`DualMiningFunction`](crate::functions::DualMiningFunction)
 //! scores with it, through the context's one crate-private pair primitive,
-//! `pairwise_similarity`.
+//! `pairwise_similarity`. The data behind that primitive is laid out flat, so that a
+//! pair score is a table read or one dense loop:
+//!
+//! * **Description classes.** Each side's description rows are interned: a group names
+//!   the `u32` class of its user description and of its item description, and each
+//!   class keeps one row of values. A side with at most `MAX_TABLE_CLASSES` (512)
+//!   classes also keeps the row-major `c × c` table of the classes' structural
+//!   similarities, so a structural score is one read; a larger side scores from its
+//!   class rows. The unarized (one-hot) block that the constraint-folding variants
+//!   append to a signature is derived from the class row when SM-LSH hashes.
+//! * **Dense θ.** When every signature stores all `dims` entries (always for LDA, whose
+//!   θ is positive since α > 0), the signatures are also kept as one row-major
+//!   `n × dims` array, and a cosine is an index-order dot product over two rows beside
+//!   the cached norms: the same products, summed in the same order, as the sparse
+//!   merge. Other signatures stay sparse.
+//!
+//! Every score is therefore bit-identical to scoring each group's own description row
+//! and merging the sparse signatures.
 //!
 //! A context also holds SM-LSH's pre-processing step (Algorithm 1): the LSH index over
 //! the groups' folded vectors, one per fold variant `(fold_users, fold_items)`. It is
@@ -20,6 +35,7 @@
 //! configuration.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
@@ -67,10 +83,13 @@ pub struct MiningContext {
     /// L2 norm of each signature, cached for the pairwise tag cosine.
     signature_norms: Vec<f64>,
     signature_dims: usize,
-    /// Per group, per user attribute: the value the description constrains it to.
-    user_values: Vec<Vec<Option<ValueId>>>,
-    /// Per group, per item attribute: the value the description constrains it to.
-    item_values: Vec<Vec<Option<ValueId>>>,
+    /// The signatures as one row-major `n × signature_dims` array when every signature
+    /// stores all its entries; empty otherwise.
+    dense: Vec<f64>,
+    /// The user descriptions, interned.
+    users: DescriptionClasses,
+    /// The item descriptions, interned.
+    items: DescriptionClasses,
     /// Start of each user attribute's block in the unarized user space.
     user_offsets: Vec<usize>,
     /// Start of each item attribute's block in the unarized item space.
@@ -107,25 +126,36 @@ impl MiningContext {
         };
         let signature_dims = signatures.first().map_or(0, TagSignature::dims);
         let signature_norms = signatures.iter().map(TagSignature::norm).collect();
+        let dense = if signatures
+            .iter()
+            .all(|s| s.entries().len() == signature_dims)
+        {
+            signatures
+                .iter()
+                .flat_map(|s| s.entries().iter().map(|&(_, w)| w))
+                .collect()
+        } else {
+            Vec::new()
+        };
 
-        // Description values, one row per side.
+        // Description values, one row per side, interned into classes.
         let user_offsets = dataset.user_schema.unarization_offsets();
         let item_offsets = dataset.item_schema.unarization_offsets();
-        let mut user_values = Vec::with_capacity(groups.len());
-        let mut item_values = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let mut uv = vec![None; user_offsets.len()];
-            let mut iv = vec![None; item_offsets.len()];
-            for cond in group.description.conditions() {
-                let row = match cond.dimension {
-                    Dimension::User => &mut uv,
-                    Dimension::Item => &mut iv,
-                };
-                row[cond.attribute.0 as usize] = Some(cond.value);
-            }
-            user_values.push(uv);
-            item_values.push(iv);
-        }
+        let (user_rows, item_rows) = groups
+            .iter()
+            .map(|group| {
+                let mut uv = vec![None; user_offsets.len()];
+                let mut iv = vec![None; item_offsets.len()];
+                for cond in group.description.conditions() {
+                    let row = match cond.dimension {
+                        Dimension::User => &mut uv,
+                        Dimension::Item => &mut iv,
+                    };
+                    row[cond.attribute.0 as usize] = Some(cond.value);
+                }
+                (uv, iv)
+            })
+            .unzip();
 
         MiningContext {
             groups,
@@ -133,8 +163,9 @@ impl MiningContext {
             signatures,
             signature_norms,
             signature_dims,
-            user_values,
-            item_values,
+            dense,
+            users: DescriptionClasses::intern(user_rows),
+            items: DescriptionClasses::intern(item_rows),
             user_offsets,
             item_offsets,
             user_domain: dataset.user_schema.total_domain_size(),
@@ -191,21 +222,51 @@ impl MiningContext {
         b: usize,
     ) -> f64 {
         match (dimension, kind) {
-            (TaggingDimension::Tags, _) | (_, PairwiseKind::TagCosine) => self.signatures[a]
-                .cosine_with_norms(
-                    &self.signatures[b],
-                    self.signature_norms[a],
-                    self.signature_norms[b],
-                ),
-            (TaggingDimension::Users, PairwiseKind::Structural) => {
-                structural_similarity(&self.user_values[a], &self.user_values[b])
-            }
-            (TaggingDimension::Items, PairwiseKind::Structural) => {
-                structural_similarity(&self.item_values[a], &self.item_values[b])
-            }
+            (TaggingDimension::Tags, _) | (_, PairwiseKind::TagCosine) => self.cosine(a, b),
+            (TaggingDimension::Users, PairwiseKind::Structural) => self.users.similarity(a, b),
+            (TaggingDimension::Items, PairwiseKind::Structural) => self.items.similarity(a, b),
             (_, PairwiseKind::ItemSetJaccard) => {
                 jaccard(&self.groups[a].items, &self.groups[b].items)
             }
+        }
+    }
+
+    /// The cosine of two groups' tag signatures: [`TagSignature::cosine_with_norms`]
+    /// with the cached norms, over the dense rows when the context keeps them. A dense
+    /// row holds every entry the sparse merge visits, so the dot product adds the same
+    /// products in the same index order.
+    #[inline]
+    fn cosine(&self, a: usize, b: usize) -> f64 {
+        let (norm_a, norm_b) = (self.signature_norms[a], self.signature_norms[b]);
+        if self.dense.is_empty() {
+            return self.signatures[a].cosine_with_norms(&self.signatures[b], norm_a, norm_b);
+        }
+        let denom = norm_a * norm_b;
+        if denom == 0.0 {
+            return 0.0;
+        }
+        let k = self.signature_dims;
+        let (x, y) = (
+            &self.dense[a * k..(a + 1) * k],
+            &self.dense[b * k..(b + 1) * k],
+        );
+        let mut dot = 0.0;
+        for (p, q) in x.iter().zip(y) {
+            dot += p * q;
+        }
+        (dot / denom).clamp(0.0, 1.0)
+    }
+
+    /// One side's interned descriptions: the users' for [`TaggingDimension::Users`],
+    /// the items' for [`TaggingDimension::Items`], none for tags.
+    pub(crate) fn description_classes(
+        &self,
+        dimension: TaggingDimension,
+    ) -> Option<&DescriptionClasses> {
+        match dimension {
+            TaggingDimension::Users => Some(&self.users),
+            TaggingDimension::Items => Some(&self.items),
+            TaggingDimension::Tags => None,
         }
     }
 
@@ -235,17 +296,17 @@ impl MiningContext {
     /// The folded vector of a group: its tag signature, optionally concatenated with its
     /// unarized user and/or item description vectors. A block holds `1.0` at
     /// `offset(attribute) + value` for each attribute the description constrains, derived
-    /// from the group's description row; offsets grow with the attribute, so the indices
-    /// come out ascending.
+    /// from the row of the group's description class; offsets grow with the attribute,
+    /// so the indices come out ascending.
     pub fn folded_vector(&self, idx: usize, fold_users: bool, fold_items: bool) -> Vec<(u32, f64)> {
         let mut out: Vec<(u32, f64)> = self.signatures[idx].entries().to_vec();
         let mut base = self.signature_dims;
         if fold_users {
-            push_onehot(&mut out, base, &self.user_offsets, &self.user_values[idx]);
+            push_onehot(&mut out, base, &self.user_offsets, self.users.row(idx));
             base += self.user_domain;
         }
         if fold_items {
-            push_onehot(&mut out, base, &self.item_offsets, &self.item_values[idx]);
+            push_onehot(&mut out, base, &self.item_offsets, self.items.row(idx));
         }
         out
     }
@@ -273,6 +334,94 @@ impl MiningContext {
         } else {
             Cow::Owned(hash())
         }
+    }
+}
+
+/// The most description classes a side keeps a similarity table for. The medium
+/// four-attribute context has 88 user and 19 item classes, and the paper-scale
+/// seven-attribute one 98 and 59; with single-action groups the paper scale reaches
+/// 1,707 and 3,471, whose tables would take 23 MB and 96 MB. A larger side scores from
+/// its class rows.
+pub(crate) const MAX_TABLE_CLASSES: usize = 512;
+
+/// One side's group descriptions, interned: each group names the class of its
+/// description, and each class keeps one row of values.
+#[derive(Debug, Clone)]
+pub(crate) struct DescriptionClasses {
+    /// Per group, the class of its description.
+    class_of: Vec<u32>,
+    /// Per class, per attribute: the value the description constrains it to.
+    rows: Vec<Vec<Option<ValueId>>>,
+    /// Row-major `c × c` structural similarities of the class rows; empty when the side
+    /// has more than [`MAX_TABLE_CLASSES`] classes.
+    table: Vec<f64>,
+}
+
+impl DescriptionClasses {
+    /// Intern one description row per group, numbering the classes in order of first
+    /// occurrence, and fill the similarity table when there are few enough classes.
+    fn intern(group_rows: Vec<Vec<Option<ValueId>>>) -> Self {
+        let mut ids = HashMap::new();
+        let mut rows = Vec::new();
+        let class_of = group_rows
+            .into_iter()
+            .map(|row| {
+                *ids.entry(row).or_insert_with_key(|row| {
+                    rows.push(row.clone());
+                    (rows.len() - 1) as u32
+                })
+            })
+            .collect();
+        let table = if rows.len() <= MAX_TABLE_CLASSES {
+            rows.iter()
+                .flat_map(|x| rows.iter().map(|y| structural_similarity(x, y)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        DescriptionClasses {
+            class_of,
+            rows,
+            table,
+        }
+    }
+
+    /// The number of classes.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The class of group `group`'s description.
+    #[inline]
+    pub(crate) fn class(&self, group: usize) -> usize {
+        self.class_of[group] as usize
+    }
+
+    /// Whether the side keeps its class similarity table.
+    pub(crate) fn has_table(&self) -> bool {
+        !self.table.is_empty()
+    }
+
+    /// The description row of group `group`.
+    fn row(&self, group: usize) -> &[Option<ValueId>] {
+        &self.rows[self.class(group)]
+    }
+
+    /// The structural similarity of classes `x` and `y`: a table read, or for a side
+    /// without a table, [`structural_similarity`] of their rows.
+    #[inline]
+    pub(crate) fn class_similarity(&self, x: usize, y: usize) -> f64 {
+        if self.table.is_empty() {
+            structural_similarity(&self.rows[x], &self.rows[y])
+        } else {
+            self.table[x * self.len() + y]
+        }
+    }
+
+    /// The structural similarity of two groups' descriptions.
+    #[inline]
+    fn similarity(&self, a: usize, b: usize) -> f64 {
+        self.class_similarity(self.class(a), self.class(b))
     }
 }
 
@@ -330,9 +479,14 @@ fn jaccard<T: Ord>(a: &[T], b: &[T]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::test_support::random_dataset;
+    use crate::criteria::MiningCriterion;
+    use crate::functions::DualMiningFunction;
+    use crate::solvers::test_support::{
+        random_context, random_dataset, random_summarizer, GROUPINGS,
+    };
     use proptest::prelude::*;
     use tagdm_data::dataset::DatasetBuilder;
+    use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
     use tagdm_data::group::GroupingScheme;
     use tagdm_data::schema::AttributeId;
 
@@ -562,6 +716,125 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A group's description row on one side, rebuilt from its description.
+    fn reference_row(ctx: &MiningContext, side: Dimension, idx: usize) -> Vec<Option<ValueId>> {
+        let arity = match side {
+            Dimension::User => ctx.user_offsets.len(),
+            Dimension::Item => ctx.item_offsets.len(),
+        };
+        let mut row = vec![None; arity];
+        for cond in ctx.group(idx).description.conditions() {
+            if cond.dimension == side {
+                row[cond.attribute.0 as usize] = Some(cond.value);
+            }
+        }
+        row
+    }
+
+    /// The pair similarity as scored from one description row per group and the sparse
+    /// signature merge, without description classes or dense rows.
+    fn reference_similarity(
+        ctx: &MiningContext,
+        dimension: TaggingDimension,
+        kind: PairwiseKind,
+        a: usize,
+        b: usize,
+    ) -> f64 {
+        let structural = |side| {
+            structural_similarity(&reference_row(ctx, side, a), &reference_row(ctx, side, b))
+        };
+        match (dimension, kind) {
+            (TaggingDimension::Tags, _) | (_, PairwiseKind::TagCosine) => {
+                ctx.tag_signatures()[a].cosine_similarity(&ctx.tag_signatures()[b])
+            }
+            (TaggingDimension::Users, PairwiseKind::Structural) => structural(Dimension::User),
+            (TaggingDimension::Items, PairwiseKind::Structural) => structural(Dimension::Item),
+            (_, PairwiseKind::ItemSetJaccard) => jaccard(&ctx.group(a).items, &ctx.group(b).items),
+        }
+    }
+
+    /// Require every dimension × kind × criterion to score the pairs `(a, b)`, `a` in
+    /// `rows` and `b` any group, bit for bit as [`reference_similarity`] does.
+    fn assert_scores_match_the_reference(ctx: &MiningContext, rows: impl Iterator<Item = usize>) {
+        let kinds = [
+            PairwiseKind::Structural,
+            PairwiseKind::ItemSetJaccard,
+            PairwiseKind::TagCosine,
+        ];
+        for a in rows {
+            for b in 0..ctx.num_groups() {
+                for dimension in TaggingDimension::ALL {
+                    for kind in kinds {
+                        let reference = reference_similarity(ctx, dimension, kind, a, b);
+                        for criterion in MiningCriterion::ALL {
+                            let function =
+                                DualMiningFunction::standard(dimension, criterion).with_kind(kind);
+                            assert_eq!(
+                                function.evaluate_pair(ctx, a, b).to_bits(),
+                                criterion.orient(reference).to_bits(),
+                                "{} on ({a}, {b})",
+                                function.describe()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_pair_scores_match_the_per_group_reference(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+        ) {
+            let ctx = random_context(seed, actions, grouping);
+            // LDA θ is positive, so its contexts score cosines over the dense rows.
+            if matches!(random_summarizer(seed), SummarizerChoice::Lda(_)) {
+                prop_assert_eq!(ctx.dense.len(), ctx.num_groups() * ctx.signature_dims());
+            }
+            prop_assert!(ctx.users.has_table() && ctx.items.has_table());
+            assert_scores_match_the_reference(&ctx, 0..ctx.num_groups());
+        }
+    }
+
+    #[test]
+    fn a_side_beyond_the_table_cap_scores_from_its_class_rows() {
+        // Many items with near-unique (genre, actor, director) descriptions.
+        let ds = MovieLensStyleGenerator::new(GeneratorConfig {
+            num_items: 1_500,
+            num_actions: 3_000,
+            num_actors: 150,
+            num_directors: 60,
+            ..GeneratorConfig::small()
+        })
+        .generate();
+        let groups = GroupingScheme::over(
+            &ds,
+            &[
+                ("user", "gender"),
+                ("item", "genre"),
+                ("item", "actor"),
+                ("item", "director"),
+            ],
+        )
+        .unwrap()
+        .enumerate(&ds);
+        let ctx = MiningContext::build(&ds, groups, SummarizerChoice::fast_lda(4));
+        assert!(
+            ctx.items.len() > MAX_TABLE_CLASSES,
+            "{} classes",
+            ctx.items.len()
+        );
+        assert!(!ctx.items.has_table() && ctx.users.has_table());
+        assert!(!ctx.dense.is_empty());
+        let n = ctx.num_groups();
+        assert_scores_match_the_reference(&ctx, (0..n).step_by(n / 16));
     }
 
     #[test]

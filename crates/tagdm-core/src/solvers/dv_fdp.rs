@@ -20,10 +20,20 @@
 //!
 //! The greedy runs on the shared pair kernel (`solvers::pairs`) and builds no distance
 //! matrix. The seed scan visits the pairs `(i, j)` for `i in 1..n`, `j in 0..i`, and
-//! keeps the first strict maximum. Under Fo each pair's constraint functions are scored
-//! once, and its distance only when it passes. A greedy round scores each candidate
-//! against the chosen groups only, into `k × k` constraint tables. A solve allocates
-//! `O(n + k²)`.
+//! keeps the first strict maximum. Under Fo each pair is tested against the constraints
+//! once, and its distance is scored only when it passes. When every constraint is
+//! structural on users or items (all of Table 1's are) and the context keeps both
+//! sides' class similarity tables, the test is two reads of per-side admit tables
+//! (`pairs::ClassAdmits`), filled once per solve over the description-class pairs;
+//! any other constraint set scores each pair's constraint functions. Either way the
+//! scan visits the same pairs in the same order with the same verdicts. A greedy round
+//! scores each candidate against the chosen groups only, into `k × k` constraint
+//! tables. A solve allocates `O(n + k² + c²)` for `c` description classes.
+//!
+//! Bucketing the groups by `(user class, item class)` and testing whole blocks would
+//! not shorten the scan: every enumerated group has a description of its own, so each
+//! block holds one group (456 blocks for the medium four-attribute context's 456
+//! groups).
 //!
 //! `candidates_evaluated` counts the `n(n−1)/2` pairs of the seed scan. Fo adds one for
 //! each pair's `[i, j]` test, one more for its `[j, i]` test when the first passes, and
@@ -40,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use crate::context::MiningContext;
 use crate::problem::TagDmProblem;
-use crate::solvers::pairs::{pair_admits, PairTable, Walk};
+use crate::solvers::pairs::{pair_admits, ClassAdmits, PairTable, Walk};
 use crate::solvers::{CancelToken, ConstraintMode, Solver, SolverOutcome};
 
 /// Tag-diversity (or, generally, pairwise-objective) maximization by greedy facility
@@ -85,6 +95,15 @@ impl DvFdpSolver {
             return (if k == 0 { Vec::new() } else { vec![0] }, pairs);
         }
 
+        let classes = if fold {
+            ClassAdmits::new(ctx, problem)
+        } else {
+            None
+        };
+        let admits = |i, j| match &classes {
+            Some(classes) => classes.admits(i, j),
+            None => pair_admits(ctx, problem, i, j),
+        };
         let mut evaluated = 0u64;
         let mut seed: Option<(usize, usize, f64)> = None;
         for i in 1..n {
@@ -94,10 +113,10 @@ impl DvFdpSolver {
             evaluated += i as u64;
             for j in 0..i {
                 if fold {
-                    // One score per constraint function answers both the `[i, j]` and
-                    // the `[j, i]` test; each test still counts.
+                    // One test answers both the `[i, j]` and the `[j, i]` test; each
+                    // still counts.
                     evaluated += 1;
-                    if !pair_admits(ctx, problem, i, j) {
+                    if !admits(i, j) {
                         continue;
                     }
                     evaluated += 1;

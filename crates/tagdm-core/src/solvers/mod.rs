@@ -137,7 +137,11 @@ pub(crate) mod test_support {
     //! Shared fixtures for solver tests: a small corpus with clear similarity/diversity
     //! structure and a context built over coarse describable groups.
 
+    use crate::catalog::{problem, ProblemParams};
     use crate::context::{MiningContext, SummarizerChoice};
+    use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
+    use crate::functions::DualMiningFunction;
+    use crate::problem::{ConstraintSpec, TagDmProblem};
     use tagdm_data::dataset::{Dataset, DatasetBuilder};
     use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
     use tagdm_data::group::GroupingScheme;
@@ -238,14 +242,51 @@ pub(crate) mod test_support {
         MovieLensStyleGenerator::new(config).generate()
     }
 
-    /// A random small corpus grouped by one of [`GROUPINGS`].
+    /// The summarizer of [`random_context`] for `seed`: sparse raw, normalized or tf·idf
+    /// frequencies, or dense LDA θ rows, in turn.
+    pub fn random_summarizer(seed: u64) -> SummarizerChoice {
+        match seed % 4 {
+            0 => SummarizerChoice::Frequency,
+            1 => SummarizerChoice::FrequencyNormalized,
+            2 => SummarizerChoice::TfIdf,
+            _ => SummarizerChoice::fast_lda(6),
+        }
+    }
+
+    /// A random small corpus grouped by one of [`GROUPINGS`] and summarized by
+    /// [`random_summarizer`].
     pub fn random_context(seed: u64, actions: usize, grouping: usize) -> MiningContext {
         let ds = random_dataset(seed, actions);
         let groups = GroupingScheme::over(&ds, GROUPINGS[grouping])
             .unwrap()
             .min_group_size(2)
             .enumerate(&ds);
-        MiningContext::build(&ds, groups, SummarizerChoice::Frequency)
+        MiningContext::build(&ds, groups, random_summarizer(seed))
+    }
+
+    /// Problems 1–6 of Table 1 under `params`, then problem 1 with its constraints
+    /// replaced by one on users' item-set Jaccard similarity and then by one on the
+    /// least pairwise item diversity (`Aggregator::Min`).
+    pub fn constrained_problems(
+        params: ProblemParams,
+        jaccard_threshold: f64,
+        min_threshold: f64,
+    ) -> Vec<TagDmProblem> {
+        let mut problems: Vec<TagDmProblem> = (1..=6).map(|id| problem(id, params)).collect();
+        let jaccard =
+            DualMiningFunction::standard(TaggingDimension::Users, MiningCriterion::Similarity)
+                .with_kind(PairwiseKind::ItemSetJaccard);
+        let min = DualMiningFunction::standard(TaggingDimension::Items, MiningCriterion::Diversity)
+            .with_aggregator(Aggregator::Min);
+        for (function, threshold) in [(jaccard, jaccard_threshold), (min, min_threshold)] {
+            let mut extra = problems[0].clone();
+            extra.constraints = vec![ConstraintSpec {
+                function,
+                threshold,
+            }];
+            problems.push(extra);
+        }
+        problems
     }
 }
 
@@ -253,6 +294,57 @@ pub(crate) mod test_support {
 mod tests {
     use super::*;
     use crate::catalog::{problem_1, ProblemParams};
+    use crate::solvers::test_support::{constrained_problems, random_context, GROUPINGS};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // Exact (uncapped and capped) and DV-FDP in every mode report their answer's own
+        // objective, bit for bit, and its own feasibility.
+        #[test]
+        fn prop_exact_and_dv_fdp_answers_report_the_truth(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            k in 1usize..4,
+            min_support in 1usize..80,
+            threshold in 0.0f64..1.0,
+            extra_threshold in 0.0f64..1.0,
+            cap in 1u64..40,
+        ) {
+            let ctx = random_context(seed, actions, grouping);
+            let params = ProblemParams {
+                k,
+                min_support,
+                user_threshold: threshold,
+                item_threshold: 1.0 - threshold,
+            };
+            let solvers: [Box<dyn Solver>; 5] = [
+                Box::new(ExactSolver::new()),
+                Box::new(ExactSolver::with_cap(cap)),
+                Box::new(DvFdpSolver::new(ConstraintMode::Ignore)),
+                Box::new(DvFdpSolver::new(ConstraintMode::Filter)),
+                Box::new(DvFdpSolver::new(ConstraintMode::Fold)),
+            ];
+            for problem in constrained_problems(params, extra_threshold, extra_threshold) {
+                for solver in &solvers {
+                    let outcome = solver.solve(&ctx, &problem);
+                    let what = format!("{}: {}", solver.name(), problem.describe());
+                    prop_assert_eq!(
+                        outcome.objective.to_bits(),
+                        problem.objective(&ctx, &outcome.groups).to_bits(),
+                        "{}", what
+                    );
+                    prop_assert_eq!(
+                        outcome.feasible,
+                        problem.feasible(&ctx, &outcome.groups),
+                        "{}", what
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn constraint_mode_suffixes() {

@@ -7,6 +7,12 @@
 //!
 //! * [`pair_admits`] tests a 2-set against the hard constraints, each constraint
 //!   function scoring the pair once and aggregating it as a one-pair set;
+//! * [`ClassAdmits`] answers the same test from two byte tables, for DV-FDP-Fo's seed
+//!   scan over all `n(n−1)/2` pairs. When every constraint is structural on users or
+//!   items, a pair's verdict depends only on the description classes of its groups
+//!   (see [`MiningContext`]), so one table per side over one triangle of class pairs,
+//!   filled with `pair_admits`' own expression on the class similarities, gives the
+//!   same verdicts;
 //! * [`PairTable`] keeps one `k × k` table of pair scores per function over a set kept
 //!   in insertion order. A set's value is that table read in
 //!   [`DualMiningFunction::evaluate`]'s pair order and aggregated by the unchanged
@@ -18,21 +24,90 @@
 //! Pair scores are symmetric bit for bit (`F_p(a, b) = F_p(b, a)`, pinned by a test),
 //! so a pair is scored in one orientation and serves both.
 //!
-//! All state is sized by `k` and dropped with the solve; nothing here is `O(n²)`.
+//! All state is sized by `k` or by the description classes and dropped with the solve;
+//! nothing here is `O(n²)`.
 
-use crate::context::MiningContext;
+use crate::context::{DescriptionClasses, MiningContext};
+use crate::criteria::{PairwiseKind, TaggingDimension};
 use crate::functions::DualMiningFunction;
-use crate::problem::TagDmProblem;
+use crate::problem::{ConstraintSpec, TagDmProblem};
 
 /// Whether the 2-set `{a, b}` satisfies every constraint of `problem`. Each constraint
 /// function scores the pair once and aggregates that one score as a one-pair set, so
 /// this equals [`TagDmProblem::constraints_satisfied`] on `[a, b]` without building the
-/// set. DV-FDP-Fo's seed scan and SM-LSH's bucket walks test pairs with it.
+/// set. SM-LSH's bucket walks test pairs with it, and so does DV-FDP-Fo's seed scan
+/// when [`ClassAdmits`] does not apply.
 pub(crate) fn pair_admits(ctx: &MiningContext, problem: &TagDmProblem, a: usize, b: usize) -> bool {
-    problem.constraints.iter().all(|c| {
-        let f = &c.function;
-        c.admits(f.aggregator.aggregate(&[f.evaluate_pair(ctx, a, b)]))
-    })
+    problem
+        .constraints
+        .iter()
+        .all(|c| admits_pair_score(c, c.function.evaluate_pair(ctx, a, b)))
+}
+
+/// Whether a constraint admits a pair that its function scores `score`: that one score
+/// aggregated as a one-pair set reaches the threshold.
+fn admits_pair_score(constraint: &ConstraintSpec, score: f64) -> bool {
+    constraint.admits(constraint.function.aggregator.aggregate(&[score]))
+}
+
+/// [`pair_admits`] as two byte-table reads, for problems whose constraints are all
+/// structural on users or items over a context whose two sides keep their class
+/// similarity tables. Each side's table holds, for every unordered pair of its
+/// description classes, whether that side's constraints all admit it.
+pub(crate) struct ClassAdmits<'a> {
+    sides: [(&'a DescriptionClasses, Vec<bool>); 2],
+}
+
+impl<'a> ClassAdmits<'a> {
+    /// The admit tables of `problem` over `ctx`, or `None` when some constraint is not
+    /// structural on users or items, or a side keeps no class similarity table.
+    pub(crate) fn new(ctx: &'a MiningContext, problem: &TagDmProblem) -> Option<Self> {
+        let structural = problem.constraints.iter().all(|c| {
+            c.function.kind == PairwiseKind::Structural
+                && c.function.dimension != TaggingDimension::Tags
+        });
+        if !structural {
+            return None;
+        }
+        let side =
+            |dimension| {
+                let classes = ctx.description_classes(dimension)?;
+                if !classes.has_table() {
+                    return None;
+                }
+                let constraints: Vec<&ConstraintSpec> = problem
+                    .constraints
+                    .iter()
+                    .filter(|c| c.function.dimension == dimension)
+                    .collect();
+                let mut admits = Vec::with_capacity(classes.len() * (classes.len() + 1) / 2);
+                for x in 0..classes.len() {
+                    for y in 0..=x {
+                        let similarity = classes.class_similarity(x, y);
+                        admits.push(constraints.iter().all(|c| {
+                            admits_pair_score(c, c.function.criterion.orient(similarity))
+                        }));
+                    }
+                }
+                Some((classes, admits))
+            };
+        Some(ClassAdmits {
+            sides: [
+                side(TaggingDimension::Users)?,
+                side(TaggingDimension::Items)?,
+            ],
+        })
+    }
+
+    /// Whether the 2-set `{a, b}` satisfies every constraint: [`pair_admits`]' answer.
+    #[inline]
+    pub(crate) fn admits(&self, a: usize, b: usize) -> bool {
+        self.sides.iter().all(|(classes, admits)| {
+            let (x, y) = (classes.class(a), classes.class(b));
+            let (hi, lo) = if x < y { (y, x) } else { (x, y) };
+            admits[hi * (hi + 1) / 2 + lo]
+        })
+    }
 }
 
 /// One `k × k` table of pair scores per function, over a set of at most `k` groups kept
@@ -221,10 +296,11 @@ impl<'a> Walk<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{problem, ProblemParams};
-    use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
-    use crate::problem::ConstraintSpec;
-    use crate::solvers::test_support::{random_context, small_context, GROUPINGS};
+    use crate::catalog::ProblemParams;
+    use crate::criteria::{MiningCriterion, PairwiseKind, TaggingDimension};
+    use crate::solvers::test_support::{
+        constrained_problems, random_context, small_context, GROUPINGS,
+    };
     use proptest::prelude::*;
 
     /// Require `F_p(a, b)` and `F_p(b, a)` to agree bit for bit for every dimension,
@@ -276,6 +352,25 @@ mod tests {
         }
     }
 
+    /// Require the class admit tables to answer [`pair_admits`] on every pair of `ctx`,
+    /// in both orders.
+    fn assert_class_admits_match_pair_admits(
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        classes: &ClassAdmits,
+    ) {
+        for a in 0..ctx.num_groups() {
+            for b in 0..ctx.num_groups() {
+                assert_eq!(
+                    classes.admits(a, b),
+                    pair_admits(ctx, problem, a, b),
+                    "{} on ({a}, {b})",
+                    problem.describe()
+                );
+            }
+        }
+    }
+
     /// A constraint threshold: half the time a quarter step, which structural scores
     /// can hit exactly, otherwise any value in `[0, 1)`.
     fn threshold() -> impl Strategy<Value = f64> {
@@ -310,25 +405,24 @@ mod tests {
                 user_threshold,
                 item_threshold,
             };
-            let mut problems: Vec<TagDmProblem> = (1..=6).map(|id| problem(id, params)).collect();
-            let jaccard = DualMiningFunction::standard(
-                TaggingDimension::Users,
-                MiningCriterion::Similarity,
-            )
-            .with_kind(PairwiseKind::ItemSetJaccard);
-            let min = DualMiningFunction::standard(
-                TaggingDimension::Items,
-                MiningCriterion::Diversity,
-            )
-            .with_aggregator(Aggregator::Min);
-            for (function, threshold) in [(jaccard, jaccard_threshold), (min, min_threshold)] {
-                let mut extra = problems[0].clone();
-                extra.constraints = vec![ConstraintSpec { function, threshold }];
-                problems.push(extra);
-            }
+            let mut problems = constrained_problems(params, jaccard_threshold, min_threshold);
+            // A structural constraint beside a non-structural one: no class tables.
+            let mut mixed = problems[0].clone();
+            mixed.constraints.push(problems[6].constraints[0]);
+            problems.push(mixed);
             for ctx in [random_context(seed, actions, grouping), small_context()] {
                 for problem in &problems {
                     assert_pair_admits_matches_the_set_test(&ctx, problem);
+                    // Every set but the item-set Jaccard and the mixed one is all
+                    // structural, and these contexts keep both class tables.
+                    let structural = problem.constraints.iter().all(|c| {
+                        c.function.kind == PairwiseKind::Structural
+                    });
+                    let classes = ClassAdmits::new(&ctx, problem);
+                    prop_assert_eq!(classes.is_some(), structural, "{}", problem.describe());
+                    if let Some(classes) = classes {
+                        assert_class_admits_match_pair_admits(&ctx, problem, &classes);
+                    }
                 }
             }
         }

@@ -28,6 +28,14 @@
 //! Every score is therefore bit-identical to scoring each group's own description row
 //! and merging the sparse signatures.
 //!
+//! Group support (Definition 1) is decided here too, for every solver and report. Build
+//! checks once whether the groups are pairwise disjoint, as every enumeration by
+//! [`GroupingScheme::enumerate`](tagdm_data::group::GroupingScheme::enumerate) is: each
+//! action falls in exactly one group, so the union of a set's groups is the sum of their
+//! sizes. [`MiningContext::support`] takes that sum for a strictly ascending set over a
+//! disjoint context, the form in which every solver passes its sets, and the
+//! [`group_support`] merge of the action lists for any other set or context.
+//!
 //! A context also holds SM-LSH's pre-processing step (Algorithm 1): the LSH index over
 //! the groups' folded vectors, one per fold variant `(fold_users, fold_items)`. It is
 //! hashed lazily by the first SM-LSH solve of that variant, whose `elapsed` therefore
@@ -78,6 +86,8 @@ impl SummarizerChoice {
 #[derive(Debug, Clone)]
 pub struct MiningContext {
     groups: Vec<TaggingActionGroup>,
+    /// Whether no action id occurs twice across (or within) the groups' action lists.
+    disjoint: bool,
     num_input_actions: usize,
     signatures: Vec<TagSignature>,
     /// L2 norm of each signature, cached for the pairwise tag cosine.
@@ -158,6 +168,7 @@ impl MiningContext {
             .unzip();
 
         MiningContext {
+            disjoint: pairwise_disjoint(&groups),
             groups,
             num_input_actions: dataset.num_actions(),
             signatures,
@@ -272,8 +283,17 @@ impl MiningContext {
 
     /// Group support (Definition 1) of a candidate set: the number of distinct input
     /// tuples covered by at least one group of the set.
+    ///
+    /// When the context's groups partition their actions and `set` is strictly
+    /// ascending, so that no group repeats, that is the sum of the groups' sizes.
+    /// Otherwise it is the [`group_support`] merge of their action lists. Both give the
+    /// same count wherever both apply.
     pub fn support(&self, set: &[usize]) -> usize {
-        group_support(set.iter().map(|&i| &self.groups[i]))
+        if self.disjoint && set.windows(2).all(|w| w[0] < w[1]) {
+            set.iter().map(|&i| self.groups[i].len()).sum()
+        } else {
+            group_support(set.iter().map(|&i| &self.groups[i]))
+        }
     }
 
     /// Support as a fraction of the input tuples.
@@ -425,6 +445,14 @@ impl DescriptionClasses {
     }
 }
 
+/// Whether no action id occurs twice in the groups' action lists, within one group or
+/// across two. The marks are sized by the largest id present, not by the dataset.
+fn pairwise_disjoint(groups: &[TaggingActionGroup]) -> bool {
+    let mut ids = groups.iter().flat_map(|g| &g.actions).map(|a| a.0 as usize);
+    let mut seen = vec![false; ids.clone().max().map_or(0, |max| max + 1)];
+    ids.all(|id| !std::mem::replace(&mut seen[id], true))
+}
+
 /// Append the one-hot block of a description row at `base`: `(base + offsets[a] + v,
 /// 1.0)` for each attribute `a` the row constrains to value `v`, in attribute order.
 fn push_onehot(out: &mut Vec<(u32, f64)>, base: usize, offsets: &[usize], row: &[Option<ValueId>]) {
@@ -482,9 +510,10 @@ mod tests {
     use crate::criteria::MiningCriterion;
     use crate::functions::DualMiningFunction;
     use crate::solvers::test_support::{
-        random_context, random_dataset, random_summarizer, GROUPINGS,
+        overlapping_context, random_context, random_dataset, random_summarizer, GROUPINGS,
     };
     use proptest::prelude::*;
+    use tagdm_data::action::ActionId;
     use tagdm_data::dataset::DatasetBuilder;
     use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
     use tagdm_data::group::GroupingScheme;
@@ -611,6 +640,102 @@ mod tests {
         assert_eq!(ctx.support(&all), ds.num_actions());
         assert!((ctx.support_fraction(&all) - 1.0).abs() < 1e-12);
         assert!(ctx.support(&[0]) < ds.num_actions());
+    }
+
+    /// The merge of the named groups' action lists, whatever the context's partition.
+    fn merged(ctx: &MiningContext, set: &[usize]) -> usize {
+        group_support(set.iter().map(|&i| ctx.group(i)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn prop_support_matches_the_merge(
+            seed in 0u64..1_000,
+            actions in 1usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            picks in proptest::collection::vec(0usize..64, 0..6),
+        ) {
+            let ctx = random_context(seed, actions, grouping);
+            prop_assert!(ctx.disjoint);
+            let n = ctx.num_groups();
+            let unsorted: Vec<usize> = picks.iter().filter(|_| n > 0).map(|p| p % n).collect();
+            let mut ascending = unsorted.clone();
+            ascending.sort_unstable();
+            ascending.dedup();
+            let descending: Vec<usize> = ascending.iter().rev().copied().collect();
+            let doubled: Vec<usize> = ascending.iter().flat_map(|&i| [i, i]).collect();
+            for set in [&ascending, &unsorted, &descending, &doubled, &Vec::new()] {
+                prop_assert_eq!(ctx.support(set), merged(&ctx, set), "{:?}", set);
+            }
+        }
+
+        #[test]
+        fn prop_enumeration_partitions_the_corpus(
+            seed in 0u64..1_000,
+            actions in 1usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            min_group_size in 1usize..6,
+        ) {
+            let ds = random_dataset(seed, actions);
+            let groups = GroupingScheme::over(&ds, GROUPINGS[grouping])
+                .unwrap()
+                .min_group_size(min_group_size)
+                .enumerate(&ds);
+            let mut owner = vec![None; ds.num_actions()];
+            for (g, group) in groups.iter().enumerate() {
+                for a in &group.actions {
+                    prop_assert_eq!(owner[a.0 as usize].replace(g), None, "{:?}", a);
+                }
+            }
+            if min_group_size == 1 {
+                let total: usize = groups.iter().map(TaggingActionGroup::len).sum();
+                prop_assert_eq!(total, ds.num_actions());
+            }
+            prop_assert!(MiningContext::build(&ds, groups, SummarizerChoice::Frequency).disjoint);
+        }
+    }
+
+    #[test]
+    fn support_of_overlapping_groups_is_the_merge() {
+        let ctx = overlapping_context();
+        assert!(!ctx.disjoint);
+        let n = ctx.num_groups();
+        for mask in 0..1usize << n {
+            let set: Vec<usize> = (0..n).filter(|i| mask >> i & 1 == 1).collect();
+            assert_eq!(ctx.support(&set), merged(&ctx, &set), "{set:?}");
+        }
+        // Group 0 holds every action, so each set containing it supports all of them,
+        // which is less than the sum of its sizes once a second group joins.
+        for other in 1..n {
+            let sum = ctx.group(0).len() + ctx.group(other).len();
+            assert_eq!(ctx.support(&[0, other]), ctx.num_input_actions());
+            assert_ne!(ctx.support(&[0, other]), sum);
+        }
+    }
+
+    #[test]
+    fn disjointness_counts_every_occurrence_of_an_action_id() {
+        let ds = dataset();
+        let groups = GroupingScheme::over(&ds, &[("user", "gender"), ("item", "genre")])
+            .unwrap()
+            .enumerate(&ds);
+        let build = |groups| MiningContext::build(&ds, groups, SummarizerChoice::Frequency);
+        assert!(build(groups.clone()).disjoint);
+        // An id listed twice inside one group.
+        let mut twice = groups.clone();
+        let first = twice[0].actions[0];
+        twice[0].actions.insert(0, first);
+        assert!(!build(twice).disjoint);
+        // An id past the dataset's last action is marked without indexing out of range.
+        let mut beyond = groups;
+        beyond[0]
+            .actions
+            .push(ActionId(10 * ds.num_actions() as u32));
+        let ctx = build(beyond);
+        assert!(ctx.disjoint);
+        assert_eq!(ctx.support(&[0, 1]), merged(&ctx, &[0, 1]));
     }
 
     #[test]

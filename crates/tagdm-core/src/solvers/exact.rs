@@ -9,9 +9,9 @@
 //! The enumeration is a depth-first search over a per-solve evaluation kernel that
 //! extends each candidate from its parent instead of re-scoring it from scratch:
 //!
-//! * **Support.** Every group gets one `u64` bitset over the input actions. The kernel
-//!   keeps the union of the current set's bitsets per DFS depth, so pushing a group
-//!   costs one OR and one popcount over the words, with no hashing or allocation.
+//! * **Support.** [`MiningContext::support`] of the current set, which the DFS keeps in
+//!   ascending group order: on an enumerated context, whose groups partition the
+//!   actions, that is the sum of the set's group sizes.
 //! * **Constraints and objectives.** When group `c` is pushed at position `m`, each
 //!   constraint and objective function scores `c` against the `m` groups already in the
 //!   set, once, into the shared [`PairTable`]: a `k × k` table per function. A
@@ -22,8 +22,7 @@
 //!   so objectives and feasibility are bit-identical to [`TagDmProblem::objective`] and
 //!   [`TagDmProblem::feasible`].
 //!
-//! All kernel state is sized by the solve's own group count and `k` and dropped with
-//! the solve; the mining context gains nothing.
+//! All kernel state is sized by the solve's `k` and dropped with the solve.
 
 use std::time::{Duration, Instant};
 
@@ -100,25 +99,6 @@ impl Solver for ExactSolver {
     }
 }
 
-/// One action bitset per group of `ctx`, concatenated: returns the words per bitset
-/// and the bits, where group `g` owns `bits[g * words..(g + 1) * words]`.
-fn action_bitsets(ctx: &MiningContext) -> (usize, Vec<u64>) {
-    let words = ctx
-        .groups()
-        .iter()
-        .filter_map(|g| g.actions.last())
-        .map(|a| a.0 as usize / 64 + 1)
-        .max()
-        .unwrap_or(0);
-    let mut bits = vec![0u64; ctx.num_groups() * words];
-    for (row, group) in bits.chunks_exact_mut(words.max(1)).zip(ctx.groups()) {
-        for a in &group.actions {
-            row[a.0 as usize / 64] |= 1 << (a.0 % 64);
-        }
-    }
-    (words, bits)
-}
-
 /// The per-solve state of the depth-first enumeration.
 struct Kernel<'a> {
     ctx: &'a MiningContext,
@@ -127,14 +107,6 @@ struct Kernel<'a> {
     cap: u64,
     /// The candidate set under evaluation, in push order (ascending group index).
     set: Vec<usize>,
-    /// Words per action bitset.
-    words: usize,
-    /// Per-group action bitsets (see [`action_bitsets`]).
-    group_bits: Vec<u64>,
-    /// `depth + 1` rows of `words`: row `d` is the union of the first `d` groups' bits.
-    covered: Vec<u64>,
-    /// `support[d]` is the popcount of `covered` row `d`.
-    support: Vec<usize>,
     /// Pair scores of the current set under the problem's constraint functions, then
     /// its objective functions.
     table: PairTable,
@@ -151,7 +123,6 @@ impl<'a> Kernel<'a> {
         cancel: &'a CancelToken,
     ) -> Self {
         let depth = problem.max_groups.min(ctx.num_groups());
-        let (words, group_bits) = action_bitsets(ctx);
         let functions = problem
             .constraints
             .iter()
@@ -164,10 +135,6 @@ impl<'a> Kernel<'a> {
             cancel,
             cap,
             set: Vec::with_capacity(depth),
-            words,
-            group_bits,
-            covered: vec![0; (depth + 1) * words],
-            support: vec![0; depth + 1],
             table: PairTable::new(functions, depth),
             best: None,
             evaluated: 0,
@@ -207,19 +174,9 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Append group `c`: extend the support union and score `c` against every group
-    /// already in the set under every function.
+    /// Append group `c`: score it against every group already in the set under every
+    /// function.
     fn push(&mut self, c: usize) {
-        let m = self.set.len();
-        let w = self.words;
-        let (parent, child) = self.covered[m * w..(m + 2) * w].split_at_mut(w);
-        let bits = &self.group_bits[c * w..(c + 1) * w];
-        let mut support = 0;
-        for ((out, &p), &g) in child.iter_mut().zip(parent.iter()).zip(bits) {
-            *out = p | g;
-            support += out.count_ones() as usize;
-        }
-        self.support[m + 1] = support;
         self.table.score_all(self.ctx, &self.set, c);
         self.set.push(c);
     }
@@ -235,7 +192,7 @@ impl<'a> Kernel<'a> {
         let problem = self.problem;
         // `size_ok` holds by construction: `descend` evaluates sets of
         // `min_groups..=max_groups` groups only.
-        let feasible = self.support[self.set.len()] >= problem.min_support
+        let feasible = self.ctx.support(&self.set) >= problem.min_support
             && problem
                 .constraints
                 .iter()
@@ -264,7 +221,9 @@ mod tests {
     use crate::context::SummarizerChoice;
     use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
     use crate::problem::{ConstraintSpec, ObjectiveSpec, TagDmProblem};
-    use crate::solvers::test_support::{random_context, small_context, GROUPINGS};
+    use crate::solvers::test_support::{
+        overlapping_context, random_context, small_context, GROUPINGS,
+    };
     use proptest::prelude::*;
     use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
     use tagdm_data::group::GroupingScheme;
@@ -370,17 +329,12 @@ mod tests {
         );
     }
 
-    /// Walk every candidate set through the kernel and require each function value and
-    /// the support to match the from-scratch evaluation bit for bit — every candidate,
-    /// not only the winner, so a summation-order slip cannot hide behind the argmax.
+    /// Walk every candidate set through the kernel and require each function value to
+    /// match the from-scratch evaluation bit for bit — every candidate, not only the
+    /// winner, so a summation-order slip cannot hide behind the argmax.
     fn assert_every_candidate_matches(ctx: &MiningContext, problem: &TagDmProblem) {
         fn walk(kernel: &mut Kernel, start: usize) {
             let set = kernel.set.clone();
-            assert_eq!(
-                kernel.support[set.len()],
-                kernel.ctx.support(&set),
-                "{set:?}"
-            );
             let functions = kernel
                 .problem
                 .constraints
@@ -425,27 +379,6 @@ mod tests {
             };
             let problem = problem(id, params).with_min_groups(min_groups.min(k));
             assert_matches_reference(&ExactSolver::new(), &ctx, &problem, None);
-        }
-
-        #[test]
-        fn prop_bitset_popcount_equals_group_support(
-            seed in 0u64..1_000,
-            actions in 1usize..400,
-            grouping in 0usize..GROUPINGS.len(),
-            picks in proptest::collection::vec(0usize..64, 0..6),
-        ) {
-            let ctx = random_context(seed, actions, grouping);
-            let (words, bits) = action_bitsets(&ctx);
-            let n = ctx.num_groups();
-            let set: Vec<usize> = picks.iter().filter(|_| n > 0).map(|p| p % n).collect();
-            let mut union = vec![0u64; words];
-            for &g in &set {
-                for (u, b) in union.iter_mut().zip(&bits[g * words..(g + 1) * words]) {
-                    *u |= b;
-                }
-            }
-            let popcount: usize = union.iter().map(|w| w.count_ones() as usize).sum();
-            prop_assert_eq!(popcount, ctx.support(&set));
         }
     }
 
@@ -534,6 +467,24 @@ mod tests {
                 item_threshold: 0.0,
             };
             assert_matches_reference(&ExactSolver::new(), &ctx, &problem(1 + i % 6, params), None);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_on_overlapping_groups() {
+        // Support there is the merge, not the sum of the group sizes: thresholds past
+        // the corpus size tell the two apart on every set holding the everyone group.
+        let ctx = overlapping_context();
+        for id in 1..=6 {
+            for min_support in [1, 30, ctx.num_input_actions(), ctx.num_input_actions() + 1] {
+                let params = ProblemParams {
+                    k: 3,
+                    min_support,
+                    user_threshold: 0.0,
+                    item_threshold: 0.0,
+                };
+                assert_matches_reference(&ExactSolver::new(), &ctx, &problem(id, params), None);
+            }
         }
     }
 

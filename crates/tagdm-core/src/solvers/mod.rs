@@ -144,7 +144,8 @@ pub(crate) mod test_support {
     use crate::problem::{ConstraintSpec, TagDmProblem};
     use tagdm_data::dataset::{Dataset, DatasetBuilder};
     use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
-    use tagdm_data::group::GroupingScheme;
+    use tagdm_data::group::{GroupId, GroupingScheme, TaggingActionGroup};
+    use tagdm_data::predicate::ConjunctivePredicate;
 
     /// A hand-built corpus where male/female teens tag comedy and action movies with
     /// deliberately similar (within demographic) and divergent (across demographic) tag
@@ -222,6 +223,28 @@ pub(crate) mod test_support {
         .unwrap()
         .min_group_size(2)
         .enumerate(&ds);
+        MiningContext::build(&ds, groups, SummarizerChoice::FrequencyNormalized)
+    }
+
+    /// A context over overlapping groups of [`small_dataset`]: everyone, the males, the
+    /// comedy taggers and the females tagging action. No enumeration yields such a set,
+    /// so its support takes the action-list merge.
+    pub fn overlapping_context() -> MiningContext {
+        let ds = small_dataset();
+        let predicates: [&[(&str, &str, &str)]; 4] = [
+            &[],
+            &[("user", "gender", "male")],
+            &[("item", "genre", "comedy")],
+            &[("user", "gender", "female"), ("item", "genre", "action")],
+        ];
+        let groups = predicates
+            .iter()
+            .enumerate()
+            .map(|(i, conditions)| {
+                let predicate = ConjunctivePredicate::parse(&ds, conditions).unwrap();
+                TaggingActionGroup::from_predicate(GroupId(i as u32), &ds, predicate)
+            })
+            .collect();
         MiningContext::build(&ds, groups, SummarizerChoice::FrequencyNormalized)
     }
 

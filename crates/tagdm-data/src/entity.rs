@@ -73,12 +73,6 @@ fn describe_values(values: &[ValueId], schema: &Schema) -> Vec<(String, String)>
         .collect()
 }
 
-/// Number of attributes on which two value vectors agree (used by structural
-/// similarity of user/item descriptions, Section 2.1.1).
-pub fn shared_attribute_count(a: &[ValueId], b: &[ValueId]) -> usize {
-    a.iter().zip(b.iter()).filter(|(x, y)| x == y).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,14 +113,5 @@ mod tests {
             schema.attribute(age_attr).value_name(age_value),
             Some("18-24")
         );
-    }
-
-    #[test]
-    fn shared_attribute_count_counts_positional_matches() {
-        let a = vec![ValueId(0), ValueId(1), ValueId(2)];
-        let b = vec![ValueId(0), ValueId(9), ValueId(2)];
-        assert_eq!(shared_attribute_count(&a, &b), 2);
-        assert_eq!(shared_attribute_count(&a, &a), 3);
-        assert_eq!(shared_attribute_count(&[], &[]), 0);
     }
 }

@@ -100,21 +100,6 @@ impl TaggingActionGroup {
         self.actions.is_empty()
     }
 
-    /// Total number of (action, tag) assignments in the group.
-    pub fn total_tag_occurrences(&self) -> u64 {
-        self.tag_counts.iter().map(|(_, c)| u64::from(*c)).sum()
-    }
-
-    /// Number of distinct tags used in the group.
-    pub fn distinct_tags(&self) -> usize {
-        self.tag_counts.len()
-    }
-
-    /// Whether a given action belongs to the group.
-    pub fn contains_action(&self, action: ActionId) -> bool {
-        self.actions.binary_search(&action).is_ok()
-    }
-
     /// The `count` most frequent tags of the group, with counts, ties broken by tag id.
     /// This is the simple frequency-based tag signature used to render tag clouds
     /// (Figures 1–2 of the paper).
@@ -344,14 +329,14 @@ mod tests {
             assert!(g.users.len() <= g.len());
             assert!(g.items.len() <= g.len());
             assert_eq!(
-                g.total_tag_occurrences(),
+                g.tag_counts.iter().map(|&(_, c)| c as usize).sum::<usize>(),
                 g.actions
                     .iter()
-                    .map(|&a| ds.action(a).tags.len() as u64)
-                    .sum::<u64>()
+                    .map(|&a| ds.action(a).tags.len())
+                    .sum::<usize>()
             );
             for &aid in &g.actions {
-                assert!(g.contains_action(aid));
+                assert!(g.actions.binary_search(&aid).is_ok());
                 assert!(g.description.matches(&ds, ds.action(aid)));
             }
         }
@@ -424,7 +409,7 @@ mod tests {
         // "funny" and "light" both appear twice; everything else once.
         assert!(top.iter().all(|(_, c)| *c == 2));
         // Requesting more tags than exist returns all of them.
-        assert_eq!(group.top_tags(100).len(), group.distinct_tags());
+        assert_eq!(group.top_tags(100).len(), group.tag_counts.len());
     }
 
     #[test]

@@ -40,9 +40,14 @@
 //! the groups' folded vectors, one per fold variant `(fold_users, fold_items)`. It is
 //! hashed lazily by the first SM-LSH solve of that variant, whose `elapsed` therefore
 //! includes the hashing, and reused by every later solve with the same LSH
-//! configuration.
+//! configuration. Beside each index the context keeps the pairs of every bucket ranked
+//! by that first solve's pairwise objective, stable-sorted in descending order, at most
+//! `MAX_RANKED_PAIRS` (16,384) pairs a variant. A later solve with the same objectives
+//! reads its bucket walks' seed pairs off the ranking instead of scoring every pair of
+//! every bucket.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -61,6 +66,7 @@ use tagdm_topics::summarizer::GroupSummarizer;
 use tagdm_topics::tfidf::TfIdfSummarizer;
 
 use crate::criteria::{PairwiseKind, TaggingDimension};
+use crate::problem::{ObjectiveSpec, TagDmProblem};
 
 /// Which group tag summarizer to use when building a [`MiningContext`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -106,9 +112,18 @@ pub struct MiningContext {
     item_offsets: Vec<usize>,
     user_domain: usize,
     item_domain: usize,
-    /// The LSH index of each fold variant, slot `2 · fold_users + fold_items`, filled
-    /// by the first [`MiningContext::lsh_index`] call for that variant.
-    lsh: [OnceLock<LshIndex>; 4],
+    /// SM-LSH's pre-processing of each fold variant, slot `2 · fold_users + fold_items`,
+    /// filled by the first [`MiningContext::lsh_index`] call for that variant.
+    lsh: [OnceLock<KeptLsh>; 4],
+}
+
+/// One fold variant's kept LSH pre-processing: the full-width index, and the ranking of
+/// its buckets' pairs under the objectives of the solve that hashed it.
+#[derive(Debug, Clone)]
+struct KeptLsh {
+    index: LshIndex,
+    objectives: Vec<ObjectiveSpec>,
+    ranking: BucketRanking,
 }
 
 impl MiningContext {
@@ -331,16 +346,21 @@ impl MiningContext {
         out
     }
 
-    /// The LSH index of every group's folded vector under `config`. The first call for
-    /// a fold variant hashes the groups and keeps the index; a later call with the same
-    /// `config` returns it, and one with another `config` hashes afresh without keeping
-    /// the result. Either way the index is the one [`LshIndex::build`] gives.
+    /// The LSH index of every group's folded vector under `config`, and the ranking of
+    /// its buckets' pairs by `problem`'s pairwise objective when the context keeps one.
+    ///
+    /// The first call for a fold variant hashes the groups and keeps the index together
+    /// with its [`BucketRanking`] under that call's objectives. A later call with the
+    /// same `config` returns the kept index, and the ranking too when its objectives
+    /// equal the kept ones; a call with another `config` hashes afresh, keeps nothing
+    /// and gets no ranking. Either way the index is the one [`LshIndex::build`] gives.
     pub(crate) fn lsh_index(
         &self,
         fold_users: bool,
         fold_items: bool,
         config: LshConfig,
-    ) -> Cow<'_, LshIndex> {
+        problem: &TagDmProblem,
+    ) -> (Cow<'_, LshIndex>, Option<&BucketRanking>) {
         let hash = || {
             let vectors: Vec<Vec<(u32, f64)>> = (0..self.num_groups())
                 .map(|i| self.folded_vector(i, fold_users, fold_items))
@@ -348,12 +368,82 @@ impl MiningContext {
             LshIndex::build(config, vectors.iter().map(|v| v.as_slice()))
         };
         let slot = &self.lsh[2 * usize::from(fold_users) + usize::from(fold_items)];
-        let kept = slot.get_or_init(hash);
-        if *kept.config() == config {
-            Cow::Borrowed(kept)
+        let kept = slot.get_or_init(|| {
+            let index = hash();
+            let ranking = BucketRanking::new(index.all_buckets(), |a, b| {
+                problem.pairwise_objective(self, a, b)
+            });
+            KeptLsh {
+                index,
+                objectives: problem.objectives.clone(),
+                ranking,
+            }
+        });
+        if kept.index.config() == &config {
+            let ranking = (kept.objectives == problem.objectives).then_some(&kept.ranking);
+            (Cow::Borrowed(&kept.index), ranking)
         } else {
-            Cow::Owned(hash())
+            (Cow::Owned(hash()), None)
         }
+    }
+}
+
+/// The most bucket pairs one [`BucketRanking`] keeps: 16,384 pairs, 128 KB. The medium
+/// four-attribute context's three SM-LSH-Fo variants rank 967, 2,635 and 6,638 pairs
+/// at the paper's `d′ = 10`, `l = 1`. A bucket whose pairs would take a ranking past the
+/// cap keeps none.
+const MAX_RANKED_PAIRS: usize = 1 << 14;
+
+/// The pairs `(a, b)` of each bucket of an LSH index, `a` before `b` in the bucket,
+/// ranked by a pairwise score in descending order. The sort is stable, so tied pairs
+/// keep the bucket's `(a < b)` pair order: the first ranked pair is the first pair of
+/// largest score in that order, and the first ranked pair passing a test is the first
+/// such pair among those that pass it.
+///
+/// A bucket keeps no ranking when one of its scores is NaN, which no order ranks, or
+/// when its pairs would take the ranking past [`MAX_RANKED_PAIRS`].
+#[derive(Debug, Clone)]
+pub(crate) struct BucketRanking {
+    /// Per bucket of the index, in [`LshIndex::all_buckets`] order, the end of its
+    /// ranked pairs in `pairs`. A bucket of two or more groups with no pairs there
+    /// keeps no ranking.
+    ends: Vec<u32>,
+    pairs: Vec<[u32; 2]>,
+}
+
+impl BucketRanking {
+    /// Rank every bucket of `buckets` by `score`.
+    pub(crate) fn new<'a>(
+        buckets: impl Iterator<Item = &'a [usize]>,
+        score: impl Fn(usize, usize) -> f64,
+    ) -> Self {
+        let mut ends = Vec::new();
+        let mut pairs = Vec::new();
+        let mut scored: Vec<(f64, [u32; 2])> = Vec::new();
+        for bucket in buckets {
+            let count = bucket.len() * bucket.len().saturating_sub(1) / 2;
+            if pairs.len() + count <= MAX_RANKED_PAIRS {
+                scored.clear();
+                for (i, &a) in bucket.iter().enumerate() {
+                    for &b in &bucket[i + 1..] {
+                        scored.push((score(a, b), [a as u32, b as u32]));
+                    }
+                }
+                if scored.iter().all(|(s, _)| !s.is_nan()) {
+                    scored.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(Ordering::Equal));
+                    pairs.extend(scored.iter().map(|&(_, pair)| pair));
+                }
+            }
+            ends.push(pairs.len() as u32);
+        }
+        BucketRanking { ends, pairs }
+    }
+
+    /// The ranked pairs of bucket `b`, or `None` when it keeps no ranking.
+    pub(crate) fn bucket(&self, b: usize) -> Option<&[[u32; 2]]> {
+        let start = if b == 0 { 0 } else { self.ends[b - 1] as usize };
+        let pairs = &self.pairs[start..self.ends[b] as usize];
+        (!pairs.is_empty()).then_some(pairs)
     }
 }
 
@@ -507,15 +597,16 @@ fn jaccard<T: Ord>(a: &[T], b: &[T]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{problem, ProblemParams};
     use crate::criteria::MiningCriterion;
     use crate::functions::DualMiningFunction;
     use crate::solvers::test_support::{
-        overlapping_context, random_context, random_dataset, random_summarizer, GROUPINGS,
+        overlapping_context, random_context, random_dataset, random_summarizer, wide_items_context,
+        GROUPINGS,
     };
     use proptest::prelude::*;
     use tagdm_data::action::ActionId;
     use tagdm_data::dataset::DatasetBuilder;
-    use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
     use tagdm_data::group::GroupingScheme;
     use tagdm_data::schema::AttributeId;
 
@@ -930,27 +1021,7 @@ mod tests {
 
     #[test]
     fn a_side_beyond_the_table_cap_scores_from_its_class_rows() {
-        // Many items with near-unique (genre, actor, director) descriptions.
-        let ds = MovieLensStyleGenerator::new(GeneratorConfig {
-            num_items: 1_500,
-            num_actions: 3_000,
-            num_actors: 150,
-            num_directors: 60,
-            ..GeneratorConfig::small()
-        })
-        .generate();
-        let groups = GroupingScheme::over(
-            &ds,
-            &[
-                ("user", "gender"),
-                ("item", "genre"),
-                ("item", "actor"),
-                ("item", "director"),
-            ],
-        )
-        .unwrap()
-        .enumerate(&ds);
-        let ctx = MiningContext::build(&ds, groups, SummarizerChoice::fast_lda(4));
+        let ctx = wide_items_context();
         assert!(
             ctx.items.len() > MAX_TABLE_CLASSES,
             "{} classes",
@@ -978,6 +1049,8 @@ mod tests {
     #[test]
     fn lsh_index_keeps_the_first_configuration_of_each_fold_variant() {
         let (_, ctx) = context(SummarizerChoice::Frequency);
+        let params = ProblemParams::default();
+        let (similar, diverse) = (problem(1, params), problem(4, params));
         let buckets = |index: &LshIndex| -> Vec<Vec<usize>> {
             index.all_buckets().map(<[usize]>::to_vec).collect()
         };
@@ -1001,13 +1074,17 @@ mod tests {
             let (first, first_index) = built(1);
             let (other, other_index) = built(2);
             // The first call fills the slot; another seed misses it and is not kept.
-            for (config, index, kept) in [
-                (first, &first_index, true),
-                (other, &other_index, false),
-                (first, &first_index, true),
+            // Only the kept index comes with a ranking, and only for the objectives it
+            // was ranked under.
+            for (config, index, problem, kept, ranked) in [
+                (first, &first_index, &similar, true, true),
+                (other, &other_index, &similar, false, false),
+                (first, &first_index, &diverse, true, false),
+                (first, &first_index, &similar, true, true),
             ] {
-                let got = ctx.lsh_index(fold_users, fold_items, config);
+                let (got, ranking) = ctx.lsh_index(fold_users, fold_items, config, problem);
                 assert_eq!(matches!(got, Cow::Borrowed(_)), kept);
+                assert_eq!(ranking.is_some(), ranked);
                 assert_eq!(*got.config(), config);
                 assert_eq!(buckets(&got), buckets(index));
             }

@@ -14,6 +14,10 @@ use serde::{Deserialize, Serialize};
 use crate::context::MiningContext;
 use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
 
+/// The most groups a set may have for [`DualMiningFunction::evaluate`] to keep its pair
+/// scores on the stack (28 scores, 224 bytes). Table 1's problems ask for `k = 3`.
+const STACK_SET: usize = 8;
+
 /// A pair-wise aggregation dual mining function `F_pa(·, dimension, criterion)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DualMiningFunction {
@@ -53,15 +57,26 @@ impl DualMiningFunction {
 
     /// Evaluate the function on a candidate set: [`evaluate_pair`](Self::evaluate_pair)
     /// on its unordered pairs in row-major `(i < j)` order, aggregated by `F_a`. Sets
-    /// with fewer than two groups have no pairs and score 0.
+    /// with fewer than two groups have no pairs and score 0. The scores of a set of at
+    /// most eight groups are kept on the stack; only a larger set allocates.
     pub fn evaluate(&self, ctx: &MiningContext, set: &[usize]) -> f64 {
-        let mut scores = Vec::with_capacity(set.len() * set.len().saturating_sub(1) / 2);
-        for (i, &a) in set.iter().enumerate() {
-            for &b in &set[i + 1..] {
-                scores.push(self.evaluate_pair(ctx, a, b));
-            }
+        let len = set.len() * set.len().saturating_sub(1) / 2;
+        let mut stack = [0.0; STACK_SET * (STACK_SET - 1) / 2];
+        let mut heap = Vec::new();
+        let scores = if len <= stack.len() {
+            &mut stack[..len]
+        } else {
+            heap.resize(len, 0.0);
+            &mut heap[..]
+        };
+        let pairs = set
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &a)| set[i + 1..].iter().map(move |&b| (a, b)));
+        for (score, (a, b)) in scores.iter_mut().zip(pairs) {
+            *score = self.evaluate_pair(ctx, a, b);
         }
-        self.aggregator.aggregate(&scores)
+        self.aggregator.aggregate(scores)
     }
 
     /// Evaluate the oriented pairwise comparison `F_p(g_a, g_b, dimension, criterion)` on

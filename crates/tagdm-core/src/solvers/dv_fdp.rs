@@ -19,27 +19,34 @@
 //!   post-checked (Section 5.3).
 //!
 //! The greedy runs on the shared pair kernel (`solvers::pairs`) and builds no distance
-//! matrix. The seed scan visits the pairs `(i, j)` for `i in 1..n`, `j in 0..i`, and
-//! keeps the first strict maximum. Under Fo each pair is tested against the constraints
-//! once, and its distance is scored only when it passes. When every constraint is
-//! structural on users or items (all of Table 1's are) and the context keeps both
-//! sides' class similarity tables, the test is two reads of per-side admit tables
-//! (`pairs::ClassAdmits`), filled once per solve over the description-class pairs;
-//! any other constraint set scores each pair's constraint functions. Either way the
-//! scan visits the same pairs in the same order with the same verdicts. A greedy round
-//! scores each candidate against the chosen groups only, into `k × k` constraint
-//! tables. A solve allocates `O(n + k² + c²)` for `c` description classes.
+//! matrix. The seed scan takes row `i in 1..n` at a time and, within it, the partners
+//! `j in 0..i` in ascending order, keeping the first strict maximum: the largest
+//! distance, ties broken by the smallest `(i, j)` in row-major order. Ignore and Filter
+//! score every pair. Fo scores the distance of admitted pairs only. When every
+//! constraint is structural on users or items (all of Table 1's are) and the context
+//! keeps both sides' class similarity tables, a row's admitted partners are the set
+//! bits below `i` of the AND of two per-class group bitsets (`pairs::ClassAdmits`,
+//! built once per solve), so the scan never visits a pair the constraints reject. Any
+//! other constraint set tests each pair's constraint functions. Either way the scan
+//! scores the same pairs in the same order. A greedy round scores each candidate against
+//! the chosen groups only, into `k × k` constraint tables. A solve allocates
+//! `O(n + k² + c·n/64)` words for `c` description classes.
 //!
-//! Bucketing the groups by `(user class, item class)` and testing whole blocks would
-//! not shorten the scan: every enumerated group has a description of its own, so each
-//! block holds one group (456 blocks for the medium four-attribute context's 456
-//! groups).
+//! Neither of two ways to skip more of the scan pays on the benchmark's medium
+//! four-attribute context. Bucketing the groups by `(user class, item class)` and testing
+//! whole blocks does not: every enumerated group has a description of its own, so each
+//! block holds one group (456 blocks for 456 groups). A `c_u × c_i` grid of groups
+//! walked over each row's admitted user classes × admitted item classes probes every
+//! empty cell as well, and only 456 of its 88 × 19 = 1,672 cells hold a group: on P5 it
+//! was slower than the full scan it replaced.
 //!
 //! `candidates_evaluated` counts the `n(n−1)/2` pairs of the seed scan. Fo adds one for
-//! each pair's `[i, j]` test, one more for its `[j, i]` test when the first passes, and
-//! one for each candidate tested in a greedy round. The token is polled once per
+//! each pair's `[i, j]` test, one more for each admitted pair's `[j, i]` test, and one
+//! for each candidate tested in a greedy round: row `i` counts `2i` plus its admitted
+//! pairs, whichever way the admitted pairs are found. The token is polled before each
 //! seed-scan row and once per greedy candidate; when it fires the solver returns the
-//! best admissible selection so far and counts only the pairs it scanned.
+//! best admissible selection so far and counts only the rows it scanned, so a fired
+//! token's partial count is the same for both ways.
 //!
 //! Because the distance is simply the pairwise objective, the same solver also handles
 //! similarity-maximization instances (the "may also be extended to determine a set of
@@ -100,31 +107,28 @@ impl DvFdpSolver {
         } else {
             None
         };
-        let admits = |i, j| match &classes {
-            Some(classes) => classes.admits(i, j),
-            None => pair_admits(ctx, problem, i, j),
-        };
         let mut evaluated = 0u64;
         let mut seed: Option<(usize, usize, f64)> = None;
         for i in 1..n {
             if cancel.is_cancelled() {
                 break;
             }
-            evaluated += i as u64;
-            for j in 0..i {
-                if fold {
-                    // One test answers both the `[i, j]` and the `[j, i]` test; each
-                    // still counts.
-                    evaluated += 1;
-                    if !admits(i, j) {
-                        continue;
-                    }
-                    evaluated += 1;
-                }
+            // Row `i` scans its `i` pairs. Under Fo each pair also counts its `[i, j]`
+            // test, and an admitted pair its `[j, i]` test, one count per `visit`.
+            evaluated += i as u64 * (1 + u64::from(fold));
+            let visit = |j| {
+                evaluated += u64::from(fold);
                 let d = distance(ctx, problem, i, j);
                 if seed.is_none_or(|(_, _, best)| d > best) {
                     seed = Some((i, j, d));
                 }
+            };
+            match &classes {
+                Some(classes) => classes.for_each_partner(i, visit),
+                None if fold => (0..i)
+                    .filter(|&j| pair_admits(ctx, problem, i, j))
+                    .for_each(visit),
+                None => (0..i).for_each(visit),
             }
         }
         let Some((i, j, _)) = seed else {
@@ -215,7 +219,10 @@ mod tests {
     use crate::criteria::{MiningCriterion, PairwiseKind, TaggingDimension};
     use crate::functions::DualMiningFunction;
     use crate::problem::{ObjectiveSpec, TagDmProblem};
-    use crate::solvers::test_support::{random_context, small_context, GROUPINGS};
+    use crate::solvers::test_support::{
+        medium_context, overlapping_context, random_context, small_context, wide_items_context,
+        GROUPINGS,
+    };
     use crate::solvers::ExactSolver;
     use proptest::prelude::*;
     use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
@@ -238,9 +245,19 @@ mod tests {
         ctx: &MiningContext,
         problem: &TagDmProblem,
     ) -> SolverOutcome {
+        let (selection, evaluated) = reference_selection(solver, ctx, problem);
+        solver.outcome(ctx, problem, selection, evaluated, Duration::ZERO)
+    }
+
+    /// The oracle's selection and count, which the support threshold does not change.
+    fn reference_selection(
+        solver: &DvFdpSolver,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+    ) -> (Vec<usize>, u64) {
         let n = ctx.num_groups();
         if n == 0 {
-            return solver.outcome(ctx, problem, Vec::new(), 0, Duration::ZERO);
+            return (Vec::new(), 0);
         }
         let matrix = DistanceMatrix::from_fn(n, |i, j| problem.pairwise_objective(ctx, i, j));
         let mut evaluated = (n as u64) * (n as u64 - 1) / 2;
@@ -260,7 +277,7 @@ mod tests {
                 })
             }
         };
-        solver.outcome(ctx, problem, selection, evaluated, Duration::ZERO)
+        (selection, evaluated)
     }
 
     /// Run the kernel and the oracle and require identical outcomes.
@@ -369,6 +386,78 @@ mod tests {
         }
     }
 
+    #[test]
+    fn kernel_matches_the_reference_on_overlapping_groups() {
+        // Overlapping groups, one of them with an empty description: the structural
+        // problems still enumerate their admitted pairs from the class bitsets.
+        let ctx = overlapping_context();
+        for id in 1..=6 {
+            for threshold in [0.0, 0.25, 0.5, 1.0] {
+                let params = ProblemParams {
+                    k: 3,
+                    min_support: 2,
+                    user_threshold: threshold,
+                    item_threshold: threshold,
+                };
+                let problem = problem(id, params);
+                assert!(ClassAdmits::new(&ctx, &problem).is_some());
+                for mode in MODES {
+                    assert_matches_reference(&DvFdpSolver::new(mode), &ctx, &problem);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_over_a_side_without_a_table() {
+        // Over MAX_TABLE_CLASSES item classes: Fo tests each pair's constraints.
+        let ctx = wide_items_context();
+        for problem in [
+            problem_4(loose_params()),
+            problem_5(loose_params()),
+            problem_6(loose_params()),
+        ] {
+            assert!(ClassAdmits::new(&ctx, &problem).is_none());
+            assert_matches_reference(&DvFdpSolver::new(ConstraintMode::Fold), &ctx, &problem);
+        }
+    }
+
+    #[test]
+    fn benchmark_shaped_requests_match_the_reference() {
+        // mine-heuristic's DV-FDP-Fo requests: P4–P6 at the paper's defaults, support
+        // offset by −20..+10. Support only decides feasibility, so the oracle selects
+        // once per problem.
+        let ctx = medium_context();
+        let base = ProblemParams::paper_defaults(ctx.num_input_actions());
+        let solver = DvFdpSolver::new(ConstraintMode::Fold);
+        for id in 4..=6 {
+            let (selection, evaluated) = reference_selection(&solver, &ctx, &problem(id, base));
+            for offset in -20isize..=10 {
+                let params = ProblemParams {
+                    min_support: base.min_support.saturating_add_signed(offset),
+                    ..base
+                };
+                let problem = problem(id, params);
+                assert!(ClassAdmits::new(&ctx, &problem).is_some());
+                let kernel = solver.solve(&ctx, &problem);
+                let oracle =
+                    solver.outcome(&ctx, &problem, selection.clone(), evaluated, Duration::ZERO);
+                let what = format!("P{id} support {}", params.min_support);
+                assert_eq!(kernel.groups, oracle.groups, "{what}");
+                assert_eq!(
+                    kernel.objective.to_bits(),
+                    oracle.objective.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(kernel.feasible, oracle.feasible, "{what}");
+                assert_eq!(
+                    kernel.candidates_evaluated, oracle.candidates_evaluated,
+                    "{what}"
+                );
+            }
+        }
+    }
+
     fn loose_params() -> ProblemParams {
         ProblemParams {
             k: 3,
@@ -473,7 +562,8 @@ mod tests {
     #[test]
     fn a_deadline_cuts_the_seed_scan_short() {
         // Occupation × age × genre × actor over the medium corpus: well over 1,500
-        // groups, so the full seed scan scores over a million pairs.
+        // groups, so the full seed scan visits over a million pairs. Both sides keep
+        // class tables, so Fo enumerates the admitted pairs from the class bitsets.
         let ds = MovieLensStyleGenerator::new(GeneratorConfig::medium()).generate();
         let groups = GroupingScheme::over(
             &ds,
@@ -491,15 +581,21 @@ mod tests {
         let n = ctx.num_groups() as u64;
         assert!(n >= 1_500, "{n} groups");
         let problem = problem_6(loose_params());
-        let token = CancelToken::after(Duration::from_millis(1));
-        let outcome =
-            DvFdpSolver::new(ConstraintMode::Filter).solve_cancellable(&ctx, &problem, &token);
-        assert!(
-            outcome.candidates_evaluated < n * (n - 1) / 2,
-            "{} of {} pairs",
-            outcome.candidates_evaluated,
-            n * (n - 1) / 2
-        );
+        assert!(ClassAdmits::new(&ctx, &problem).is_some());
+        // A full Fi scan counts its n(n−1)/2 pairs; a full Fo scan counts each pair's
+        // `[i, j]` test besides, n(n−1) before any admitted pair.
+        for (mode, full) in [
+            (ConstraintMode::Filter, n * (n - 1) / 2),
+            (ConstraintMode::Fold, n * (n - 1)),
+        ] {
+            let token = CancelToken::after(Duration::from_millis(1));
+            let outcome = DvFdpSolver::new(mode).solve_cancellable(&ctx, &problem, &token);
+            assert!(
+                outcome.candidates_evaluated < full,
+                "{mode:?}: {} of {full}",
+                outcome.candidates_evaluated,
+            );
+        }
     }
 
     #[test]

@@ -142,10 +142,12 @@ pub(crate) mod test_support {
     use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
     use crate::functions::DualMiningFunction;
     use crate::problem::{ConstraintSpec, TagDmProblem};
+    use std::sync::OnceLock;
     use tagdm_data::dataset::{Dataset, DatasetBuilder};
     use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
     use tagdm_data::group::{GroupId, GroupingScheme, TaggingActionGroup};
     use tagdm_data::predicate::ConjunctivePredicate;
+    use tagdm_topics::lda::LdaConfig;
 
     /// A hand-built corpus where male/female teens tag comedy and action movies with
     /// deliberately similar (within demographic) and divergent (across demographic) tag
@@ -285,6 +287,62 @@ pub(crate) mod test_support {
             .min_group_size(2)
             .enumerate(&ds);
         MiningContext::build(&ds, groups, random_summarizer(seed))
+    }
+
+    /// The benchmark's mine-heuristic context: the `medium` corpus grouped by gender,
+    /// age, occupation and genre, at least five actions a group, with LDA(25)
+    /// signatures. It is built once per test binary and cloned for each caller, so each
+    /// starts without kept LSH state.
+    pub fn medium_context() -> MiningContext {
+        static CONTEXT: OnceLock<MiningContext> = OnceLock::new();
+        CONTEXT
+            .get_or_init(|| {
+                let ds = MovieLensStyleGenerator::new(GeneratorConfig::medium()).generate();
+                let groups = GroupingScheme::over(
+                    &ds,
+                    &[
+                        ("user", "gender"),
+                        ("user", "age"),
+                        ("user", "occupation"),
+                        ("item", "genre"),
+                    ],
+                )
+                .unwrap()
+                .min_group_size(5)
+                .enumerate(&ds);
+                MiningContext::build(
+                    &ds,
+                    groups,
+                    SummarizerChoice::Lda(LdaConfig::with_topics(25)),
+                )
+            })
+            .clone()
+    }
+
+    /// A context whose item side has more than `MAX_TABLE_CLASSES` description classes,
+    /// and so keeps no item similarity table: many items with near-unique (genre, actor,
+    /// director) descriptions.
+    pub fn wide_items_context() -> MiningContext {
+        let ds = MovieLensStyleGenerator::new(GeneratorConfig {
+            num_items: 1_500,
+            num_actions: 3_000,
+            num_actors: 150,
+            num_directors: 60,
+            ..GeneratorConfig::small()
+        })
+        .generate();
+        let groups = GroupingScheme::over(
+            &ds,
+            &[
+                ("user", "gender"),
+                ("item", "genre"),
+                ("item", "actor"),
+                ("item", "director"),
+            ],
+        )
+        .unwrap()
+        .enumerate(&ds);
+        MiningContext::build(&ds, groups, SummarizerChoice::fast_lda(4))
     }
 
     /// Problems 1–6 of Table 1 under `params`, then problem 1 with its constraints

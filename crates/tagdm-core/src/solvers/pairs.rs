@@ -7,12 +7,11 @@
 //!
 //! * [`pair_admits`] tests a 2-set against the hard constraints, each constraint
 //!   function scoring the pair once and aggregating it as a one-pair set;
-//! * [`ClassAdmits`] answers the same test from two byte tables, for DV-FDP-Fo's seed
-//!   scan over all `n(n−1)/2` pairs. When every constraint is structural on users or
-//!   items, a pair's verdict depends only on the description classes of its groups
-//!   (see [`MiningContext`]), so one table per side over one triangle of class pairs,
-//!   filled with `pair_admits`' own expression on the class similarities, gives the
-//!   same verdicts;
+//! * [`ClassAdmits`] lists the same test's admitted pairs, for DV-FDP-Fo's seed scan.
+//!   When every constraint is structural on users or items, a pair's verdict depends
+//!   only on the description classes of its groups (see [`MiningContext`]), so one
+//!   bitset per class and side, of the groups that class admits, gives the same
+//!   verdicts; a group's admitted partners are the AND of its two classes' bitsets;
 //! * [`PairTable`] keeps one `k × k` table of pair scores per function over a set kept
 //!   in insertion order. A set's value is that table read in
 //!   [`DualMiningFunction::evaluate`]'s pair order and aggregated by the unchanged
@@ -24,8 +23,8 @@
 //! Pair scores are symmetric bit for bit (`F_p(a, b) = F_p(b, a)`, pinned by a test),
 //! so a pair is scored in one orientation and serves both.
 //!
-//! All state is sized by `k` or by the description classes and dropped with the solve;
-//! nothing here is `O(n²)`.
+//! All state is sized by `k`, or by the description classes times `n` bits, and
+//! dropped with the solve; nothing here is `O(n²)`.
 
 use crate::context::{DescriptionClasses, MiningContext};
 use crate::criteria::{PairwiseKind, TaggingDimension};
@@ -50,17 +49,27 @@ fn admits_pair_score(constraint: &ConstraintSpec, score: f64) -> bool {
     constraint.admits(constraint.function.aggregator.aggregate(&[score]))
 }
 
-/// [`pair_admits`] as two byte-table reads, for problems whose constraints are all
-/// structural on users or items over a context whose two sides keep their class
-/// similarity tables. Each side's table holds, for every unordered pair of its
-/// description classes, whether that side's constraints all admit it.
+/// [`pair_admits`] as group bitsets, for problems whose constraints are all structural
+/// on users or items over a context whose two sides keep their class similarity
+/// tables. A pair's verdict then depends only on its groups' description classes, so
+/// each side keeps, per class, the bitset of the groups whose class that side's
+/// constraints admit beside it. The pair `{a, b}` is admitted iff `b` is set in both of
+/// `a`'s sides' bitsets.
 pub(crate) struct ClassAdmits<'a> {
-    sides: [(&'a DescriptionClasses, Vec<bool>); 2],
+    /// `u64` words per bitset: one bit per group.
+    words: usize,
+    /// Per side, its classes and, per class, one bitset of `words` words.
+    sides: [(&'a DescriptionClasses, Vec<u64>); 2],
 }
 
 impl<'a> ClassAdmits<'a> {
-    /// The admit tables of `problem` over `ctx`, or `None` when some constraint is not
+    /// The admit bitsets of `problem` over `ctx`, or `None` when some constraint is not
     /// structural on users or items, or a side keeps no class similarity table.
+    ///
+    /// A side's verdict on a class pair is `pair_admits`' own expression on the class
+    /// similarity, taken once per distinct similarity value: structural similarity
+    /// takes only a few values (the fractions of agreeing attributes). A class's bitset
+    /// is the OR of the member bitsets of the classes it admits.
     pub(crate) fn new(ctx: &'a MiningContext, problem: &TagDmProblem) -> Option<Self> {
         let structural = problem.constraints.iter().all(|c| {
             c.function.kind == PairwiseKind::Structural
@@ -69,29 +78,54 @@ impl<'a> ClassAdmits<'a> {
         if !structural {
             return None;
         }
-        let side =
-            |dimension| {
-                let classes = ctx.description_classes(dimension)?;
-                if !classes.has_table() {
-                    return None;
+        let n = ctx.num_groups();
+        let words = n.div_ceil(64);
+        let side = |dimension| {
+            let classes = ctx.description_classes(dimension)?;
+            if !classes.has_table() {
+                return None;
+            }
+            let constraints: Vec<&ConstraintSpec> = problem
+                .constraints
+                .iter()
+                .filter(|c| c.function.dimension == dimension)
+                .collect();
+            let mut verdicts: Vec<(u64, bool)> = Vec::new();
+            let mut verdict = |similarity: f64| {
+                let bits = similarity.to_bits();
+                if let Some(&(_, admits)) = verdicts.iter().find(|&&(v, _)| v == bits) {
+                    return admits;
                 }
-                let constraints: Vec<&ConstraintSpec> = problem
-                    .constraints
+                let admits = constraints
                     .iter()
-                    .filter(|c| c.function.dimension == dimension)
-                    .collect();
-                let mut admits = Vec::with_capacity(classes.len() * (classes.len() + 1) / 2);
-                for x in 0..classes.len() {
-                    for y in 0..=x {
-                        let similarity = classes.class_similarity(x, y);
-                        admits.push(constraints.iter().all(|c| {
-                            admits_pair_score(c, c.function.criterion.orient(similarity))
-                        }));
+                    .all(|c| admits_pair_score(c, c.function.criterion.orient(similarity)));
+                verdicts.push((bits, admits));
+                admits
+            };
+            let c = classes.len();
+            let mut members = vec![0u64; c * words];
+            for g in 0..n {
+                members[classes.class(g) * words + g / 64] |= 1 << (g % 64);
+            }
+            let mut admitted = vec![0u64; c * words];
+            let mut add = |x: usize, y: usize| {
+                let (into, from) = (x * words, y * words);
+                for w in 0..words {
+                    admitted[into + w] |= members[from + w];
+                }
+            };
+            for x in 0..c {
+                for y in 0..=x {
+                    if verdict(classes.class_similarity(x, y)) {
+                        add(x, y);
+                        add(y, x);
                     }
                 }
-                Some((classes, admits))
-            };
+            }
+            Some((classes, admitted))
+        };
         Some(ClassAdmits {
+            words,
             sides: [
                 side(TaggingDimension::Users)?,
                 side(TaggingDimension::Items)?,
@@ -99,14 +133,25 @@ impl<'a> ClassAdmits<'a> {
         })
     }
 
-    /// Whether the 2-set `{a, b}` satisfies every constraint: [`pair_admits`]' answer.
+    /// Call `visit` on every `j < i` whose pair with `i` satisfies every constraint, in
+    /// ascending order: the set bits below `i` of the AND of `i`'s two side bitsets.
     #[inline]
-    pub(crate) fn admits(&self, a: usize, b: usize) -> bool {
-        self.sides.iter().all(|(classes, admits)| {
-            let (x, y) = (classes.class(a), classes.class(b));
-            let (hi, lo) = if x < y { (y, x) } else { (x, y) };
-            admits[hi * (hi + 1) / 2 + lo]
-        })
+    pub(crate) fn for_each_partner(&self, i: usize, mut visit: impl FnMut(usize)) {
+        let words = self.words;
+        let [users, items] = self.sides.each_ref().map(|(classes, bits)| {
+            let start = classes.class(i) * words;
+            &bits[start..start + words]
+        });
+        for (w, (&u, &t)) in users.iter().zip(items).take(i.div_ceil(64)).enumerate() {
+            let mut word = u & t;
+            if w == i / 64 {
+                word &= (1 << (i % 64)) - 1;
+            }
+            while word != 0 {
+                visit(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
     }
 }
 
@@ -299,7 +344,7 @@ mod tests {
     use crate::catalog::ProblemParams;
     use crate::criteria::{MiningCriterion, PairwiseKind, TaggingDimension};
     use crate::solvers::test_support::{
-        constrained_problems, random_context, small_context, GROUPINGS,
+        constrained_problems, overlapping_context, random_context, small_context, GROUPINGS,
     };
     use proptest::prelude::*;
 
@@ -352,22 +397,24 @@ mod tests {
         }
     }
 
-    /// Require the class admit tables to answer [`pair_admits`] on every pair of `ctx`,
-    /// in both orders.
+    /// Require the class admit bitsets to list, for every group `i` of `ctx`, exactly the
+    /// `j < i` that [`pair_admits`] admits beside `i`, in either order, ascending.
     fn assert_class_admits_match_pair_admits(
         ctx: &MiningContext,
         problem: &TagDmProblem,
         classes: &ClassAdmits,
     ) {
-        for a in 0..ctx.num_groups() {
-            for b in 0..ctx.num_groups() {
-                assert_eq!(
-                    classes.admits(a, b),
-                    pair_admits(ctx, problem, a, b),
-                    "{} on ({a}, {b})",
-                    problem.describe()
-                );
-            }
+        for i in 0..ctx.num_groups() {
+            let mut partners = Vec::new();
+            classes.for_each_partner(i, |j| partners.push(j));
+            let forward: Vec<usize> = (0..i)
+                .filter(|&j| pair_admits(ctx, problem, i, j))
+                .collect();
+            let backward: Vec<usize> = (0..i)
+                .filter(|&j| pair_admits(ctx, problem, j, i))
+                .collect();
+            assert_eq!(partners, forward, "{} on row {i}", problem.describe());
+            assert_eq!(partners, backward, "{} on row {i}", problem.describe());
         }
     }
 
@@ -410,7 +457,11 @@ mod tests {
             let mut mixed = problems[0].clone();
             mixed.constraints.push(problems[6].constraints[0]);
             problems.push(mixed);
-            for ctx in [random_context(seed, actions, grouping), small_context()] {
+            for ctx in [
+                random_context(seed, actions, grouping),
+                small_context(),
+                overlapping_context(),
+            ] {
                 for problem in &problems {
                     assert_pair_admits_matches_the_set_test(&ctx, problem);
                     // Every set but the item-set Jaccard and the mixed one is all

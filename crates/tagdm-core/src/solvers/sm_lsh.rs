@@ -31,14 +31,22 @@
 //! [`SmLshSolver::strict_bucket_semantics`]), which avoids needless null results when
 //! `d′` is small. The refinement runs two greedy walks per bucket on the shared pair
 //! kernel (`solvers::pairs`): one by pairwise objective alone and, when constraints are
-//! enforced, one that only admits constraint-satisfying sets. One pass over the
-//! bucket's pairs seeds both, scoring each pair's objective once.
+//! enforced, one that only admits constraint-satisfying sets. The free walk starts from
+//! the bucket's best pair, the bound walk from its best admissible pair. Those seeds
+//! depend on the bucket and the objectives only, not on thresholds or support, so the
+//! context keeps, beside each kept index, a [`BucketRanking`] of every bucket's pairs
+//! under the objectives of the solve that hashed it. A later solve with the same
+//! objectives reads the free seed as a bucket's first ranked pair and the bound seed as
+//! its first ranked pair that passes the constraints. Any other solve, and every relaxed
+//! round, seeds both walks in one pass over the bucket's pairs that scores each pair's
+//! objective once. Both ways give the same seeds, ties included.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use tagdm_lsh::index::{LshConfig, LshIndex};
 
-use crate::context::MiningContext;
+use crate::context::{BucketRanking, MiningContext};
 use crate::criteria::TaggingDimension;
 use crate::problem::TagDmProblem;
 use crate::solvers::pairs::{pair_admits, PairTable, Walk};
@@ -116,19 +124,40 @@ impl SmLshSolver {
         (fold_users, fold_items)
     }
 
+    /// The context's full-width LSH index of `problem`'s fold variant under this
+    /// solver's configuration, and the index's bucket ranking when the context keeps one
+    /// for `problem`'s objectives.
+    fn full_index<'c>(
+        &self,
+        ctx: &'c MiningContext,
+        problem: &TagDmProblem,
+    ) -> (Cow<'c, LshIndex>, Option<&'c BucketRanking>) {
+        let (fold_users, fold_items) = self.fold_dimensions(problem);
+        // The pub fields skip the builders' clamps: zero bits or tables hash like one.
+        let config = LshConfig {
+            dims: ctx.folded_dims(fold_users, fold_items).max(1),
+            num_bits: self.initial_bits.max(1),
+            num_tables: self.num_tables.max(1),
+            seed: self.seed,
+        };
+        ctx.lsh_index(fold_users, fold_items, config, problem)
+    }
+
     /// Evaluate every bucket of an index, returning the best candidate set and the
-    /// number of candidate sets evaluated.
+    /// number of candidate sets evaluated. `ranking`, when given, ranks the index's
+    /// bucket pairs by the problem's pairwise objective.
     fn evaluate_buckets(
         &self,
         ctx: &MiningContext,
         problem: &TagDmProblem,
         index: &LshIndex,
+        ranking: Option<&BucketRanking>,
         walks: &mut BucketWalks,
         cancel: &CancelToken,
     ) -> (Option<(Vec<usize>, f64)>, u64) {
         let mut best: Option<(Vec<usize>, f64)> = None;
         let mut evaluated = 0u64;
-        for bucket in index.all_buckets() {
+        for (b, bucket) in index.all_buckets().enumerate() {
             if cancel.is_cancelled() {
                 break;
             }
@@ -155,6 +184,7 @@ impl SmLshSolver {
                     self.mode != ConstraintMode::Ignore && !problem.constraints.is_empty();
                 walks.run(
                     bucket,
+                    ranking.and_then(|r| r.bucket(b)),
                     upper.min(bucket.len().saturating_sub(1)),
                     if constrained { problem.max_groups } else { 0 },
                 );
@@ -225,26 +255,20 @@ impl Solver for SmLshSolver {
         cancel: &CancelToken,
     ) -> SolverOutcome {
         let start = Instant::now();
-        let (fold_users, fold_items) = self.fold_dimensions(problem);
-        // The pub fields skip the builders' clamps: zero bits or tables hash like one.
-        let config = LshConfig {
-            dims: ctx.folded_dims(fold_users, fold_items).max(1),
-            num_bits: self.initial_bits.max(1),
-            num_tables: self.num_tables.max(1),
-            seed: self.seed,
-        };
-        let full = ctx.lsh_index(fold_users, fold_items, config);
+        let (full, mut ranking) = self.full_index(ctx, problem);
 
         // Iterative relaxation of d′ (Algorithm 1): start from the configured d′; on a
         // null result, halve the bits (larger buckets) down to a single bit. Each
-        // relaxed index re-buckets prefixes of the context's hashed signatures.
+        // relaxed index re-buckets prefixes of the context's hashed signatures, whose
+        // buckets the context's ranking does not cover.
         let mut evaluated_total = 0u64;
         let mut best: Option<(Vec<usize>, f64)> = None;
         let mut walks = BucketWalks::new(ctx, problem);
         let mut relaxed: LshIndex;
         let mut index: &LshIndex = &full;
         loop {
-            let (found, evaluated) = self.evaluate_buckets(ctx, problem, index, &mut walks, cancel);
+            let (found, evaluated) =
+                self.evaluate_buckets(ctx, problem, index, ranking, &mut walks, cancel);
             evaluated_total += evaluated;
             if found.is_some() {
                 best = found;
@@ -258,6 +282,7 @@ impl Solver for SmLshSolver {
             }
             relaxed = full.truncated(bits / 2);
             index = &relaxed;
+            ranking = None;
         }
 
         let elapsed = start.elapsed();
@@ -305,41 +330,62 @@ impl<'a> BucketWalks<'a> {
     /// most `bound_limit` groups over constraint-satisfying sets. A walk is left empty
     /// when its limit is below 2 or no pair of the bucket is admissible to it.
     ///
-    /// One pass over the bucket's pairs in `(a < b)` order seeds both walks and scores
-    /// each pair's objective once: the free walk starts from the first pair of largest
-    /// score, the bound walk from the first such pair that satisfies every constraint.
-    /// Each walk then adds, per round, the bucket member with the largest total
-    /// objective to its groups (see [`Walk::grow`]). A larger limit only runs more
-    /// rounds, so the first `s ≥ 2` groups of a walk are the walk to `s`.
-    fn run(&mut self, bucket: &[usize], free_limit: usize, bound_limit: usize) {
+    /// The free walk starts from the bucket's first pair of largest score in `(a < b)`
+    /// order, the bound walk from the first such pair that satisfies every constraint:
+    /// the first ranked pair and the first admissible ranked pair when `ranked` ranks
+    /// the bucket (see [`BucketRanking`]), else one pass over the bucket's pairs that
+    /// scores each pair's objective once. Each walk then adds, per round, the bucket
+    /// member with the largest total objective to its groups (see [`Walk::grow`]). A
+    /// larger limit only runs more rounds, so the first `s ≥ 2` groups of a walk are the
+    /// walk to `s`.
+    fn run(
+        &mut self,
+        bucket: &[usize],
+        ranked: Option<&[[u32; 2]]>,
+        free_limit: usize,
+        bound_limit: usize,
+    ) {
         self.free.groups.clear();
         self.bound.groups.clear();
         if bucket.len() < 2 || free_limit.max(bound_limit) < 2 {
             return;
         }
         let (ctx, problem) = (self.ctx, self.problem);
-        let mut free: Option<(usize, usize, f64)> = None;
-        let mut bound: Option<(usize, usize, f64)> = None;
-        for (i, &a) in bucket.iter().enumerate() {
-            for &b in &bucket[i + 1..] {
-                let score = problem.pairwise_objective(ctx, a, b);
-                if free.is_none_or(|(_, _, s)| score > s) {
-                    free = Some((a, b, score));
-                }
-                if bound_limit >= 2
-                    && bound.is_none_or(|(_, _, s)| score > s)
-                    && pair_admits(ctx, problem, a, b)
-                {
-                    bound = Some((a, b, score));
-                }
+        let admits = |&(a, b): &(usize, usize)| pair_admits(ctx, problem, a, b);
+        let (free, bound) = match ranked {
+            Some(ranked) => {
+                let mut pairs = ranked.iter().map(|&[a, b]| (a as usize, b as usize));
+                let free = pairs.clone().next();
+                let bound = (bound_limit >= 2).then(|| pairs.find(admits)).flatten();
+                (free, bound)
             }
-        }
+            None => {
+                let mut free: Option<(usize, usize, f64)> = None;
+                let mut bound: Option<(usize, usize, f64)> = None;
+                for (i, &a) in bucket.iter().enumerate() {
+                    for &b in &bucket[i + 1..] {
+                        let score = problem.pairwise_objective(ctx, a, b);
+                        if free.is_none_or(|(_, _, s)| score > s) {
+                            free = Some((a, b, score));
+                        }
+                        if bound_limit >= 2
+                            && bound.is_none_or(|(_, _, s)| score > s)
+                            && admits(&(a, b))
+                        {
+                            bound = Some((a, b, score));
+                        }
+                    }
+                }
+                let pair = |seed: Option<(usize, usize, f64)>| seed.map(|(a, b, _)| (a, b));
+                (pair(free), pair(bound))
+            }
+        };
         let objective = |c, s| problem.pairwise_objective(ctx, c, s);
         for (walk, seed, limit) in [
             (&mut self.free, free, free_limit),
             (&mut self.bound, bound, bound_limit),
         ] {
-            if let Some((a, b, _)) = seed.filter(|_| limit >= 2) {
+            if let Some((a, b)) = seed.filter(|_| limit >= 2) {
                 walk.seed(a, b);
                 walk.grow(bucket.iter().copied(), limit, objective, || true);
             }
@@ -351,7 +397,10 @@ impl<'a> BucketWalks<'a> {
 mod tests {
     use super::*;
     use crate::catalog::{problem, problem_1, problem_2, problem_3, ProblemParams};
-    use crate::solvers::test_support::{random_context, small_context, GROUPINGS};
+    use crate::criteria::MiningCriterion;
+    use crate::functions::DualMiningFunction;
+    use crate::problem::ObjectiveSpec;
+    use crate::solvers::test_support::{medium_context, random_context, small_context, GROUPINGS};
     use crate::solvers::ExactSolver;
     use proptest::prelude::*;
     use std::collections::HashSet;
@@ -471,6 +520,116 @@ mod tests {
         selected
     }
 
+    /// The candidate sets a bucket yields, built with the per-size greedies above: the
+    /// bucket itself when it fits, its greedy selections of every size it does not
+    /// already cover, the constraint-aware selection and the support-oriented one.
+    fn reference_candidates(
+        solver: &SmLshSolver,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        bucket: &[usize],
+    ) -> Vec<Vec<usize>> {
+        let (strict, k) = (solver.strict_bucket_semantics, problem.max_groups);
+        if bucket.len() < problem.min_groups || (strict && bucket.len() > k) {
+            return Vec::new();
+        }
+        let mut candidates = Vec::new();
+        if bucket.len() <= k {
+            candidates.push(bucket.to_vec());
+        }
+        if !strict {
+            for size in (problem.min_groups..=k.min(bucket.len())).rev() {
+                if size < bucket.len() {
+                    candidates.push(match size {
+                        1 => vec![bucket[0]],
+                        _ => greedy_select_by_objective(ctx, problem, bucket, size),
+                    });
+                }
+            }
+            if solver.mode != ConstraintMode::Ignore && !problem.constraints.is_empty() {
+                candidates.push(greedy_select_feasible(ctx, problem, bucket, k));
+            }
+            if solver.mode != ConstraintMode::Ignore && problem.min_support > 1 {
+                let mut by_size = bucket.to_vec();
+                by_size.sort_by_key(|&g| std::cmp::Reverse(ctx.group(g).len()));
+                by_size.truncate(k);
+                by_size.sort_unstable();
+                candidates.push(by_size);
+            }
+        }
+        candidates.retain(|c| !c.is_empty());
+        candidates
+    }
+
+    /// The reference oracle for a whole solve: no kept index, no ranking, no walks. Each
+    /// round hashes its own index at the round's `d′` and draws every bucket's candidates
+    /// from the per-size greedies; the first strictly best acceptable candidate wins.
+    fn reference(
+        solver: &SmLshSolver,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+    ) -> SolverOutcome {
+        let (fold_users, fold_items) = solver.fold_dimensions(problem);
+        let vectors: Vec<_> = (0..ctx.num_groups())
+            .map(|i| ctx.folded_vector(i, fold_users, fold_items))
+            .collect();
+        let mut evaluated = 0u64;
+        let mut bits = solver.initial_bits.max(1);
+        loop {
+            let config = LshConfig {
+                dims: ctx.folded_dims(fold_users, fold_items).max(1),
+                num_bits: bits,
+                num_tables: solver.num_tables.max(1),
+                seed: solver.seed,
+            };
+            let index = LshIndex::build(config, vectors.iter().map(|v| v.as_slice()));
+            let mut best: Option<(Vec<usize>, f64)> = None;
+            for bucket in index.all_buckets() {
+                for candidate in reference_candidates(solver, ctx, problem, bucket) {
+                    evaluated += 1;
+                    let acceptable = match solver.mode {
+                        ConstraintMode::Ignore => problem.size_ok(candidate.len()),
+                        _ => problem.feasible(ctx, &candidate),
+                    };
+                    let objective = problem.objective(ctx, &candidate);
+                    if acceptable && best.as_ref().is_none_or(|(_, b)| objective > *b) {
+                        best = Some((candidate, objective));
+                    }
+                }
+            }
+            if let Some((groups, objective)) = best {
+                return SolverOutcome {
+                    solver: solver.name(),
+                    feasible: problem.feasible(ctx, &groups),
+                    groups,
+                    objective,
+                    elapsed: std::time::Duration::ZERO,
+                    candidates_evaluated: evaluated,
+                };
+            }
+            if bits == 1 {
+                return SolverOutcome {
+                    candidates_evaluated: evaluated,
+                    ..SolverOutcome::null(solver.name())
+                };
+            }
+            bits /= 2;
+        }
+    }
+
+    /// Solve on `ctx` and require the oracle's outcome, bit for bit.
+    fn assert_matches_reference(solver: &SmLshSolver, ctx: &MiningContext, problem: &TagDmProblem) {
+        let got = solver.solve(ctx, problem);
+        let want = reference(solver, ctx, problem);
+        assert_eq!(
+            answer(&got),
+            answer(&want),
+            "{} {solver:?}: {}",
+            solver.name(),
+            problem.describe()
+        );
+    }
+
     #[test]
     fn bucket_walks_return_bounded_distinct_sets() {
         let ctx = small_context();
@@ -482,7 +641,7 @@ mod tests {
         });
         let candidates: Vec<usize> = (0..ctx.num_groups()).collect();
         let mut walks = BucketWalks::new(&ctx, &problem);
-        walks.run(&candidates, 3, 3);
+        walks.run(&candidates, None, 3, 3);
         for walk in [&walks.free.groups, &walks.bound.groups] {
             let mut picked = walk.clone();
             picked.sort_unstable();
@@ -491,11 +650,11 @@ mod tests {
         }
         // A walk whose limit exceeds the candidate list takes every candidate; a zero
         // limit skips the walk.
-        walks.run(&[1, 2], 3, 0);
+        walks.run(&[1, 2], None, 3, 0);
         assert_eq!(walks.free.groups, vec![1, 2]);
         assert!(walks.bound.groups.is_empty());
         for limit in [0, 1] {
-            walks.run(&candidates, limit, limit);
+            walks.run(&candidates, None, limit, limit);
             assert!(walks.free.groups.is_empty() && walks.bound.groups.is_empty());
         }
         // No pair satisfies an unreachable threshold: the constrained walk stays empty.
@@ -504,7 +663,7 @@ mod tests {
             c.threshold = 2.0;
         }
         let mut walks = BucketWalks::new(&ctx, &impossible);
-        walks.run(&candidates, 3, 3);
+        walks.run(&candidates, None, 3, 3);
         assert_eq!(walks.free.groups.len(), 3);
         assert!(walks.bound.groups.is_empty());
     }
@@ -548,7 +707,15 @@ mod tests {
                 item_threshold: 1.0 - threshold,
             });
             let mut walks = BucketWalks::new(&ctx, &problem);
-            walks.run(&candidates, limit, limit);
+            walks.run(&candidates, None, limit, limit);
+            // Seeding from the ranked pairs walks the same groups in the same order.
+            let ranking = BucketRanking::new(std::iter::once(&candidates[..]), |a, b| {
+                problem.pairwise_objective(&ctx, a, b)
+            });
+            let mut ranked = BucketWalks::new(&ctx, &problem);
+            ranked.run(&candidates, ranking.bucket(0), limit, limit);
+            prop_assert_eq!(&ranked.free.groups, &walks.free.groups);
+            prop_assert_eq!(&ranked.bound.groups, &walks.bound.groups);
 
             let walk = &walks.free.groups;
             let expected_len = if limit < 2 || candidates.len() < 2 {
@@ -787,16 +954,160 @@ mod tests {
         }
     }
 
+    /// `problem` with a user-similarity objective beside its own: another pairwise
+    /// objective over the same fold variant.
+    fn with_second_objective(problem: TagDmProblem) -> TagDmProblem {
+        problem.with_objective(ObjectiveSpec {
+            function: DualMiningFunction::standard(
+                TaggingDimension::Users,
+                MiningCriterion::Similarity,
+            ),
+            weight: 0.5,
+        })
+    }
+
+    /// Whether the context keeps a ranking of `solver`'s full index for `problem`.
+    fn ranked(ctx: &MiningContext, solver: &SmLshSolver, problem: &TagDmProblem) -> bool {
+        solver.full_index(ctx, problem).1.is_some()
+    }
+
+    #[test]
+    fn a_second_objective_on_a_filled_slot_answers_like_a_fresh_context() {
+        let shared = small_context();
+        for (problem, mode) in fold_variants() {
+            let solver = SmLshSolver::new(mode);
+            solver.solve(&shared, &problem);
+            assert!(ranked(&shared, &solver, &problem), "{}", problem.name);
+            // The slot is ranked under the first objective: the second one seeds its
+            // walks by scoring each bucket's pairs, a fresh context from its ranking.
+            let other = with_second_objective(problem);
+            assert!(!ranked(&shared, &solver, &other), "{}", other.name);
+            let fresh = small_context();
+            assert_eq!(
+                answer(&solver.solve(&shared, &other)),
+                answer(&solver.solve(&fresh, &other)),
+                "{mode:?} {}",
+                other.name
+            );
+            assert!(ranked(&fresh, &solver, &other), "{}", other.name);
+            assert_matches_reference(&solver, &shared, &other);
+        }
+    }
+
+    #[test]
+    fn relaxed_rounds_answer_like_a_fresh_context() {
+        let shared = small_context();
+        for (problem, mode) in fold_variants() {
+            let solver = SmLshSolver::new(mode);
+            solver.solve(&shared, &problem);
+            let (full, ranking) = solver.full_index(&shared, &problem);
+            assert!(ranking.is_some(), "{}", problem.name);
+            // Sets one group larger than the full index's largest bucket: every answer
+            // comes from a relaxed round, whose buckets the kept ranking does not cover.
+            let size = full.all_buckets().map(<[usize]>::len).max().unwrap() + 1;
+            let mut relaxed = problem.with_min_groups(size);
+            relaxed.max_groups = size;
+            let kept = solver.solve(&shared, &relaxed);
+            assert_eq!(kept.groups.len(), size, "{mode:?} {}", relaxed.name);
+            assert_eq!(
+                answer(&kept),
+                answer(&solver.solve(&small_context(), &relaxed))
+            );
+            assert_matches_reference(&solver, &shared, &relaxed);
+        }
+    }
+
+    #[test]
+    fn tied_bucket_pairs_answer_like_the_reference() {
+        // The hand-built corpus's groups with equal signatures tie on the objective:
+        // a ranking keeps tied pairs in bucket order, as the first strict maximum does.
+        let shared = small_context();
+        let mut ties = 0;
+        for (problem, mode) in fold_variants() {
+            for bits in [2, 3, 4, 6] {
+                for tables in [1, 2] {
+                    let solver = SmLshSolver::new(mode).with_bits(bits).with_tables(tables);
+                    let fresh = small_context();
+                    assert_matches_reference(&solver, &fresh, &problem);
+                    assert_eq!(
+                        answer(&solver.solve(&shared, &problem)),
+                        answer(&solver.solve(&fresh, &problem))
+                    );
+                    let (full, ranking) = solver.full_index(&fresh, &problem);
+                    let ranking = ranking.expect("the fresh context's first solve ranks");
+                    let score = |[a, b]: [u32; 2]| {
+                        problem.pairwise_objective(&fresh, a as usize, b as usize)
+                    };
+                    ties += (0..full.all_buckets().count())
+                        .filter_map(|b| ranking.bucket(b))
+                        .filter(|pairs| pairs.len() > 1 && score(pairs[0]) == score(pairs[1]))
+                        .count();
+                }
+            }
+        }
+        assert!(ties > 0, "no bucket ties at its top pair");
+    }
+
+    #[test]
+    fn buckets_over_the_ranking_cap_answer_like_the_reference() {
+        // At d′ = 2 the medium context's buckets hold thousands of pairs each: the
+        // ranking keeps each bucket that still fits under MAX_RANKED_PAIRS, not all.
+        let ctx = medium_context();
+        let params = ProblemParams::paper_defaults(ctx.num_input_actions());
+        for problem in [problem_1(params), problem_2(params), problem_3(params)] {
+            let solver = SmLshSolver::new(Fold).with_bits(2);
+            assert_matches_reference(&solver, &ctx, &problem);
+            let (full, ranking) = solver.full_index(&ctx, &problem);
+            let ranking = ranking.expect("the first solve of a variant ranks");
+            let kept: Vec<bool> = full
+                .all_buckets()
+                .enumerate()
+                .filter(|(_, bucket)| bucket.len() >= 2)
+                .map(|(b, _)| ranking.bucket(b).is_some())
+                .collect();
+            assert!(
+                kept.contains(&true) && kept.contains(&false),
+                "{}: {kept:?}",
+                problem.name
+            );
+        }
+    }
+
+    #[test]
+    fn benchmark_shaped_requests_match_the_reference() {
+        // mine-heuristic's SM-LSH-Fo requests: P1–P3 at the paper's defaults, support
+        // offset by −20..+10, on one context that keeps what the first solves rank.
+        let ctx = medium_context();
+        let base = ProblemParams::paper_defaults(ctx.num_input_actions());
+        let solver = SmLshSolver::new(Fold);
+        for offset in -20isize..=10 {
+            for id in 1..=3 {
+                let params = ProblemParams {
+                    min_support: base.min_support.saturating_add_signed(offset),
+                    ..base
+                };
+                let problem = problem(id, params);
+                assert_matches_reference(&solver, &ctx, &problem);
+                assert!(ranked(&ctx, &solver, &problem), "{}", problem.name);
+            }
+        }
+    }
+
     #[test]
     fn threads_sharing_a_context_get_the_serial_answers() {
+        // Each problem also runs with a second objective, which shares its fold variant:
+        // the threads race to rank a slot's pairs under either objective.
         let runs: Vec<(TagDmProblem, ConstraintMode)> = [problem_1, problem_2, problem_3]
             .into_iter()
-            .flat_map(|p| [(p(loose_params()), Filter), (p(loose_params()), Fold)])
+            .flat_map(|p| [p(loose_params()), with_second_objective(p(loose_params()))])
+            .flat_map(|p| [(p.clone(), Filter), (p, Fold)])
             .collect();
         let serial: Vec<_> = runs
             .iter()
             .map(|(problem, mode)| {
-                answer(&SmLshSolver::new(*mode).solve(&small_context(), problem))
+                let solver = SmLshSolver::new(*mode);
+                assert_matches_reference(&solver, &small_context(), problem);
+                answer(&solver.solve(&small_context(), problem))
             })
             .collect();
 

@@ -46,7 +46,15 @@ fn digest(ctx: &MiningContext) -> u64 {
 }
 
 fn context(dataset: &Dataset, summarizer: SummarizerChoice) -> MiningContext {
-    let groups = GroupingScheme::over(dataset, &FOUR_ATTRIBUTES)
+    grouped_context(dataset, &FOUR_ATTRIBUTES, summarizer)
+}
+
+fn grouped_context(
+    dataset: &Dataset,
+    grouping: &[(&str, &str)],
+    summarizer: SummarizerChoice,
+) -> MiningContext {
+    let groups = GroupingScheme::over(dataset, grouping)
         .unwrap()
         .min_group_size(5)
         .enumerate(dataset);
@@ -99,6 +107,20 @@ fn medium_four_attribute_lda_signatures_are_pinned() {
     assert_eq!(digest(&ctx), 0x5011_87b5_9de1_f4d3);
     assert_eq!(ctx.num_groups(), 456);
     assert_eq!(bucket_digest(&ctx), (0x2a0a_a786_899f_dc86, 6587));
+}
+
+/// The occupation grouping of the benchmark's mine-exact workload: 21 long documents,
+/// a different sampler shape from the four-attribute grouping's 456 short ones.
+#[test]
+fn medium_occupation_lda_signatures_are_pinned() {
+    let medium = MovieLensStyleGenerator::new(GeneratorConfig::medium()).generate();
+    let ctx = grouped_context(
+        &medium,
+        &[("user", "occupation")],
+        SummarizerChoice::Lda(LdaConfig::with_topics(25)),
+    );
+    assert_eq!(ctx.num_groups(), 21);
+    assert_eq!(digest(&ctx), 0x09e1_75c3_6224_9bb4);
 }
 
 #[test]

@@ -226,6 +226,14 @@ fn unrunnable_lda_config_is_an_invalid_recipe_not_a_panic() {
             ..fast
         },
         LdaConfig { alpha: 0.0, ..fast },
+        LdaConfig {
+            alpha: 1e308,
+            ..fast
+        },
+        LdaConfig {
+            beta: 1e308,
+            ..fast
+        },
     ];
     for config in invalid {
         let spec = ContextSpec::grouped(

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::context::MiningContext;
-use crate::criteria::{MiningCriterion, TaggingDimension};
+use crate::criteria::{Aggregator, MiningCriterion, TaggingDimension};
 use crate::functions::DualMiningFunction;
 
 /// One hard constraint `c_i`: a dual mining function whose value over the candidate set
@@ -128,6 +128,9 @@ impl TagDmProblem {
         {
             return Err("objective weights must be positive and finite".into());
         }
+        if !(2.0 * self.largest_objective()).is_finite() {
+            return Err("the largest attainable objective must be finite".into());
+        }
         if self
             .constraints
             .iter()
@@ -136,6 +139,23 @@ impl TagDmProblem {
             return Err("constraint thresholds must lie in [0, 1]".into());
         }
         Ok(())
+    }
+
+    /// An upper bound on the optimization goal over any candidate set. Pair scores lie
+    /// in `[0, 1]`, so a function's value is at most 1, or at most `C(k, 2)` under a
+    /// `Sum` aggregator. [`validate`](Self::validate) requires twice this bound to be
+    /// finite, a margin no rounding of the sums can cross: an answer's objective is
+    /// then always a finite number.
+    fn largest_objective(&self) -> f64 {
+        let k = self.max_groups as f64;
+        let pairs = k * (k - 1.0) / 2.0;
+        self.objectives
+            .iter()
+            .map(|o| match o.function.aggregator {
+                Aggregator::Sum => o.weight * pairs,
+                Aggregator::Mean | Aggregator::Min | Aggregator::Max => o.weight,
+            })
+            .sum()
     }
 
     /// The optimization goal `Σ_j o_j.Wt × o_j.F(set)`.
@@ -243,6 +263,7 @@ impl TagDmProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{problem_1, ProblemParams};
     use crate::context::{MiningContext, SummarizerChoice};
     use tagdm_data::dataset::DatasetBuilder;
     use tagdm_data::group::GroupingScheme;
@@ -321,6 +342,44 @@ mod tests {
             bad_weight.objectives[0].weight = weight;
             assert!(bad_weight.validate().is_err(), "weight {weight}");
         }
+    }
+
+    #[test]
+    fn validation_rejects_problems_whose_objective_can_overflow() {
+        let params = ProblemParams {
+            k: 3,
+            min_support: 1,
+            user_threshold: 0.5,
+            item_threshold: 0.5,
+        };
+        let objective =
+            |function: DualMiningFunction, weight: f64| ObjectiveSpec { function, weight };
+        let tags =
+            DualMiningFunction::standard(TaggingDimension::Tags, MiningCriterion::Similarity);
+        let sum = tags.with_aggregator(Aggregator::Sum);
+
+        // Finite weights whose weighted sum is not: the solve would answer `inf`.
+        let overflowing = problem_1(params)
+            .with_objective(objective(tags, f64::MAX))
+            .with_objective(objective(tags, f64::MAX));
+        assert!(overflowing.validate().is_err());
+        // One weight at the edge of the margin, and one past it.
+        let mut edge = sample_problem();
+        edge.objectives[0].weight = f64::MAX / 2.0;
+        edge.validate().unwrap();
+        edge.objectives[0].weight = f64::MAX / 1.5;
+        assert!(edge.validate().is_err());
+
+        // `Sum` adds up to C(k, 2) pair scores: 1e305 is fine for k = 3 (3 pairs), and
+        // overflows for k = 1,000 (499,500 pairs) but not under `Mean`.
+        let summed = |k: usize, function| {
+            TagDmProblem::new("sum", k, 1).with_objective(objective(function, 1e305))
+        };
+        summed(3, sum).validate().unwrap();
+        assert!(summed(1_000, sum).validate().is_err());
+        summed(1_000, tags).validate().unwrap();
+        // A one-group set has no pairs: its `Sum` is 0 whatever the weight.
+        summed(1, sum).validate().unwrap();
     }
 
     #[test]

@@ -12,23 +12,28 @@
 //! * **Support.** [`MiningContext::support`] of the current set, which the DFS keeps in
 //!   ascending group order: on an enumerated context, whose groups partition the
 //!   actions, that is the sum of the set's group sizes.
-//! * **Constraints and objectives.** When group `c` is pushed at position `m`, each
-//!   constraint and objective function scores `c` against the `m` groups already in the
-//!   set, once, into the shared [`PairTable`]: a `k × k` table per function. A
-//!   candidate's value for a function is that table's `(i < j)` entries in row-major
-//!   order, aggregated by the function's [`Aggregator`](crate::criteria::Aggregator) —
-//!   the same scores, in the same order, as
-//!   [`DualMiningFunction::evaluate`](crate::functions::DualMiningFunction::evaluate),
-//!   so objectives and feasibility are bit-identical to [`TagDmProblem::objective`] and
-//!   [`TagDmProblem::feasible`].
+//! * **Constraints and objectives.** Every constraint and objective function is a
+//!   pair-wise aggregation, so a candidate's values come from the scores of its pairs,
+//!   and the solve scores each pair at most once per function. When group `c` is pushed
+//!   at a depth that later pushes still follow, its *row* is filled, once per solve:
+//!   `c` scored against every `d > c` under every function, the functions interleaved.
+//!   The rows live in one flat buffer that grows a row at a time, with one row offset
+//!   per group. A candidate's value for a function is its `(i < j)` pairs read from the
+//!   rows in row-major order and aggregated by the function's
+//!   [`Aggregator`](crate::criteria::Aggregator): the same scores, in the same order,
+//!   as [`DualMiningFunction::evaluate`], so objectives and feasibility are
+//!   bit-identical to [`TagDmProblem::objective`] and [`TagDmProblem::feasible`].
 //!
-//! All kernel state is sized by the solve's `k` and dropped with the solve.
+//! A row is filled only when its group is pushed below the last depth, so a capped solve
+//! over many groups pays for the rows of the few groups it reached, and a `k = 1` solve
+//! scores no pair. The rows hold at most `F · n(n − 1)/2` scores for `F` functions over
+//! `n` groups (5 KB for three functions over 21 groups) and are dropped with the solve.
 
 use std::time::{Duration, Instant};
 
 use crate::context::MiningContext;
+use crate::functions::DualMiningFunction;
 use crate::problem::TagDmProblem;
-use crate::solvers::pairs::PairTable;
 use crate::solvers::{CancelToken, Solver, SolverOutcome};
 
 /// How many candidate evaluations pass between cancellation checks: frequent enough
@@ -99,6 +104,9 @@ impl Solver for ExactSolver {
     }
 }
 
+/// No row: the group has not been pushed at a depth that later pushes follow.
+const UNFILLED: usize = usize::MAX;
+
 /// The per-solve state of the depth-first enumeration.
 struct Kernel<'a> {
     ctx: &'a MiningContext,
@@ -107,9 +115,15 @@ struct Kernel<'a> {
     cap: u64,
     /// The candidate set under evaluation, in push order (ascending group index).
     set: Vec<usize>,
-    /// Pair scores of the current set under the problem's constraint functions, then
-    /// its objective functions.
-    table: PairTable,
+    /// The problem's constraint functions, then its objective functions.
+    functions: Vec<DualMiningFunction>,
+    /// The filled rows, back to back: group `c`'s row holds, for each `d > c` in order,
+    /// the pair `(c, d)`'s score under every function.
+    rows: Vec<f64>,
+    /// Per group, the offset of its row in `rows`, or [`UNFILLED`].
+    row_start: Vec<usize>,
+    /// Reused buffer of one function's pair scores over the set.
+    scores: Vec<f64>,
     best: Option<(Vec<usize>, f64)>,
     evaluated: u64,
     exhausted: bool,
@@ -135,7 +149,10 @@ impl<'a> Kernel<'a> {
             cancel,
             cap,
             set: Vec::with_capacity(depth),
-            table: PairTable::new(functions, depth),
+            functions,
+            rows: Vec::new(),
+            row_start: vec![UNFILLED; ctx.num_groups()],
+            scores: Vec::with_capacity(depth * depth.saturating_sub(1) / 2),
             best: None,
             evaluated: 0,
             exhausted: false,
@@ -174,16 +191,36 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Append group `c`: score it against every group already in the set under every
-    /// function.
+    /// Append group `c`. If later pushes follow, the set's pairs with `c` first are read
+    /// from `c`'s row, so fill it unless an earlier push did.
     fn push(&mut self, c: usize) {
-        self.table.score_all(self.ctx, &self.set, c);
         self.set.push(c);
+        if self.set.len() < self.problem.max_groups && self.row_start[c] == UNFILLED {
+            let n = self.ctx.num_groups();
+            self.row_start[c] = self.rows.len();
+            self.rows.reserve((n - c - 1) * self.functions.len());
+            for d in c + 1..n {
+                for function in &self.functions {
+                    self.rows.push(function.evaluate_pair(self.ctx, c, d));
+                }
+            }
+        }
     }
 
-    /// Function `f`'s value on the current set.
+    /// Function `f`'s value on the current set: its pair scores in row-major `(i < j)`
+    /// order, aggregated.
     fn value(&mut self, f: usize) -> f64 {
-        self.table.value(f, self.set.len())
+        let stride = self.functions.len();
+        self.scores.clear();
+        // The last member heads no pair, and may have no row.
+        let heads = self.set.len().saturating_sub(1);
+        for (i, &a) in self.set[..heads].iter().enumerate() {
+            let row = &self.rows[self.row_start[a]..];
+            for &b in &self.set[i + 1..] {
+                self.scores.push(row[(b - a - 1) * stride + f]);
+            }
+        }
+        self.functions[f].aggregator.aggregate(&self.scores)
     }
 
     /// Check the current set's feasibility and, if feasible, keep it when it beats the
@@ -432,7 +469,7 @@ mod tests {
         let fired = CancelToken::new();
         fired.cancel();
         for id in 1..=6 {
-            for k in [3, 4] {
+            for k in [1, 3, 4, ctx.num_groups() + 1] {
                 let problem = problem(
                     id,
                     ProblemParams {
@@ -484,6 +521,127 @@ mod tests {
                     item_threshold: 0.0,
                 };
                 assert_matches_reference(&ExactSolver::new(), &ctx, &problem(id, params), None);
+            }
+        }
+    }
+
+    /// The groups whose rows `kernel` filled, in ascending order, after checking that the
+    /// rows buffer holds exactly those rows, each once, and no more than the triangle of
+    /// `F · n(n − 1)/2` scores.
+    fn filled_rows(kernel: &Kernel) -> Vec<usize> {
+        let n = kernel.ctx.num_groups();
+        let stride = kernel.functions.len();
+        let filled: Vec<usize> = (0..n)
+            .filter(|&c| kernel.row_start[c] != UNFILLED)
+            .collect();
+        let held: usize = filled.iter().map(|&c| (n - c - 1) * stride).sum();
+        assert_eq!(kernel.rows.len(), held, "a row was filled twice");
+        assert!(kernel.rows.len() <= stride * n * (n - 1) / 2);
+        filled
+    }
+
+    /// Run the kernel's enumeration of `problem` under `cap` and return it spent.
+    fn run<'a>(
+        ctx: &'a MiningContext,
+        problem: &'a TagDmProblem,
+        cap: u64,
+        cancel: &'a CancelToken,
+    ) -> Kernel<'a> {
+        let mut kernel = Kernel::new(ctx, problem, cap, cancel);
+        kernel.descend(0);
+        kernel
+    }
+
+    #[test]
+    fn a_one_group_solve_scores_no_pair() {
+        let ctx = small_context();
+        let cancel = CancelToken::new();
+        for id in 1..=6 {
+            let problem = problem(
+                id,
+                ProblemParams {
+                    k: 1,
+                    ..loose_params()
+                },
+            );
+            let kernel = run(&ctx, &problem, 0, &cancel);
+            assert_eq!(kernel.evaluated, ctx.num_groups() as u64);
+            assert!(filled_rows(&kernel).is_empty());
+            assert!(kernel.rows.is_empty());
+        }
+    }
+
+    #[test]
+    fn an_uncapped_solve_fills_every_row_once() {
+        let cancel = CancelToken::new();
+        for ctx in [
+            small_context(),
+            random_context(7, 300, 0),
+            overlapping_context(),
+        ] {
+            let n = ctx.num_groups();
+            for id in 1..=6 {
+                for k in [2, 3, n + 1] {
+                    let problem = problem(
+                        id,
+                        ProblemParams {
+                            k,
+                            ..loose_params()
+                        },
+                    );
+                    let kernel = run(&ctx, &problem, 0, &cancel);
+                    // Every group is pushed at depth 1, below the last depth.
+                    assert_eq!(filled_rows(&kernel), (0..n).collect::<Vec<_>>());
+                    let stride = kernel.functions.len();
+                    assert_eq!(kernel.rows.len(), stride * n * (n - 1) / 2);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_capped_solve_fills_only_the_rows_it_pushed_below_the_last_depth() {
+        // Age × gender: the most groups of any of the random groupings.
+        let ctx = random_context(11, 400, 2);
+        let n = ctx.num_groups();
+        assert!(n >= 12, "a many-group context, got {n} groups");
+        let cancel = CancelToken::new();
+        for k in [2, 3, 4] {
+            // Every visited set is evaluated (`min_groups` is 1), so the kernel visits
+            // exactly the first `cap` sets of the depth-first order.
+            let mut order = Vec::new();
+            let mut stack = vec![Vec::new()];
+            while let Some(set) = stack.pop() {
+                let start = set.last().map_or(0, |&last| last + 1);
+                if set.len() < k {
+                    stack.extend((start..n).rev().map(|c| [&set[..], &[c]].concat()));
+                }
+                if !set.is_empty() {
+                    order.push(set);
+                }
+            }
+            for cap in [1, 5, n as u64, 3 * n as u64] {
+                let problem = problem(
+                    1,
+                    ProblemParams {
+                        k,
+                        ..loose_params()
+                    },
+                );
+                let kernel = run(&ctx, &problem, cap, &cancel);
+                assert_eq!(kernel.evaluated, cap);
+                let mut expected: Vec<usize> = order[..cap as usize]
+                    .iter()
+                    .filter(|set| set.len() < k)
+                    .map(|set| set[set.len() - 1])
+                    .collect();
+                expected.sort_unstable();
+                expected.dedup();
+                assert!(
+                    expected.len() < n,
+                    "k {k}, cap {cap}: the cap leaves rows unread"
+                );
+                assert_eq!(filled_rows(&kernel), expected, "k {k}, cap {cap}");
             }
         }
     }

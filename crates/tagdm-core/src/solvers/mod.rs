@@ -9,16 +9,17 @@
 //!   facility dispersion greedy), with filtering (DV-FDP-Fi) and folding (DV-FDP-Fo)
 //!   constraint handling.
 //!
-//! All three score sets through one per-solve pair kernel (`pairs`) and keep no
-//! `n × n` table. A set grows one group at a time, and a new group is scored only
-//! against the groups already in it, once per constraint or objective function, into
-//! a `k × k` table per function. A set's value is that table's `(i < j)` entries read
-//! in row-major order, the pair order of [`DualMiningFunction::evaluate`], and
-//! aggregated. That makes it bit-identical to scoring the set from scratch. Exact's
-//! depth-first search pushes groups in index order. DV-FDP's seed scan visits the
-//! pairs `(i, j)` for `i in 1..n`, `j in 0..i`. SM-LSH's bucket walks visit each
-//! bucket's pairs `(a < b)` in bucket order. Both greedies then add groups through the
-//! kernel's shared `Walk`.
+//! All three value a set by its `(i < j)` pair scores read in row-major order, the pair
+//! order of [`DualMiningFunction::evaluate`], and aggregated. That makes it
+//! bit-identical to scoring the set from scratch. Exact's depth-first search pushes
+//! groups in index order and reads each pair's scores from per-solve rows: a group's
+//! row holds its scores against every later group, filled the first time the search
+//! pushes it below the last depth. The heuristics keep no `n × n` table: they grow a
+//! set one group at a time through the shared pair kernel (`pairs`), scoring a new
+//! group only against the groups already in it. DV-FDP's seed scan visits the pairs
+//! `(i, j)` for `i in 1..n`, `j in 0..i`. SM-LSH's bucket walks visit each bucket's
+//! pairs `(a < b)` in bucket order. Both greedies then add groups through the kernel's
+//! shared `Walk`.
 //!
 //! [`DualMiningFunction::evaluate`]: crate::functions::DualMiningFunction::evaluate
 

@@ -1,9 +1,9 @@
-//! The per-solve pair kernel shared by the solvers.
+//! The per-solve pair kernel shared by the heuristic solvers (SM-LSH and DV-FDP).
 //!
 //! Every dual mining function is a pair-wise aggregation (Definition 3): a set's value
 //! is its unordered pairs' scores, taken in row-major `(i < j)` order and aggregated.
-//! The solvers grow their sets one group at a time, so they never need the `n × n`
-//! score matrix, only a new group's scores against the groups already chosen:
+//! The heuristics' walks grow their sets one group at a time, so they never need the
+//! `n × n` score matrix, only a new group's scores against the groups already chosen:
 //!
 //! * [`pair_admits`] tests a 2-set against the hard constraints, each constraint
 //!   function scoring the pair once and aggregating it as a one-pair set;
@@ -12,11 +12,11 @@
 //!   only on the description classes of its groups (see [`MiningContext`]), so one
 //!   bitset per class and side, of the groups that class admits, gives the same
 //!   verdicts; a group's admitted partners are the AND of its two classes' bitsets;
-//! * [`PairTable`] keeps one `k × k` table of pair scores per function over a set kept
-//!   in insertion order. A set's value is that table read in
-//!   [`DualMiningFunction::evaluate`]'s pair order and aggregated by the unchanged
-//!   [`Aggregator::aggregate`](crate::criteria::Aggregator::aggregate), so it is
-//!   bit-identical to scoring the set from scratch;
+//! * [`PairTable`] keeps one `k × k` table of constraint-function pair scores over a
+//!   constrained [`Walk`]'s groups, in the order they joined. The grown set's value is
+//!   that table read in [`DualMiningFunction::evaluate`]'s pair order and aggregated by
+//!   the unchanged [`Aggregator::aggregate`](crate::criteria::Aggregator::aggregate),
+//!   so it is bit-identical to scoring the set from scratch;
 //! * [`Walk`] is the greedy add of DV-FDP and of SM-LSH's bucket refinement: the
 //!   admissible candidate with the largest total distance to the walk joins it.
 //!
@@ -155,9 +155,9 @@ impl<'a> ClassAdmits<'a> {
     }
 }
 
-/// One `k × k` table of pair scores per function, over a set of at most `k` groups kept
-/// in insertion order. The set itself lives with the caller; the table only holds its
-/// scores.
+/// One `k × k` table of pair scores per constraint function, over a set of at most `k`
+/// groups kept in insertion order. The set itself lives with the caller; the table only
+/// holds its scores.
 pub(crate) struct PairTable {
     functions: Vec<DualMiningFunction>,
     /// The largest set size, and the side of every table.
@@ -170,8 +170,11 @@ pub(crate) struct PairTable {
 }
 
 impl PairTable {
-    /// Tables for `functions` over sets of at most `k` groups.
-    pub(crate) fn new(functions: Vec<DualMiningFunction>, k: usize) -> Self {
+    /// Tables for the problem's constraint functions, in order, over sets of at most
+    /// `k` groups.
+    pub(crate) fn constraints(problem: &TagDmProblem, k: usize) -> Self {
+        let functions: Vec<DualMiningFunction> =
+            problem.constraints.iter().map(|c| c.function).collect();
         PairTable {
             pairs: vec![0.0; functions.len() * k * k],
             functions,
@@ -180,16 +183,10 @@ impl PairTable {
         }
     }
 
-    /// Tables for the problem's constraint functions, in order, over sets of at most
-    /// `k` groups: the tables [`PairTable::admits`] reads.
-    pub(crate) fn constraints(problem: &TagDmProblem, k: usize) -> Self {
-        PairTable::new(problem.constraints.iter().map(|c| c.function).collect(), k)
-    }
-
     /// Score `c`, as the next member of `set`, against every member of `set` under
     /// function `f`: fills column `set.len()` of `f`'s table.
     #[inline]
-    pub(crate) fn score(&mut self, f: usize, ctx: &MiningContext, set: &[usize], c: usize) {
+    fn score(&mut self, f: usize, ctx: &MiningContext, set: &[usize], c: usize) {
         let square = self.k * self.k;
         let table = &mut self.pairs[f * square..(f + 1) * square];
         fill_column(&self.functions[f], table, self.k, ctx, set, c);
@@ -197,7 +194,7 @@ impl PairTable {
 
     /// Score `c` against `set` under every function.
     #[inline]
-    pub(crate) fn score_all(&mut self, ctx: &MiningContext, set: &[usize], c: usize) {
+    fn score_all(&mut self, ctx: &MiningContext, set: &[usize], c: usize) {
         let square = self.k * self.k;
         for (function, table) in self
             .functions
@@ -211,7 +208,7 @@ impl PairTable {
     /// Function `f`'s value over the set's first `len` members: their pair scores in
     /// row-major `(i < j)` order, aggregated.
     #[inline]
-    pub(crate) fn value(&mut self, f: usize, len: usize) -> f64 {
+    fn value(&mut self, f: usize, len: usize) -> f64 {
         let square = self.k * self.k;
         let table = &self.pairs[f * square..(f + 1) * square];
         self.scores.clear();
@@ -222,10 +219,10 @@ impl PairTable {
         self.functions[f].aggregator.aggregate(&self.scores)
     }
 
-    /// Whether `set` plus `c` satisfies every constraint of `problem`, for a table built
-    /// by [`PairTable::constraints`]. Scores `c` against `set` one constraint at a time
-    /// and stops at the first violated one, like [`TagDmProblem::constraints_satisfied`].
-    pub(crate) fn admits(
+    /// Whether `set` plus `c` satisfies every constraint of `problem`. Scores `c` against
+    /// `set` one constraint at a time and stops at the first violated one, like
+    /// [`TagDmProblem::constraints_satisfied`].
+    fn admits(
         &mut self,
         ctx: &MiningContext,
         problem: &TagDmProblem,

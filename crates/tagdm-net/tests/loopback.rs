@@ -11,8 +11,11 @@ use std::time::Duration;
 
 use tagdm_core::catalog::{problem_1, problem_6, ProblemParams};
 use tagdm_core::context::SummarizerChoice;
+use tagdm_core::{MiningCriterion, ObjectiveSpec, TaggingDimension};
 use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
-use tagdm_engine::{ContextSpec, Engine, EngineConfig, RetryPolicy, SolveRequest, SolverChoice};
+use tagdm_engine::{
+    ContextSpec, Engine, EngineConfig, EngineError, RetryPolicy, SolveRequest, SolverChoice,
+};
 use tagdm_net::frame::{encode_frame, encode_header, read_frame};
 use tagdm_net::proto::{code, kind, Frame, PingFrame, DEFAULT_MAX_FRAME_LEN};
 use tagdm_net::{Client, ClientConfig, HealthStatus, NetError, Server, ServerConfig};
@@ -76,6 +79,34 @@ fn remote_solve_bit_matches_in_process_solve() {
         let local_outcome = normalize(in_process.result.expect("local outcome"));
         assert_eq!(remote_outcome, local_outcome);
     }
+}
+
+/// A problem whose objective can overflow is refused as invalid, over the wire exactly
+/// as in-process. Solved, it would answer an infinite objective, which JSON cannot
+/// carry: the answer would not decode.
+#[test]
+fn an_overflowing_objective_is_the_same_invalid_problem_remotely() {
+    let (remote_engine, spec) = engine_with_corpus(1);
+    let (local_engine, _) = engine_with_corpus(1);
+    let server = Server::bind("127.0.0.1:0", remote_engine, ServerConfig::default()).expect("bind");
+    let mut client = fast_client(&server);
+
+    let heavy = ObjectiveSpec {
+        weight: f64::MAX,
+        ..ObjectiveSpec::standard(TaggingDimension::Tags, MiningCriterion::Similarity)
+    };
+    let problem = problem_1(params())
+        .with_objective(heavy)
+        .with_objective(heavy);
+    let request = SolveRequest::new(spec, problem, SolverChoice::Exact);
+    let over_wire = client.solve(request.clone()).expect("remote answer");
+    let in_process = local_engine.solve(request);
+    assert!(
+        matches!(in_process.result, Err(EngineError::InvalidProblem(_))),
+        "{:?}",
+        in_process.result
+    );
+    assert_eq!(over_wire.result, in_process.result);
 }
 
 #[test]

@@ -40,11 +40,12 @@
 //! the groups' folded vectors, one per fold variant `(fold_users, fold_items)`. It is
 //! hashed lazily by the first SM-LSH solve of that variant, whose `elapsed` therefore
 //! includes the hashing, and reused by every later solve with the same LSH
-//! configuration. Beside each index the context keeps the pairs of every bucket ranked
-//! by that first solve's pairwise objective, stable-sorted in descending order, at most
-//! `MAX_RANKED_PAIRS` (16,384) pairs a variant. A later solve with the same objectives
-//! reads its bucket walks' seed pairs off the ranking instead of scoring every pair of
-//! every bucket.
+//! configuration. Beside each index the context keeps, per bucket, its pairs' scores
+//! under each of that first solve's objective functions and the pairs ranked by their
+//! weighted sum, stable-sorted in descending order, in at most `MAX_RANKED_WORDS`
+//! (16,384 words, 128 KB) a variant. A later solve with the same objectives reads its
+//! bucket walks' seed pairs off the ranking and every objective score of a bucket pair
+//! off the kept scores, instead of scoring them again.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -370,9 +371,7 @@ impl MiningContext {
         let slot = &self.lsh[2 * usize::from(fold_users) + usize::from(fold_items)];
         let kept = slot.get_or_init(|| {
             let index = hash();
-            let ranking = BucketRanking::new(index.all_buckets(), |a, b| {
-                problem.pairwise_objective(self, a, b)
-            });
+            let ranking = BucketRanking::new(index.all_buckets(), self, &problem.objectives);
             KeptLsh {
                 index,
                 objectives: problem.objectives.clone(),
@@ -388,62 +387,129 @@ impl MiningContext {
     }
 }
 
-/// The most bucket pairs one [`BucketRanking`] keeps: 16,384 pairs, 128 KB. The medium
-/// four-attribute context's three SM-LSH-Fo variants rank 967, 2,635 and 6,638 pairs
-/// at the paper's `d′ = 10`, `l = 1`. A bucket whose pairs would take a ranking past the
-/// cap keeps none.
-const MAX_RANKED_PAIRS: usize = 1 << 14;
+/// The most 8-byte words one [`BucketRanking`] keeps: 16,384 words, 128 KB. A ranked
+/// pair takes one word for its positions and one for each objective function's score.
+/// The medium four-attribute context's three SM-LSH-Fo variants rank 967, 2,635 and
+/// 6,638 pairs at the paper's `d′ = 10`, `l = 1`, two words a pair under one objective.
+/// A bucket whose words would take a ranking past the cap keeps nothing, so more
+/// objectives keep fewer buckets, never more memory.
+const MAX_RANKED_WORDS: usize = 1 << 14;
 
-/// The pairs `(a, b)` of each bucket of an LSH index, `a` before `b` in the bucket,
-/// ranked by a pairwise score in descending order. The sort is stable, so tied pairs
-/// keep the bucket's `(a < b)` pair order: the first ranked pair is the first pair of
-/// largest score in that order, and the first ranked pair passing a test is the first
-/// such pair among those that pass it.
+/// The pairs of each bucket of an LSH index, ranked by the pairwise objective
+/// `Σ o.weight × o.function.evaluate_pair` in descending order, and every objective
+/// function's scores of those pairs.
 ///
-/// A bucket keeps no ranking when one of its scores is NaN, which no order ranks, or
-/// when its pairs would take the ranking past [`MAX_RANKED_PAIRS`].
+/// A pair is `[i, j]`, the positions in the bucket of its two groups, `i < j`. The sort
+/// is stable, so tied pairs keep the bucket's `(i < j)` pair order: the first ranked
+/// pair is the first pair of largest score in that order, and the first ranked pair
+/// passing a test is the first such pair among those that pass it.
+///
+/// Beside its ranked pairs a bucket keeps, per objective function in objective order,
+/// the triangle of its pairs' scores in `(i < j)` row-major order (see
+/// [`RankedBucket::score`]). The ranking sums exactly those scores, so a solver that
+/// reads them scores as if it had called `evaluate_pair` itself.
+///
+/// A bucket keeps neither ranking nor scores when one of its ranking scores is NaN,
+/// which no order ranks, or when its pairs and scores would take the ranking past
+/// [`MAX_RANKED_WORDS`].
 #[derive(Debug, Clone)]
 pub(crate) struct BucketRanking {
+    /// The number of objective functions, and of score triangles per ranked bucket.
+    functions: usize,
     /// Per bucket of the index, in [`LshIndex::all_buckets`] order, the end of its
     /// ranked pairs in `pairs`. A bucket of two or more groups with no pairs there
     /// keeps no ranking.
     ends: Vec<u32>,
     pairs: Vec<[u32; 2]>,
+    /// The ranked buckets' score triangles, back to back: a bucket whose pairs start at
+    /// `p` in `pairs` starts its triangles at `p × functions`.
+    scores: Vec<f64>,
+}
+
+/// One ranked bucket of a [`BucketRanking`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankedBucket<'a> {
+    /// The bucket's pairs of positions, ranked.
+    pub(crate) pairs: &'a [[u32; 2]],
+    /// Its objective functions' score triangles, back to back.
+    scores: &'a [f64],
+}
+
+impl RankedBucket<'_> {
+    /// Objective function `o`'s score of the pair at positions `i < j` of this bucket of
+    /// `len` groups.
+    #[inline]
+    pub(crate) fn score(&self, o: usize, i: usize, j: usize, len: usize) -> f64 {
+        debug_assert!(i < j && j < len);
+        self.scores[o * self.pairs.len() + i * (2 * len - i - 1) / 2 + (j - i - 1)]
+    }
 }
 
 impl BucketRanking {
-    /// Rank every bucket of `buckets` by `score`.
+    /// Score every bucket of `buckets` under each of `objectives`' functions, and rank
+    /// it by their weighted sum.
     pub(crate) fn new<'a>(
         buckets: impl Iterator<Item = &'a [usize]>,
-        score: impl Fn(usize, usize) -> f64,
+        ctx: &MiningContext,
+        objectives: &[ObjectiveSpec],
     ) -> Self {
+        let functions = objectives.len();
         let mut ends = Vec::new();
         let mut pairs = Vec::new();
-        let mut scored: Vec<(f64, [u32; 2])> = Vec::new();
+        let mut scores = Vec::new();
+        let mut ranked: Vec<(f64, [u32; 2])> = Vec::new();
         for bucket in buckets {
-            let count = bucket.len() * bucket.len().saturating_sub(1) / 2;
-            if pairs.len() + count <= MAX_RANKED_PAIRS {
-                scored.clear();
-                for (i, &a) in bucket.iter().enumerate() {
-                    for &b in &bucket[i + 1..] {
-                        scored.push((score(a, b), [a as u32, b as u32]));
+            let len = bucket.len();
+            let count = len * len.saturating_sub(1) / 2;
+            let words = (pairs.len() + count).saturating_mul(1 + functions);
+            if words <= MAX_RANKED_WORDS {
+                let start = scores.len();
+                for o in objectives {
+                    for (i, &a) in bucket.iter().enumerate() {
+                        for &b in &bucket[i + 1..] {
+                            scores.push(o.function.evaluate_pair(ctx, a, b));
+                        }
                     }
                 }
-                if scored.iter().all(|(s, _)| !s.is_nan()) {
-                    scored.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(Ordering::Equal));
-                    pairs.extend(scored.iter().map(|&(_, pair)| pair));
+                let triangles = &scores[start..];
+                ranked.clear();
+                let mut t = 0;
+                for i in 0..len {
+                    for j in i + 1..len {
+                        let score: f64 = objectives
+                            .iter()
+                            .enumerate()
+                            .map(|(o, spec)| spec.weight * triangles[o * count + t])
+                            .sum();
+                        ranked.push((score, [i as u32, j as u32]));
+                        t += 1;
+                    }
+                }
+                if ranked.iter().all(|(s, _)| !s.is_nan()) {
+                    ranked.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(Ordering::Equal));
+                    pairs.extend(ranked.iter().map(|&(_, pair)| pair));
+                } else {
+                    scores.truncate(start);
                 }
             }
             ends.push(pairs.len() as u32);
         }
-        BucketRanking { ends, pairs }
+        BucketRanking {
+            functions,
+            ends,
+            pairs,
+            scores,
+        }
     }
 
-    /// The ranked pairs of bucket `b`, or `None` when it keeps no ranking.
-    pub(crate) fn bucket(&self, b: usize) -> Option<&[[u32; 2]]> {
+    /// Bucket `b`'s ranked pairs and scores, or `None` when it keeps no ranking.
+    pub(crate) fn bucket(&self, b: usize) -> Option<RankedBucket<'_>> {
         let start = if b == 0 { 0 } else { self.ends[b - 1] as usize };
-        let pairs = &self.pairs[start..self.ends[b] as usize];
-        (!pairs.is_empty()).then_some(pairs)
+        let end = self.ends[b] as usize;
+        (start < end).then(|| RankedBucket {
+            pairs: &self.pairs[start..end],
+            scores: &self.scores[start * self.functions..end * self.functions],
+        })
     }
 }
 
@@ -598,7 +664,7 @@ fn jaccard<T: Ord>(a: &[T], b: &[T]) -> f64 {
 mod tests {
     use super::*;
     use crate::catalog::{problem, ProblemParams};
-    use crate::criteria::MiningCriterion;
+    use crate::criteria::{Aggregator, MiningCriterion};
     use crate::functions::DualMiningFunction;
     use crate::solvers::test_support::{
         overlapping_context, random_context, random_dataset, random_summarizer, wide_items_context,
@@ -1016,6 +1082,121 @@ mod tests {
             }
             prop_assert!(ctx.users.has_table() && ctx.items.has_table());
             assert_scores_match_the_reference(&ctx, 0..ctx.num_groups());
+        }
+    }
+
+    /// The ranking before it kept scores: `bucket`'s pairs `[a, b]`, `a` before `b` in
+    /// the bucket, stable-sorted by `score` in descending order; `None` when a score is
+    /// NaN.
+    fn score_closure_ranking(
+        bucket: &[usize],
+        score: impl Fn(usize, usize) -> f64,
+    ) -> Option<Vec<[usize; 2]>> {
+        let mut scored = Vec::new();
+        for (i, &a) in bucket.iter().enumerate() {
+            for &b in &bucket[i + 1..] {
+                scored.push((score(a, b), [a, b]));
+            }
+        }
+        if scored.iter().any(|(s, _)| s.is_nan()) {
+            return None;
+        }
+        scored.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(Ordering::Equal));
+        Some(scored.into_iter().map(|(_, pair)| pair).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // Every kept score is `evaluate_pair`'s own bits, and every kept bucket ranks
+        // its pairs as the ranking by a score closure did, for one to three objectives
+        // of mixed dimensions, kinds, criteria, aggregators and weights.
+        #[test]
+        fn prop_kept_scores_are_the_pair_scores(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            bits in 1usize..5,
+            fold in 0usize..4,
+            functions in proptest::collection::vec(
+                (0usize..3, 0usize..3, 0usize..2, 0usize..4, 0.1f64..2.0),
+                1..4,
+            ),
+        ) {
+            let ctx = random_context(seed, actions, grouping);
+            let kinds = [
+                PairwiseKind::Structural,
+                PairwiseKind::ItemSetJaccard,
+                PairwiseKind::TagCosine,
+            ];
+            let aggregators = [
+                Aggregator::Mean,
+                Aggregator::Sum,
+                Aggregator::Min,
+                Aggregator::Max,
+            ];
+            let objectives: Vec<ObjectiveSpec> = functions
+                .iter()
+                .map(|&(dimension, kind, criterion, aggregator, weight)| ObjectiveSpec {
+                    function: DualMiningFunction::standard(
+                        TaggingDimension::ALL[dimension],
+                        MiningCriterion::ALL[criterion],
+                    )
+                    .with_kind(kinds[kind])
+                    .with_aggregator(aggregators[aggregator]),
+                    weight,
+                })
+                .collect();
+            let (fold_users, fold_items) = (fold & 2 != 0, fold & 1 != 0);
+            let config = LshConfig {
+                dims: ctx.folded_dims(fold_users, fold_items),
+                num_bits: bits,
+                num_tables: 2,
+                seed,
+            };
+            let vectors: Vec<_> = (0..ctx.num_groups())
+                .map(|i| ctx.folded_vector(i, fold_users, fold_items))
+                .collect();
+            let index = LshIndex::build(config, vectors.iter().map(|v| v.as_slice()));
+            let ranking = BucketRanking::new(index.all_buckets(), &ctx, &objectives);
+            let objective = |a, b| -> f64 {
+                objectives
+                    .iter()
+                    .map(|o| o.weight * o.function.evaluate_pair(&ctx, a, b))
+                    .sum()
+            };
+            let words_per_pair = 1 + objectives.len();
+            let mut words = 0;
+            for (b, bucket) in index.all_buckets().enumerate() {
+                let len = bucket.len();
+                let pairs = len * len.saturating_sub(1) / 2;
+                let old = score_closure_ranking(bucket, objective);
+                let Some(kept) = ranking.bucket(b) else {
+                    // Nothing kept: no pair, a NaN score, or over the cap.
+                    prop_assert!(
+                        pairs == 0
+                            || old.is_none()
+                            || words + pairs * words_per_pair > MAX_RANKED_WORDS
+                    );
+                    continue;
+                };
+                words += pairs * words_per_pair;
+                let ranked: Vec<[usize; 2]> = kept
+                    .pairs
+                    .iter()
+                    .map(|&[i, j]| [bucket[i as usize], bucket[j as usize]])
+                    .collect();
+                prop_assert_eq!(Some(ranked), old);
+                for (o, spec) in objectives.iter().enumerate() {
+                    for i in 0..len {
+                        for j in i + 1..len {
+                            let want = spec.function.evaluate_pair(&ctx, bucket[i], bucket[j]);
+                            prop_assert_eq!(kept.score(o, i, j, len).to_bits(), want.to_bits());
+                        }
+                    }
+                }
+            }
+            prop_assert!(words <= MAX_RANKED_WORDS);
         }
     }
 

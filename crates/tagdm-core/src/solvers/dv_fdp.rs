@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use crate::context::MiningContext;
 use crate::problem::TagDmProblem;
-use crate::solvers::pairs::{pair_admits, ClassAdmits, PairTable, Walk};
+use crate::solvers::pairs::{pair_admits, ClassAdmits, PairScores, PairTable, Walk};
 use crate::solvers::{CancelToken, ConstraintMode, Solver, SolverOutcome};
 
 /// Tag-diversity (or, generally, pairwise-objective) maximization by greedy facility
@@ -76,6 +76,24 @@ fn distance(ctx: &MiningContext, problem: &TagDmProblem, a: usize, b: usize) -> 
         d
     } else {
         0.0
+    }
+}
+
+/// The greedy's pair scores: each pair is scored when the walk asks for it.
+struct Fresh<'a> {
+    ctx: &'a MiningContext,
+    problem: &'a TagDmProblem,
+}
+
+impl PairScores for Fresh<'_> {
+    fn constraint(&self, f: usize, a: usize, b: usize) -> f64 {
+        self.problem.constraints[f]
+            .function
+            .evaluate_pair(self.ctx, a, b)
+    }
+
+    fn distance(&self, a: usize, b: usize) -> f64 {
+        distance(self.ctx, self.problem, a, b)
     }
 }
 
@@ -136,20 +154,14 @@ impl DvFdpSolver {
         };
 
         let table = fold.then(|| PairTable::constraints(problem, k));
-        let mut walk = Walk::new(ctx, problem, table);
-        walk.seed(j, i);
-        walk.grow(
-            0..n,
-            k,
-            |c, s| distance(ctx, problem, c, s),
-            || {
-                if cancel.is_cancelled() {
-                    return false;
-                }
-                evaluated += u64::from(fold);
-                true
-            },
-        );
+        let mut walk = Walk::new(problem, table);
+        walk.grow(&Fresh { ctx, problem }, (j, i), 0..n, k, || {
+            if cancel.is_cancelled() {
+                return false;
+            }
+            evaluated += u64::from(fold);
+            true
+        });
         let mut selection = walk.groups;
         selection.sort_unstable();
         (selection, evaluated)

@@ -15,11 +15,12 @@
 //! groups in index order and reads each pair's scores from per-solve rows: a group's
 //! row holds its scores against every later group, filled the first time the search
 //! pushes it below the last depth. The heuristics keep no `n × n` table: they grow a
-//! set one group at a time through the shared pair kernel (`pairs`), scoring a new
-//! group only against the groups already in it. DV-FDP's seed scan visits the pairs
-//! `(i, j)` for `i in 1..n`, `j in 0..i`. SM-LSH's bucket walks visit each bucket's
-//! pairs `(a < b)` in bucket order. Both greedies then add groups through the kernel's
-//! shared `Walk`.
+//! set one group at a time through the shared pair kernel's one `Walk`, which reads
+//! each score from a source its caller supplies. DV-FDP's seed scan visits the pairs
+//! `(i, j)` for `i in 1..n`, `j in 0..i`, and its walk scores each candidate only
+//! against the groups already chosen. SM-LSH's bucket walks visit each bucket's pairs
+//! `(a < b)` in bucket order and read objective scores off the context's kept bucket
+//! scores, or score them where they are read when a bucket has none.
 //!
 //! [`DualMiningFunction::evaluate`]: crate::functions::DualMiningFunction::evaluate
 

@@ -35,21 +35,39 @@
 //! the bucket's best pair, the bound walk from its best admissible pair. Those seeds
 //! depend on the bucket and the objectives only, not on thresholds or support, so the
 //! context keeps, beside each kept index, a [`BucketRanking`] of every bucket's pairs
-//! under the objectives of the solve that hashed it. A later solve with the same
-//! objectives reads the free seed as a bucket's first ranked pair and the bound seed as
-//! its first ranked pair that passes the constraints. Any other solve, and every relaxed
-//! round, seeds both walks in one pass over the bucket's pairs that scores each pair's
-//! objective once. Both ways give the same seeds, ties included.
+//! under the objectives of the solve that hashed it, together with every objective
+//! function's score of those pairs. A later solve with the same objectives reads the
+//! free seed as a bucket's first ranked pair and the bound seed as its first ranked pair
+//! that passes the constraints. Any other solve, and every relaxed round, seeds both
+//! walks in one pass over the bucket's pairs that scores each pair's objective once.
+//! Both ways give the same seeds, ties included.
+//!
+//! Everything a bucket's walks and candidate checks score comes from one source per
+//! bucket, indexed by position in the bucket (`BucketScores`). Objective scores come
+//! from the kept scores when the bucket has them, so a warm solve of the benchmark's
+//! requests scores no tag pair; a bucket without them (every relaxed round, a solve
+//! with other objectives or another LSH configuration, a bucket over the kept cap)
+//! scores them where they are read. Constraint scores are scored where they are read
+//! too: the walks test a candidate's constraints only when its distance puts it ahead
+//! of the round's best. A bucket's candidate sets are ascending
+//! position lists in one reused buffer; a candidate equal to an earlier one of the same
+//! bucket is counted but not valued again, as it cannot beat the first copy.
+//!
+//! Every score is `evaluate_pair`'s own bits, and every set is valued by its pairs in
+//! [`DualMiningFunction::evaluate`](crate::functions::DualMiningFunction::evaluate)'s
+//! row-major order, aggregated by the unchanged
+//! [`Aggregator::aggregate`], so answers, objectives, `feasible` and
+//! `candidates_evaluated` equal scoring every candidate from scratch.
 
 use std::borrow::Cow;
 use std::time::Instant;
 
 use tagdm_lsh::index::{LshConfig, LshIndex};
 
-use crate::context::{BucketRanking, MiningContext};
-use crate::criteria::TaggingDimension;
-use crate::problem::TagDmProblem;
-use crate::solvers::pairs::{pair_admits, PairTable, Walk};
+use crate::context::{BucketRanking, MiningContext, RankedBucket};
+use crate::criteria::{Aggregator, TaggingDimension};
+use crate::problem::{ConstraintSpec, TagDmProblem};
+use crate::solvers::pairs::{pair_admits, PairScores, PairTable, Walk};
 use crate::solvers::{CancelToken, ConstraintMode, Solver, SolverOutcome};
 
 /// Tag-similarity maximization by locality sensitive hashing.
@@ -145,16 +163,27 @@ impl SmLshSolver {
 
     /// Evaluate every bucket of an index, returning the best candidate set and the
     /// number of candidate sets evaluated. `ranking`, when given, ranks the index's
-    /// bucket pairs by the problem's pairwise objective.
-    fn evaluate_buckets(
+    /// bucket pairs by the problem's pairwise objective and keeps their scores.
+    fn evaluate_buckets<'a>(
         &self,
-        ctx: &MiningContext,
-        problem: &TagDmProblem,
         index: &LshIndex,
-        ranking: Option<&BucketRanking>,
-        walks: &mut BucketWalks,
+        ranking: Option<&'a BucketRanking>,
+        state: &mut Buckets<'a>,
         cancel: &CancelToken,
     ) -> (Option<(Vec<usize>, f64)>, u64) {
+        let Buckets {
+            scores,
+            walks,
+            candidates,
+            groups,
+            buffer,
+        } = state;
+        let problem = scores.problem;
+        let k = problem.max_groups;
+        let enforced = self.mode != ConstraintMode::Ignore;
+        // A constraint-aware walk rescues buckets whose objective-best subset violates a
+        // hard constraint that some other subset satisfies.
+        let constrained = enforced && !problem.constraints.is_empty();
         let mut best: Option<(Vec<usize>, f64)> = None;
         let mut evaluated = 0u64;
         for (b, bucket) in index.all_buckets().enumerate() {
@@ -164,78 +193,71 @@ impl SmLshSolver {
             if bucket.len() < problem.min_groups {
                 continue;
             }
-            if self.strict_bucket_semantics && bucket.len() > problem.max_groups {
+            if self.strict_bucket_semantics && bucket.len() > k {
                 // Algorithm 1 only accepts buckets whose size already fits 1 ≤ |G| ≤ k.
                 continue;
             }
-            // Candidate sets drawn from this bucket: the bucket itself when it fits, and
-            // (in the refining mode) greedy sub-selections of every admissible size, so
-            // that a feasible high-scoring pair inside an oversized or partly
-            // constraint-violating bucket is not lost.
-            let mut candidates: Vec<Vec<usize>> = Vec::new();
-            if bucket.len() <= problem.max_groups {
-                candidates.push(bucket.to_vec());
+            let ranked = ranking.and_then(|r| r.bucket(b));
+            scores.reset(bucket, ranked);
+            // Candidate sets drawn from this bucket, as positions in it: the bucket
+            // itself when it fits, and (in the refining mode) greedy sub-selections of
+            // every admissible size, so that a feasible high-scoring pair inside an
+            // oversized or partly constraint-violating bucket is not lost.
+            candidates.clear();
+            let len = bucket.len();
+            if len <= k {
+                candidates.push_sorted(0..len);
             }
             if !self.strict_bucket_semantics {
-                let upper = problem.max_groups.min(bucket.len());
-                // A constraint-aware walk rescues buckets whose objective-best subset
-                // violates a hard constraint that some other subset satisfies.
-                let constrained =
-                    self.mode != ConstraintMode::Ignore && !problem.constraints.is_empty();
+                let upper = k.min(len);
                 walks.run(
-                    bucket,
-                    ranking.and_then(|r| r.bucket(b)),
-                    upper.min(bucket.len().saturating_sub(1)),
-                    if constrained { problem.max_groups } else { 0 },
+                    scores,
+                    ranked.map(|r| r.pairs),
+                    upper.min(len.saturating_sub(1)),
+                    if constrained { k } else { 0 },
                 );
                 // One walk serves every refined size `s ≥ 2`: the greedy to `s` groups
                 // is the walk's first `s` steps.
                 for size in (problem.min_groups..=upper).rev() {
-                    if size == bucket.len() {
+                    if size == len {
                         continue; // already covered by the full bucket
                     }
-                    let mut refined = if size == 1 {
-                        vec![bucket[0]]
+                    if size == 1 {
+                        candidates.push_sorted([0]);
                     } else {
-                        walks.free.groups[..size].to_vec()
-                    };
-                    refined.sort_unstable();
-                    candidates.push(refined);
+                        candidates.push_sorted(walks.free.groups[..size].iter().copied());
+                    }
                 }
                 if constrained {
-                    let mut feasible = walks.bound.groups.clone();
-                    feasible.sort_unstable();
-                    candidates.push(feasible);
+                    candidates.push_sorted(walks.bound.groups.iter().copied());
                 }
                 // A support-oriented selection (the bucket's largest groups) rescues
                 // buckets whose objective-best subsets cover too few tuples to meet the
                 // group-support threshold p.
-                if self.mode != ConstraintMode::Ignore && problem.min_support > 1 {
-                    let mut by_size = bucket.to_vec();
-                    by_size.sort_by_key(|&g| std::cmp::Reverse(ctx.group(g).len()));
-                    by_size.truncate(problem.max_groups);
-                    by_size.sort_unstable();
-                    candidates.push(by_size);
+                if enforced && problem.min_support > 1 {
+                    candidates.push_largest(k, len, |p| scores.ctx.group(bucket[p]).len());
                 }
             }
 
-            for candidate in candidates {
-                if candidate.is_empty() {
+            for c in 0..candidates.len() {
+                let set = candidates.get(c);
+                if set.is_empty() {
                     continue;
                 }
                 evaluated += 1;
-                let acceptable = match self.mode {
-                    ConstraintMode::Ignore => problem.size_ok(candidate.len()),
-                    ConstraintMode::Filter | ConstraintMode::Fold => {
-                        problem.feasible(ctx, &candidate)
-                    }
-                };
-                if !acceptable {
+                // An equal earlier candidate already had its chance: `best` only moves
+                // on a strictly larger objective.
+                if candidates.repeats(c) {
                     continue;
                 }
-                let objective = problem.objective(ctx, &candidate);
+                groups.clear();
+                groups.extend(set.iter().map(|&p| bucket[p]));
+                if !scores.acceptable(self.mode, set, groups, buffer) {
+                    continue;
+                }
+                let objective = scores.objective(set, buffer);
                 if best.as_ref().is_none_or(|(_, b)| objective > *b) {
-                    best = Some((candidate, objective));
+                    best = Some((groups.clone(), objective));
                 }
             }
         }
@@ -263,12 +285,11 @@ impl Solver for SmLshSolver {
         // buckets the context's ranking does not cover.
         let mut evaluated_total = 0u64;
         let mut best: Option<(Vec<usize>, f64)> = None;
-        let mut walks = BucketWalks::new(ctx, problem);
+        let mut state = Buckets::new(ctx, problem, self.mode);
         let mut relaxed: LshIndex;
         let mut index: &LshIndex = &full;
         loop {
-            let (found, evaluated) =
-                self.evaluate_buckets(ctx, problem, index, ranking, &mut walks, cancel);
+            let (found, evaluated) = self.evaluate_buckets(index, ranking, &mut state, cancel);
             evaluated_total += evaluated;
             if found.is_some() {
                 best = found;
@@ -304,11 +325,247 @@ impl Solver for SmLshSolver {
     }
 }
 
-/// The two refinement walks of a bucket: `free` greedily maximizes the pairwise
-/// objective; `bound` does the same over sets that satisfy every constraint.
-struct BucketWalks<'a> {
+/// What a solve reuses from bucket to bucket.
+struct Buckets<'a> {
+    scores: BucketScores<'a>,
+    walks: BucketWalks<'a>,
+    candidates: Candidates,
+    /// The groups of a candidate.
+    groups: Vec<usize>,
+    /// One function's pair scores over a candidate.
+    buffer: Vec<f64>,
+}
+
+impl<'a> Buckets<'a> {
+    fn new(ctx: &'a MiningContext, problem: &'a TagDmProblem, mode: ConstraintMode) -> Self {
+        Buckets {
+            scores: BucketScores::new(ctx, problem, mode),
+            walks: BucketWalks::new(ctx, problem),
+            candidates: Candidates::default(),
+            groups: Vec::new(),
+            buffer: Vec::new(),
+        }
+    }
+}
+
+/// The pair scores of one bucket, by position in the bucket: the one source of the
+/// bucket's walks and candidate checks.
+///
+/// * An objective function's score comes from the bucket's kept triangle (see
+///   [`BucketRanking`]) when the bucket has one, and is scored where it is read when
+///   it has none.
+/// * A constraint function's score is scored where it is read. A walk reads a
+///   candidate's constraint scores only when its distance puts it ahead of the round's
+///   best (see [`PairScores::DISTANCE_FIRST`]).
+///
+/// Every source holds `evaluate_pair`'s own bits, so a set valued from them is valued
+/// as [`DualMiningFunction::evaluate`](crate::functions::DualMiningFunction::evaluate)
+/// values it.
+struct BucketScores<'a> {
     ctx: &'a MiningContext,
     problem: &'a TagDmProblem,
+    /// The constraints the solve enforces: none under [`ConstraintMode::Ignore`].
+    constraints: &'a [ConstraintSpec],
+    /// The bucket's groups, in bucket order.
+    bucket: Vec<usize>,
+    kept: Option<RankedBucket<'a>>,
+}
+
+impl<'a> BucketScores<'a> {
+    /// Scores for `problem`; constraints count only when `mode` enforces them.
+    fn new(ctx: &'a MiningContext, problem: &'a TagDmProblem, mode: ConstraintMode) -> Self {
+        BucketScores {
+            ctx,
+            problem,
+            constraints: match mode {
+                ConstraintMode::Ignore => &[],
+                ConstraintMode::Filter | ConstraintMode::Fold => &problem.constraints,
+            },
+            bucket: Vec::new(),
+            kept: None,
+        }
+    }
+
+    /// Start on `bucket`, whose kept triangles `kept` holds when it is ranked.
+    fn reset(&mut self, bucket: &[usize], kept: Option<RankedBucket<'a>>) {
+        self.bucket.clear();
+        self.bucket.extend_from_slice(bucket);
+        self.kept = kept;
+    }
+
+    /// Constraint `f`'s score of the pair at positions `i ≠ j`.
+    #[inline]
+    fn constraint_score(&self, f: usize, i: usize, j: usize) -> f64 {
+        let (a, b) = (self.bucket[i], self.bucket[j]);
+        self.constraints[f].function.evaluate_pair(self.ctx, a, b)
+    }
+
+    /// Objective function `o`'s score of the pair at positions `i ≠ j`.
+    #[inline]
+    fn objective_score(&self, o: usize, i: usize, j: usize) -> f64 {
+        if let Some(kept) = &self.kept {
+            let (i, j) = if i < j { (i, j) } else { (j, i) };
+            return kept.score(o, i, j, self.bucket.len());
+        }
+        let (a, b) = (self.bucket[i], self.bucket[j]);
+        self.problem.objectives[o]
+            .function
+            .evaluate_pair(self.ctx, a, b)
+    }
+
+    /// The pairwise objective of positions `i` and `j`, summed like
+    /// [`TagDmProblem::pairwise_objective`].
+    #[inline]
+    fn pairwise_objective(&self, i: usize, j: usize) -> f64 {
+        self.problem
+            .objectives
+            .iter()
+            .enumerate()
+            .map(|(o, spec)| spec.weight * self.objective_score(o, i, j))
+            .sum()
+    }
+
+    /// Whether the 2-set of positions `i` and `j` satisfies every constraint.
+    fn pair_admits(&self, i: usize, j: usize) -> bool {
+        pair_admits(self.ctx, self.problem, self.bucket[i], self.bucket[j])
+    }
+
+    /// Whether the ascending positions `set`, of the bucket's `groups`, form an
+    /// acceptable answer under `mode`: the right size, and under Filter and Fold also
+    /// [`TagDmProblem::feasible`].
+    fn acceptable(
+        &self,
+        mode: ConstraintMode,
+        set: &[usize],
+        groups: &[usize],
+        buffer: &mut Vec<f64>,
+    ) -> bool {
+        let problem = self.problem;
+        if !problem.size_ok(set.len()) {
+            return false;
+        }
+        if mode == ConstraintMode::Ignore {
+            return true;
+        }
+        self.ctx.support(groups) >= problem.min_support
+            && self.constraints.iter().enumerate().all(|(f, c)| {
+                let score = |i, j| self.constraint_score(f, i, j);
+                c.admits(value(c.function.aggregator, set, score, buffer))
+            })
+    }
+
+    /// [`TagDmProblem::objective`] of the positions `set`.
+    fn objective(&self, set: &[usize], buffer: &mut Vec<f64>) -> f64 {
+        self.problem
+            .objectives
+            .iter()
+            .enumerate()
+            .map(|(o, spec)| {
+                let score = |i, j| self.objective_score(o, i, j);
+                spec.weight * value(spec.function.aggregator, set, score, buffer)
+            })
+            .sum()
+    }
+}
+
+/// A function's value on the positions `set`: the pair scores `score` gives, in
+/// row-major `(i < j)` order, gathered in `buffer` and aggregated.
+fn value(
+    aggregator: Aggregator,
+    set: &[usize],
+    score: impl Fn(usize, usize) -> f64,
+    buffer: &mut Vec<f64>,
+) -> f64 {
+    buffer.clear();
+    for (x, &i) in set.iter().enumerate() {
+        buffer.extend(set[x + 1..].iter().map(|&j| score(i, j)));
+    }
+    aggregator.aggregate(buffer)
+}
+
+impl PairScores for BucketScores<'_> {
+    const DISTANCE_FIRST: bool = true;
+
+    fn constraint(&self, f: usize, a: usize, b: usize) -> f64 {
+        self.constraint_score(f, a, b)
+    }
+
+    fn distance(&self, a: usize, b: usize) -> f64 {
+        self.pairwise_objective(a, b)
+    }
+}
+
+/// A bucket's candidate sets: ascending lists of positions, back to back in one buffer.
+#[derive(Default)]
+struct Candidates {
+    positions: Vec<usize>,
+    /// The end of each candidate in `positions`.
+    ends: Vec<usize>,
+}
+
+impl Candidates {
+    fn clear(&mut self) {
+        self.positions.clear();
+        self.ends.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Candidate `c`.
+    fn get(&self, c: usize) -> &[usize] {
+        let start = if c == 0 { 0 } else { self.ends[c - 1] };
+        &self.positions[start..self.ends[c]]
+    }
+
+    /// Whether candidate `c` equals an earlier one.
+    fn repeats(&self, c: usize) -> bool {
+        (0..c).any(|e| self.get(e) == self.get(c))
+    }
+
+    /// Add the positions `set`, sorted.
+    fn push_sorted(&mut self, set: impl IntoIterator<Item = usize>) {
+        let start = self.positions.len();
+        self.positions.extend(set);
+        self.positions[start..].sort_unstable();
+        self.ends.push(self.positions.len());
+    }
+
+    /// Add the `k` positions of `0..len` whose groups are largest by `size`, ties to the
+    /// earlier position, sorted: what a stable sort by decreasing size, cut to `k`,
+    /// keeps.
+    fn push_largest(&mut self, k: usize, len: usize, size: impl Fn(usize) -> usize) {
+        let start = self.positions.len();
+        // Once `k` are chosen, the size of the smallest: no larger `p` gets in.
+        let mut floor = None;
+        for p in 0..len {
+            let size_p = size(p);
+            if floor.is_some_and(|floor| size_p <= floor) {
+                continue;
+            }
+            let chosen = &self.positions[start..];
+            let at = chosen
+                .iter()
+                .position(|&q| size(q) < size_p)
+                .unwrap_or(chosen.len());
+            if at < k {
+                self.positions.insert(start + at, p);
+                self.positions.truncate(start + k);
+                if self.positions.len() == start + k {
+                    floor = Some(size(self.positions[start + k - 1]));
+                }
+            }
+        }
+        self.positions[start..].sort_unstable();
+        self.ends.push(self.positions.len());
+    }
+}
+
+/// The two refinement walks of a bucket, over its positions: `free` greedily maximizes
+/// the pairwise objective; `bound` does the same over sets that satisfy every
+/// constraint.
+struct BucketWalks<'a> {
     free: Walk<'a>,
     bound: Walk<'a>,
 }
@@ -316,78 +573,74 @@ struct BucketWalks<'a> {
 impl<'a> BucketWalks<'a> {
     /// Walks for `problem`; the constrained walk holds at most `problem.max_groups`
     /// groups.
-    fn new(ctx: &'a MiningContext, problem: &'a TagDmProblem) -> Self {
+    fn new(ctx: &MiningContext, problem: &'a TagDmProblem) -> Self {
         let k = problem.max_groups.min(ctx.num_groups());
         BucketWalks {
-            ctx,
-            problem,
-            free: Walk::new(ctx, problem, None),
-            bound: Walk::new(ctx, problem, Some(PairTable::constraints(problem, k))),
+            free: Walk::new(problem, None),
+            bound: Walk::new(problem, Some(PairTable::constraints(problem, k))),
         }
     }
 
-    /// Walk `bucket` to at most `free_limit` groups by pairwise objective, and to at
-    /// most `bound_limit` groups over constraint-satisfying sets. A walk is left empty
-    /// when its limit is below 2 or no pair of the bucket is admissible to it.
+    /// Walk the bucket of `scores` to at most `free_limit` positions by pairwise
+    /// objective, and to at most `bound_limit` positions over constraint-satisfying
+    /// sets. A walk is left empty when its limit is below 2 or no pair of the bucket is
+    /// admissible to it.
     ///
-    /// The free walk starts from the bucket's first pair of largest score in `(a < b)`
+    /// The free walk starts from the bucket's first pair of largest score in `(i < j)`
     /// order, the bound walk from the first such pair that satisfies every constraint:
     /// the first ranked pair and the first admissible ranked pair when `ranked` ranks
     /// the bucket (see [`BucketRanking`]), else one pass over the bucket's pairs that
     /// scores each pair's objective once. Each walk then adds, per round, the bucket
-    /// member with the largest total objective to its groups (see [`Walk::grow`]). A
-    /// larger limit only runs more rounds, so the first `s ≥ 2` groups of a walk are the
-    /// walk to `s`.
+    /// position with the largest total objective to its positions (see [`Walk::grow`]).
+    /// A larger limit only runs more rounds, so the first `s ≥ 2` positions of a walk
+    /// are the walk to `s`.
     fn run(
         &mut self,
-        bucket: &[usize],
+        scores: &BucketScores,
         ranked: Option<&[[u32; 2]]>,
         free_limit: usize,
         bound_limit: usize,
     ) {
         self.free.groups.clear();
         self.bound.groups.clear();
-        if bucket.len() < 2 || free_limit.max(bound_limit) < 2 {
+        let len = scores.bucket.len();
+        if len < 2 || free_limit.max(bound_limit) < 2 {
             return;
         }
-        let (ctx, problem) = (self.ctx, self.problem);
-        let admits = |&(a, b): &(usize, usize)| pair_admits(ctx, problem, a, b);
+        let pair = |&[i, j]: &[u32; 2]| (i as usize, j as usize);
         let (free, bound) = match ranked {
             Some(ranked) => {
-                let mut pairs = ranked.iter().map(|&[a, b]| (a as usize, b as usize));
-                let free = pairs.clone().next();
-                let bound = (bound_limit >= 2).then(|| pairs.find(admits)).flatten();
-                (free, bound)
+                let admitted = |&(i, j): &(usize, usize)| scores.pair_admits(i, j);
+                let bound = (bound_limit >= 2).then(|| ranked.iter().map(pair).find(admitted));
+                (Some(pair(&ranked[0])), bound.flatten())
             }
             None => {
                 let mut free: Option<(usize, usize, f64)> = None;
                 let mut bound: Option<(usize, usize, f64)> = None;
-                for (i, &a) in bucket.iter().enumerate() {
-                    for &b in &bucket[i + 1..] {
-                        let score = problem.pairwise_objective(ctx, a, b);
+                for i in 0..len {
+                    for j in i + 1..len {
+                        let score = scores.pairwise_objective(i, j);
                         if free.is_none_or(|(_, _, s)| score > s) {
-                            free = Some((a, b, score));
+                            free = Some((i, j, score));
                         }
                         if bound_limit >= 2
                             && bound.is_none_or(|(_, _, s)| score > s)
-                            && admits(&(a, b))
+                            && scores.pair_admits(i, j)
                         {
-                            bound = Some((a, b, score));
+                            bound = Some((i, j, score));
                         }
                     }
                 }
-                let pair = |seed: Option<(usize, usize, f64)>| seed.map(|(a, b, _)| (a, b));
+                let pair = |seed: Option<(usize, usize, f64)>| seed.map(|(i, j, _)| (i, j));
                 (pair(free), pair(bound))
             }
         };
-        let objective = |c, s| problem.pairwise_objective(ctx, c, s);
         for (walk, seed, limit) in [
             (&mut self.free, free, free_limit),
             (&mut self.bound, bound, bound_limit),
         ] {
-            if let Some((a, b)) = seed.filter(|_| limit >= 2) {
-                walk.seed(a, b);
-                walk.grow(bucket.iter().copied(), limit, objective, || true);
+            if let Some(seed) = seed.filter(|_| limit >= 2) {
+                walk.grow(scores, seed, 0..len, limit, || true);
             }
         }
     }
@@ -630,6 +883,24 @@ mod tests {
         );
     }
 
+    /// The free and the bound walk of `problem` over the group list `bucket`, seeded
+    /// from `ranked` when given, each as its groups in the order they joined.
+    fn walk_bucket(
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        bucket: &[usize],
+        ranked: Option<RankedBucket>,
+        free_limit: usize,
+        bound_limit: usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let mut scores = BucketScores::new(ctx, problem, Fold);
+        scores.reset(bucket, ranked);
+        let mut walks = BucketWalks::new(ctx, problem);
+        walks.run(&scores, ranked.map(|r| r.pairs), free_limit, bound_limit);
+        let groups = |walk: &Walk| walk.groups.iter().map(|&p| bucket[p]).collect();
+        (groups(&walks.free), groups(&walks.bound))
+    }
+
     #[test]
     fn bucket_walks_return_bounded_distinct_sets() {
         let ctx = small_context();
@@ -640,9 +911,8 @@ mod tests {
             item_threshold: 0.0,
         });
         let candidates: Vec<usize> = (0..ctx.num_groups()).collect();
-        let mut walks = BucketWalks::new(&ctx, &problem);
-        walks.run(&candidates, None, 3, 3);
-        for walk in [&walks.free.groups, &walks.bound.groups] {
+        let (free, bound) = walk_bucket(&ctx, &problem, &candidates, None, 3, 3);
+        for walk in [free, bound] {
             let mut picked = walk.clone();
             picked.sort_unstable();
             picked.dedup();
@@ -650,22 +920,21 @@ mod tests {
         }
         // A walk whose limit exceeds the candidate list takes every candidate; a zero
         // limit skips the walk.
-        walks.run(&[1, 2], None, 3, 0);
-        assert_eq!(walks.free.groups, vec![1, 2]);
-        assert!(walks.bound.groups.is_empty());
+        let (free, bound) = walk_bucket(&ctx, &problem, &[1, 2], None, 3, 0);
+        assert_eq!(free, vec![1, 2]);
+        assert!(bound.is_empty());
         for limit in [0, 1] {
-            walks.run(&candidates, None, limit, limit);
-            assert!(walks.free.groups.is_empty() && walks.bound.groups.is_empty());
+            let (free, bound) = walk_bucket(&ctx, &problem, &candidates, None, limit, limit);
+            assert!(free.is_empty() && bound.is_empty());
         }
         // No pair satisfies an unreachable threshold: the constrained walk stays empty.
         let mut impossible = problem.clone();
         for c in &mut impossible.constraints {
             c.threshold = 2.0;
         }
-        let mut walks = BucketWalks::new(&ctx, &impossible);
-        walks.run(&candidates, None, 3, 3);
-        assert_eq!(walks.free.groups.len(), 3);
-        assert!(walks.bound.groups.is_empty());
+        let (free, bound) = walk_bucket(&ctx, &impossible, &candidates, None, 3, 3);
+        assert_eq!(free.len(), 3);
+        assert!(bound.is_empty());
     }
 
     proptest! {
@@ -706,18 +975,16 @@ mod tests {
                 user_threshold: threshold,
                 item_threshold: 1.0 - threshold,
             });
-            let mut walks = BucketWalks::new(&ctx, &problem);
-            walks.run(&candidates, None, limit, limit);
-            // Seeding from the ranked pairs walks the same groups in the same order.
-            let ranking = BucketRanking::new(std::iter::once(&candidates[..]), |a, b| {
-                problem.pairwise_objective(&ctx, a, b)
-            });
-            let mut ranked = BucketWalks::new(&ctx, &problem);
-            ranked.run(&candidates, ranking.bucket(0), limit, limit);
-            prop_assert_eq!(&ranked.free.groups, &walks.free.groups);
-            prop_assert_eq!(&ranked.bound.groups, &walks.bound.groups);
+            let (free, bound) = walk_bucket(&ctx, &problem, &candidates, None, limit, limit);
+            // Seeding from the ranked pairs, and reading the objective scores the ranking
+            // keeps, walks the same groups in the same order.
+            let ranking =
+                BucketRanking::new(std::iter::once(&candidates[..]), &ctx, &problem.objectives);
+            let ranked = walk_bucket(&ctx, &problem, &candidates, ranking.bucket(0), limit, limit);
+            prop_assert_eq!(&ranked.0, &free);
+            prop_assert_eq!(&ranked.1, &bound);
 
-            let walk = &walks.free.groups;
+            let walk = &free;
             let expected_len = if limit < 2 || candidates.len() < 2 {
                 0
             } else {
@@ -735,12 +1002,36 @@ mod tests {
                 );
             }
 
-            let mut constrained = walks.bound.groups.clone();
+            let mut constrained = bound;
             constrained.sort_unstable();
             prop_assert_eq!(
                 constrained,
                 greedy_select_feasible(&ctx, &problem, &candidates, limit)
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The support-oriented candidate keeps what a stable sort of the bucket by
+        // decreasing group size, cut to `k` and sorted, keeps: on ties, the earlier
+        // positions.
+        #[test]
+        fn prop_largest_positions_match_the_stable_sort(
+            sizes in proptest::collection::vec(0usize..4, 0..12),
+            k in 0usize..6,
+        ) {
+            let mut candidates = Candidates::default();
+            candidates.push_sorted([5, 3]);
+            candidates.push_largest(k, sizes.len(), |p| sizes[p]);
+            let mut by_size: Vec<usize> = (0..sizes.len()).collect();
+            by_size.sort_by_key(|&p| std::cmp::Reverse(sizes[p]));
+            by_size.truncate(k);
+            by_size.sort_unstable();
+            prop_assert_eq!(candidates.len(), 2);
+            prop_assert_eq!(candidates.get(0), &[3, 5][..]);
+            prop_assert_eq!(candidates.get(1), &by_size[..]);
         }
     }
 
@@ -957,11 +1248,18 @@ mod tests {
     /// `problem` with a user-similarity objective beside its own: another pairwise
     /// objective over the same fold variant.
     fn with_second_objective(problem: TagDmProblem) -> TagDmProblem {
+        with_user_objective(problem, Aggregator::Mean)
+    }
+
+    /// `problem` with a half-weight user-similarity objective aggregated by
+    /// `aggregator` after its own.
+    fn with_user_objective(problem: TagDmProblem, aggregator: Aggregator) -> TagDmProblem {
         problem.with_objective(ObjectiveSpec {
             function: DualMiningFunction::standard(
                 TaggingDimension::Users,
                 MiningCriterion::Similarity,
-            ),
+            )
+            .with_aggregator(aggregator),
             weight: 0.5,
         })
     }
@@ -996,24 +1294,39 @@ mod tests {
 
     #[test]
     fn relaxed_rounds_answer_like_a_fresh_context() {
-        let shared = small_context();
-        for (problem, mode) in fold_variants() {
-            let solver = SmLshSolver::new(mode);
-            solver.solve(&shared, &problem);
-            let (full, ranking) = solver.full_index(&shared, &problem);
-            assert!(ranking.is_some(), "{}", problem.name);
-            // Sets one group larger than the full index's largest bucket: every answer
-            // comes from a relaxed round, whose buckets the kept ranking does not cover.
-            let size = full.all_buckets().map(<[usize]>::len).max().unwrap() + 1;
-            let mut relaxed = problem.with_min_groups(size);
-            relaxed.max_groups = size;
-            let kept = solver.solve(&shared, &relaxed);
-            assert_eq!(kept.groups.len(), size, "{mode:?} {}", relaxed.name);
-            assert_eq!(
-                answer(&kept),
-                answer(&solver.solve(&small_context(), &relaxed))
-            );
-            assert_matches_reference(&solver, &shared, &relaxed);
+        // Each problem also runs with a second objective under `Sum` beside its own
+        // under `Mean`, so unranked buckets score two functions.
+        for second in [false, true] {
+            let shared = small_context();
+            for (problem, mode) in fold_variants() {
+                let problem = match second {
+                    true => with_user_objective(problem, Aggregator::Sum),
+                    false => problem,
+                };
+                // The default configuration fills and ranks the fold variant's slot;
+                // d′ = 4 then misses it and hashes afresh, with no ranking at all.
+                for (solver, ranks) in [
+                    (SmLshSolver::new(mode), true),
+                    (SmLshSolver::new(mode).with_bits(4), false),
+                ] {
+                    solver.solve(&shared, &problem);
+                    let (full, ranking) = solver.full_index(&shared, &problem);
+                    assert_eq!(ranking.is_some(), ranks, "{solver:?} {}", problem.name);
+                    // Sets one group larger than the full index's largest bucket: every
+                    // answer comes from a relaxed round, whose buckets the kept ranking
+                    // does not cover.
+                    let size = full.all_buckets().map(<[usize]>::len).max().unwrap() + 1;
+                    let mut relaxed = problem.clone().with_min_groups(size);
+                    relaxed.max_groups = size;
+                    let kept = solver.solve(&shared, &relaxed);
+                    assert_eq!(kept.groups.len(), size, "{solver:?} {}", relaxed.name);
+                    assert_eq!(
+                        answer(&kept),
+                        answer(&solver.solve(&small_context(), &relaxed))
+                    );
+                    assert_matches_reference(&solver, &shared, &relaxed);
+                }
+            }
         }
     }
 
@@ -1035,13 +1348,16 @@ mod tests {
                     );
                     let (full, ranking) = solver.full_index(&fresh, &problem);
                     let ranking = ranking.expect("the fresh context's first solve ranks");
-                    let score = |[a, b]: [u32; 2]| {
-                        problem.pairwise_objective(&fresh, a as usize, b as usize)
-                    };
-                    ties += (0..full.all_buckets().count())
-                        .filter_map(|b| ranking.bucket(b))
-                        .filter(|pairs| pairs.len() > 1 && score(pairs[0]) == score(pairs[1]))
-                        .count();
+                    for (b, bucket) in full.all_buckets().enumerate() {
+                        let score = |[i, j]: [u32; 2]| {
+                            let (a, b) = (bucket[i as usize], bucket[j as usize]);
+                            problem.pairwise_objective(&fresh, a, b)
+                        };
+                        let pairs = ranking.bucket(b).map_or(&[][..], |r| r.pairs);
+                        if pairs.len() > 1 && score(pairs[0]) == score(pairs[1]) {
+                            ties += 1;
+                        }
+                    }
                 }
             }
         }
@@ -1051,25 +1367,51 @@ mod tests {
     #[test]
     fn buckets_over_the_ranking_cap_answer_like_the_reference() {
         // At d′ = 2 the medium context's buckets hold thousands of pairs each: the
-        // ranking keeps each bucket that still fits under MAX_RANKED_PAIRS, not all.
+        // ranking keeps each bucket whose pairs and scores still fit under
+        // MAX_RANKED_WORDS, not all.
         let ctx = medium_context();
         let params = ProblemParams::paper_defaults(ctx.num_input_actions());
-        for problem in [problem_1(params), problem_2(params), problem_3(params)] {
-            let solver = SmLshSolver::new(Fold).with_bits(2);
-            assert_matches_reference(&solver, &ctx, &problem);
-            let (full, ranking) = solver.full_index(&ctx, &problem);
+        let solver = SmLshSolver::new(Fold).with_bits(2);
+        let kept = |ctx: &MiningContext, problem: &TagDmProblem| -> Vec<bool> {
+            let (full, ranking) = solver.full_index(ctx, problem);
             let ranking = ranking.expect("the first solve of a variant ranks");
-            let kept: Vec<bool> = full
-                .all_buckets()
+            full.all_buckets()
                 .enumerate()
                 .filter(|(_, bucket)| bucket.len() >= 2)
                 .map(|(b, _)| ranking.bucket(b).is_some())
-                .collect();
+                .collect()
+        };
+        for problem in [problem_1(params), problem_2(params), problem_3(params)] {
+            assert_matches_reference(&solver, &ctx, &problem);
+            let kept = kept(&ctx, &problem);
             assert!(
                 kept.contains(&true) && kept.contains(&false),
                 "{}: {kept:?}",
                 problem.name
             );
+        }
+        // Seventeen objectives take eighteen words a pair: no bucket of P1's or P3's
+        // fold variant at d′ = 2 fits, so the solve keeps no scores at all.
+        let aggregators = [
+            Aggregator::Mean,
+            Aggregator::Sum,
+            Aggregator::Min,
+            Aggregator::Max,
+        ];
+        for problem in [problem_1(params), problem_3(params)] {
+            let many = (0..16).fold(problem, |problem, i| {
+                problem.with_objective(ObjectiveSpec {
+                    function: DualMiningFunction::standard(
+                        [TaggingDimension::Users, TaggingDimension::Items][i % 2],
+                        MiningCriterion::Similarity,
+                    )
+                    .with_aggregator(aggregators[i % 4]),
+                    weight: 0.125,
+                })
+            });
+            let ctx = medium_context();
+            assert_matches_reference(&solver, &ctx, &many);
+            assert!(!kept(&ctx, &many).contains(&true), "{}", many.name);
         }
     }
 
@@ -1077,18 +1419,30 @@ mod tests {
     fn benchmark_shaped_requests_match_the_reference() {
         // mine-heuristic's SM-LSH-Fo requests: P1–P3 at the paper's defaults, support
         // offset by −20..+10, on one context that keeps what the first solves rank.
-        let ctx = medium_context();
-        let base = ProblemParams::paper_defaults(ctx.num_input_actions());
-        let solver = SmLshSolver::new(Fold);
-        for offset in -20isize..=10 {
-            for id in 1..=3 {
-                let params = ProblemParams {
-                    min_support: base.min_support.saturating_add_signed(offset),
-                    ..base
-                };
-                let problem = problem(id, params);
-                assert_matches_reference(&solver, &ctx, &problem);
-                assert!(ranked(&ctx, &solver, &problem), "{}", problem.name);
+        // After them run the same requests at d′ = 4, which miss the kept index and
+        // score every pair where it is read, and then the requests with a second objective under `Sum`,
+        // on a context of their own.
+        let (shared, other) = (medium_context(), medium_context());
+        let base = ProblemParams::paper_defaults(shared.num_input_actions());
+        let runs = [
+            (SmLshSolver::new(Fold), None, &shared, true),
+            (SmLshSolver::new(Fold).with_bits(4), None, &shared, false),
+            (SmLshSolver::new(Fold), Some(Aggregator::Sum), &other, true),
+        ];
+        for (solver, second, ctx, ranks) in runs {
+            for offset in -20isize..=10 {
+                for id in 1..=3 {
+                    let params = ProblemParams {
+                        min_support: base.min_support.saturating_add_signed(offset),
+                        ..base
+                    };
+                    let mut problem = problem(id, params);
+                    if let Some(aggregator) = second {
+                        problem = with_user_objective(problem, aggregator);
+                    }
+                    assert_matches_reference(&solver, ctx, &problem);
+                    assert_eq!(ranked(ctx, &solver, &problem), ranks, "{}", problem.name);
+                }
             }
         }
     }

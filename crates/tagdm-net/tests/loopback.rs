@@ -9,8 +9,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use tagdm_core::catalog::{problem_1, problem_6, ProblemParams};
+use tagdm_core::catalog::{problem, problem_1, ProblemParams};
 use tagdm_core::context::SummarizerChoice;
+use tagdm_core::solvers::ConstraintMode;
 use tagdm_core::{MiningCriterion, ObjectiveSpec, TaggingDimension};
 use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
 use tagdm_engine::{
@@ -71,13 +72,23 @@ fn remote_solve_bit_matches_in_process_solve() {
         outcome.elapsed = Duration::ZERO;
         outcome
     };
-    for problem in [problem_1(params()), problem_6(params())] {
-        let request = SolveRequest::new(spec.clone(), problem, SolverChoice::Recommended);
-        let over_wire = client.solve(request.clone()).expect("remote solve");
-        let in_process = local_engine.solve(request);
-        let remote_outcome = normalize(over_wire.result.expect("remote outcome"));
-        let local_outcome = normalize(in_process.result.expect("local outcome"));
-        assert_eq!(remote_outcome, local_outcome);
+    let solvers = [
+        SolverChoice::Recommended,
+        SolverChoice::Exact,
+        SolverChoice::SmLsh(ConstraintMode::Filter),
+        SolverChoice::SmLsh(ConstraintMode::Fold),
+        SolverChoice::DvFdp(ConstraintMode::Filter),
+        SolverChoice::DvFdp(ConstraintMode::Fold),
+    ];
+    for id in 1..=6 {
+        for solver in solvers {
+            let request = SolveRequest::new(spec.clone(), problem(id, params()), solver);
+            let over_wire = client.solve(request.clone()).expect("remote solve");
+            let in_process = local_engine.solve(request);
+            let remote_outcome = normalize(over_wire.result.expect("remote outcome"));
+            let local_outcome = normalize(in_process.result.expect("local outcome"));
+            assert_eq!(remote_outcome, local_outcome, "P{id} {}", solver.tag());
+        }
     }
 }
 

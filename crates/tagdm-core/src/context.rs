@@ -371,7 +371,7 @@ impl MiningContext {
         let slot = &self.lsh[2 * usize::from(fold_users) + usize::from(fold_items)];
         let kept = slot.get_or_init(|| {
             let index = hash();
-            let ranking = BucketRanking::new(index.all_buckets(), self, &problem.objectives);
+            let ranking = BucketRanking::new(index.all_buckets(), self, problem);
             KeptLsh {
                 index,
                 objectives: problem.objectives.clone(),
@@ -395,9 +395,8 @@ impl MiningContext {
 /// objectives keep fewer buckets, never more memory.
 const MAX_RANKED_WORDS: usize = 1 << 14;
 
-/// The pairs of each bucket of an LSH index, ranked by the pairwise objective
-/// `Σ o.weight × o.function.evaluate_pair` in descending order, and every objective
-/// function's scores of those pairs.
+/// The pairs of each bucket of an LSH index, ranked by the problem's pairwise objective
+/// in descending order, and every objective function's scores of those pairs.
 ///
 /// A pair is `[i, j]`, the positions in the bucket of its two groups, `i < j`. The sort
 /// is stable, so tied pairs keep the bucket's `(i < j)` pair order: the first ranked
@@ -406,8 +405,9 @@ const MAX_RANKED_WORDS: usize = 1 << 14;
 ///
 /// Beside its ranked pairs a bucket keeps, per objective function in objective order,
 /// the triangle of its pairs' scores in `(i < j)` row-major order (see
-/// [`RankedBucket::score`]). The ranking sums exactly those scores, so a solver that
-/// reads them scores as if it had called `evaluate_pair` itself.
+/// [`RankedBucket::score`]). The ranking values exactly those scores, by
+/// [`TagDmProblem::pairwise_objective_from`], so a solver that reads them scores as if
+/// it had called `evaluate_pair` itself.
 ///
 /// A bucket keeps neither ranking nor scores when one of its ranking scores is NaN,
 /// which no order ranks, or when its pairs and scores would take the ranking past
@@ -446,13 +446,14 @@ impl RankedBucket<'_> {
 }
 
 impl BucketRanking {
-    /// Score every bucket of `buckets` under each of `objectives`' functions, and rank
-    /// it by their weighted sum.
+    /// Score every bucket of `buckets` under each of `problem`'s objective functions, and
+    /// rank it by [`TagDmProblem`]'s pairwise objective of those scores.
     pub(crate) fn new<'a>(
         buckets: impl Iterator<Item = &'a [usize]>,
         ctx: &MiningContext,
-        objectives: &[ObjectiveSpec],
+        problem: &TagDmProblem,
     ) -> Self {
+        let objectives = &problem.objectives;
         let functions = objectives.len();
         let mut ends = Vec::new();
         let mut pairs = Vec::new();
@@ -476,11 +477,7 @@ impl BucketRanking {
                 let mut t = 0;
                 for i in 0..len {
                     for j in i + 1..len {
-                        let score: f64 = objectives
-                            .iter()
-                            .enumerate()
-                            .map(|(o, spec)| spec.weight * triangles[o * count + t])
-                            .sum();
+                        let score = problem.pairwise_objective_from(|o| triangles[o * count + t]);
                         ranked.push((score, [i as u32, j as u32]));
                         t += 1;
                     }
@@ -1158,7 +1155,12 @@ mod tests {
                 .map(|i| ctx.folded_vector(i, fold_users, fold_items))
                 .collect();
             let index = LshIndex::build(config, vectors.iter().map(|v| v.as_slice()));
-            let ranking = BucketRanking::new(index.all_buckets(), &ctx, &objectives);
+            let problem = TagDmProblem {
+                objectives,
+                ..TagDmProblem::new("kept scores", 3, 1)
+            };
+            let objectives = &problem.objectives;
+            let ranking = BucketRanking::new(index.all_buckets(), &ctx, &problem);
             let objective = |a, b| -> f64 {
                 objectives
                     .iter()

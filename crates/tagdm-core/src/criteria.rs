@@ -125,17 +125,45 @@ pub enum Aggregator {
 }
 
 impl Aggregator {
-    /// Aggregate a list of pairwise scores. Empty input (candidate sets with fewer than
-    /// two groups) aggregates to 0.
+    /// Aggregate a list of pairwise scores, in order, as
+    /// [`DualMiningFunction`](crate::functions::DualMiningFunction) folds a set's pair
+    /// scores. Empty input (candidate sets with fewer than two groups) aggregates to 0.
     pub fn aggregate(self, scores: &[f64]) -> f64 {
-        if scores.is_empty() {
-            return 0.0;
-        }
+        let folded = scores
+            .iter()
+            .fold(self.start(), |acc, &s| self.step(acc, s));
+        self.finish(folded, scores.len())
+    }
+
+    /// The fold's starting value: `-0.0` for Mean and Sum, as `f64: Sum` starts, and
+    /// `±∞` for Min and Max.
+    #[inline]
+    pub(crate) fn start(self) -> f64 {
         match self {
-            Aggregator::Mean => scores.iter().sum::<f64>() / scores.len() as f64,
-            Aggregator::Min => scores.iter().copied().fold(f64::INFINITY, f64::min),
-            Aggregator::Max => scores.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            Aggregator::Sum => scores.iter().sum(),
+            Aggregator::Mean | Aggregator::Sum => -0.0,
+            Aggregator::Min => f64::INFINITY,
+            Aggregator::Max => f64::NEG_INFINITY,
+        }
+    }
+
+    /// Fold one more score into `acc`.
+    #[inline]
+    pub(crate) fn step(self, acc: f64, score: f64) -> f64 {
+        match self {
+            Aggregator::Mean | Aggregator::Sum => acc + score,
+            Aggregator::Min => acc.min(score),
+            Aggregator::Max => acc.max(score),
+        }
+    }
+
+    /// The aggregate of `count` scores folded into `acc`: 0 for no scores, and Mean
+    /// divides by `count`.
+    #[inline]
+    pub(crate) fn finish(self, acc: f64, count: usize) -> f64 {
+        match self {
+            _ if count == 0 => 0.0,
+            Aggregator::Mean => acc / count as f64,
+            Aggregator::Min | Aggregator::Max | Aggregator::Sum => acc,
         }
     }
 

@@ -14,10 +14,6 @@ use serde::{Deserialize, Serialize};
 use crate::context::MiningContext;
 use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
 
-/// The most groups a set may have for [`DualMiningFunction::evaluate`] to keep its pair
-/// scores on the stack (28 scores, 224 bytes). Table 1's problems ask for `k = 3`.
-const STACK_SET: usize = 8;
-
 /// A pair-wise aggregation dual mining function `F_pa(·, dimension, criterion)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DualMiningFunction {
@@ -56,27 +52,34 @@ impl DualMiningFunction {
     }
 
     /// Evaluate the function on a candidate set: [`evaluate_pair`](Self::evaluate_pair)
-    /// on its unordered pairs in row-major `(i < j)` order, aggregated by `F_a`. Sets
-    /// with fewer than two groups have no pairs and score 0. The scores of a set of at
-    /// most eight groups are kept on the stack; only a larger set allocates.
+    /// on its unordered pairs in row-major `(i < j)` order, folded by `F_a`. Sets with
+    /// fewer than two groups have no pairs and score 0.
     pub fn evaluate(&self, ctx: &MiningContext, set: &[usize]) -> f64 {
-        let len = set.len() * set.len().saturating_sub(1) / 2;
-        let mut stack = [0.0; STACK_SET * (STACK_SET - 1) / 2];
-        let mut heap = Vec::new();
-        let scores = if len <= stack.len() {
-            &mut stack[..len]
-        } else {
-            heap.resize(len, 0.0);
-            &mut heap[..]
-        };
-        let pairs = set
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &a)| set[i + 1..].iter().map(move |&b| (a, b)));
-        for (score, (a, b)) in scores.iter_mut().zip(pairs) {
-            *score = self.evaluate_pair(ctx, a, b);
+        self.value(set.len(), |i, j| self.evaluate_pair(ctx, set[i], set[j]))
+    }
+
+    /// The function's value on a set of `len` members, whose pair at positions `i < j`
+    /// of the set's own order scores `score(i, j)`. This is the one valuation rule of
+    /// every solver and report (Definition 3), which
+    /// [`TagDmProblem`](crate::problem::TagDmProblem) composes into feasibility and the
+    /// weighted objective (Definition 4); each caller supplies only its score source.
+    ///
+    /// The pairs are taken in row-major `(i < j)` order, each scored once, and folded
+    /// straight into `F_a` (see [`Aggregator::aggregate`]): Mean and Sum add from
+    /// `-0.0`, Min and Max fold `f64::min`/`f64::max` from `±∞`, and Mean divides by the
+    /// `len(len − 1)/2` pairs. A set with no pairs (fewer than two members) values 0.
+    /// A source that returns `evaluate_pair`'s bits for each pair therefore values a set
+    /// bit for bit as [`evaluate`](Self::evaluate) does.
+    #[inline]
+    pub(crate) fn value(&self, len: usize, mut score: impl FnMut(usize, usize) -> f64) -> f64 {
+        let aggregator = self.aggregator;
+        let mut folded = aggregator.start();
+        for i in 0..len {
+            for j in i + 1..len {
+                folded = aggregator.step(folded, score(i, j));
+            }
         }
-        self.aggregator.aggregate(scores)
+        aggregator.finish(folded, len * len.saturating_sub(1) / 2)
     }
 
     /// Evaluate the oriented pairwise comparison `F_p(g_a, g_b, dimension, criterion)` on
@@ -103,8 +106,48 @@ impl DualMiningFunction {
 mod tests {
     use super::*;
     use crate::context::SummarizerChoice;
+    use crate::solvers::test_support::{random_context, GROUPINGS};
+    use proptest::prelude::*;
     use tagdm_data::dataset::DatasetBuilder;
     use tagdm_data::group::GroupingScheme;
+
+    const AGGREGATORS: [Aggregator; 4] = [
+        Aggregator::Mean,
+        Aggregator::Min,
+        Aggregator::Max,
+        Aggregator::Sum,
+    ];
+
+    /// The reference valuation: a set's pair scores collected in row-major `(i < j)`
+    /// order into a list, then aggregated by the list's sum, minimum or maximum.
+    fn collected(aggregator: Aggregator, scores: &[f64]) -> f64 {
+        if scores.is_empty() {
+            return 0.0;
+        }
+        match aggregator {
+            Aggregator::Mean => scores.iter().sum::<f64>() / scores.len() as f64,
+            Aggregator::Min => scores.iter().copied().fold(f64::INFINITY, f64::min),
+            Aggregator::Max => scores.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            Aggregator::Sum => scores.iter().sum(),
+        }
+    }
+
+    /// Whether a valuation agrees with the reference: the same bits, except that a Min or
+    /// Max of zeros may carry either sign. `f64::min` and `f64::max` leave the sign of
+    /// `min(-0.0, +0.0)` unspecified, and an optimized build returns `-0.0` where an
+    /// unoptimized one returns `+0.0`. No pair score is `-0.0`: every `F_p` is a ratio
+    /// of non-negative sums or `1 −` one.
+    fn agrees(aggregator: Aggregator, got: f64, want: f64) -> bool {
+        let zeros = got == 0.0 && want == 0.0;
+        got.to_bits() == want.to_bits()
+            || zeros && matches!(aggregator, Aggregator::Min | Aggregator::Max)
+    }
+
+    /// A pair score: about one draw in six a signed zero, a subnormal, 1 or NaN.
+    fn score() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 7] = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1.0, f64::NAN];
+        (0usize..42, 0.0f64..1.0).prop_map(|(s, x)| SPECIAL.get(s).copied().unwrap_or(x))
+    }
 
     fn ctx() -> MiningContext {
         let mut b = DatasetBuilder::movielens_style();
@@ -178,6 +221,83 @@ mod tests {
                 let s = sim.evaluate_pair(&ctx, a, b);
                 let d = div.evaluate_pair(&ctx, a, b);
                 assert!((s + d - 1.0).abs() < 1e-12);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The fold gives the collected list's bits for every aggregator: over a list of
+        // 0, 1 or 29 to 66 scores, and over the pairs of a set of 0 to 12 members.
+        #[test]
+        fn prop_the_fold_matches_collect_then_aggregate(
+            pool in proptest::collection::vec(score(), 66),
+            cut in (0usize..4, 29usize..67).prop_map(|(c, long)| [0, 1].get(c).copied().unwrap_or(long)),
+            members in 0usize..13,
+        ) {
+            let pairs = &pool[..members * members.saturating_sub(1) / 2];
+            // The row-major index of the pair at positions `i < j`.
+            let at = |i: usize, j: usize| i * (2 * members - i - 1) / 2 + (j - i - 1);
+            for aggregator in AGGREGATORS {
+                let list = &pool[..cut];
+                let (got, want) = (aggregator.aggregate(list), collected(aggregator, list));
+                prop_assert!(agrees(aggregator, got, want), "{:?}: {} vs {}", aggregator, got, want);
+                let function =
+                    DualMiningFunction::standard(TaggingDimension::Tags, MiningCriterion::Similarity)
+                        .with_aggregator(aggregator);
+                let got = function.value(members, |i, j| pairs[at(i, j)]);
+                let want = collected(aggregator, pairs);
+                prop_assert!(agrees(aggregator, got, want), "{:?}: {} vs {}", aggregator, got, want);
+            }
+        }
+
+        // `evaluate` gives the collected bits of every function on sets of 0 to 12
+        // distinct groups in any order, as the heuristics' walks hold them.
+        #[test]
+        fn prop_evaluate_matches_collect_then_aggregate(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            len in 0usize..13,
+            keys in proptest::collection::vec(0u64..u64::MAX, 64),
+        ) {
+            let ctx = random_context(seed, actions, grouping);
+            // The first `len` groups of a random permutation.
+            let mut set: Vec<usize> = (0..ctx.num_groups()).collect();
+            set.sort_by_key(|&g| keys[g % keys.len()] ^ g as u64);
+            set.truncate(len);
+            let kinds = [
+                PairwiseKind::Structural,
+                PairwiseKind::ItemSetJaccard,
+                PairwiseKind::TagCosine,
+            ];
+            for dimension in TaggingDimension::ALL {
+                for kind in kinds {
+                    for criterion in MiningCriterion::ALL {
+                        for aggregator in AGGREGATORS {
+                            let f = DualMiningFunction::standard(dimension, criterion)
+                                .with_kind(kind)
+                                .with_aggregator(aggregator);
+                            let mut scores = Vec::new();
+                            for (i, &a) in set.iter().enumerate() {
+                                for &b in &set[i + 1..] {
+                                    scores.push(f.evaluate_pair(&ctx, a, b));
+                                }
+                            }
+                            let got = f.evaluate(&ctx, &set);
+                            let want = collected(aggregator, &scores);
+                            prop_assert!(
+                                agrees(aggregator, got, want),
+                                "{}: {} vs {} on {:?}",
+                                f.describe(),
+                                got,
+                                want,
+                                set
+                            );
+                        }
+                    }
+                }
             }
         }
     }

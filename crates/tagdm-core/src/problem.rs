@@ -38,6 +38,14 @@ impl ConstraintSpec {
     pub fn satisfied(&self, ctx: &MiningContext, set: &[usize]) -> bool {
         self.admits(self.function.evaluate(ctx, set))
     }
+
+    /// Whether the function's [`value`](DualMiningFunction::value) on a set of `len`
+    /// members, whose pair at positions `i < j` scores `score(i, j)`, reaches the
+    /// threshold.
+    #[inline]
+    pub(crate) fn holds(&self, len: usize, score: impl FnMut(usize, usize) -> f64) -> bool {
+        self.admits(self.function.value(len, score))
+    }
 }
 
 /// One optimization criterion `o_j`: a dual mining function and its weight `o_j.Wt` in
@@ -160,18 +168,43 @@ impl TagDmProblem {
 
     /// The optimization goal `Σ_j o_j.Wt × o_j.F(set)`.
     pub fn objective(&self, ctx: &MiningContext, set: &[usize]) -> f64 {
+        self.objective_from(set.len(), |o, i, j| {
+            self.objectives[o]
+                .function
+                .evaluate_pair(ctx, set[i], set[j])
+        })
+    }
+
+    /// The optimization goal of a set of `len` members whose pair at positions `i < j`
+    /// objective `o`'s function scores `score(o, i, j)`: `Σ weight × value`, summed in
+    /// objective order from `-0.0`.
+    #[inline]
+    pub(crate) fn objective_from(
+        &self,
+        len: usize,
+        mut score: impl FnMut(usize, usize, usize) -> f64,
+    ) -> f64 {
         self.objectives
             .iter()
-            .map(|o| o.weight * o.function.evaluate(ctx, set))
+            .enumerate()
+            .map(|(o, spec)| spec.weight * spec.function.value(len, |i, j| score(o, i, j)))
             .sum()
     }
 
     /// The pairwise contribution of the optimization goal for a single pair of groups —
     /// the edge weight used by the facility-dispersion solvers.
     pub fn pairwise_objective(&self, ctx: &MiningContext, a: usize, b: usize) -> f64 {
+        self.pairwise_objective_from(|o| self.objectives[o].function.evaluate_pair(ctx, a, b))
+    }
+
+    /// The pairwise objective of a pair that objective `o`'s function scores `score(o)`:
+    /// `Σ weight × score`, summed in objective order from `-0.0`.
+    #[inline]
+    pub(crate) fn pairwise_objective_from(&self, mut score: impl FnMut(usize) -> f64) -> f64 {
         self.objectives
             .iter()
-            .map(|o| o.weight * o.function.evaluate_pair(ctx, a, b))
+            .enumerate()
+            .map(|(o, spec)| spec.weight * score(o))
             .sum()
     }
 
@@ -187,7 +220,26 @@ impl TagDmProblem {
 
     /// Whether every hard constraint holds for the candidate set.
     pub fn constraints_satisfied(&self, ctx: &MiningContext, set: &[usize]) -> bool {
-        self.constraints.iter().all(|c| c.satisfied(ctx, set))
+        self.constraints_hold(set.len(), |f, i, j| {
+            self.constraints[f]
+                .function
+                .evaluate_pair(ctx, set[i], set[j])
+        })
+    }
+
+    /// Whether every hard constraint [`holds`](ConstraintSpec::holds) for a set of `len`
+    /// members whose pair at positions `i < j` constraint `f`'s function scores
+    /// `score(f, i, j)`. The constraints are tested in order, up to the first that fails.
+    #[inline]
+    pub(crate) fn constraints_hold(
+        &self,
+        len: usize,
+        mut score: impl FnMut(usize, usize, usize) -> f64,
+    ) -> bool {
+        self.constraints
+            .iter()
+            .enumerate()
+            .all(|(f, c)| c.holds(len, |i, j| score(f, i, j)))
     }
 
     /// Full feasibility: size bounds, support threshold and every hard constraint.

@@ -29,8 +29,10 @@
 //! built once per solve), so the scan never visits a pair the constraints reject. Any
 //! other constraint set tests each pair's constraint functions. Either way the scan
 //! scores the same pairs in the same order. A greedy round scores each candidate against
-//! the chosen groups only, into `k × k` constraint tables. A solve allocates
-//! `O(n + k² + c·n/64)` words for `c` description classes.
+//! the chosen groups only, into `k × k` constraint tables; those scores and `Fresh`'s
+//! are all the solver supplies to the problem's own valuation (see
+//! [`DualMiningFunction::value`](crate::functions::DualMiningFunction::value)). A solve
+//! allocates `O(n + k² + c·n/64)` words for `c` description classes.
 //!
 //! Neither of two ways to skip more of the scan pays on the benchmark's medium
 //! four-attribute context. Bucketing the groups by `(user class, item class)` and testing
@@ -177,28 +179,16 @@ impl DvFdpSolver {
         evaluated: u64,
         elapsed: Duration,
     ) -> SolverOutcome {
-        let null = SolverOutcome {
-            elapsed,
-            candidates_evaluated: evaluated,
-            ..SolverOutcome::null(self.name())
-        };
-        if selection.is_empty() || selection.len() < problem.min_groups {
-            return null;
-        }
-        let feasible = problem.feasible(ctx, &selection);
         // Filtering semantics: a constraint-violating greedy result is a null result
         // (the paper notes DV-FDP-Fi "may return null results frequently").
-        if self.mode == ConstraintMode::Filter && !feasible {
-            return null;
-        }
-        SolverOutcome {
-            solver: self.name(),
-            objective: problem.objective(ctx, &selection),
-            groups: selection,
-            feasible,
-            elapsed,
-            candidates_evaluated: evaluated,
-        }
+        let best = Some(selection)
+            .filter(|s| !s.is_empty() && s.len() >= problem.min_groups)
+            .filter(|s| self.mode != ConstraintMode::Filter || problem.feasible(ctx, s))
+            .map(|s| {
+                let objective = problem.objective(ctx, &s);
+                (s, objective)
+            });
+        SolverOutcome::found(self.name(), ctx, problem, best, evaluated, elapsed)
     }
 }
 

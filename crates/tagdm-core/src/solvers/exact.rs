@@ -18,18 +18,16 @@
 //!   at a depth that later pushes still follow, its *row* is filled, once per solve:
 //!   `c` scored against every `d > c` under every function, the functions interleaved.
 //!   The rows live in one flat buffer that grows a row at a time, with one row offset
-//!   per group. A candidate's value for a function is its `(i < j)` pairs read from the
-//!   rows in row-major order and aggregated by the function's
-//!   [`Aggregator`](crate::criteria::Aggregator): the same scores, in the same order,
-//!   as [`DualMiningFunction::evaluate`], so objectives and feasibility are
-//!   bit-identical to [`TagDmProblem::objective`] and [`TagDmProblem::feasible`].
+//!   per group. The rows are the only score source of the candidate's constraints and
+//!   objective, which the problem's own compositions value (see
+//!   [`DualMiningFunction::value`]).
 //!
 //! A row is filled only when its group is pushed below the last depth, so a capped solve
 //! over many groups pays for the rows of the few groups it reached, and a `k = 1` solve
 //! scores no pair. The rows hold at most `F · n(n − 1)/2` scores for `F` functions over
 //! `n` groups (5 KB for three functions over 21 groups) and are dropped with the solve.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::context::MiningContext;
 use crate::functions::DualMiningFunction;
@@ -59,31 +57,6 @@ impl ExactSolver {
     pub fn with_cap(max_candidates: u64) -> Self {
         ExactSolver { max_candidates }
     }
-
-    fn outcome(
-        &self,
-        ctx: &MiningContext,
-        problem: &TagDmProblem,
-        best: Option<(Vec<usize>, f64)>,
-        evaluated: u64,
-        elapsed: Duration,
-    ) -> SolverOutcome {
-        match best {
-            Some((groups, objective)) => SolverOutcome {
-                solver: self.name(),
-                feasible: problem.feasible(ctx, &groups),
-                groups,
-                objective,
-                elapsed,
-                candidates_evaluated: evaluated,
-            },
-            None => SolverOutcome {
-                elapsed,
-                candidates_evaluated: evaluated,
-                ..SolverOutcome::null(self.name())
-            },
-        }
-    }
 }
 
 impl Solver for ExactSolver {
@@ -100,7 +73,8 @@ impl Solver for ExactSolver {
         let start = Instant::now();
         let mut kernel = Kernel::new(ctx, problem, self.max_candidates, cancel);
         kernel.descend(0);
-        self.outcome(ctx, problem, kernel.best, kernel.evaluated, start.elapsed())
+        let (best, evaluated) = (kernel.best, kernel.evaluated);
+        SolverOutcome::found(self.name(), ctx, problem, best, evaluated, start.elapsed())
     }
 }
 
@@ -122,8 +96,6 @@ struct Kernel<'a> {
     rows: Vec<f64>,
     /// Per group, the offset of its row in `rows`, or [`UNFILLED`].
     row_start: Vec<usize>,
-    /// Reused buffer of one function's pair scores over the set.
-    scores: Vec<f64>,
     best: Option<(Vec<usize>, f64)>,
     evaluated: u64,
     exhausted: bool,
@@ -152,7 +124,6 @@ impl<'a> Kernel<'a> {
             functions,
             rows: Vec::new(),
             row_start: vec![UNFILLED; ctx.num_groups()],
-            scores: Vec::with_capacity(depth * depth.saturating_sub(1) / 2),
             best: None,
             evaluated: 0,
             exhausted: false,
@@ -207,44 +178,29 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Function `f`'s value on the current set: its pair scores in row-major `(i < j)`
-    /// order, aggregated.
-    fn value(&mut self, f: usize) -> f64 {
-        let stride = self.functions.len();
-        self.scores.clear();
-        // The last member heads no pair, and may have no row.
-        let heads = self.set.len().saturating_sub(1);
-        for (i, &a) in self.set[..heads].iter().enumerate() {
-            let row = &self.rows[self.row_start[a]..];
-            for &b in &self.set[i + 1..] {
-                self.scores.push(row[(b - a - 1) * stride + f]);
-            }
-        }
-        self.functions[f].aggregator.aggregate(&self.scores)
+    /// Function `f`'s score of the pair at positions `i < j` of the current set, read
+    /// from the row of the pair's first member. The set's last member heads no pair, so
+    /// its row, which may be unfilled, is never read.
+    #[inline]
+    fn score(&self, f: usize, i: usize, j: usize) -> f64 {
+        let (a, b) = (self.set[i], self.set[j]);
+        self.rows[self.row_start[a] + (b - a - 1) * self.functions.len() + f]
     }
 
     /// Check the current set's feasibility and, if feasible, keep it when it beats the
-    /// incumbent. Mirrors [`TagDmProblem::feasible`] and [`TagDmProblem::objective`].
+    /// incumbent.
     fn evaluate(&mut self) {
         let problem = self.problem;
+        let len = self.set.len();
         // `size_ok` holds by construction: `descend` evaluates sets of
         // `min_groups..=max_groups` groups only.
         let feasible = self.ctx.support(&self.set) >= problem.min_support
-            && problem
-                .constraints
-                .iter()
-                .enumerate()
-                .all(|(f, c)| c.admits(self.value(f)));
+            && problem.constraints_hold(len, |f, i, j| self.score(f, i, j));
         if !feasible {
             return;
         }
         let offset = problem.constraints.len();
-        let objective: f64 = problem
-            .objectives
-            .iter()
-            .enumerate()
-            .map(|(o, spec)| spec.weight * self.value(offset + o))
-            .sum();
+        let objective = problem.objective_from(len, |o, i, j| self.score(offset + o, i, j));
         if self.best.as_ref().is_none_or(|(_, b)| objective > *b) {
             self.best = Some((self.set.clone(), objective));
         }
@@ -262,6 +218,7 @@ mod tests {
         overlapping_context, random_context, small_context, GROUPINGS,
     };
     use proptest::prelude::*;
+    use std::time::Duration;
     use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
     use tagdm_data::group::GroupingScheme;
     use tagdm_topics::lda::LdaConfig;
@@ -335,7 +292,8 @@ mod tests {
             exhausted: false,
         };
         search.recurse(0);
-        solver.outcome(ctx, problem, search.best, search.evaluated, Duration::ZERO)
+        let (best, evaluated) = (search.best, search.evaluated);
+        SolverOutcome::found(solver.name(), ctx, problem, best, evaluated, Duration::ZERO)
     }
 
     /// Run the kernel and the oracle and require identical outcomes.
@@ -380,7 +338,8 @@ mod tests {
                 .chain(kernel.problem.objectives.iter().map(|o| o.function));
             for (f, function) in functions.enumerate() {
                 let expected = function.evaluate(kernel.ctx, &set);
-                assert_eq!(kernel.value(f).to_bits(), expected.to_bits(), "{set:?}");
+                let value = function.value(set.len(), |i, j| kernel.score(f, i, j));
+                assert_eq!(value.to_bits(), expected.to_bits(), "{set:?}");
             }
             if set.len() < kernel.problem.max_groups {
                 for c in start..kernel.ctx.num_groups() {

@@ -9,8 +9,8 @@
 //!   facility dispersion greedy), with filtering (DV-FDP-Fi) and folding (DV-FDP-Fo)
 //!   constraint handling.
 //!
-//! All three value a set by its `(i < j)` pair scores read in row-major order, the pair
-//! order of [`DualMiningFunction::evaluate`], and aggregated. That makes it
+//! All three value their sets by the one rule of [`DualMiningFunction`] and
+//! [`TagDmProblem`], and differ only in where they read pair scores, so every value is
 //! bit-identical to scoring the set from scratch. Exact's depth-first search pushes
 //! groups in index order and reads each pair's scores from per-solve rows: a group's
 //! row holds its scores against every later group, filled the first time the search
@@ -22,7 +22,7 @@
 //! `(a < b)` in bucket order and read objective scores off the context's kept bucket
 //! scores, or score them where they are read when a bucket has none.
 //!
-//! [`DualMiningFunction::evaluate`]: crate::functions::DualMiningFunction::evaluate
+//! [`DualMiningFunction`]: crate::functions::DualMiningFunction
 
 mod cancel;
 mod dv_fdp;
@@ -100,6 +100,34 @@ impl SolverOutcome {
             feasible: false,
             elapsed: Duration::ZERO,
             candidates_evaluated: 0,
+        }
+    }
+
+    /// The outcome of a solve by `solver` that found `best`, a set and its objective,
+    /// whose feasibility it reports, or found nothing: a null outcome. Either way it
+    /// carries the solve's count and time.
+    pub(crate) fn found(
+        solver: String,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        best: Option<(Vec<usize>, f64)>,
+        candidates_evaluated: u64,
+        elapsed: Duration,
+    ) -> Self {
+        match best {
+            Some((groups, objective)) => SolverOutcome {
+                solver,
+                feasible: problem.feasible(ctx, &groups),
+                groups,
+                objective,
+                elapsed,
+                candidates_evaluated,
+            },
+            None => SolverOutcome {
+                elapsed,
+                candidates_evaluated,
+                ..SolverOutcome::null(solver)
+            },
         }
     }
 

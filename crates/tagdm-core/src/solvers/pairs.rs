@@ -1,12 +1,12 @@
 //! The per-solve pair kernel shared by the heuristic solvers (SM-LSH and DV-FDP).
 //!
 //! Every dual mining function is a pair-wise aggregation (Definition 3): a set's value
-//! is its unordered pairs' scores, taken in row-major `(i < j)` order and aggregated.
-//! The heuristics' walks grow their sets one group at a time, so they never need the
-//! `n × n` score matrix, only a new group's scores against the groups already chosen:
+//! comes from its unordered pairs' scores alone. The heuristics' walks grow their sets
+//! one group at a time, so they never need the `n × n` score matrix, only a new group's
+//! scores against the groups already chosen:
 //!
 //! * [`pair_admits`] tests a 2-set against the hard constraints, each constraint
-//!   function scoring the pair once and aggregating it as a one-pair set;
+//!   function scoring the pair once;
 //! * [`ClassAdmits`] lists the same test's admitted pairs, for DV-FDP-Fo's seed scan.
 //!   When every constraint is structural on users or items, a pair's verdict depends
 //!   only on the description classes of its groups (see [`MiningContext`]), so one
@@ -16,12 +16,9 @@
 //!   DV-FDP scores each pair when the walk asks, SM-LSH reads the scores its bucket
 //!   already holds (see `sm_lsh`'s `BucketScores`);
 //! * [`PairTable`] keeps one `k × k` table of constraint-function pair scores over a
-//!   constrained [`Walk`]'s groups, in the order they joined, as the source gives them.
-//!   The grown set's value is that table read in
-//!   [`DualMiningFunction::evaluate`](crate::functions::DualMiningFunction::evaluate)'s
-//!   pair order and aggregated by the unchanged
-//!   [`Aggregator::aggregate`](crate::criteria::Aggregator::aggregate), so it is
-//!   bit-identical to scoring the set from scratch;
+//!   constrained [`Walk`]'s groups, in the order they joined, as the source gives them:
+//!   the score source of the grown set's constraints (see
+//!   [`DualMiningFunction::value`](crate::functions::DualMiningFunction::value));
 //! * [`Walk`] is the one greedy add of DV-FDP and of SM-LSH's bucket refinement: the
 //!   admissible candidate with the largest total distance to the walk joins it. Whether
 //!   a round tests a candidate's distance or its admissibility first is the source's
@@ -38,22 +35,14 @@ use crate::context::{DescriptionClasses, MiningContext};
 use crate::criteria::{PairwiseKind, TaggingDimension};
 use crate::problem::{ConstraintSpec, TagDmProblem};
 
-/// Whether the 2-set `{a, b}` satisfies every constraint of `problem`. Each constraint
-/// function scores the pair once and aggregates that one score as a one-pair set, so
-/// this equals [`TagDmProblem::constraints_satisfied`] on `[a, b]` without building the
-/// set. SM-LSH's bucket walks test pairs with it, and so does DV-FDP-Fo's seed scan
-/// when [`ClassAdmits`] does not apply.
+/// Whether the 2-set `{a, b}` satisfies every constraint of `problem`: its
+/// [`TagDmProblem::constraints_satisfied`] without building the set. SM-LSH's bucket
+/// walks test pairs with it, and so does DV-FDP-Fo's seed scan when [`ClassAdmits`]
+/// does not apply.
 pub(crate) fn pair_admits(ctx: &MiningContext, problem: &TagDmProblem, a: usize, b: usize) -> bool {
-    problem
-        .constraints
-        .iter()
-        .all(|c| admits_pair_score(c, c.function.evaluate_pair(ctx, a, b)))
-}
-
-/// Whether a constraint admits a pair that its function scores `score`: that one score
-/// aggregated as a one-pair set reaches the threshold.
-fn admits_pair_score(constraint: &ConstraintSpec, score: f64) -> bool {
-    constraint.admits(constraint.function.aggregator.aggregate(&[score]))
+    problem.constraints_hold(2, |f, _, _| {
+        problem.constraints[f].function.evaluate_pair(ctx, a, b)
+    })
 }
 
 /// [`pair_admits`] as group bitsets, for problems whose constraints are all structural
@@ -105,7 +94,7 @@ impl<'a> ClassAdmits<'a> {
                 }
                 let admits = constraints
                     .iter()
-                    .all(|c| admits_pair_score(c, c.function.criterion.orient(similarity)));
+                    .all(|c| c.holds(2, |_, _| c.function.criterion.orient(similarity)));
                 verdicts.push((bits, admits));
                 admits
             };
@@ -199,8 +188,6 @@ pub(crate) struct PairTable {
     /// One `k × k` table per constraint: entry `(i, j)`, `i < j`, scores
     /// `(set[i], set[j])`.
     pairs: Vec<f64>,
-    /// Reused buffer of one function's pair scores over the set.
-    scores: Vec<f64>,
 }
 
 impl PairTable {
@@ -210,7 +197,6 @@ impl PairTable {
         PairTable {
             pairs: vec![0.0; problem.constraints.len() * k * k],
             k,
-            scores: Vec::with_capacity(k * k.saturating_sub(1) / 2),
         }
     }
 
@@ -227,33 +213,23 @@ impl PairTable {
         }
     }
 
-    /// Constraint `f`'s value over the set's first `len` members: their pair scores in
-    /// row-major `(i < j)` order, aggregated.
+    /// Whether `set` plus `c` satisfies every constraint of `problem`: the pairs within
+    /// `set` read from the tables, and `c`'s pairs scored by `source` as they are read.
     #[inline]
-    fn value(&mut self, constraint: &ConstraintSpec, f: usize, len: usize) -> f64 {
-        let k = self.k;
-        let table = &self.pairs[f * k * k..(f + 1) * k * k];
-        self.scores.clear();
-        for i in 0..len {
-            let row = &table[i * k..];
-            self.scores.extend_from_slice(&row[i + 1..len]);
-        }
-        constraint.function.aggregator.aggregate(&self.scores)
-    }
-
-    /// Whether `set` plus `c` satisfies every constraint of `problem`. Scores `c` against
-    /// `set` one constraint at a time and stops at the first violated one, like
-    /// [`TagDmProblem::constraints_satisfied`].
     fn admits(
-        &mut self,
+        &self,
         problem: &TagDmProblem,
         source: &impl PairScores,
         set: &[usize],
         c: usize,
     ) -> bool {
-        problem.constraints.iter().enumerate().all(|(f, spec)| {
-            self.score(f, source, set, c);
-            spec.admits(self.value(spec, f, set.len() + 1))
+        let (k, m) = (self.k, set.len());
+        problem.constraints_hold(m + 1, |f, i, j| {
+            if j < m {
+                self.pairs[f * k * k + i * k + j]
+            } else {
+                source.constraint(f, set[i], c)
+            }
         })
     }
 }
@@ -324,7 +300,7 @@ impl<'a> Walk<'a> {
                 if early.is_some_and(|g| !ahead(g)) {
                     continue;
                 }
-                if let Some(table) = &mut self.table {
+                if let Some(table) = &self.table {
                     if !table.admits(self.problem, source, &self.groups, c) {
                         continue;
                     }

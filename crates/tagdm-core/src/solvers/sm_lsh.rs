@@ -53,11 +53,11 @@
 //! position lists in one reused buffer; a candidate equal to an earlier one of the same
 //! bucket is counted but not valued again, as it cannot beat the first copy.
 //!
-//! Every score is `evaluate_pair`'s own bits, and every set is valued by its pairs in
-//! [`DualMiningFunction::evaluate`](crate::functions::DualMiningFunction::evaluate)'s
-//! row-major order, aggregated by the unchanged
-//! [`Aggregator::aggregate`], so answers, objectives, `feasible` and
-//! `candidates_evaluated` equal scoring every candidate from scratch.
+//! Every score is `evaluate_pair`'s own bits, and every set is valued by the problem's
+//! own compositions over them (see
+//! [`DualMiningFunction::value`](crate::functions::DualMiningFunction::value)), so
+//! answers, objectives, `feasible` and `candidates_evaluated` equal scoring every
+//! candidate from scratch.
 
 use std::borrow::Cow;
 use std::time::Instant;
@@ -65,8 +65,8 @@ use std::time::Instant;
 use tagdm_lsh::index::{LshConfig, LshIndex};
 
 use crate::context::{BucketRanking, MiningContext, RankedBucket};
-use crate::criteria::{Aggregator, TaggingDimension};
-use crate::problem::{ConstraintSpec, TagDmProblem};
+use crate::criteria::TaggingDimension;
+use crate::problem::TagDmProblem;
 use crate::solvers::pairs::{pair_admits, PairScores, PairTable, Walk};
 use crate::solvers::{CancelToken, ConstraintMode, Solver, SolverOutcome};
 
@@ -176,7 +176,6 @@ impl SmLshSolver {
             walks,
             candidates,
             groups,
-            buffer,
         } = state;
         let problem = scores.problem;
         let k = problem.max_groups;
@@ -252,10 +251,10 @@ impl SmLshSolver {
                 }
                 groups.clear();
                 groups.extend(set.iter().map(|&p| bucket[p]));
-                if !scores.acceptable(self.mode, set, groups, buffer) {
+                if !scores.acceptable(self.mode, set, groups) {
                     continue;
                 }
-                let objective = scores.objective(set, buffer);
+                let objective = scores.objective(set);
                 if best.as_ref().is_none_or(|(_, b)| objective > *b) {
                     best = Some((groups.clone(), objective));
                 }
@@ -285,7 +284,7 @@ impl Solver for SmLshSolver {
         // buckets the context's ranking does not cover.
         let mut evaluated_total = 0u64;
         let mut best: Option<(Vec<usize>, f64)> = None;
-        let mut state = Buckets::new(ctx, problem, self.mode);
+        let mut state = Buckets::new(ctx, problem);
         let mut relaxed: LshIndex;
         let mut index: &LshIndex = &full;
         loop {
@@ -307,21 +306,7 @@ impl Solver for SmLshSolver {
         }
 
         let elapsed = start.elapsed();
-        match best {
-            Some((groups, objective)) => SolverOutcome {
-                solver: self.name(),
-                feasible: problem.feasible(ctx, &groups),
-                groups,
-                objective,
-                elapsed,
-                candidates_evaluated: evaluated_total,
-            },
-            None => SolverOutcome {
-                elapsed,
-                candidates_evaluated: evaluated_total,
-                ..SolverOutcome::null(self.name())
-            },
-        }
+        SolverOutcome::found(self.name(), ctx, problem, best, evaluated_total, elapsed)
     }
 }
 
@@ -332,18 +317,15 @@ struct Buckets<'a> {
     candidates: Candidates,
     /// The groups of a candidate.
     groups: Vec<usize>,
-    /// One function's pair scores over a candidate.
-    buffer: Vec<f64>,
 }
 
 impl<'a> Buckets<'a> {
-    fn new(ctx: &'a MiningContext, problem: &'a TagDmProblem, mode: ConstraintMode) -> Self {
+    fn new(ctx: &'a MiningContext, problem: &'a TagDmProblem) -> Self {
         Buckets {
-            scores: BucketScores::new(ctx, problem, mode),
+            scores: BucketScores::new(ctx, problem),
             walks: BucketWalks::new(ctx, problem),
             candidates: Candidates::default(),
             groups: Vec::new(),
-            buffer: Vec::new(),
         }
     }
 }
@@ -358,29 +340,21 @@ impl<'a> Buckets<'a> {
 ///   candidate's constraint scores only when its distance puts it ahead of the round's
 ///   best (see [`PairScores::DISTANCE_FIRST`]).
 ///
-/// Every source holds `evaluate_pair`'s own bits, so a set valued from them is valued
-/// as [`DualMiningFunction::evaluate`](crate::functions::DualMiningFunction::evaluate)
-/// values it.
+/// Every source holds `evaluate_pair`'s own bits, and sets and pairs are valued by
+/// [`TagDmProblem`]'s own compositions over them.
 struct BucketScores<'a> {
     ctx: &'a MiningContext,
     problem: &'a TagDmProblem,
-    /// The constraints the solve enforces: none under [`ConstraintMode::Ignore`].
-    constraints: &'a [ConstraintSpec],
     /// The bucket's groups, in bucket order.
     bucket: Vec<usize>,
     kept: Option<RankedBucket<'a>>,
 }
 
 impl<'a> BucketScores<'a> {
-    /// Scores for `problem`; constraints count only when `mode` enforces them.
-    fn new(ctx: &'a MiningContext, problem: &'a TagDmProblem, mode: ConstraintMode) -> Self {
+    fn new(ctx: &'a MiningContext, problem: &'a TagDmProblem) -> Self {
         BucketScores {
             ctx,
             problem,
-            constraints: match mode {
-                ConstraintMode::Ignore => &[],
-                ConstraintMode::Filter | ConstraintMode::Fold => &problem.constraints,
-            },
             bucket: Vec::new(),
             kept: None,
         }
@@ -397,7 +371,9 @@ impl<'a> BucketScores<'a> {
     #[inline]
     fn constraint_score(&self, f: usize, i: usize, j: usize) -> f64 {
         let (a, b) = (self.bucket[i], self.bucket[j]);
-        self.constraints[f].function.evaluate_pair(self.ctx, a, b)
+        self.problem.constraints[f]
+            .function
+            .evaluate_pair(self.ctx, a, b)
     }
 
     /// Objective function `o`'s score of the pair at positions `i ≠ j`.
@@ -413,16 +389,11 @@ impl<'a> BucketScores<'a> {
             .evaluate_pair(self.ctx, a, b)
     }
 
-    /// The pairwise objective of positions `i` and `j`, summed like
-    /// [`TagDmProblem::pairwise_objective`].
+    /// The pairwise objective of positions `i` and `j`.
     #[inline]
     fn pairwise_objective(&self, i: usize, j: usize) -> f64 {
         self.problem
-            .objectives
-            .iter()
-            .enumerate()
-            .map(|(o, spec)| spec.weight * self.objective_score(o, i, j))
-            .sum()
+            .pairwise_objective_from(|o| self.objective_score(o, i, j))
     }
 
     /// Whether the 2-set of positions `i` and `j` satisfies every constraint.
@@ -433,54 +404,21 @@ impl<'a> BucketScores<'a> {
     /// Whether the ascending positions `set`, of the bucket's `groups`, form an
     /// acceptable answer under `mode`: the right size, and under Filter and Fold also
     /// [`TagDmProblem::feasible`].
-    fn acceptable(
-        &self,
-        mode: ConstraintMode,
-        set: &[usize],
-        groups: &[usize],
-        buffer: &mut Vec<f64>,
-    ) -> bool {
+    fn acceptable(&self, mode: ConstraintMode, set: &[usize], groups: &[usize]) -> bool {
         let problem = self.problem;
-        if !problem.size_ok(set.len()) {
-            return false;
-        }
-        if mode == ConstraintMode::Ignore {
-            return true;
-        }
-        self.ctx.support(groups) >= problem.min_support
-            && self.constraints.iter().enumerate().all(|(f, c)| {
-                let score = |i, j| self.constraint_score(f, i, j);
-                c.admits(value(c.function.aggregator, set, score, buffer))
-            })
+        problem.size_ok(set.len())
+            && (mode == ConstraintMode::Ignore
+                || self.ctx.support(groups) >= problem.min_support
+                    && problem.constraints_hold(set.len(), |f, i, j| {
+                        self.constraint_score(f, set[i], set[j])
+                    }))
     }
 
     /// [`TagDmProblem::objective`] of the positions `set`.
-    fn objective(&self, set: &[usize], buffer: &mut Vec<f64>) -> f64 {
+    fn objective(&self, set: &[usize]) -> f64 {
         self.problem
-            .objectives
-            .iter()
-            .enumerate()
-            .map(|(o, spec)| {
-                let score = |i, j| self.objective_score(o, i, j);
-                spec.weight * value(spec.function.aggregator, set, score, buffer)
-            })
-            .sum()
+            .objective_from(set.len(), |o, i, j| self.objective_score(o, set[i], set[j]))
     }
-}
-
-/// A function's value on the positions `set`: the pair scores `score` gives, in
-/// row-major `(i < j)` order, gathered in `buffer` and aggregated.
-fn value(
-    aggregator: Aggregator,
-    set: &[usize],
-    score: impl Fn(usize, usize) -> f64,
-    buffer: &mut Vec<f64>,
-) -> f64 {
-    buffer.clear();
-    for (x, &i) in set.iter().enumerate() {
-        buffer.extend(set[x + 1..].iter().map(|&j| score(i, j)));
-    }
-    aggregator.aggregate(buffer)
 }
 
 impl PairScores for BucketScores<'_> {
@@ -650,7 +588,7 @@ impl<'a> BucketWalks<'a> {
 mod tests {
     use super::*;
     use crate::catalog::{problem, problem_1, problem_2, problem_3, ProblemParams};
-    use crate::criteria::MiningCriterion;
+    use crate::criteria::{Aggregator, MiningCriterion};
     use crate::functions::DualMiningFunction;
     use crate::problem::ObjectiveSpec;
     use crate::solvers::test_support::{medium_context, random_context, small_context, GROUPINGS};
@@ -893,7 +831,7 @@ mod tests {
         free_limit: usize,
         bound_limit: usize,
     ) -> (Vec<usize>, Vec<usize>) {
-        let mut scores = BucketScores::new(ctx, problem, Fold);
+        let mut scores = BucketScores::new(ctx, problem);
         scores.reset(bucket, ranked);
         let mut walks = BucketWalks::new(ctx, problem);
         walks.run(&scores, ranked.map(|r| r.pairs), free_limit, bound_limit);
@@ -979,7 +917,7 @@ mod tests {
             // Seeding from the ranked pairs, and reading the objective scores the ranking
             // keeps, walks the same groups in the same order.
             let ranking =
-                BucketRanking::new(std::iter::once(&candidates[..]), &ctx, &problem.objectives);
+                BucketRanking::new(std::iter::once(&candidates[..]), &ctx, &problem);
             let ranked = walk_bucket(&ctx, &problem, &candidates, ranking.bucket(0), limit, limit);
             prop_assert_eq!(&ranked.0, &free);
             prop_assert_eq!(&ranked.1, &bound);

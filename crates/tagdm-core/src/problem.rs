@@ -34,11 +34,6 @@ impl ConstraintSpec {
         value + 1e-12 >= self.threshold
     }
 
-    /// Whether the candidate set satisfies this constraint.
-    pub fn satisfied(&self, ctx: &MiningContext, set: &[usize]) -> bool {
-        self.admits(self.function.evaluate(ctx, set))
-    }
-
     /// Whether the function's [`value`](DualMiningFunction::value) on a set of `len`
     /// members, whose pair at positions `i < j` scores `score(i, j)`, reaches the
     /// threshold.

@@ -16,12 +16,21 @@
 //!
 //! Training is nearly all of a context build, so the sampler's state is flat: every
 //! document's tokens and topic assignments sit in one stream with per-document
-//! offsets, document-topic counts are one `docs × k` array, and topic-term counts are
-//! word-major (`n_wk[w * k + t]`), so one token's `k` counts are adjacent. Each topic's
-//! `n_k + vβ` is kept and rewritten only for the two topics a token leaves and joins.
-//! Every weight is still `(n_dk + α) · (n_wk + β) / (n_k + vβ)` in that order, and
-//! `sample_index` sums and scans sequentially, so every draw and every θ float equals
-//! that of the same sampler over nested `n_dk[d][t]` and topic-major `n_kw[t][w]`.
+//! offsets, document-topic counts are one `docs × k` array of exact integers in `f64`,
+//! and topic-term counts are `u32` and word-major (`n_wk[w * k + t]`), so one token's
+//! `k` counts are adjacent. Each topic's `n_k + vβ` is kept and rewritten only for the
+//! two topics a token leaves and joins.
+//!
+//! A document's copies of a term are adjacent in the stream, and a token that follows
+//! one of the same term sees the state that token saw except at that token's new topic
+//! `p` and its own old topic. So the sweep keeps the token's weights and their
+//! sequential running sum (`prefix`): after a same-term token that kept its topic it
+//! reuses both; after one that moved it rewrites the two weights and resumes the sum
+//! from the lower of the two topics; otherwise, and at every document start, it
+//! computes all `k`. Every weight is still `(n_dk + α) · (n_wk + β) / (n_k + vβ)` in
+//! that order, summed and scanned by `sample_index` in topic order, so every draw and
+//! every θ float equals that of the same sampler over nested `n_dk[d][t]` and
+//! topic-major `n_kw[t][w]` that computes and sums all `k` weights for each token.
 //! `tagdm-core`'s `signature_digests.rs` pins the benchmark contexts' θ bits, and a
 //! proptest here checks θ bit for bit against that nested sampler, kept as a test
 //! oracle.
@@ -108,10 +117,11 @@ impl LdaConfig {
         if !(positive(self.alpha) && positive(self.beta)) {
             return Err("Dirichlet priors must be positive and finite".into());
         }
-        // Counts are `u32` and term ids `u32`, so these bound, for any corpus, θ's
-        // denominator `len + kα` and the sum of a token's weights (each weight is at
-        // most `n_dk + α`), a weight's numerator `(n_dk + α)(n_wk + β)`, and its
-        // denominator `n_k + vβ`.
+        // Topic and topic-term counts are `u32`, a document-topic count (an exact
+        // integer in `f64`) is at most its topic's count, and term ids are `u32`, so
+        // these bound, for any corpus, θ's denominator `len + kα` and the sum of a
+        // token's weights (each weight is at most `n_dk + α`), a weight's numerator
+        // `(n_dk + α)(n_wk + β)`, and its denominator `n_k + vβ`.
         let count = f64::from(u32::MAX);
         let bounds = [
             self.num_topics as f64 * (count + self.alpha),
@@ -165,16 +175,16 @@ impl LdaModel {
         }
         let num_docs = corpus.len();
 
-        // Current Gibbs state: `n_dk[d * k + t]`, word-major `n_wk[w * k + t]`, and one
-        // topic per token.
-        let mut n_dk = vec![0u32; num_docs * k];
+        // Current Gibbs state: `n_dk[d * k + t]` (exact integers in `f64`), word-major
+        // `n_wk[w * k + t]`, and one topic per token.
+        let mut n_dk = vec![0.0f64; num_docs * k];
         let mut n_wk = vec![0u32; v * k];
         let mut n_k = vec![0u32; k];
         let mut assignments = Vec::with_capacity(tokens.len());
         for d in 0..num_docs {
             for &w in &tokens[offsets[d]..offsets[d + 1]] {
                 let topic = rng.gen_range(0..k);
-                n_dk[d * k + topic] += 1;
+                n_dk[d * k + topic] += 1.0;
                 n_wk[w as usize * k + topic] += 1;
                 n_k[topic] += 1;
                 assignments.push(topic as u16);
@@ -185,43 +195,67 @@ impl LdaModel {
         let mut acc_dk = vec![0.0f64; num_docs * k];
         let mut samples = 0usize;
 
-        let v_beta = v as f64 * config.beta;
+        let (alpha, beta) = (config.alpha, config.beta);
+        let v_beta = v as f64 * beta;
         // `denom[t]` is always `f64::from(n_k[t]) + v_beta`: a token changes two entries.
         let mut denom: Vec<f64> = n_k.iter().map(|&n| f64::from(n) + v_beta).collect();
+        // The current token's weights and their sequential running sum,
+        // `prefix[t] = weights[0] + … + weights[t]`.
         let mut weights = vec![0.0f64; k];
+        let mut prefix = vec![0.0f64; k];
         for iteration in 0..config.iterations {
             for (d, doc_counts) in n_dk.chunks_exact_mut(k).enumerate() {
+                // The previous token of this document: its term and its new topic.
+                let mut previous = None;
                 for pos in offsets[d]..offsets[d + 1] {
                     let w = tokens[pos] as usize;
                     let word_counts = &mut n_wk[w * k..(w + 1) * k];
                     let old = usize::from(assignments[pos]);
-                    doc_counts[old] -= 1;
+                    doc_counts[old] -= 1.0;
                     word_counts[old] -= 1;
                     n_k[old] -= 1;
                     denom[old] = f64::from(n_k[old]) + v_beta;
 
-                    for (((weight, &dc), &wc), &den) in weights
-                        .iter_mut()
-                        .zip(&*doc_counts)
-                        .zip(&*word_counts)
-                        .zip(&denom)
-                    {
-                        *weight =
-                            (f64::from(dc) + config.alpha) * (f64::from(wc) + config.beta) / den;
+                    // After a token of the same term, the state this token sees differs
+                    // from the one that token saw only at the latter's new topic `p`
+                    // and at `old`, so only those weights, and the running sum from the
+                    // lower of them on, can change.
+                    let weight = |t: usize| {
+                        (doc_counts[t] + alpha) * (f64::from(word_counts[t]) + beta) / denom[t]
+                    };
+                    let start = match previous {
+                        Some((term, p)) if term == w && p == old => k,
+                        Some((term, p)) if term == w => {
+                            weights[p] = weight(p);
+                            weights[old] = weight(old);
+                            p.min(old)
+                        }
+                        _ => {
+                            for (t, slot) in weights.iter_mut().enumerate() {
+                                *slot = weight(t);
+                            }
+                            0
+                        }
+                    };
+                    let mut sum = if start == 0 { 0.0 } else { prefix[start - 1] };
+                    for (running, &weight) in prefix[start..].iter_mut().zip(&weights[start..]) {
+                        sum += weight;
+                        *running = sum;
                     }
-                    let new = sample_index(&mut rng, &weights);
+                    let new = sample_index(&mut rng, &weights, prefix[k - 1]);
 
                     assignments[pos] = new as u16;
-                    doc_counts[new] += 1;
+                    doc_counts[new] += 1.0;
                     word_counts[new] += 1;
                     n_k[new] += 1;
                     denom[new] = f64::from(n_k[new]) + v_beta;
+                    previous = Some((w, new));
                 }
             }
             if iteration >= config.burn_in {
                 samples += 1;
                 for (acc, &c) in acc_dk.iter_mut().zip(&n_dk) {
-                    *acc += f64::from(c);
+                    *acc += c;
                 }
             }
         }
@@ -272,9 +306,9 @@ impl GroupSummarizer for LdaSummarizer {
     }
 }
 
-/// Sample an index proportionally to non-negative `weights`.
-fn sample_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
+/// Sample an index proportionally to non-negative `weights`, whose sequential sum is
+/// `total`.
+fn sample_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], total: f64) -> usize {
     if total <= 0.0 {
         return rng.gen_range(0..weights.len());
     }
@@ -343,7 +377,7 @@ mod tests {
                             * (f64::from(n_kw[t][w as usize]) + config.beta)
                             / (f64::from(n_k[t]) + v_beta);
                     }
-                    let new = sample_index(&mut rng, &weights);
+                    let new = sample_index(&mut rng, &weights, weights.iter().sum());
 
                     assignments[d][pos] = new as u16;
                     n_dk[d][new] += 1;
@@ -390,14 +424,47 @@ mod tests {
         tokens
     }
 
-    /// A random corpus: up to 12 documents of up to 6 `(term, count)` pairs over a
-    /// vocabulary of up to 9 terms. Empty documents, an empty corpus, `num_terms = 0`
-    /// and terms no document uses all occur.
+    /// A random corpus: up to 12 documents of up to 6 `(term, count)` entries over a
+    /// vocabulary of up to 9 terms. A count is 1–4, or 1–64 one time in four; an entry
+    /// repeats the one before it one time in four; and a document may begin with the
+    /// term its predecessor ends on. So the sweep meets same-term runs of up to ~64
+    /// tokens, runs spanning entries, and a term shared across a document boundary.
+    /// Empty documents, an empty corpus, `num_terms = 0` and terms no document uses all
+    /// occur.
     fn corpus_strategy() -> impl Strategy<Value = Corpus> {
         (0usize..10).prop_flat_map(|num_terms| {
-            let pair = (0u32..num_terms.max(1) as u32, 1u32..5);
-            collection::vec(collection::vec(pair, 0usize..7), 0usize..13)
-                .prop_map(move |documents| Corpus::from_documents(num_terms, documents))
+            let entry = (
+                0u32..num_terms.max(1) as u32,
+                1u32..5,
+                1u32..65,
+                0u8..4,
+                0u8..4,
+            );
+            let document = (collection::vec(entry, 0usize..7), any::<bool>());
+            collection::vec(document, 0usize..13).prop_map(move |documents| {
+                let mut previous_last = None;
+                let documents = documents
+                    .into_iter()
+                    .map(|(entries, continues)| {
+                        let mut doc: TagBag = Vec::with_capacity(entries.len());
+                        for (term, short, long, long_roll, repeat_roll) in entries {
+                            let count = if long_roll == 0 { long } else { short };
+                            match doc.last() {
+                                Some(&last) if repeat_roll == 0 => doc.push(last),
+                                _ => doc.push((term, count)),
+                            }
+                        }
+                        if let (true, Some(first), Some(term)) =
+                            (continues, doc.first_mut(), previous_last)
+                        {
+                            first.0 = term;
+                        }
+                        previous_last = doc.last().map(|&(term, _)| term);
+                        doc
+                    })
+                    .collect();
+                Corpus::from_documents(num_terms, documents)
+            })
         })
     }
 
@@ -440,6 +507,20 @@ mod tests {
                 prop_assert_eq!(bits(&model.document_topics(d)), bits(expected), "document {}", d);
             }
         }
+    }
+
+    /// One 200-token document of a single term: after its first token, every step
+    /// takes the same-term path, with and without a changed topic.
+    #[test]
+    fn a_one_term_document_matches_the_nested_reference() {
+        let corpus = Corpus::from_documents(1, vec![vec![(0, 200)]]);
+        let config = LdaConfig::with_topics(25);
+        let model = LdaModel::train(&corpus, config);
+        let bits = |theta: &[f64]| theta.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&model.document_topics(0)),
+            bits(&reference_theta(&corpus, config)[0])
+        );
     }
 
     /// A corpus with two clearly separated topics: terms 0–4 co-occur, terms 5–9 co-occur.

@@ -17,13 +17,20 @@
 //!   class keeps one row of values. A side with at most `MAX_TABLE_CLASSES` (512)
 //!   classes also keeps the row-major `c × c` table of the classes' structural
 //!   similarities, so a structural score is one read; a larger side scores from its
-//!   class rows. The unarized (one-hot) block that the constraint-folding variants
-//!   append to a signature is derived from the class row when SM-LSH hashes.
+//!   class rows. A side with a table builds, on first use, its `SimilaritySets`: the
+//!   table's few distinct values and, per class and value, the bitset of the groups at
+//!   that similarity from the class, which DV-FDP-Fo ORs into a problem's admitted
+//!   pairs. The unarized (one-hot) block that the constraint-folding variants append
+//!   to a signature is derived from the class row when SM-LSH hashes.
 //! * **Dense θ.** When every signature stores all `dims` entries (always for LDA, whose
 //!   θ is positive since α > 0), the signatures are also kept as one row-major
 //!   `n × dims` array, and a cosine is an index-order dot product over two rows beside
 //!   the cached norms: the same products, summed in the same order, as the sparse
 //!   merge. Other signatures stay sparse.
+//! * **Cosine floors.** When the dense rows are finite and non-negative, each group also
+//!   keeps `p = min θ / ‖θ‖` and `q = Σθ / ‖θ‖`. Then `θ_a·θ_b ≥ min θ_a · Σθ_b`, so
+//!   `cos(a, b) ≥ max(p_a·q_b, p_b·q_a)`; `CosineFloors` returns that bound less a
+//!   rounding margin, which DV-FDP's seed scan uses to skip pairs that cannot be its seed.
 //!
 //! Every score is therefore bit-identical to scoring each group's own description row
 //! and merging the sparse signatures.
@@ -103,6 +110,9 @@ pub struct MiningContext {
     /// The signatures as one row-major `n × signature_dims` array when every signature
     /// stores all its entries; empty otherwise.
     dense: Vec<f64>,
+    /// Per group, `[min θ / ‖θ‖, Σθ / ‖θ‖]` of its dense row (see [`CosineFloors`]);
+    /// empty when the context keeps no floors.
+    floors: Vec<[f64; 2]>,
     /// The user descriptions, interned.
     users: DescriptionClasses,
     /// The item descriptions, interned.
@@ -151,7 +161,7 @@ impl MiningContext {
             SummarizerChoice::Lda(config) => LdaSummarizer::new(config).summarize(&corpus),
         };
         let signature_dims = signatures.first().map_or(0, TagSignature::dims);
-        let signature_norms = signatures.iter().map(TagSignature::norm).collect();
+        let signature_norms: Vec<f64> = signatures.iter().map(TagSignature::norm).collect();
         let dense = if signatures
             .iter()
             .all(|s| s.entries().len() == signature_dims)
@@ -163,6 +173,7 @@ impl MiningContext {
         } else {
             Vec::new()
         };
+        let floors = floor_terms(&dense, signature_dims, &signature_norms);
 
         // Description values, one row per side, interned into classes.
         let user_offsets = dataset.user_schema.unarization_offsets();
@@ -191,6 +202,7 @@ impl MiningContext {
             signature_norms,
             signature_dims,
             dense,
+            floors,
             users: DescriptionClasses::intern(user_rows),
             items: DescriptionClasses::intern(item_rows),
             user_offsets,
@@ -282,6 +294,14 @@ impl MiningContext {
             dot += p * q;
         }
         (dot / denom).clamp(0.0, 1.0)
+    }
+
+    /// Lower bounds on the tag cosines of pairs, when the context keeps dense rows whose
+    /// entries are finite and non-negative (always for LDA).
+    pub(crate) fn cosine_floors(&self) -> Option<CosineFloors<'_>> {
+        (!self.floors.is_empty()).then_some(CosineFloors {
+            terms: &self.floors,
+        })
     }
 
     /// One side's interned descriptions: the users' for [`TaggingDimension::Users`],
@@ -385,6 +405,69 @@ impl MiningContext {
             (Cow::Owned(hash()), None)
         }
     }
+}
+
+/// What a cosine floor leaves below the bound `max(p_a·q_b, p_b·q_a)` for rounding.
+///
+/// The computed cosine `dot / (‖θ_a‖·‖θ_b‖)` and the computed bound
+/// `(min θ_a / ‖θ_a‖)·(Σθ_b / ‖θ_b‖)` divide by the same computed norms, and over
+/// non-negative rows the exact `dot` is at least the exact `min θ_a · Σθ_b`. The rest is
+/// rounding: a dot product and a sum of at most `d` non-negative terms each and five more
+/// operations, a relative error of at most `(2d + 6)·2⁻⁵³ < 2.4·10⁻¹⁰` for
+/// `d ≤ MAX_FLOOR_DIMS`. The bound is at most about 1, so the computed cosine is at least
+/// the computed bound less `2.4·10⁻¹⁰`, and at least the floor plus `0.7·10⁻⁹`; clamping
+/// the cosine into `[0, 1]` keeps that, since the floor is below 1. Norms in
+/// `[10⁻¹⁵⁰, 10¹⁵⁰]` keep every square and product finite, and what the products lose to
+/// underflow below `10⁻¹⁷` of a cosine. A zero row, whose cosine is 0, gets the floor
+/// `−FLOOR_MARGIN`.
+const FLOOR_MARGIN: f64 = 1e-9;
+
+/// The most signature dimensions for which the context keeps cosine floors.
+const MAX_FLOOR_DIMS: usize = 1 << 20;
+
+/// Lower bounds on the tag cosines the context computes: for every pair `(a, b)`,
+/// `cosine(a, b) ≥ floor(a, b)`, bit for bit as the context scores it (see
+/// [`FLOOR_MARGIN`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CosineFloors<'a> {
+    /// Per group, `[p, q] = [min θ / ‖θ‖, Σθ / ‖θ‖]`.
+    terms: &'a [[f64; 2]],
+}
+
+impl CosineFloors<'_> {
+    /// `max(p_a·q_b, p_b·q_a)` less [`FLOOR_MARGIN`]: at most the computed cosine of
+    /// `a` and `b`.
+    #[inline]
+    pub(crate) fn floor(&self, a: usize, b: usize) -> f64 {
+        let ([pa, qa], [pb, qb]) = (self.terms[a], self.terms[b]);
+        (pa * qb).max(pb * qa) - FLOOR_MARGIN
+    }
+}
+
+/// Each dense row's `[min θ / ‖θ‖, Σθ / ‖θ‖]`, `[0, 0]` for a zero row; empty unless
+/// every entry is finite and non-negative, every norm is 0 or in `[10⁻¹⁵⁰, 10¹⁵⁰]` and
+/// the rows have at most [`MAX_FLOOR_DIMS`] entries (see [`FLOOR_MARGIN`]).
+fn floor_terms(dense: &[f64], dims: usize, norms: &[f64]) -> Vec<[f64; 2]> {
+    let bounded = dims <= MAX_FLOOR_DIMS
+        && dense.iter().all(|&w| w.is_finite() && w >= 0.0)
+        && norms
+            .iter()
+            .all(|&norm| norm == 0.0 || (1e-150..=1e150).contains(&norm));
+    if dense.is_empty() || !bounded {
+        return Vec::new();
+    }
+    dense
+        .chunks_exact(dims)
+        .zip(norms)
+        .map(|(row, &norm)| {
+            if norm == 0.0 {
+                return [0.0, 0.0];
+            }
+            let min = row.iter().copied().fold(f64::INFINITY, f64::min);
+            let sum: f64 = row.iter().sum();
+            [min / norm, sum / norm]
+        })
+        .collect()
 }
 
 /// The most 8-byte words one [`BucketRanking`] keeps: 16,384 words, 128 KB. A ranked
@@ -528,6 +611,9 @@ pub(crate) struct DescriptionClasses {
     /// Row-major `c × c` structural similarities of the class rows; empty when the side
     /// has more than [`MAX_TABLE_CLASSES`] classes.
     table: Vec<f64>,
+    /// The groups by class and similarity, filled by the first
+    /// [`DescriptionClasses::similarity_sets`] call.
+    sets: OnceLock<SimilaritySets>,
 }
 
 impl DescriptionClasses {
@@ -556,6 +642,7 @@ impl DescriptionClasses {
             class_of,
             rows,
             table,
+            sets: OnceLock::new(),
         }
     }
 
@@ -595,6 +682,73 @@ impl DescriptionClasses {
     #[inline]
     fn similarity(&self, a: usize, b: usize) -> f64 {
         self.class_similarity(self.class(a), self.class(b))
+    }
+
+    /// The side's groups by class and similarity, built on the first call; `None` when
+    /// the side keeps no similarity table.
+    pub(crate) fn similarity_sets(&self) -> Option<&SimilaritySets> {
+        self.has_table()
+            .then(|| self.sets.get_or_init(|| SimilaritySets::new(self)))
+    }
+}
+
+/// One side's groups bucketed by class similarity: the distinct values of the side's
+/// `c × c` table and, per class `x` and value `v`, the bitset of the groups whose class
+/// is at similarity `v` from `x`. Structural similarity takes few values (the fractions of
+/// agreeing attributes: 4 on the medium context's user side, 2 on its item side), so a
+/// side takes `c·V·⌈n/64⌉` words for `V` values.
+#[derive(Debug, Clone)]
+pub(crate) struct SimilaritySets {
+    /// The table's distinct values, compared by bits, in row-major order of first
+    /// occurrence.
+    values: Vec<f64>,
+    /// `u64` words per bitset: one bit per group.
+    words: usize,
+    /// Bitset `(x, v)` at word `(x·V + v)·words`.
+    bits: Vec<u64>,
+}
+
+impl SimilaritySets {
+    /// Bucket the groups of `classes`, a side with a table, by their class's similarity
+    /// from each class.
+    fn new(classes: &DescriptionClasses) -> Self {
+        let c = classes.len();
+        let words = classes.class_of.len().div_ceil(64);
+        let mut ids = HashMap::new();
+        let mut values = Vec::new();
+        let value_of: Vec<usize> = classes
+            .table
+            .iter()
+            .map(|&s| {
+                *ids.entry(s.to_bits()).or_insert_with(|| {
+                    values.push(s);
+                    values.len() - 1
+                })
+            })
+            .collect();
+        let v = values.len();
+        let mut bits = vec![0u64; c * v * words];
+        for (g, &y) in classes.class_of.iter().enumerate() {
+            for x in 0..c {
+                bits[(x * v + value_of[x * c + y as usize]) * words + g / 64] |= 1 << (g % 64);
+            }
+        }
+        SimilaritySets {
+            values,
+            words,
+            bits,
+        }
+    }
+
+    /// The distinct similarities.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The groups whose class is at similarity `values()[v]` from class `x`.
+    pub(crate) fn set(&self, x: usize, v: usize) -> &[u64] {
+        let start = (x * self.values.len() + v) * self.words;
+        &self.bits[start..start + self.words]
     }
 }
 
@@ -664,13 +818,14 @@ mod tests {
     use crate::criteria::{Aggregator, MiningCriterion};
     use crate::functions::DualMiningFunction;
     use crate::solvers::test_support::{
-        overlapping_context, random_context, random_dataset, random_summarizer, wide_items_context,
-        GROUPINGS,
+        lda_ties_context, overlapping_context, random_context, random_dataset, random_summarizer,
+        wide_items_context, GROUPINGS,
     };
     use proptest::prelude::*;
     use tagdm_data::action::ActionId;
     use tagdm_data::dataset::DatasetBuilder;
-    use tagdm_data::group::GroupingScheme;
+    use tagdm_data::group::{GroupId, GroupingScheme};
+    use tagdm_data::predicate::ConjunctivePredicate;
     use tagdm_data::schema::AttributeId;
 
     fn dataset() -> Dataset {
@@ -1079,6 +1234,140 @@ mod tests {
             }
             prop_assert!(ctx.users.has_table() && ctx.items.has_table());
             assert_scores_match_the_reference(&ctx, 0..ctx.num_groups());
+        }
+    }
+
+    /// A corpus whose action `d` tags one of two items with `docs[d]`: ids into a
+    /// vocabulary of five tags, repeats counted; one group per action.
+    fn one_group_per_document(docs: &[Vec<usize>], summarizer: SummarizerChoice) -> MiningContext {
+        const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
+        let mut b = DatasetBuilder::movielens_style();
+        let user = b
+            .add_user([
+                ("gender", "male"),
+                ("age", "18-24"),
+                ("occupation", "student"),
+                ("state", "ny"),
+            ])
+            .unwrap();
+        let items = [("comedy", "a", "x"), ("war", "b", "y")].map(|(genre, actor, director)| {
+            b.add_item([("genre", genre), ("actor", actor), ("director", director)])
+                .unwrap()
+        });
+        for (d, doc) in docs.iter().enumerate() {
+            let tags: Vec<&str> = doc.iter().map(|&t| TAGS[t]).collect();
+            b.add_action_str(user, items[d % 2], &tags, None).unwrap();
+        }
+        let ds = b.build();
+        let everyone = ConjunctivePredicate::parse(&ds, &[]).unwrap();
+        let groups = (0..docs.len())
+            .map(|d| {
+                TaggingActionGroup::from_actions(
+                    GroupId(d as u32),
+                    everyone.clone(),
+                    &ds,
+                    vec![ActionId(d as u32)],
+                )
+            })
+            .collect();
+        MiningContext::build(&ds, groups, summarizer)
+    }
+
+    /// A scale for LDA's prior: the default a third of the time, otherwise down to
+    /// `10⁻⁶` of it, which makes θ peaked.
+    fn prior_scale() -> impl Strategy<Value = f64> {
+        (0u32..3, -6.0f64..0.0).prop_map(|(q, e)| if q == 0 { 1.0 } else { 10f64.powf(e) })
+    }
+
+    /// Require the context's cosine floors to exist when `expected`, and each to be at
+    /// most the context's own cosine, for every ordered pair, a group with itself too.
+    fn assert_floors_bound_the_cosines(ctx: &MiningContext, expected: bool) {
+        assert_eq!(ctx.cosine_floors().is_some(), expected);
+        let Some(floors) = ctx.cosine_floors() else {
+            return;
+        };
+        for a in 0..ctx.num_groups() {
+            for b in 0..ctx.num_groups() {
+                let (cosine, floor) = (ctx.cosine(a, b), floors.floor(a, b));
+                assert!(
+                    cosine >= floor,
+                    "({a}, {b}): cosine {cosine} < floor {floor}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Dense frequency rows (every document holds every tag), sparse ones, and LDA θ
+        // of one-term documents, whose θ is peaked under a small prior. The last
+        // document repeats the first, so a pair has identical rows under the frequency
+        // summarizers.
+        #[test]
+        fn prop_cosine_floors_bound_the_cosines_of_documents(
+            mut docs in proptest::collection::vec(proptest::collection::vec(0usize..5, 1..6), 1..12),
+            dense in any::<bool>(),
+            one_term in any::<bool>(),
+            summarizer in 0usize..3,
+            topics in 1usize..6,
+            alpha in prior_scale(),
+        ) {
+            for doc in &mut docs {
+                if one_term {
+                    let term = doc[0];
+                    doc.fill(term);
+                } else if dense {
+                    doc.extend(0..5);
+                }
+            }
+            docs.push(docs[0].clone());
+            // Frequency rows are dense when every document holds every tag in use.
+            let dense = docs.iter().flatten().all(|t| docs.iter().all(|doc| doc.contains(t)));
+            let (choice, expected) = match summarizer {
+                0 => (SummarizerChoice::Frequency, dense),
+                1 => (SummarizerChoice::FrequencyNormalized, dense),
+                _ => {
+                    let fast = LdaConfig::fast(topics);
+                    let config = LdaConfig { alpha: alpha * fast.alpha, ..fast };
+                    (SummarizerChoice::Lda(config), true)
+                }
+            };
+            let ctx = one_group_per_document(&docs, choice);
+            assert_floors_bound_the_cosines(&ctx, expected);
+        }
+
+        // LDA contexts of random corpora, with duplicated tag bags and two empty groups
+        // whose θ rows are identical; one topic makes every row `[1]`.
+        #[test]
+        fn prop_cosine_floors_bound_the_cosines_of_lda_contexts(
+            seed in 0u64..1_000,
+            actions in 40usize..300,
+            grouping in 0usize..GROUPINGS.len(),
+            topics in 1usize..8,
+            copies in 0usize..4,
+            alpha in prior_scale(),
+        ) {
+            let ctx = lda_ties_context(seed, actions, grouping, topics, copies, alpha);
+            let n = ctx.num_groups();
+            prop_assert_eq!(
+                &ctx.dense[(n - 2) * ctx.signature_dims()..(n - 1) * ctx.signature_dims()],
+                &ctx.dense[(n - 1) * ctx.signature_dims()..]
+            );
+            assert_floors_bound_the_cosines(&ctx, true);
+        }
+    }
+
+    #[test]
+    fn cosine_floors_of_one_topic_rows_sit_below_one() {
+        let ctx = lda_ties_context(7, 120, 0, 1, 2, 1.0);
+        assert!(ctx.dense.iter().all(|&w| w == 1.0));
+        let floors = ctx.cosine_floors().unwrap();
+        for a in 0..ctx.num_groups() {
+            for b in 0..ctx.num_groups() {
+                assert_eq!(ctx.cosine(a, b), 1.0);
+                assert!(floors.floor(a, b) <= 1.0 - FLOOR_MARGIN);
+            }
         }
     }
 

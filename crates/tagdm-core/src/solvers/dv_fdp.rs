@@ -22,25 +22,37 @@
 //! matrix. The seed scan takes row `i in 1..n` at a time and, within it, the partners
 //! `j in 0..i` in ascending order, keeping the first strict maximum: the largest
 //! distance, ties broken by the smallest `(i, j)` in row-major order. Ignore and Filter
-//! score every pair. Fo scores the distance of admitted pairs only. When every
-//! constraint is structural on users or items (all of Table 1's are) and the context
-//! keeps both sides' class similarity tables, a row's admitted partners are the set
-//! bits below `i` of the AND of two per-class group bitsets (`pairs::ClassAdmits`,
-//! built once per solve), so the scan never visits a pair the constraints reject. Any
-//! other constraint set tests each pair's constraint functions. Either way the scan
-//! scores the same pairs in the same order. A greedy round scores each candidate against
-//! the chosen groups only, into `k × k` constraint tables; those scores and `Fresh`'s
-//! are all the solver supplies to the problem's own valuation (see
-//! [`DualMiningFunction::value`](crate::functions::DualMiningFunction::value)). A solve
-//! allocates `O(n + k² + c·n/64)` words for `c` description classes.
+//! visit every pair, Fo the admitted pairs only. When every constraint is structural on
+//! users or items (all of Table 1's are) and the context keeps both sides' class
+//! similarity tables, a row's admitted partners are the set bits below `i` of the AND
+//! of two per-class group bitsets (`pairs::ClassAdmits`), so the scan never visits a
+//! pair the constraints reject. A solve builds those bitsets by testing the constraints
+//! once per distinct class similarity and ORing, per class, the context's group sets at
+//! the admitted values. Any other constraint set tests each pair's constraint
+//! functions. Either way the scan visits the same pairs in the same order.
 //!
-//! Neither of two ways to skip more of the scan pays on the benchmark's medium
-//! four-attribute context. Bucketing the groups by `(user class, item class)` and testing
-//! whole blocks does not: every enumerated group has a description of its own, so each
-//! block holds one group (456 blocks for 456 groups). A `c_u × c_i` grid of groups
-//! walked over each row's admitted user classes × admitted item classes probes every
-//! empty cell as well, and only 456 of its 88 × 19 = 1,672 cells hold a group: on P5 it
-//! was slower than the full scan it replaced.
+//! A visited pair's distance is scored only when it could be the seed. When every
+//! objective is a tag diversity and the context keeps cosine floors (always for LDA), a
+//! pair's ceiling, `W·(1 − floor)` for the weight sum `W`, bounds its distance as
+//! computed; a pair whose ceiling is at most the best distance so far cannot strictly
+//! exceed it, and is skipped. This is the bound-then-verify pruning of all-pairs
+//! similarity search (Bayardo, Ma & Srikant, WWW 2007). On the benchmark's medium
+//! four-attribute context it leaves 3,446 of P4's 8,521 admitted pairs to score, 419 of
+//! P5's 15,484 and 867 of P6's 1,370. Any other objective set scores every visited pair.
+//!
+//! A greedy round scores each candidate against the chosen groups only, into `k × k`
+//! constraint tables; those scores and `Fresh`'s are all the solver supplies to the
+//! problem's own valuation (see
+//! [`DualMiningFunction::value`](crate::functions::DualMiningFunction::value)). A solve
+//! allocates `O(n + k² + c·n/64)` words for `c` description classes; the context keeps,
+//! from the first Fo solve on, `c·V·⌈n/64⌉` words per side for its `V` distinct class
+//! similarities (22 KB for the medium context's users, 2.4 KB for its items).
+//!
+//! Testing whole blocks of pairs does not pay on that context: every enumerated group
+//! has a description of its own, so bucketing the groups by `(user class, item class)`
+//! gives one group a block (456 blocks for 456 groups), and a `c_u × c_i` grid walked
+//! over each row's admitted user × item classes probes every empty cell as well (only
+//! 456 of its 88 × 19 = 1,672 cells hold a group).
 //!
 //! `candidates_evaluated` counts the `n(n−1)/2` pairs of the seed scan. Fo adds one for
 //! each pair's `[i, j]` test, one more for each admitted pair's `[j, i]` test, and one
@@ -57,7 +69,8 @@
 
 use std::time::{Duration, Instant};
 
-use crate::context::MiningContext;
+use crate::context::{CosineFloors, MiningContext};
+use crate::criteria::{MiningCriterion, PairwiseKind, TaggingDimension};
 use crate::problem::TagDmProblem;
 use crate::solvers::pairs::{pair_admits, ClassAdmits, PairScores, PairTable, Walk};
 use crate::solvers::{CancelToken, ConstraintMode, Solver, SolverOutcome};
@@ -78,6 +91,51 @@ fn distance(ctx: &MiningContext, problem: &TagDmProblem, a: usize, b: usize) -> 
         d
     } else {
         0.0
+    }
+}
+
+/// An upper bound on the seed scan's distances, for a problem whose every objective is
+/// a tag diversity over a context that keeps cosine floors.
+///
+/// Such a pair's distance is `Σ w·(1 − cos)`, at most `W·(1 − floor)` for the weight sum
+/// `W` and the context's [`CosineFloors`]. As computed: the cosine is at least the floor
+/// plus `0.7·10⁻⁹` (see `context`'s `FLOOR_MARGIN`), and both sides of the bound round in
+/// at most `m + 3` operations for `m` objectives, a relative error below `10⁻⁹ / 3` for
+/// `m ≤ 2²⁰`. So the computed ceiling is at least the computed distance, which the scan's
+/// clamp only lowers to 0, and a pair whose ceiling is at most the best distance so far
+/// cannot strictly exceed it.
+struct Ceiling<'a> {
+    floors: CosineFloors<'a>,
+    /// `W`, the objectives' weight sum.
+    weight: f64,
+}
+
+impl<'a> Ceiling<'a> {
+    /// The ceiling of `problem`'s distances over `ctx`, or `None` when some objective is
+    /// not a tag diversity with a finite non-negative weight, there are over `2²⁰`
+    /// objectives, or the context keeps no cosine floors.
+    fn new(ctx: &'a MiningContext, problem: &TagDmProblem) -> Option<Self> {
+        let diversities = problem.objectives.len() <= 1 << 20
+            && problem.objectives.iter().all(|o| {
+                let f = &o.function;
+                f.criterion == MiningCriterion::Diversity
+                    && (f.dimension == TaggingDimension::Tags || f.kind == PairwiseKind::TagCosine)
+                    && o.weight.is_finite()
+                    && o.weight >= 0.0
+            });
+        if !diversities {
+            return None;
+        }
+        Some(Ceiling {
+            floors: ctx.cosine_floors()?,
+            weight: problem.objectives.iter().map(|o| o.weight).sum(),
+        })
+    }
+
+    /// At least the distance of the pair `(a, b)` as [`distance`] computes it.
+    #[inline]
+    fn of(&self, a: usize, b: usize) -> f64 {
+        self.weight * (1.0 - self.floors.floor(a, b))
     }
 }
 
@@ -122,39 +180,11 @@ impl DvFdpSolver {
             return (if k == 0 { Vec::new() } else { vec![0] }, pairs);
         }
 
-        let classes = if fold {
-            ClassAdmits::new(ctx, problem)
-        } else {
-            None
-        };
-        let mut evaluated = 0u64;
-        let mut seed: Option<(usize, usize, f64)> = None;
-        for i in 1..n {
-            if cancel.is_cancelled() {
-                break;
-            }
-            // Row `i` scans its `i` pairs. Under Fo each pair also counts its `[i, j]`
-            // test, and an admitted pair its `[j, i]` test, one count per `visit`.
-            evaluated += i as u64 * (1 + u64::from(fold));
-            let visit = |j| {
-                evaluated += u64::from(fold);
-                let d = distance(ctx, problem, i, j);
-                if seed.is_none_or(|(_, _, best)| d > best) {
-                    seed = Some((i, j, d));
-                }
-            };
-            match &classes {
-                Some(classes) => classes.for_each_partner(i, visit),
-                None if fold => (0..i)
-                    .filter(|&j| pair_admits(ctx, problem, i, j))
-                    .for_each(visit),
-                None => (0..i).for_each(visit),
-            }
-        }
-        let Some((i, j, _)) = seed else {
+        let (seed, mut evaluated) =
+            self.seed(ctx, problem, cancel, |i, j| distance(ctx, problem, i, j));
+        let Some((i, j)) = seed else {
             return (Vec::new(), evaluated);
         };
-
         let table = fold.then(|| PairTable::constraints(problem, k));
         let mut walk = Walk::new(problem, table);
         walk.grow(&Fresh { ctx, problem }, (j, i), 0..n, k, || {
@@ -167,6 +197,57 @@ impl DvFdpSolver {
         let mut selection = walk.groups;
         selection.sort_unstable();
         (selection, evaluated)
+    }
+
+    /// The seed scan: the first strict maximum of `distance` over the pairs `(i, j)`,
+    /// `j < i`, row by row (under Fo, over the admitted pairs only), and the count of the
+    /// rows scanned. A pair whose [`Ceiling`] cannot exceed the best so far is visited
+    /// and counted but not scored: it could not become the seed.
+    fn seed(
+        &self,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+        cancel: &CancelToken,
+        mut distance: impl FnMut(usize, usize) -> f64,
+    ) -> (Option<(usize, usize)>, u64) {
+        let fold = self.mode == ConstraintMode::Fold;
+        let classes = if fold {
+            ClassAdmits::new(ctx, problem)
+        } else {
+            None
+        };
+        let ceiling = Ceiling::new(ctx, problem);
+        let mut evaluated = 0u64;
+        let mut seed: Option<(usize, usize, f64)> = None;
+        for i in 1..ctx.num_groups() {
+            if cancel.is_cancelled() {
+                break;
+            }
+            // Row `i` scans its `i` pairs. Under Fo each pair also counts its `[i, j]`
+            // test, and an admitted pair its `[j, i]` test, one count per `visit`.
+            evaluated += i as u64 * (1 + u64::from(fold));
+            let visit = |j| {
+                evaluated += u64::from(fold);
+                let best = seed.map(|(_, _, best)| best);
+                if let (Some(best), Some(ceiling)) = (best, &ceiling) {
+                    if ceiling.of(i, j) <= best {
+                        return;
+                    }
+                }
+                let d = distance(i, j);
+                if best.is_none_or(|best| d > best) {
+                    seed = Some((i, j, d));
+                }
+            };
+            match &classes {
+                Some(classes) => classes.for_each_partner(i, visit),
+                None if fold => (0..i)
+                    .filter(|&j| pair_admits(ctx, problem, i, j))
+                    .for_each(visit),
+                None => (0..i).for_each(visit),
+            }
+        }
+        (seed.map(|(i, j, _)| (i, j)), evaluated)
     }
 
     /// The outcome for a greedy `selection`: null when it is empty or too small, and
@@ -222,8 +303,8 @@ mod tests {
     use crate::functions::DualMiningFunction;
     use crate::problem::{ObjectiveSpec, TagDmProblem};
     use crate::solvers::test_support::{
-        medium_context, overlapping_context, random_context, small_context, wide_items_context,
-        GROUPINGS,
+        lda_ties_context, medium_context, overlapping_context, random_context, random_dataset,
+        small_context, wide_items_context, GROUPINGS,
     };
     use crate::solvers::ExactSolver;
     use proptest::prelude::*;
@@ -231,6 +312,7 @@ mod tests {
     use tagdm_data::group::GroupingScheme;
     use tagdm_geometry::dispersion::{max_avg_greedy, max_avg_greedy_with};
     use tagdm_geometry::distance::DistanceMatrix;
+    use tagdm_topics::lda::LdaConfig;
 
     const MODES: [ConstraintMode; 3] = [
         ConstraintMode::Ignore,
@@ -365,6 +447,94 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // LDA contexts, where the seed scan skips pairs by their cosine floors, with
+        // duplicated tag bags and two empty groups of identical θ, whose distances to
+        // any third group tie exactly; one topic ties every distance at 0. The prior is
+        // the default or 10⁻⁴ to 10² of it: a small one makes θ peaked, a large one flat,
+        // where the floors come close to the cosines. The objective is reweighted and may
+        // gain a second one: a tag diversity, which keeps the skip under the weight sum,
+        // or a tag similarity, which turns it off.
+        #[test]
+        fn prop_kernel_matches_the_reference_on_lda_contexts(
+            seed in 0u64..1_000,
+            actions in 40usize..300,
+            grouping in 0usize..GROUPINGS.len(),
+            topics in 1usize..8,
+            copies in 0usize..4,
+            alpha in (0u32..2, -4.0f64..2.0).prop_map(|(q, e)| if q == 0 { 1.0 } else { 10f64.powf(e) }),
+            mode in 0usize..3,
+            id in 1usize..7,
+            k in 2usize..5,
+            threshold in 0.0f64..1.0,
+            weights in (0.1f64..3.0, 0.1f64..3.0),
+            second in 0usize..3,
+        ) {
+            let ctx = lda_ties_context(seed, actions, grouping, topics, copies, alpha);
+            prop_assert!(ctx.cosine_floors().is_some());
+            let params = ProblemParams {
+                k,
+                min_support: 2,
+                user_threshold: threshold,
+                item_threshold: 1.0 - threshold,
+            };
+            let mut problem = problem(id, params);
+            problem.objectives[0].weight = weights.0;
+            if second > 0 {
+                let criterion = MiningCriterion::ALL[second - 1];
+                problem.objectives.push(ObjectiveSpec {
+                    function: DualMiningFunction::standard(TaggingDimension::Tags, criterion),
+                    weight: weights.1,
+                });
+            }
+            assert_matches_reference(&DvFdpSolver::new(MODES[mode]), &ctx, &problem);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_where_distances_tie_at_the_best() {
+        // The first group and its two empty copies, whose θ rows are the same uniform
+        // row: the copies lie at exactly the same distance from the first group, the
+        // largest of the three pairs, so row 2 ties the best of row 1. One topic ties all
+        // three pairs at 0.
+        for topics in [1, 4] {
+            let full = lda_ties_context(3, 200, 0, topics, 0, 1e-3);
+            let n = full.num_groups();
+            let ds = random_dataset(3, 200);
+            let groups = [0, n - 2, n - 1].map(|g| full.group(g).clone()).to_vec();
+            let ctx = MiningContext::build(
+                &ds,
+                groups,
+                SummarizerChoice::Lda(LdaConfig {
+                    alpha: 1e-3 * LdaConfig::fast(topics).alpha,
+                    ..LdaConfig::fast(topics)
+                }),
+            );
+            let objective = TagDmProblem::new("tag diversity", 2, 0).with_objective(
+                ObjectiveSpec::standard(TaggingDimension::Tags, MiningCriterion::Diversity),
+            );
+            let d = |a, b| objective.pairwise_objective(&ctx, a, b).to_bits();
+            assert_eq!(d(1, 0), d(2, 0));
+            assert!(f64::from_bits(d(1, 0)) >= f64::from_bits(d(2, 1)));
+            for mode in MODES {
+                for k in 2..=3 {
+                    let mut problem = objective.clone();
+                    problem.max_groups = k;
+                    assert_matches_reference(&DvFdpSolver::new(mode), &ctx, &problem);
+                    let params = ProblemParams {
+                        k,
+                        min_support: 1,
+                        user_threshold: 0.0,
+                        item_threshold: 0.0,
+                    };
+                    assert_matches_reference(&DvFdpSolver::new(mode), &ctx, &problem_6(params));
+                }
+            }
+        }
+    }
+
     #[test]
     fn kernel_matches_the_reference_on_every_problem_mode_and_size() {
         let ctx = small_context();
@@ -457,6 +627,38 @@ mod tests {
                     "{what}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn the_seed_scan_scores_few_of_the_benchmark_pairs() {
+        // mine-heuristic's DV-FDP-Fo requests admit 8,521 (P4), 15,484 (P5) and 1,370
+        // (P6) pairs; the cosine floors leave at most 3,446, 419 and 867 to score. The
+        // seed is the one a scan scoring every admitted pair finds.
+        let ctx = medium_context();
+        let base = ProblemParams::paper_defaults(ctx.num_input_actions());
+        let solver = DvFdpSolver::new(ConstraintMode::Fold);
+        let token = CancelToken::new();
+        for (id, admitted, most) in [(4, 8_521, 3_446), (5, 15_484, 419), (6, 1_370, 867)] {
+            let problem = problem(id, base);
+            let mut scored = 0u64;
+            let (seed, evaluated) = solver.seed(&ctx, &problem, &token, |i, j| {
+                scored += 1;
+                distance(&ctx, &problem, i, j)
+            });
+            let n = ctx.num_groups() as u64;
+            assert_eq!(evaluated, n * (n - 1) + admitted, "P{id}");
+            assert!(scored <= most, "P{id}: {scored} pairs scored");
+            let mut best: Option<(usize, usize, f64)> = None;
+            for i in 1..ctx.num_groups() {
+                for j in (0..i).filter(|&j| pair_admits(&ctx, &problem, i, j)) {
+                    let d = distance(&ctx, &problem, i, j);
+                    if best.is_none_or(|(_, _, b)| d > b) {
+                        best = Some((i, j, d));
+                    }
+                }
+            }
+            assert_eq!(seed, best.map(|(i, j, _)| (i, j)), "P{id}");
         }
     }
 

@@ -353,6 +353,12 @@ pub(crate) mod test_support {
     /// and so keeps no item similarity table: many items with near-unique (genre, actor,
     /// director) descriptions.
     pub fn wide_items_context() -> MiningContext {
+        let (ds, groups) = wide_items_groups();
+        MiningContext::build(&ds, groups, SummarizerChoice::fast_lda(4))
+    }
+
+    /// The dataset and groups of [`wide_items_context`].
+    pub fn wide_items_groups() -> (Dataset, Vec<TaggingActionGroup>) {
         let ds = MovieLensStyleGenerator::new(GeneratorConfig {
             num_items: 1_500,
             num_actions: 3_000,
@@ -372,7 +378,49 @@ pub(crate) mod test_support {
         )
         .unwrap()
         .enumerate(&ds);
-        MiningContext::build(&ds, groups, SummarizerChoice::fast_lda(4))
+        (ds, groups)
+    }
+
+    /// An LDA context over a random corpus with tied signatures: the groups of one of
+    /// [`GROUPINGS`], then a copy of each of the first `copies` groups (a duplicated tag
+    /// bag) and two empty copies of the first group, whose θ rows are both uniform, so
+    /// that their distances to any third group tie exactly. `alpha` scales the
+    /// Dirichlet prior; a small one makes θ peaked.
+    pub fn lda_ties_context(
+        seed: u64,
+        actions: usize,
+        grouping: usize,
+        topics: usize,
+        copies: usize,
+        alpha: f64,
+    ) -> MiningContext {
+        let ds = random_dataset(seed, actions);
+        let mut groups = GroupingScheme::over(&ds, GROUPINGS[grouping])
+            .unwrap()
+            .min_group_size(2)
+            .enumerate(&ds);
+        let n = groups.len();
+        let mut extra: Vec<TaggingActionGroup> =
+            groups.iter().take(copies.min(n)).cloned().collect();
+        if let Some(first) = groups.first() {
+            for _ in 0..2 {
+                extra.push(TaggingActionGroup::from_actions(
+                    first.id,
+                    first.description.clone(),
+                    &ds,
+                    Vec::new(),
+                ));
+            }
+        }
+        for (i, mut group) in extra.into_iter().enumerate() {
+            group.id = GroupId((n + i) as u32);
+            groups.push(group);
+        }
+        let config = LdaConfig {
+            alpha: alpha * LdaConfig::fast(topics).alpha,
+            ..LdaConfig::fast(topics)
+        };
+        MiningContext::build(&ds, groups, SummarizerChoice::Lda(config))
     }
 
     /// Problems 1–6 of Table 1 under `params`, then problem 1 with its constraints

@@ -11,7 +11,9 @@
 //!   When every constraint is structural on users or items, a pair's verdict depends
 //!   only on the description classes of its groups (see [`MiningContext`]), so one
 //!   bitset per class and side, of the groups that class admits, gives the same
-//!   verdicts; a group's admitted partners are the AND of its two classes' bitsets;
+//!   verdicts; a group's admitted partners are the AND of its two classes' bitsets.
+//!   Each class's bitset is the OR of the context's per-value sets at the similarity
+//!   values the constraints admit, so a solve tests the constraints once per value;
 //! * [`PairScores`] is where a [`Walk`] reads its scores, and the caller supplies it:
 //!   DV-FDP scores each pair when the walk asks, SM-LSH reads the scores its bucket
 //!   already holds (see `sm_lsh`'s `BucketScores`);
@@ -62,10 +64,11 @@ impl<'a> ClassAdmits<'a> {
     /// The admit bitsets of `problem` over `ctx`, or `None` when some constraint is not
     /// structural on users or items, or a side keeps no class similarity table.
     ///
-    /// A side's verdict on a class pair is `pair_admits`' own expression on the class
-    /// similarity, taken once per distinct similarity value: structural similarity
-    /// takes only a few values (the fractions of agreeing attributes). A class's bitset
-    /// is the OR of the member bitsets of the classes it admits.
+    /// A side's verdict is `pair_admits`' own expression on a class similarity, taken
+    /// once per distinct value of the side's table (see
+    /// [`SimilaritySets`](crate::context::SimilaritySets)). A class's bitset is the OR of
+    /// its sets at the admitted values: at most `V` ORs of a bitset per class, for `V`
+    /// values.
     pub(crate) fn new(ctx: &'a MiningContext, problem: &TagDmProblem) -> Option<Self> {
         let structural = problem.constraints.iter().all(|c| {
             c.function.kind == PairwiseKind::Structural
@@ -74,51 +77,33 @@ impl<'a> ClassAdmits<'a> {
         if !structural {
             return None;
         }
-        let n = ctx.num_groups();
-        let words = n.div_ceil(64);
+        let words = ctx.num_groups().div_ceil(64);
         let side = |dimension| {
             let classes = ctx.description_classes(dimension)?;
-            if !classes.has_table() {
-                return None;
-            }
+            let sets = classes.similarity_sets()?;
             let constraints: Vec<&ConstraintSpec> = problem
                 .constraints
                 .iter()
                 .filter(|c| c.function.dimension == dimension)
                 .collect();
-            let mut verdicts: Vec<(u64, bool)> = Vec::new();
-            let mut verdict = |similarity: f64| {
-                let bits = similarity.to_bits();
-                if let Some(&(_, admits)) = verdicts.iter().find(|&&(v, _)| v == bits) {
-                    return admits;
-                }
-                let admits = constraints
-                    .iter()
-                    .all(|c| c.holds(2, |_, _| c.function.criterion.orient(similarity)));
-                verdicts.push((bits, admits));
-                admits
-            };
-            let c = classes.len();
-            let mut members = vec![0u64; c * words];
-            for g in 0..n {
-                members[classes.class(g) * words + g / 64] |= 1 << (g % 64);
-            }
-            let mut admitted = vec![0u64; c * words];
-            let mut add = |x: usize, y: usize| {
-                let (into, from) = (x * words, y * words);
-                for w in 0..words {
-                    admitted[into + w] |= members[from + w];
-                }
-            };
-            for x in 0..c {
-                for y in 0..=x {
-                    if verdict(classes.class_similarity(x, y)) {
-                        add(x, y);
-                        add(y, x);
+            let admitted: Vec<usize> = (0..sets.values().len())
+                .filter(|&v| {
+                    let similarity = sets.values()[v];
+                    constraints
+                        .iter()
+                        .all(|c| c.holds(2, |_, _| c.function.criterion.orient(similarity)))
+                })
+                .collect();
+            let mut bits = vec![0u64; classes.len() * words];
+            for x in 0..classes.len() {
+                let row = &mut bits[x * words..(x + 1) * words];
+                for &v in &admitted {
+                    for (into, from) in row.iter_mut().zip(sets.set(x, v)) {
+                        *into |= from;
                     }
                 }
             }
-            Some((classes, admitted))
+            Some((classes, bits))
         };
         Some(ClassAdmits {
             words,
@@ -321,11 +306,13 @@ impl<'a> Walk<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::ProblemParams;
+    use crate::catalog::{problem, ProblemParams};
+    use crate::context::MAX_TABLE_CLASSES;
     use crate::criteria::{MiningCriterion, PairwiseKind, TaggingDimension};
     use crate::functions::DualMiningFunction;
     use crate::solvers::test_support::{
-        constrained_problems, overlapping_context, random_context, small_context, GROUPINGS,
+        constrained_problems, overlapping_context, random_context, small_context,
+        wide_items_groups, GROUPINGS,
     };
     use proptest::prelude::*;
 
@@ -396,6 +383,125 @@ mod tests {
                 .collect();
             assert_eq!(partners, forward, "{} on row {i}", problem.describe());
             assert_eq!(partners, backward, "{} on row {i}", problem.describe());
+        }
+    }
+
+    /// Require each side's per-value sets to hold exactly the groups whose class is at
+    /// that similarity, by bits, from each class.
+    fn assert_similarity_sets_bucket_the_groups(ctx: &MiningContext) {
+        for dimension in [TaggingDimension::Users, TaggingDimension::Items] {
+            let classes = ctx.description_classes(dimension).unwrap();
+            let sets = classes.similarity_sets().unwrap();
+            for x in 0..classes.len() {
+                for (v, value) in sets.values().iter().enumerate() {
+                    let set = sets.set(x, v);
+                    for g in 0..ctx.num_groups() {
+                        let at = classes.class_similarity(x, classes.class(g));
+                        assert_eq!(
+                            set[g / 64] >> (g % 64) & 1 == 1,
+                            at.to_bits() == value.to_bits(),
+                            "class {x}, value {value}, group {g}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Problems of one structural constraint on `dimension` under `criterion`, with its
+    /// threshold at each distinct similarity of that side oriented by the criterion, at
+    /// that plus `admits`' `1e-12`, and one ulp either side of both.
+    fn boundary_problems(
+        ctx: &MiningContext,
+        dimension: TaggingDimension,
+        criterion: MiningCriterion,
+    ) -> Vec<TagDmProblem> {
+        let sets = ctx
+            .description_classes(dimension)
+            .unwrap()
+            .similarity_sets()
+            .unwrap();
+        let mut problems = Vec::new();
+        for &similarity in sets.values() {
+            let value = criterion.orient(similarity);
+            for at in [value, value + 1e-12] {
+                for threshold in [at.next_down(), at, at.next_up()] {
+                    problems.push(TagDmProblem::new("boundary", 3, 1).with_constraint(
+                        ConstraintSpec::standard(dimension, criterion, threshold),
+                    ));
+                }
+            }
+        }
+        problems
+    }
+
+    #[test]
+    fn class_admits_match_pair_admits_at_boundary_thresholds() {
+        for ctx in [
+            small_context(),
+            overlapping_context(),
+            random_context(11, 300, 0),
+            random_context(12, 300, 2),
+        ] {
+            assert_similarity_sets_bucket_the_groups(&ctx);
+            for dimension in [TaggingDimension::Users, TaggingDimension::Items] {
+                for criterion in MiningCriterion::ALL {
+                    for problem in boundary_problems(&ctx, dimension, criterion) {
+                        let classes = ClassAdmits::new(&ctx, &problem).unwrap();
+                        assert_class_admits_match_pair_admits(&ctx, &problem, &classes);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn class_admits_at_and_over_the_table_cap() {
+        // The wide-items groups in order, up to the last before the item side reaches
+        // `MAX_TABLE_CLASSES + 1` classes, and then up to that one.
+        let (ds, groups) = wide_items_groups();
+        let item_row = |g: &tagdm_data::group::TaggingActionGroup| {
+            g.description
+                .conditions()
+                .iter()
+                .filter(|c| c.dimension == tagdm_data::predicate::Dimension::Item)
+                .map(|c| (c.attribute, c.value))
+                .collect::<Vec<_>>()
+        };
+        let mut seen = std::collections::HashSet::new();
+        let over = groups
+            .iter()
+            .position(|g| seen.insert(item_row(g)) && seen.len() > MAX_TABLE_CLASSES)
+            .unwrap();
+        let params = ProblemParams {
+            k: 3,
+            min_support: 1,
+            user_threshold: 0.5,
+            item_threshold: 1.0 / 3.0,
+        };
+        for (len, classes, table) in [
+            (over, MAX_TABLE_CLASSES, true),
+            (over + 1, MAX_TABLE_CLASSES + 1, false),
+        ] {
+            let ctx = MiningContext::build(
+                &ds,
+                groups[..len].to_vec(),
+                crate::context::SummarizerChoice::Frequency,
+            );
+            let items = ctx.description_classes(TaggingDimension::Items).unwrap();
+            assert_eq!(items.len(), classes);
+            assert_eq!(items.similarity_sets().is_some(), table);
+            if table {
+                assert_similarity_sets_bucket_the_groups(&ctx);
+            }
+            for id in 4..=6 {
+                let problem = problem(id, params);
+                let admits = ClassAdmits::new(&ctx, &problem);
+                assert_eq!(admits.is_some(), table, "P{id}");
+                if let Some(admits) = admits {
+                    assert_class_admits_match_pair_admits(&ctx, &problem, &admits);
+                }
+            }
         }
     }
 

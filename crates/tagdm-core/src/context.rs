@@ -43,19 +43,9 @@
 //! disjoint context, the form in which every solver passes its sets, and the
 //! [`group_support`] merge of the action lists for any other set or context.
 //!
-//! A context also holds SM-LSH's pre-processing step (Algorithm 1): the LSH index over
-//! the groups' folded vectors, one per fold variant `(fold_users, fold_items)`. It is
-//! hashed lazily by the first SM-LSH solve of that variant, whose `elapsed` therefore
-//! includes the hashing, and reused by every later solve with the same LSH
-//! configuration. Beside each index the context keeps, per bucket, its pairs' scores
-//! under each of that first solve's objective functions and the pairs ranked by their
-//! weighted sum, stable-sorted in descending order, in at most `MAX_RANKED_WORDS`
-//! (16,384 words, 128 KB) a variant. A later solve with the same objectives reads its
-//! bucket walks' seed pairs off the ranking and every objective score of a bucket pair
-//! off the kept scores, instead of scoring them again.
+//! A context also holds one memo slot per fold variant (`MiningContext::lsh_memo`), which
+//! SM-LSH fills with its pre-processing step (Algorithm 1) and the context never reads.
 
-use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -65,7 +55,6 @@ use tagdm_data::dataset::Dataset;
 use tagdm_data::group::{group_support, TaggingActionGroup};
 use tagdm_data::predicate::Dimension;
 use tagdm_data::schema::ValueId;
-use tagdm_lsh::index::{LshConfig, LshIndex};
 use tagdm_topics::corpus::Corpus;
 use tagdm_topics::frequency::FrequencySummarizer;
 use tagdm_topics::lda::{LdaConfig, LdaSummarizer};
@@ -74,7 +63,7 @@ use tagdm_topics::summarizer::GroupSummarizer;
 use tagdm_topics::tfidf::TfIdfSummarizer;
 
 use crate::criteria::{PairwiseKind, TaggingDimension};
-use crate::problem::{ObjectiveSpec, TagDmProblem};
+use crate::solvers::sm_lsh::LshMemo;
 
 /// Which group tag summarizer to use when building a [`MiningContext`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -123,18 +112,9 @@ pub struct MiningContext {
     item_offsets: Vec<usize>,
     user_domain: usize,
     item_domain: usize,
-    /// SM-LSH's pre-processing of each fold variant, slot `2 · fold_users + fold_items`,
-    /// filled by the first [`MiningContext::lsh_index`] call for that variant.
-    lsh: [OnceLock<KeptLsh>; 4],
-}
-
-/// One fold variant's kept LSH pre-processing: the full-width index, and the ranking of
-/// its buckets' pairs under the objectives of the solve that hashed it.
-#[derive(Debug, Clone)]
-struct KeptLsh {
-    index: LshIndex,
-    objectives: Vec<ObjectiveSpec>,
-    ranking: BucketRanking,
+    /// SM-LSH's memo of each fold variant, slot `2 · fold_users + fold_items` (see
+    /// [`MiningContext::lsh_memo`]).
+    lsh: [OnceLock<LshMemo>; 4],
 }
 
 impl MiningContext {
@@ -367,43 +347,10 @@ impl MiningContext {
         out
     }
 
-    /// The LSH index of every group's folded vector under `config`, and the ranking of
-    /// its buckets' pairs by `problem`'s pairwise objective when the context keeps one.
-    ///
-    /// The first call for a fold variant hashes the groups and keeps the index together
-    /// with its [`BucketRanking`] under that call's objectives. A later call with the
-    /// same `config` returns the kept index, and the ranking too when its objectives
-    /// equal the kept ones; a call with another `config` hashes afresh, keeps nothing
-    /// and gets no ranking. Either way the index is the one [`LshIndex::build`] gives.
-    pub(crate) fn lsh_index(
-        &self,
-        fold_users: bool,
-        fold_items: bool,
-        config: LshConfig,
-        problem: &TagDmProblem,
-    ) -> (Cow<'_, LshIndex>, Option<&BucketRanking>) {
-        let hash = || {
-            let vectors: Vec<Vec<(u32, f64)>> = (0..self.num_groups())
-                .map(|i| self.folded_vector(i, fold_users, fold_items))
-                .collect();
-            LshIndex::build(config, vectors.iter().map(|v| v.as_slice()))
-        };
-        let slot = &self.lsh[2 * usize::from(fold_users) + usize::from(fold_items)];
-        let kept = slot.get_or_init(|| {
-            let index = hash();
-            let ranking = BucketRanking::new(index.all_buckets(), self, problem);
-            KeptLsh {
-                index,
-                objectives: problem.objectives.clone(),
-                ranking,
-            }
-        });
-        if kept.index.config() == &config {
-            let ranking = (kept.objectives == problem.objectives).then_some(&kept.ranking);
-            (Cow::Borrowed(&kept.index), ranking)
-        } else {
-            (Cow::Owned(hash()), None)
-        }
+    /// The slot in which SM-LSH keeps its memo of the fold variant `(fold_users,
+    /// fold_items)`.
+    pub(crate) fn lsh_memo(&self, fold_users: bool, fold_items: bool) -> &OnceLock<LshMemo> {
+        &self.lsh[2 * usize::from(fold_users) + usize::from(fold_items)]
     }
 }
 
@@ -468,129 +415,6 @@ fn floor_terms(dense: &[f64], dims: usize, norms: &[f64]) -> Vec<[f64; 2]> {
             [min / norm, sum / norm]
         })
         .collect()
-}
-
-/// The most 8-byte words one [`BucketRanking`] keeps: 16,384 words, 128 KB. A ranked
-/// pair takes one word for its positions and one for each objective function's score.
-/// The medium four-attribute context's three SM-LSH-Fo variants rank 967, 2,635 and
-/// 6,638 pairs at the paper's `d′ = 10`, `l = 1`, two words a pair under one objective.
-/// A bucket whose words would take a ranking past the cap keeps nothing, so more
-/// objectives keep fewer buckets, never more memory.
-const MAX_RANKED_WORDS: usize = 1 << 14;
-
-/// The pairs of each bucket of an LSH index, ranked by the problem's pairwise objective
-/// in descending order, and every objective function's scores of those pairs.
-///
-/// A pair is `[i, j]`, the positions in the bucket of its two groups, `i < j`. The sort
-/// is stable, so tied pairs keep the bucket's `(i < j)` pair order: the first ranked
-/// pair is the first pair of largest score in that order, and the first ranked pair
-/// passing a test is the first such pair among those that pass it.
-///
-/// Beside its ranked pairs a bucket keeps, per objective function in objective order,
-/// the triangle of its pairs' scores in `(i < j)` row-major order (see
-/// [`RankedBucket::score`]). The ranking values exactly those scores, by
-/// [`TagDmProblem::pairwise_objective_from`], so a solver that reads them scores as if
-/// it had called `evaluate_pair` itself.
-///
-/// A bucket keeps neither ranking nor scores when one of its ranking scores is NaN,
-/// which no order ranks, or when its pairs and scores would take the ranking past
-/// [`MAX_RANKED_WORDS`].
-#[derive(Debug, Clone)]
-pub(crate) struct BucketRanking {
-    /// The number of objective functions, and of score triangles per ranked bucket.
-    functions: usize,
-    /// Per bucket of the index, in [`LshIndex::all_buckets`] order, the end of its
-    /// ranked pairs in `pairs`. A bucket of two or more groups with no pairs there
-    /// keeps no ranking.
-    ends: Vec<u32>,
-    pairs: Vec<[u32; 2]>,
-    /// The ranked buckets' score triangles, back to back: a bucket whose pairs start at
-    /// `p` in `pairs` starts its triangles at `p × functions`.
-    scores: Vec<f64>,
-}
-
-/// One ranked bucket of a [`BucketRanking`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RankedBucket<'a> {
-    /// The bucket's pairs of positions, ranked.
-    pub(crate) pairs: &'a [[u32; 2]],
-    /// Its objective functions' score triangles, back to back.
-    scores: &'a [f64],
-}
-
-impl RankedBucket<'_> {
-    /// Objective function `o`'s score of the pair at positions `i < j` of this bucket of
-    /// `len` groups.
-    #[inline]
-    pub(crate) fn score(&self, o: usize, i: usize, j: usize, len: usize) -> f64 {
-        debug_assert!(i < j && j < len);
-        self.scores[o * self.pairs.len() + i * (2 * len - i - 1) / 2 + (j - i - 1)]
-    }
-}
-
-impl BucketRanking {
-    /// Score every bucket of `buckets` under each of `problem`'s objective functions, and
-    /// rank it by [`TagDmProblem`]'s pairwise objective of those scores.
-    pub(crate) fn new<'a>(
-        buckets: impl Iterator<Item = &'a [usize]>,
-        ctx: &MiningContext,
-        problem: &TagDmProblem,
-    ) -> Self {
-        let objectives = &problem.objectives;
-        let functions = objectives.len();
-        let mut ends = Vec::new();
-        let mut pairs = Vec::new();
-        let mut scores = Vec::new();
-        let mut ranked: Vec<(f64, [u32; 2])> = Vec::new();
-        for bucket in buckets {
-            let len = bucket.len();
-            let count = len * len.saturating_sub(1) / 2;
-            let words = (pairs.len() + count).saturating_mul(1 + functions);
-            if words <= MAX_RANKED_WORDS {
-                let start = scores.len();
-                for o in objectives {
-                    for (i, &a) in bucket.iter().enumerate() {
-                        for &b in &bucket[i + 1..] {
-                            scores.push(o.function.evaluate_pair(ctx, a, b));
-                        }
-                    }
-                }
-                let triangles = &scores[start..];
-                ranked.clear();
-                let mut t = 0;
-                for i in 0..len {
-                    for j in i + 1..len {
-                        let score = problem.pairwise_objective_from(|o| triangles[o * count + t]);
-                        ranked.push((score, [i as u32, j as u32]));
-                        t += 1;
-                    }
-                }
-                if ranked.iter().all(|(s, _)| !s.is_nan()) {
-                    ranked.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(Ordering::Equal));
-                    pairs.extend(ranked.iter().map(|&(_, pair)| pair));
-                } else {
-                    scores.truncate(start);
-                }
-            }
-            ends.push(pairs.len() as u32);
-        }
-        BucketRanking {
-            functions,
-            ends,
-            pairs,
-            scores,
-        }
-    }
-
-    /// Bucket `b`'s ranked pairs and scores, or `None` when it keeps no ranking.
-    pub(crate) fn bucket(&self, b: usize) -> Option<RankedBucket<'_>> {
-        let start = if b == 0 { 0 } else { self.ends[b - 1] as usize };
-        let end = self.ends[b] as usize;
-        (start < end).then(|| RankedBucket {
-            pairs: &self.pairs[start..end],
-            scores: &self.scores[start * self.functions..end * self.functions],
-        })
-    }
 }
 
 /// The most description classes a side keeps a similarity table for. The medium
@@ -814,8 +638,7 @@ fn jaccard<T: Ord>(a: &[T], b: &[T]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{problem, ProblemParams};
-    use crate::criteria::{Aggregator, MiningCriterion};
+    use crate::criteria::MiningCriterion;
     use crate::functions::DualMiningFunction;
     use crate::solvers::test_support::{
         lda_ties_context, overlapping_context, random_context, random_dataset, random_summarizer,
@@ -1371,126 +1194,6 @@ mod tests {
         }
     }
 
-    /// The ranking before it kept scores: `bucket`'s pairs `[a, b]`, `a` before `b` in
-    /// the bucket, stable-sorted by `score` in descending order; `None` when a score is
-    /// NaN.
-    fn score_closure_ranking(
-        bucket: &[usize],
-        score: impl Fn(usize, usize) -> f64,
-    ) -> Option<Vec<[usize; 2]>> {
-        let mut scored = Vec::new();
-        for (i, &a) in bucket.iter().enumerate() {
-            for &b in &bucket[i + 1..] {
-                scored.push((score(a, b), [a, b]));
-            }
-        }
-        if scored.iter().any(|(s, _)| s.is_nan()) {
-            return None;
-        }
-        scored.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(Ordering::Equal));
-        Some(scored.into_iter().map(|(_, pair)| pair).collect())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        // Every kept score is `evaluate_pair`'s own bits, and every kept bucket ranks
-        // its pairs as the ranking by a score closure did, for one to three objectives
-        // of mixed dimensions, kinds, criteria, aggregators and weights.
-        #[test]
-        fn prop_kept_scores_are_the_pair_scores(
-            seed in 0u64..1_000,
-            actions in 40usize..400,
-            grouping in 0usize..GROUPINGS.len(),
-            bits in 1usize..5,
-            fold in 0usize..4,
-            functions in proptest::collection::vec(
-                (0usize..3, 0usize..3, 0usize..2, 0usize..4, 0.1f64..2.0),
-                1..4,
-            ),
-        ) {
-            let ctx = random_context(seed, actions, grouping);
-            let kinds = [
-                PairwiseKind::Structural,
-                PairwiseKind::ItemSetJaccard,
-                PairwiseKind::TagCosine,
-            ];
-            let aggregators = [
-                Aggregator::Mean,
-                Aggregator::Sum,
-                Aggregator::Min,
-                Aggregator::Max,
-            ];
-            let objectives: Vec<ObjectiveSpec> = functions
-                .iter()
-                .map(|&(dimension, kind, criterion, aggregator, weight)| ObjectiveSpec {
-                    function: DualMiningFunction::standard(
-                        TaggingDimension::ALL[dimension],
-                        MiningCriterion::ALL[criterion],
-                    )
-                    .with_kind(kinds[kind])
-                    .with_aggregator(aggregators[aggregator]),
-                    weight,
-                })
-                .collect();
-            let (fold_users, fold_items) = (fold & 2 != 0, fold & 1 != 0);
-            let config = LshConfig {
-                dims: ctx.folded_dims(fold_users, fold_items),
-                num_bits: bits,
-                num_tables: 2,
-                seed,
-            };
-            let vectors: Vec<_> = (0..ctx.num_groups())
-                .map(|i| ctx.folded_vector(i, fold_users, fold_items))
-                .collect();
-            let index = LshIndex::build(config, vectors.iter().map(|v| v.as_slice()));
-            let problem = TagDmProblem {
-                objectives,
-                ..TagDmProblem::new("kept scores", 3, 1)
-            };
-            let objectives = &problem.objectives;
-            let ranking = BucketRanking::new(index.all_buckets(), &ctx, &problem);
-            let objective = |a, b| -> f64 {
-                objectives
-                    .iter()
-                    .map(|o| o.weight * o.function.evaluate_pair(&ctx, a, b))
-                    .sum()
-            };
-            let words_per_pair = 1 + objectives.len();
-            let mut words = 0;
-            for (b, bucket) in index.all_buckets().enumerate() {
-                let len = bucket.len();
-                let pairs = len * len.saturating_sub(1) / 2;
-                let old = score_closure_ranking(bucket, objective);
-                let Some(kept) = ranking.bucket(b) else {
-                    // Nothing kept: no pair, a NaN score, or over the cap.
-                    prop_assert!(
-                        pairs == 0
-                            || old.is_none()
-                            || words + pairs * words_per_pair > MAX_RANKED_WORDS
-                    );
-                    continue;
-                };
-                words += pairs * words_per_pair;
-                let ranked: Vec<[usize; 2]> = kept
-                    .pairs
-                    .iter()
-                    .map(|&[i, j]| [bucket[i as usize], bucket[j as usize]])
-                    .collect();
-                prop_assert_eq!(Some(ranked), old);
-                for (o, spec) in objectives.iter().enumerate() {
-                    for i in 0..len {
-                        for j in i + 1..len {
-                            let want = spec.function.evaluate_pair(&ctx, bucket[i], bucket[j]);
-                            prop_assert_eq!(kept.score(o, i, j, len).to_bits(), want.to_bits());
-                        }
-                    }
-                }
-            }
-            prop_assert!(words <= MAX_RANKED_WORDS);
-        }
-    }
-
     #[test]
     fn a_side_beyond_the_table_cap_scores_from_its_class_rows() {
         let ctx = wide_items_context();
@@ -1516,51 +1219,6 @@ mod tests {
         let self_sim =
             ctx.pairwise_similarity(TaggingDimension::Users, PairwiseKind::ItemSetJaccard, 0, 0);
         assert!((self_sim - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lsh_index_keeps_the_first_configuration_of_each_fold_variant() {
-        let (_, ctx) = context(SummarizerChoice::Frequency);
-        let params = ProblemParams::default();
-        let (similar, diverse) = (problem(1, params), problem(4, params));
-        let buckets = |index: &LshIndex| -> Vec<Vec<usize>> {
-            index.all_buckets().map(<[usize]>::to_vec).collect()
-        };
-        for (fold_users, fold_items) in [(false, false), (true, false), (false, true), (true, true)]
-        {
-            let built = |seed| {
-                let config = LshConfig {
-                    dims: ctx.folded_dims(fold_users, fold_items),
-                    num_bits: 4,
-                    num_tables: 2,
-                    seed,
-                };
-                let vectors: Vec<_> = (0..ctx.num_groups())
-                    .map(|i| ctx.folded_vector(i, fold_users, fold_items))
-                    .collect();
-                (
-                    config,
-                    LshIndex::build(config, vectors.iter().map(|v| v.as_slice())),
-                )
-            };
-            let (first, first_index) = built(1);
-            let (other, other_index) = built(2);
-            // The first call fills the slot; another seed misses it and is not kept.
-            // Only the kept index comes with a ranking, and only for the objectives it
-            // was ranked under.
-            for (config, index, problem, kept, ranked) in [
-                (first, &first_index, &similar, true, true),
-                (other, &other_index, &similar, false, false),
-                (first, &first_index, &diverse, true, false),
-                (first, &first_index, &similar, true, true),
-            ] {
-                let (got, ranking) = ctx.lsh_index(fold_users, fold_items, config, problem);
-                assert_eq!(matches!(got, Cow::Borrowed(_)), kept);
-                assert_eq!(ranking.is_some(), ranked);
-                assert_eq!(*got.config(), config);
-                assert_eq!(buckets(&got), buckets(index));
-            }
-        }
     }
 
     #[test]

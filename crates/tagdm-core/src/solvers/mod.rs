@@ -19,8 +19,8 @@
 //! each score from a source its caller supplies. DV-FDP's seed scan visits the pairs
 //! `(i, j)` for `i in 1..n`, `j in 0..i`, and its walk scores each candidate only
 //! against the groups already chosen. SM-LSH's bucket walks visit each bucket's pairs
-//! `(a < b)` in bucket order and read objective scores off the context's kept bucket
-//! scores, or score them where they are read when a bucket has none.
+//! `(a < b)` in bucket order and read objective scores off SM-LSH's kept bucket scores,
+//! or score them where they are read when a bucket has none.
 //!
 //! [`DualMiningFunction`]: crate::functions::DualMiningFunction
 
@@ -29,7 +29,7 @@ mod dv_fdp;
 mod exact;
 mod pairs;
 mod registry;
-mod sm_lsh;
+pub(crate) mod sm_lsh;
 
 pub use cancel::CancelToken;
 pub use dv_fdp::DvFdpSolver;

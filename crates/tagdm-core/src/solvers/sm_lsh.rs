@@ -11,10 +11,14 @@
 //! again.
 //!
 //! Hashing is the algorithm's pre-processing step: it depends on the context, the fold
-//! variant and the LSH configuration, not on the query. The [`MiningContext`] keeps the
-//! full-width index of each fold variant, so the first solve of a variant hashes (and
-//! its `elapsed` includes the hashing) and later solves with the same `d′`, `l` and
-//! seed only evaluate buckets. A solve with another configuration hashes its own index.
+//! variant and the LSH configuration, not on the query. So the solver keeps an [`LshMemo`]
+//! in the context's slot for each fold variant ([`MiningContext::lsh_memo`]): the
+//! full-width index that the first solve of the variant hashed, and a [`BucketRanking`]
+//! of every bucket's pairs under that solve's objectives, with each objective function's
+//! score of those pairs. The first solve of a variant hashes and ranks, and its `elapsed`
+//! includes both. A later solve with the same `d′`, `l` and seed only evaluates buckets,
+//! and reads the ranking when its objectives are the ranked ones. A solve with another
+//! configuration hashes its own index and keeps nothing.
 //!
 //! Constraint handling:
 //!
@@ -33,14 +37,11 @@
 //! kernel (`solvers::pairs`): one by pairwise objective alone and, when constraints are
 //! enforced, one that only admits constraint-satisfying sets. The free walk starts from
 //! the bucket's best pair, the bound walk from its best admissible pair. Those seeds
-//! depend on the bucket and the objectives only, not on thresholds or support, so the
-//! context keeps, beside each kept index, a [`BucketRanking`] of every bucket's pairs
-//! under the objectives of the solve that hashed it, together with every objective
-//! function's score of those pairs. A later solve with the same objectives reads the
-//! free seed as a bucket's first ranked pair and the bound seed as its first ranked pair
-//! that passes the constraints. Any other solve, and every relaxed round, seeds both
-//! walks in one pass over the bucket's pairs that scores each pair's objective once.
-//! Both ways give the same seeds, ties included.
+//! depend on the bucket and the objectives only, not on thresholds or support, so a solve
+//! with a ranking reads the free seed as a bucket's first ranked pair and the bound seed
+//! as its first ranked pair that passes the constraints. Any other solve, and every
+//! relaxed round, seeds both walks in one pass over the bucket's pairs that scores each
+//! pair's objective once. Both ways give the same seeds, ties included.
 //!
 //! Everything a bucket's walks and candidate checks score comes from one source per
 //! bucket, indexed by position in the bucket (`BucketScores`). Objective scores come
@@ -49,9 +50,9 @@
 //! with other objectives or another LSH configuration, a bucket over the kept cap)
 //! scores them where they are read. Constraint scores are scored where they are read
 //! too: the walks test a candidate's constraints only when its distance puts it ahead
-//! of the round's best. A bucket's candidate sets are ascending
-//! position lists in one reused buffer; a candidate equal to an earlier one of the same
-//! bucket is counted but not valued again, as it cannot beat the first copy.
+//! of the round's best. A bucket's candidate sets are ascending position lists in one
+//! reused buffer; a candidate equal to an earlier one of the same bucket is counted but
+//! not valued again, as it cannot beat the first copy.
 //!
 //! Every score is `evaluate_pair`'s own bits, and every set is valued by the problem's
 //! own compositions over them (see
@@ -60,13 +61,14 @@
 //! candidate from scratch.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::time::Instant;
 
 use tagdm_lsh::index::{LshConfig, LshIndex};
 
-use crate::context::{BucketRanking, MiningContext, RankedBucket};
+use crate::context::MiningContext;
 use crate::criteria::TaggingDimension;
-use crate::problem::TagDmProblem;
+use crate::problem::{ObjectiveSpec, TagDmProblem};
 use crate::solvers::pairs::{pair_admits, PairScores, PairTable, Walk};
 use crate::solvers::{CancelToken, ConstraintMode, Solver, SolverOutcome};
 
@@ -142,9 +144,7 @@ impl SmLshSolver {
         (fold_users, fold_items)
     }
 
-    /// The context's full-width LSH index of `problem`'s fold variant under this
-    /// solver's configuration, and the index's bucket ranking when the context keeps one
-    /// for `problem`'s objectives.
+    /// [`lsh_index`] of `problem`'s fold variant under this solver's configuration.
     fn full_index<'c>(
         &self,
         ctx: &'c MiningContext,
@@ -158,7 +158,7 @@ impl SmLshSolver {
             num_tables: self.num_tables.max(1),
             seed: self.seed,
         };
-        ctx.lsh_index(fold_users, fold_items, config, problem)
+        lsh_index(ctx, fold_users, fold_items, config, problem)
     }
 
     /// Evaluate every bucket of an index, returning the best candidate set and the
@@ -280,8 +280,8 @@ impl Solver for SmLshSolver {
 
         // Iterative relaxation of d′ (Algorithm 1): start from the configured d′; on a
         // null result, halve the bits (larger buckets) down to a single bit. Each
-        // relaxed index re-buckets prefixes of the context's hashed signatures, whose
-        // buckets the context's ranking does not cover.
+        // relaxed index re-buckets prefixes of the full index's hashed signatures, whose
+        // buckets its ranking does not cover.
         let mut evaluated_total = 0u64;
         let mut best: Option<(Vec<usize>, f64)> = None;
         let mut state = Buckets::new(ctx, problem);
@@ -307,6 +307,163 @@ impl Solver for SmLshSolver {
 
         let elapsed = start.elapsed();
         SolverOutcome::found(self.name(), ctx, problem, best, evaluated_total, elapsed)
+    }
+}
+
+/// One fold variant's memo: the full-width index that the variant's first solve hashed,
+/// and the ranking of its buckets under that solve's objectives.
+#[derive(Debug, Clone)]
+pub(crate) struct LshMemo {
+    index: LshIndex,
+    ranking: BucketRanking,
+}
+
+/// The LSH index of every group's folded vector under `config`, and its ranking under
+/// `problem`'s objectives, as the fold variant's memo allows (see the module doc). Either
+/// way the index is the one [`LshIndex::build`] gives.
+fn lsh_index<'c>(
+    ctx: &'c MiningContext,
+    fold_users: bool,
+    fold_items: bool,
+    config: LshConfig,
+    problem: &TagDmProblem,
+) -> (Cow<'c, LshIndex>, Option<&'c BucketRanking>) {
+    let hash = || {
+        let vectors: Vec<Vec<(u32, f64)>> = (0..ctx.num_groups())
+            .map(|i| ctx.folded_vector(i, fold_users, fold_items))
+            .collect();
+        LshIndex::build(config, vectors.iter().map(|v| v.as_slice()))
+    };
+    let memo = ctx.lsh_memo(fold_users, fold_items).get_or_init(|| {
+        let index = hash();
+        let ranking = BucketRanking::new(index.all_buckets(), ctx, problem);
+        LshMemo { index, ranking }
+    });
+    if memo.index.config() != &config {
+        return (Cow::Owned(hash()), None);
+    }
+    let ranking = (memo.ranking.objectives == problem.objectives).then_some(&memo.ranking);
+    (Cow::Borrowed(&memo.index), ranking)
+}
+
+/// The most 8-byte words one [`BucketRanking`] keeps: 16,384 words, 128 KB. A ranked
+/// pair takes one word for its positions and one for each objective function's score.
+/// The medium four-attribute context's three SM-LSH-Fo variants rank 967, 2,635 and
+/// 6,638 pairs at the paper's `d′ = 10`, `l = 1`, two words a pair under one objective.
+/// A bucket whose words would take a ranking past the cap keeps nothing, so more
+/// objectives keep fewer buckets, never more memory.
+const MAX_RANKED_WORDS: usize = 1 << 14;
+
+/// The pairs of each bucket of an LSH index, ranked in descending order by the pairwise
+/// objective of the objectives it keeps, and each objective function's scores of those
+/// pairs.
+///
+/// A pair is `[i, j]`, the positions in the bucket of its two groups, `i < j`. The sort
+/// is stable, so tied pairs keep the bucket's `(i < j)` pair order: the first ranked
+/// pair is the first pair of largest score in that order, and the first ranked pair
+/// passing a test is the first such pair among those that pass it. Beside its ranked
+/// pairs a bucket keeps, per objective function in objective order, the triangle of its
+/// pairs' scores in `(i < j)` row-major order (see [`RankedBucket::score`]), and the
+/// ranking values exactly those scores, by [`TagDmProblem::pairwise_objective_from`].
+///
+/// A bucket keeps neither ranking nor scores when one of its ranking scores is NaN,
+/// which no order ranks, or when its pairs and scores would take the ranking past
+/// [`MAX_RANKED_WORDS`].
+#[derive(Debug, Clone)]
+struct BucketRanking {
+    /// The objectives it ranks under, one score triangle each per ranked bucket.
+    objectives: Vec<ObjectiveSpec>,
+    /// Per bucket of the index, in [`LshIndex::all_buckets`] order, the end of its
+    /// ranked pairs in `pairs`. A bucket of two or more groups with no pairs there
+    /// keeps no ranking.
+    ends: Vec<u32>,
+    pairs: Vec<[u32; 2]>,
+    /// The ranked buckets' score triangles, back to back: a bucket whose pairs start at
+    /// `p` in `pairs` starts its triangles at `p × objectives`.
+    scores: Vec<f64>,
+}
+
+/// One ranked bucket of a [`BucketRanking`].
+#[derive(Debug, Clone, Copy)]
+struct RankedBucket<'a> {
+    /// The bucket's pairs of positions, ranked.
+    pairs: &'a [[u32; 2]],
+    /// Its objective functions' score triangles, back to back.
+    scores: &'a [f64],
+}
+
+impl RankedBucket<'_> {
+    /// Objective function `o`'s score of the pair at positions `i < j` of this bucket of
+    /// `len` groups.
+    #[inline]
+    fn score(&self, o: usize, i: usize, j: usize, len: usize) -> f64 {
+        debug_assert!(i < j && j < len);
+        self.scores[o * self.pairs.len() + i * (2 * len - i - 1) / 2 + (j - i - 1)]
+    }
+}
+
+impl BucketRanking {
+    /// Score every bucket of `buckets` under each of `problem`'s objective functions, and
+    /// rank it by [`TagDmProblem`]'s pairwise objective of those scores.
+    fn new<'a>(
+        buckets: impl Iterator<Item = &'a [usize]>,
+        ctx: &MiningContext,
+        problem: &TagDmProblem,
+    ) -> Self {
+        let objectives = problem.objectives.clone();
+        let mut ends = Vec::new();
+        let mut pairs = Vec::new();
+        let mut scores = Vec::new();
+        let mut ranked: Vec<(f64, [u32; 2])> = Vec::new();
+        for bucket in buckets {
+            let len = bucket.len();
+            let count = len * len.saturating_sub(1) / 2;
+            let words = (pairs.len() + count).saturating_mul(1 + objectives.len());
+            if words <= MAX_RANKED_WORDS {
+                let start = scores.len();
+                for o in &objectives {
+                    for (i, &a) in bucket.iter().enumerate() {
+                        for &b in &bucket[i + 1..] {
+                            scores.push(o.function.evaluate_pair(ctx, a, b));
+                        }
+                    }
+                }
+                let triangles = &scores[start..];
+                ranked.clear();
+                let mut t = 0;
+                for i in 0..len {
+                    for j in i + 1..len {
+                        let score = problem.pairwise_objective_from(|o| triangles[o * count + t]);
+                        ranked.push((score, [i as u32, j as u32]));
+                        t += 1;
+                    }
+                }
+                if ranked.iter().all(|(s, _)| !s.is_nan()) {
+                    ranked.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(Ordering::Equal));
+                    pairs.extend(ranked.iter().map(|&(_, pair)| pair));
+                } else {
+                    scores.truncate(start);
+                }
+            }
+            ends.push(pairs.len() as u32);
+        }
+        BucketRanking {
+            objectives,
+            ends,
+            pairs,
+            scores,
+        }
+    }
+
+    /// Bucket `b`'s ranked pairs and scores, or `None` when it keeps no ranking.
+    fn bucket(&self, b: usize) -> Option<RankedBucket<'_>> {
+        let start = if b == 0 { 0 } else { self.ends[b - 1] as usize };
+        let end = self.ends[b] as usize;
+        let functions = self.objectives.len();
+        (start < end).then(|| RankedBucket {
+            pairs: &self.pairs[start..end],
+            scores: &self.scores[start * functions..end * functions],
+        })
     }
 }
 
@@ -588,7 +745,7 @@ impl<'a> BucketWalks<'a> {
 mod tests {
     use super::*;
     use crate::catalog::{problem, problem_1, problem_2, problem_3, ProblemParams};
-    use crate::criteria::{Aggregator, MiningCriterion};
+    use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind};
     use crate::functions::DualMiningFunction;
     use crate::problem::ObjectiveSpec;
     use crate::solvers::test_support::{medium_context, random_context, small_context, GROUPINGS};
@@ -946,6 +1103,171 @@ mod tests {
                 constrained,
                 greedy_select_feasible(&ctx, &problem, &candidates, limit)
             );
+        }
+    }
+
+    /// The ranking before it kept scores: `bucket`'s pairs `[a, b]`, `a` before `b` in
+    /// the bucket, stable-sorted by `score` in descending order; `None` when a score is
+    /// NaN.
+    fn score_closure_ranking(
+        bucket: &[usize],
+        score: impl Fn(usize, usize) -> f64,
+    ) -> Option<Vec<[usize; 2]>> {
+        let mut scored = Vec::new();
+        for (i, &a) in bucket.iter().enumerate() {
+            for &b in &bucket[i + 1..] {
+                scored.push((score(a, b), [a, b]));
+            }
+        }
+        if scored.iter().any(|(s, _)| s.is_nan()) {
+            return None;
+        }
+        scored.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(Ordering::Equal));
+        Some(scored.into_iter().map(|(_, pair)| pair).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // Every kept score is `evaluate_pair`'s own bits, and every kept bucket ranks
+        // its pairs as the ranking by a score closure did, for one to three objectives
+        // of mixed dimensions, kinds, criteria, aggregators and weights.
+        #[test]
+        fn prop_kept_scores_are_the_pair_scores(
+            seed in 0u64..1_000,
+            actions in 40usize..400,
+            grouping in 0usize..GROUPINGS.len(),
+            bits in 1usize..5,
+            fold in 0usize..4,
+            functions in proptest::collection::vec(
+                (0usize..3, 0usize..3, 0usize..2, 0usize..4, 0.1f64..2.0),
+                1..4,
+            ),
+        ) {
+            let ctx = random_context(seed, actions, grouping);
+            let kinds = [
+                PairwiseKind::Structural,
+                PairwiseKind::ItemSetJaccard,
+                PairwiseKind::TagCosine,
+            ];
+            let aggregators = [
+                Aggregator::Mean,
+                Aggregator::Sum,
+                Aggregator::Min,
+                Aggregator::Max,
+            ];
+            let objectives: Vec<ObjectiveSpec> = functions
+                .iter()
+                .map(|&(dimension, kind, criterion, aggregator, weight)| ObjectiveSpec {
+                    function: DualMiningFunction::standard(
+                        TaggingDimension::ALL[dimension],
+                        MiningCriterion::ALL[criterion],
+                    )
+                    .with_kind(kinds[kind])
+                    .with_aggregator(aggregators[aggregator]),
+                    weight,
+                })
+                .collect();
+            let (fold_users, fold_items) = (fold & 2 != 0, fold & 1 != 0);
+            let config = LshConfig {
+                dims: ctx.folded_dims(fold_users, fold_items),
+                num_bits: bits,
+                num_tables: 2,
+                seed,
+            };
+            let vectors: Vec<_> = (0..ctx.num_groups())
+                .map(|i| ctx.folded_vector(i, fold_users, fold_items))
+                .collect();
+            let index = LshIndex::build(config, vectors.iter().map(|v| v.as_slice()));
+            let problem = TagDmProblem {
+                objectives,
+                ..TagDmProblem::new("kept scores", 3, 1)
+            };
+            let objectives = &problem.objectives;
+            let ranking = BucketRanking::new(index.all_buckets(), &ctx, &problem);
+            let objective = |a, b| -> f64 {
+                objectives
+                    .iter()
+                    .map(|o| o.weight * o.function.evaluate_pair(&ctx, a, b))
+                    .sum()
+            };
+            let words_per_pair = 1 + objectives.len();
+            let mut words = 0;
+            for (b, bucket) in index.all_buckets().enumerate() {
+                let len = bucket.len();
+                let pairs = len * len.saturating_sub(1) / 2;
+                let old = score_closure_ranking(bucket, objective);
+                let Some(kept) = ranking.bucket(b) else {
+                    // Nothing kept: no pair, a NaN score, or over the cap.
+                    prop_assert!(
+                        pairs == 0
+                            || old.is_none()
+                            || words + pairs * words_per_pair > MAX_RANKED_WORDS
+                    );
+                    continue;
+                };
+                words += pairs * words_per_pair;
+                let ranked: Vec<[usize; 2]> = kept
+                    .pairs
+                    .iter()
+                    .map(|&[i, j]| [bucket[i as usize], bucket[j as usize]])
+                    .collect();
+                prop_assert_eq!(Some(ranked), old);
+                for (o, spec) in objectives.iter().enumerate() {
+                    for i in 0..len {
+                        for j in i + 1..len {
+                            let want = spec.function.evaluate_pair(&ctx, bucket[i], bucket[j]);
+                            prop_assert_eq!(kept.score(o, i, j, len).to_bits(), want.to_bits());
+                        }
+                    }
+                }
+            }
+            prop_assert!(words <= MAX_RANKED_WORDS);
+        }
+    }
+
+    #[test]
+    fn lsh_index_keeps_the_first_configuration_of_each_fold_variant() {
+        let ctx = small_context();
+        let params = ProblemParams::default();
+        let (similar, diverse) = (problem(1, params), problem(4, params));
+        let buckets = |index: &LshIndex| -> Vec<Vec<usize>> {
+            index.all_buckets().map(<[usize]>::to_vec).collect()
+        };
+        for (fold_users, fold_items) in [(false, false), (true, false), (false, true), (true, true)]
+        {
+            let built = |seed| {
+                let config = LshConfig {
+                    dims: ctx.folded_dims(fold_users, fold_items),
+                    num_bits: 4,
+                    num_tables: 2,
+                    seed,
+                };
+                let vectors: Vec<_> = (0..ctx.num_groups())
+                    .map(|i| ctx.folded_vector(i, fold_users, fold_items))
+                    .collect();
+                (
+                    config,
+                    LshIndex::build(config, vectors.iter().map(|v| v.as_slice())),
+                )
+            };
+            let (first, first_index) = built(1);
+            let (other, other_index) = built(2);
+            // The first call fills the slot; another seed misses it and is not kept.
+            // Only the kept index comes with a ranking, and only for the objectives it
+            // was ranked under.
+            for (config, index, problem, kept, ranked) in [
+                (first, &first_index, &similar, true, true),
+                (other, &other_index, &similar, false, false),
+                (first, &first_index, &diverse, true, false),
+                (first, &first_index, &similar, true, true),
+            ] {
+                let (got, ranking) = lsh_index(&ctx, fold_users, fold_items, config, problem);
+                assert_eq!(matches!(got, Cow::Borrowed(_)), kept);
+                assert_eq!(ranking.is_some(), ranked);
+                assert_eq!(*got.config(), config);
+                assert_eq!(buckets(&got), buckets(index));
+            }
         }
     }
 

@@ -276,44 +276,57 @@ fn assert_solves_like_direct(
     outcome
 }
 
-/// Replacing a dataset under its name must not serve the context or the outcomes
-/// cached for the old data.
+/// The solvers run on replaced data: Exact, and SM-LSH-Fo, whose first solve fills the
+/// old context's LSH memo.
+const REPLACED_DATA_SOLVERS: [SolverChoice; 2] = [
+    SolverChoice::Exact,
+    SolverChoice::SmLsh(ConstraintMode::Fold),
+];
+
+/// Replacing a dataset under its name must not serve the context, its SM-LSH memo or
+/// the outcomes cached for the old data.
 #[test]
 fn re_registered_dataset_is_solved_on_its_new_data() {
-    let engine = Engine::new(EngineConfig::default().with_workers(2));
-    let spec = ContextSpec::grouped("ml", &GROUPING, MIN_GROUP_SIZE, SUMMARIZER);
-    let request = SolveRequest::new(spec, problem_1(params()), SolverChoice::Exact);
+    for solver in REPLACED_DATA_SOLVERS {
+        let engine = Engine::new(EngineConfig::default().with_workers(2));
+        let spec = ContextSpec::grouped("ml", &GROUPING, MIN_GROUP_SIZE, SUMMARIZER);
+        let request = SolveRequest::new(spec, problem_1(params()), solver);
 
-    let (old, new) = (corpus(1), corpus(2));
-    let (old_context, new_context) = (direct_context(&old), direct_context(&new));
-    engine.register_dataset("ml", old);
-    let before = assert_solves_like_direct(&engine, &request, &old_context);
-    engine.register_dataset("ml", new);
-    let after = assert_solves_like_direct(&engine, &request, &new_context);
-    assert_ne!(before.groups, after.groups, "the two corpora must disagree");
-    assert_eq!(
-        engine.metrics().context_misses,
-        2,
-        "the new data gets its own build"
-    );
+        let (old, new) = (corpus(1), corpus(2));
+        let (old_context, new_context) = (direct_context(&old), direct_context(&new));
+        engine.register_dataset("ml", old);
+        let before = assert_solves_like_direct(&engine, &request, &old_context);
+        engine.register_dataset("ml", new);
+        let after = assert_solves_like_direct(&engine, &request, &new_context);
+        assert_ne!(
+            before.groups, after.groups,
+            "{solver:?}: the two corpora must disagree"
+        );
+        assert_eq!(
+            engine.metrics().context_misses,
+            2,
+            "{solver:?}: the new data gets its own build"
+        );
+    }
 }
 
-/// Reinstalling a context under its name must not serve outcomes cached for the
-/// context it replaced.
+/// Reinstalling a context under its name must not serve the replaced context's SM-LSH
+/// memo or the outcomes cached for it.
 #[test]
 fn reinstalled_context_is_solved_on_its_new_data() {
-    let engine = Engine::new(EngineConfig::default().with_workers(2));
-    let request = SolveRequest::new(
-        ContextSpec::installed("bin"),
-        problem_1(params()),
-        SolverChoice::Exact,
-    );
+    for solver in REPLACED_DATA_SOLVERS {
+        let engine = Engine::new(EngineConfig::default().with_workers(2));
+        let request = SolveRequest::new(ContextSpec::installed("bin"), problem_1(params()), solver);
 
-    let old_context = direct_context(&corpus(1));
-    let new_context = direct_context(&corpus(2));
-    engine.install_context("bin", old_context.clone());
-    let before = assert_solves_like_direct(&engine, &request, &old_context);
-    engine.install_context("bin", new_context.clone());
-    let after = assert_solves_like_direct(&engine, &request, &new_context);
-    assert_ne!(before.groups, after.groups, "the two corpora must disagree");
+        let old_context = direct_context(&corpus(1));
+        let new_context = direct_context(&corpus(2));
+        engine.install_context("bin", old_context.clone());
+        let before = assert_solves_like_direct(&engine, &request, &old_context);
+        engine.install_context("bin", new_context.clone());
+        let after = assert_solves_like_direct(&engine, &request, &new_context);
+        assert_ne!(
+            before.groups, after.groups,
+            "{solver:?}: the two corpora must disagree"
+        );
+    }
 }

@@ -66,7 +66,7 @@ use crate::criteria::{PairwiseKind, TaggingDimension};
 use crate::solvers::sm_lsh::LshMemo;
 
 /// Which group tag summarizer to use when building a [`MiningContext`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SummarizerChoice {
     /// Raw frequency signatures over the whole vocabulary.
     Frequency,

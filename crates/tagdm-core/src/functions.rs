@@ -15,7 +15,7 @@ use crate::context::MiningContext;
 use crate::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
 
 /// A pair-wise aggregation dual mining function `F_pa(·, dimension, criterion)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DualMiningFunction {
     /// The tagging dimension `b` the function examines.
     pub dimension: TaggingDimension,

@@ -1,5 +1,7 @@
 //! The Tagging Behaviour Dual Mining problem (Definition 4 of the paper).
 
+use std::hash::{Hash, Hasher};
+
 use serde::{Deserialize, Serialize};
 
 use crate::context::MiningContext;
@@ -7,8 +9,8 @@ use crate::criteria::{Aggregator, MiningCriterion, TaggingDimension};
 use crate::functions::DualMiningFunction;
 
 /// One hard constraint `c_i`: a dual mining function whose value over the candidate set
-/// must reach a threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// must reach a threshold. Equality and hashing compare the threshold by its bits.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ConstraintSpec {
     /// The constrained dual mining function.
     pub function: DualMiningFunction,
@@ -16,7 +18,30 @@ pub struct ConstraintSpec {
     pub threshold: f64,
 }
 
+impl PartialEq for ConstraintSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for ConstraintSpec {}
+
+impl Hash for ConstraintSpec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bits().hash(state);
+    }
+}
+
 impl ConstraintSpec {
+    /// Every field, the threshold as its bits: what equality and hashing compare.
+    fn bits(&self) -> (DualMiningFunction, u64) {
+        let ConstraintSpec {
+            function,
+            threshold,
+        } = *self;
+        (function, threshold.to_bits())
+    }
+
     /// A constraint on the paper's standard function for the dimension/criterion pair.
     pub fn standard(
         dimension: TaggingDimension,
@@ -44,8 +69,9 @@ impl ConstraintSpec {
 }
 
 /// One optimization criterion `o_j`: a dual mining function and its weight `o_j.Wt` in
-/// the (weighted-sum) optimization goal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// the (weighted-sum) optimization goal. Equality and hashing compare the weight by its
+/// bits.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ObjectiveSpec {
     /// The maximized dual mining function.
     pub function: DualMiningFunction,
@@ -53,7 +79,27 @@ pub struct ObjectiveSpec {
     pub weight: f64,
 }
 
+impl PartialEq for ObjectiveSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for ObjectiveSpec {}
+
+impl Hash for ObjectiveSpec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bits().hash(state);
+    }
+}
+
 impl ObjectiveSpec {
+    /// Every field, the weight as its bits: what equality and hashing compare.
+    fn bits(&self) -> (DualMiningFunction, u64) {
+        let ObjectiveSpec { function, weight } = *self;
+        (function, weight.to_bits())
+    }
+
     /// A unit-weight objective on the paper's standard function for the pair.
     pub fn standard(dimension: TaggingDimension, criterion: MiningCriterion) -> Self {
         ObjectiveSpec {
@@ -65,7 +111,7 @@ impl ObjectiveSpec {
 
 /// A complete TagDM problem instance ⟨G, C, O⟩ (Definition 4): size bounds, the group
 /// support threshold, hard constraints and the weighted optimization goal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TagDmProblem {
     /// Human-readable name (e.g. `"Problem 2 (Table 1)"`).
     pub name: String,

@@ -21,7 +21,7 @@ pub struct LruCache<K, V> {
     map: HashMap<K, Entry<V>>,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
+impl<K: Eq + Hash, V: Clone> LruCache<K, V> {
     /// A cache holding at most `capacity` entries (at least one).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
@@ -46,13 +46,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     pub fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&oldest);
+            // Ticks are unique per entry, so this removes exactly the oldest one
+            // without cloning its key.
+            if let Some(oldest) = self.map.values().map(|entry| entry.last_used).min() {
+                self.map.retain(|_, entry| entry.last_used != oldest);
             }
         }
         self.map.insert(

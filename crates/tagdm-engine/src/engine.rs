@@ -15,7 +15,7 @@ use crate::job::{JobId, JobTicket, SolveRequest, SolveResponse};
 use crate::metrics::MetricsSnapshot;
 use crate::retry::RetryPolicy;
 use crate::spec::ContextSpec;
-use crate::state::EngineState;
+use crate::state::{ContextId, EngineState};
 use crate::supervisor::SupervisorConfig;
 
 /// Sizing and fault-tolerance knobs for an [`Engine`].
@@ -178,9 +178,14 @@ impl Engine {
 
     /// Resolve (building and caching if needed) the context a spec denotes.
     pub fn context(&self, spec: &ContextSpec) -> Result<Arc<MiningContext>, EngineError> {
+        let (generation, registration) = self.state.registration(spec)?;
+        let id = ContextId {
+            spec: spec.clone(),
+            generation,
+        };
         self.state
-            .resolve_context(spec)
-            .map(|(context, ..)| context)
+            .resolve_context(&id, registration)
+            .map(|(context, _)| context)
     }
 
     /// Enqueue a request on the worker pool; the ticket resolves to the response.

@@ -32,7 +32,7 @@ use crate::error::EngineError;
 use crate::failpoint;
 use crate::job::{CacheReport, JobId, SolveRequest, SolveResponse};
 use crate::metrics::EngineMetrics;
-use crate::state::{lock_recover, EngineState};
+use crate::state::{lock_recover, ContextId, EngineState, OutcomeKey};
 use crate::supervisor::{supervise, SupervisorConfig, WorkerEvent};
 
 pub(crate) struct Job {
@@ -267,7 +267,7 @@ fn execute(state: &EngineState, job: Job) {
         sent: AtomicBool::new(false),
     };
     let unwound = catch_unwind(AssertUnwindSafe(|| {
-        run_job(state, &request, deadline, &responder);
+        run_job(state, request, deadline, &responder);
     }));
     if let Err(payload) = unwound {
         state.metrics.jobs_panicked.inc();
@@ -331,7 +331,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn run_job(
     state: &EngineState,
-    request: &SolveRequest,
+    request: SolveRequest,
     deadline: Option<Instant>,
     reply: &Responder,
 ) {
@@ -365,32 +365,38 @@ fn run_job(
         return;
     }
 
-    let resolving = Instant::now();
-    let resolved = state.resolve_context(&request.context);
-    state.metrics.context_resolve.record(resolving.elapsed());
-    let (context, context_hit, context_id) = match resolved {
-        Ok(resolved) => resolved,
+    // The outcome cache is consulted before the context: a hit needs only the
+    // registration's generation, and a miss resolves against the same registration.
+    let SolveRequest {
+        context: spec,
+        problem,
+        solver,
+        ..
+    } = request;
+    let (generation, registration) = match state.registration(&spec) {
+        Ok(registration) => registration,
         Err(error) => {
             reply.send(state, Err(error), CacheReport::default(), false);
             return;
         }
     };
-    // The solve clock starts once the context is in hand, so context builds and waits
-    // on a deduplicated build land in `context_resolve`, not in `solve_hit`/`solve_miss`.
-    let started = Instant::now();
-
-    let key = EngineState::outcome_key(&context_id, &request.solver, &request.problem);
+    let key = OutcomeKey {
+        context: ContextId { spec, generation },
+        solver,
+        problem,
+    };
     if let Err(error) = failpoint::check(failpoint::site::OUTCOME_LOOKUP) {
         reply.send(state, Err(error), CacheReport::default(), false);
         return;
     }
+    let looking = Instant::now();
     if let Some(outcome) = state.lookup_outcome(&key) {
-        state.metrics.record_solve(started.elapsed(), true);
+        state.metrics.record_solve(looking.elapsed(), true);
         reply.send(
             state,
             Ok(outcome),
             CacheReport {
-                context_hit,
+                context_hit: true,
                 outcome_hit: true,
             },
             false,
@@ -398,12 +404,26 @@ fn run_job(
         return;
     }
 
+    let resolving = Instant::now();
+    let resolved = state.resolve_context(&key.context, registration);
+    state.metrics.context_resolve.record(resolving.elapsed());
+    let (context, context_hit) = match resolved {
+        Ok(resolved) => resolved,
+        Err(error) => {
+            reply.send(state, Err(error), CacheReport::default(), false);
+            return;
+        }
+    };
+    // The solve clock starts once the context is in hand, so context builds and waits
+    // on a deduplicated build land in `context_resolve`, not in `solve_miss`.
+    let started = Instant::now();
+
     let token = match deadline {
         Some(deadline) => CancelToken::with_deadline(deadline),
         None => CancelToken::new(),
     };
-    let solver = request.solver.instantiate(&request.problem);
-    let outcome = solver.solve_cancellable(&context, &request.problem, &token);
+    let solver = key.solver.instantiate(&key.problem);
+    let outcome = solver.solve_cancellable(&context, &key.problem, &token);
     let deadline_hit = token.is_cancelled();
     state.metrics.record_solve(started.elapsed(), false);
     // A truncated search is not the canonical answer; never cache it.

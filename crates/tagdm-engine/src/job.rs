@@ -19,7 +19,7 @@ pub struct JobId(pub u64);
 
 /// Which solver a request runs. A plain-data stand-in for `Box<dyn Solver>` so that
 /// requests stay serializable and each worker thread can instantiate its own solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SolverChoice {
     /// The uncapped exact baseline.
     Exact,
@@ -45,9 +45,8 @@ impl SolverChoice {
         }
     }
 
-    /// A stable string identity used in outcome-cache keys. `Recommended` maps to a
-    /// fixed tag because the recommendation is a pure function of the problem, which is
-    /// part of the same cache key.
+    /// A stable, distinct display name for each choice (reports and logs print it).
+    /// `Recommended` maps to a fixed tag, not to the solver it picks for a problem.
     pub fn tag(&self) -> String {
         match *self {
             SolverChoice::Exact => "exact".to_string(),
@@ -96,7 +95,8 @@ impl SolveRequest {
 /// Which cache layers served a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheReport {
-    /// The mining context came from the context cache (or an installed context).
+    /// No context was built for the job: it came from the context cache or an
+    /// installed context, or was not needed because the outcome was cached.
     pub context_hit: bool,
     /// The whole outcome came from the outcome cache; no solver ran.
     pub outcome_hit: bool,

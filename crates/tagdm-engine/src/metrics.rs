@@ -65,7 +65,8 @@ pub(crate) struct EngineMetrics {
     pub(crate) worker_restarts: Counter,
     /// Context-cache misses that joined an in-flight build instead of duplicating it.
     pub(crate) context_builds_deduped: Counter,
-    /// Context-cache hits (including installed contexts).
+    /// Context-cache hits (including installed contexts), counted on outcome-cache
+    /// misses and `Engine::context` calls.
     context_hits: Counter,
     /// Context-cache misses (each one paid a full context build).
     context_misses: Counter,
@@ -77,10 +78,11 @@ pub(crate) struct EngineMetrics {
     pub(crate) queue_wait: LatencyHistogram,
     /// Time spent building mining contexts (cache-miss path only).
     pub(crate) context_build: LatencyHistogram,
-    /// Worker time spent obtaining each job's context: a cache hit, a build, or a wait
-    /// on a build already in flight.
+    /// Worker time spent obtaining each outcome-cache miss's context: a cache hit, a
+    /// build, or a wait on a build already in flight.
     pub(crate) context_resolve: LatencyHistogram,
-    /// Worker time, after context resolution, for jobs answered from the outcome cache.
+    /// Worker time looking up jobs answered from the outcome cache (no context is
+    /// resolved for them).
     solve_hit: LatencyHistogram,
     /// Worker time, after context resolution, for jobs that ran a solver.
     solve_miss: LatencyHistogram,
@@ -157,7 +159,7 @@ pub struct MetricsSnapshot {
     pub worker_restarts: u64,
     /// Context builds avoided by joining one already in flight.
     pub context_builds_deduped: u64,
-    /// Context-cache hits.
+    /// Context-cache hits (counted on outcome-cache misses and `Engine::context`).
     pub context_hits: u64,
     /// Context-cache misses.
     pub context_misses: u64,
@@ -169,9 +171,10 @@ pub struct MetricsSnapshot {
     pub queue_wait: HistogramSnapshot,
     /// Context-build latency distribution (misses only).
     pub context_build: HistogramSnapshot,
-    /// Context-resolution latency: hits, builds and waits on deduplicated builds.
+    /// Context-resolution latency of outcome-cache misses: hits, builds and waits on
+    /// deduplicated builds.
     pub context_resolve: HistogramSnapshot,
-    /// Worker latency after context resolution, for outcome-cache hits.
+    /// Worker latency of the outcome lookup, for outcome-cache hits.
     pub solve_hit: HistogramSnapshot,
     /// Worker latency after context resolution, for jobs that ran a solver.
     pub solve_miss: HistogramSnapshot,

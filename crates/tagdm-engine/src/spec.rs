@@ -1,13 +1,13 @@
-//! Context specifications and the cache keys derived from them.
+//! Context specifications and the placement keys derived from them.
 //!
 //! A [`ContextSpec`] is the serializable recipe for a [`MiningContext`]: which
 //! registered dataset to read, how to enumerate candidate groups and which tag
-//! summarizer to run. Two requests with the same recipe memoize to the same cached
-//! context via [`ContextKey`], so the expensive LDA / signature work runs once per
-//! distinct `(dataset, grouping scheme, summarizer)` triple. Inside the engine the
-//! key is paired with the generation of the registration it resolved against, so a
-//! dataset or installed context replaced under the same name never serves entries
-//! cached for the old data; the key alone is what the cluster ring places.
+//! summarizer to run. The engine caches contexts by the spec's own fields (floats by
+//! their bits) plus the generation of the registration it resolved against, so the
+//! expensive LDA / signature work runs once per distinct recipe, and a dataset or
+//! installed context replaced under the same name never serves entries cached for the
+//! old data. [`ContextKey`] is the spec rendered as a string; it serves only placement
+//! (the cluster ring's shard choice), not the engine's caches.
 //!
 //! [`MiningContext`]: tagdm_core::context::MiningContext
 
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use tagdm_core::context::SummarizerChoice;
 
 /// The recipe for obtaining a mining context from the engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ContextSpec {
     /// Enumerate describable groups over a registered dataset and summarize them.
     Grouped {
@@ -62,7 +62,8 @@ impl ContextSpec {
         ContextSpec::Installed { name: name.into() }
     }
 
-    /// The cache key identifying the context this spec resolves to.
+    /// The placement key naming the context this spec resolves to (the cluster ring
+    /// hashes it to a shard). Its rendering is pinned: changing it moves placement.
     pub fn key(&self) -> ContextKey {
         match self {
             ContextSpec::Grouped {
@@ -96,12 +97,14 @@ impl ContextSpec {
     }
 }
 
-/// Canonical, hashable identity of a cached mining context.
+/// A spec rendered as a string, for placement. Not injective: an attribute name
+/// holding `,` or `.` can render like another spec's attributes, so nothing that must
+/// tell specs apart (the engine's caches) keys on it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ContextKey(String);
 
 impl ContextKey {
-    /// The key as a display string (used to compose dependent cache keys).
+    /// The key as a string (what the cluster ring hashes).
     pub fn as_str(&self) -> &str {
         &self.0
     }
@@ -169,6 +172,32 @@ mod tests {
         seeded.seed ^= 1;
         let c = ContextSpec::grouped("ml", &grouping, 5, SummarizerChoice::Lda(seeded));
         assert_ne!(a.key(), c.key());
+    }
+
+    /// The cluster ring places a spec's shard by these exact strings.
+    #[test]
+    fn key_renderings_are_pinned() {
+        let grouping = [("user", "gender"), ("item", "genre")];
+        let frequency = ContextSpec::grouped("ml", &grouping, 5, SummarizerChoice::Frequency);
+        assert_eq!(
+            frequency.key().as_str(),
+            "grouped:ml|user.gender,item.genre|min=5|Frequency"
+        );
+        let lda = ContextSpec::grouped(
+            "ml",
+            &grouping,
+            5,
+            SummarizerChoice::Lda(LdaConfig::with_topics(25)),
+        );
+        assert_eq!(
+            lda.key().as_str(),
+            "grouped:ml|user.gender,item.genre|min=5|Lda(LdaConfig { num_topics: 25, \
+             iterations: 150, burn_in: 50, alpha: 2.0, beta: 0.01, seed: 474 })"
+        );
+        assert_eq!(
+            ContextSpec::installed("bin-0").key().as_str(),
+            "installed:bin-0"
+        );
     }
 
     #[test]

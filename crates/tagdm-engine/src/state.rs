@@ -27,7 +27,7 @@ use crate::error::EngineError;
 use crate::failpoint;
 use crate::job::SolverChoice;
 use crate::metrics::EngineMetrics;
-use crate::spec::{ContextKey, ContextSpec};
+use crate::spec::ContextSpec;
 
 /// Acquire a mutex, recovering the guard if a previous holder panicked.
 ///
@@ -54,20 +54,33 @@ pub fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Engine-internal identity of a resolved context: the spec's [`ContextKey`] plus the
-/// generation of the registration it resolved against (the dataset for grouped specs,
-/// the installation for installed ones). Replacing the data under a name leaves the
-/// old cache entries unreachable, so they age out of the LRUs instead of being served.
-/// The generation stays out of [`ContextSpec::key`], which names a context for
-/// placement (the cluster ring) whatever is registered.
-pub(crate) type ContextId = (ContextKey, u64);
+/// Engine-internal identity of a resolved context: the spec itself plus the generation
+/// of the registration it resolved against (the dataset for grouped specs, the
+/// installation for installed ones). Replacing the data under a name leaves the old
+/// cache entries unreachable, so they age out of the LRUs instead of being served.
+/// Hashed and compared by value, floats by their bits, so two specs share an entry
+/// only when every field is equal.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ContextId {
+    pub(crate) spec: ContextSpec,
+    pub(crate) generation: u64,
+}
 
-/// Key of a cached solver outcome: the context identity plus a canonical rendering of
-/// the problem and the solver choice.
-pub(crate) type OutcomeKey = (ContextId, String);
+/// Key of a cached solver outcome: the context identity, the solver choice and the
+/// problem, moved out of the request that first asked for them.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) struct OutcomeKey {
+    pub(crate) context: ContextId,
+    pub(crate) solver: SolverChoice,
+    pub(crate) problem: TagDmProblem,
+}
 
-/// A resolved context, whether it was a cache hit, and its identity.
-pub(crate) type Resolved = (Arc<MiningContext>, bool, ContextId);
+/// What a spec's name is registered as, read once per request: the dataset a grouped
+/// spec builds from, or the installed context itself.
+pub(crate) enum Registration {
+    Dataset(Arc<Dataset>),
+    Installed(Arc<MiningContext>),
+}
 
 type BuildResult = Result<Arc<MiningContext>, EngineError>;
 
@@ -143,12 +156,12 @@ impl EngineState {
     }
 
     pub(crate) fn dataset(&self, name: &str) -> Option<Arc<Dataset>> {
-        self.registration(name).map(|(_, dataset)| dataset)
+        self.dataset_registration(name).map(|(_, dataset)| dataset)
     }
 
     /// The generation and dataset registered under `name`. The read guard is confined
     /// to this helper so it never overlaps another lock.
-    fn registration(&self, name: &str) -> Option<(u64, Arc<Dataset>)> {
+    fn dataset_registration(&self, name: &str) -> Option<(u64, Arc<Dataset>)> {
         read_recover(&self.datasets).get(name).cloned()
     }
 
@@ -169,71 +182,85 @@ impl EngineState {
         context
     }
 
-    /// Resolve a context spec to a (possibly cached) context. Returns the context,
-    /// whether it was a cache hit and its identity; records hit/miss and build-time
-    /// metrics.
-    pub(crate) fn resolve_context(&self, spec: &ContextSpec) -> Result<Resolved, EngineError> {
+    /// The generation and registration a spec's name resolves to right now.
+    pub(crate) fn registration(
+        &self,
+        spec: &ContextSpec,
+    ) -> Result<(u64, Registration), EngineError> {
         match spec {
-            ContextSpec::Installed { name } => {
-                let (generation, context) = read_recover(&self.installed)
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| EngineError::UnknownContext(name.clone()))?;
-                self.metrics.context_lookup(true);
-                Ok((context, true, (spec.key(), generation)))
-            }
-            ContextSpec::Grouped {
-                dataset: name,
-                summarizer,
-                ..
-            } => {
-                let (generation, dataset) = self
-                    .registration(name)
-                    .ok_or_else(|| EngineError::UnknownDataset(name.clone()))?;
-                let key = (spec.key(), generation);
-                if let Some(context) = lock_recover(&self.contexts).get(&key) {
-                    self.metrics.context_lookup(true);
-                    return Ok((context, true, key));
-                }
-                // A recipe the summarizer cannot run is the caller's error, answered
-                // before any build is claimed.
-                if let SummarizerChoice::Lda(config) = summarizer {
-                    config.validate().map_err(EngineError::InvalidGrouping)?;
-                }
-                // Miss: claim the build, or join one already in flight.
-                let (slot, is_builder) = {
-                    let mut building = lock_recover(&self.building);
-                    match building.get(&key) {
-                        Some(slot) => (Arc::clone(slot), false),
-                        None => {
-                            let slot = Arc::new(InFlightBuild::new());
-                            building.insert(key.clone(), Arc::clone(&slot));
-                            (slot, true)
-                        }
-                    }
-                };
-                if !is_builder {
-                    self.metrics.context_builds_deduped.inc();
-                    self.metrics.context_lookup(false);
-                    return slot.wait().map(|context| (context, false, key));
-                }
-                // Publish on every exit — including an unwind (e.g. a panicking
-                // summarizer): the guard's Drop wakes waiters with an error rather
-                // than leaving them blocked forever.
-                let guard = BuildClaim {
-                    state: self,
-                    key: Some(key.clone()),
-                    slot: &slot,
-                };
-                let built = self.build_context(spec, &dataset);
-                guard.publish(built.clone());
-                if let Ok(context) = &built {
-                    self.metrics.context_lookup(false);
-                    lock_recover(&self.contexts).insert(key.clone(), Arc::clone(context));
-                }
-                built.map(|context| (context, false, key))
-            }
+            ContextSpec::Installed { name } => read_recover(&self.installed)
+                .get(name)
+                .map(|(generation, context)| {
+                    (*generation, Registration::Installed(Arc::clone(context)))
+                })
+                .ok_or_else(|| EngineError::UnknownContext(name.clone())),
+            ContextSpec::Grouped { dataset: name, .. } => self
+                .dataset_registration(name)
+                .map(|(generation, dataset)| (generation, Registration::Dataset(dataset)))
+                .ok_or_else(|| EngineError::UnknownDataset(name.clone())),
         }
+    }
+
+    /// Resolve a context identity to a (possibly cached) context, given the
+    /// registration its generation was read from. Returns the context and whether it
+    /// was a cache hit; records hit/miss and build-time metrics.
+    pub(crate) fn resolve_context(
+        &self,
+        id: &ContextId,
+        registration: Registration,
+    ) -> Result<(Arc<MiningContext>, bool), EngineError> {
+        let dataset = match registration {
+            Registration::Installed(context) => {
+                self.metrics.context_lookup(true);
+                return Ok((context, true));
+            }
+            Registration::Dataset(dataset) => dataset,
+        };
+        if let Some(context) = lock_recover(&self.contexts).get(id) {
+            self.metrics.context_lookup(true);
+            return Ok((context, true));
+        }
+        // A recipe the summarizer cannot run is the caller's error, answered before
+        // any build is claimed.
+        if let ContextSpec::Grouped {
+            summarizer: SummarizerChoice::Lda(config),
+            ..
+        } = &id.spec
+        {
+            config.validate().map_err(EngineError::InvalidGrouping)?;
+        }
+        // Miss: claim the build, or join one already in flight.
+        let (slot, is_builder) = {
+            let mut building = lock_recover(&self.building);
+            match building.get(id) {
+                Some(slot) => (Arc::clone(slot), false),
+                None => {
+                    let slot = Arc::new(InFlightBuild::new());
+                    building.insert(id.clone(), Arc::clone(&slot));
+                    (slot, true)
+                }
+            }
+        };
+        if !is_builder {
+            self.metrics.context_builds_deduped.inc();
+            self.metrics.context_lookup(false);
+            return slot.wait().map(|context| (context, false));
+        }
+        // Publish on every exit — including an unwind (e.g. a panicking summarizer):
+        // the guard's Drop wakes waiters with an error rather than leaving them
+        // blocked forever.
+        let guard = BuildClaim {
+            state: self,
+            id: Some(id),
+            slot: &slot,
+        };
+        let built = self.build_context(&id.spec, &dataset);
+        guard.publish(built.clone());
+        if let Ok(context) = &built {
+            self.metrics.context_lookup(false);
+            lock_recover(&self.contexts).insert(id.clone(), Arc::clone(context));
+        }
+        built.map(|context| (context, false))
     }
 
     /// Run one grouped-context build over `dataset` (the caller holds the in-flight
@@ -264,23 +291,9 @@ impl EngineState {
     }
 
     /// Deregister an in-flight build claim, filling its slot so waiters wake.
-    fn release_build_claim(&self, key: &ContextId, slot: &InFlightBuild, result: BuildResult) {
+    fn release_build_claim(&self, id: &ContextId, slot: &InFlightBuild, result: BuildResult) {
         slot.fill(result);
-        lock_recover(&self.building).remove(key);
-    }
-
-    /// The outcome-cache key for a request triple.
-    pub(crate) fn outcome_key(
-        context: &ContextId,
-        solver: &SolverChoice,
-        problem: &TagDmProblem,
-    ) -> OutcomeKey {
-        let fingerprint = format!(
-            "{}|{}",
-            solver.tag(),
-            serde_json::to_string(problem).expect("problems serialize infallibly")
-        );
-        (context.clone(), fingerprint)
+        lock_recover(&self.building).remove(id);
     }
 
     /// Look up a cached outcome, recording the hit/miss.
@@ -301,28 +314,288 @@ impl EngineState {
 /// deduplicated waiters wake with a failure instead of blocking forever.
 struct BuildClaim<'a> {
     state: &'a EngineState,
-    key: Option<ContextId>,
+    id: Option<&'a ContextId>,
     slot: &'a InFlightBuild,
 }
 
 impl BuildClaim<'_> {
     fn publish(mut self, result: BuildResult) {
-        if let Some(key) = self.key.take() {
-            self.state.release_build_claim(&key, self.slot, result);
+        if let Some(id) = self.id.take() {
+            self.state.release_build_claim(id, self.slot, result);
         }
     }
 }
 
 impl Drop for BuildClaim<'_> {
     fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
+        if let Some(id) = self.id.take() {
             self.state.release_build_claim(
-                &key,
+                id,
                 self.slot,
                 Err(EngineError::WorkerPanicked {
                     payload: "context build panicked".to_string(),
                 }),
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use tagdm_core::criteria::{Aggregator, MiningCriterion, PairwiseKind, TaggingDimension};
+    use tagdm_core::functions::DualMiningFunction;
+    use tagdm_core::problem::{ConstraintSpec, ObjectiveSpec};
+    use tagdm_core::solvers::ConstraintMode;
+    use tagdm_topics::lda::LdaConfig;
+
+    use super::*;
+    use crate::spec::ContextKey;
+
+    /// Names: the first three hold none of the old key's separators.
+    const NAMES: [&str; 7] = ["ml", "ml2", "user", "a|b", "a.b", "x,y", "u:v"];
+    /// Groupings, among them pairs that render alike in the old key
+    /// (`user.gender,item.genre`, `user.gender.age`).
+    const GROUPINGS: [&[(&str, &str)]; 8] = [
+        &[],
+        &[("user", "gender")],
+        &[("user", "gender"), ("item", "genre")],
+        &[("user", "gender,item.genre")],
+        &[("item", "genre"), ("user", "gender")],
+        &[("user", "age")],
+        &[("user.gender", "age")],
+        &[("user", "gender.age")],
+    ];
+    /// Thresholds, weights and priors: ±0.0, subnormals, ordinary values, NaNs with
+    /// two payloads and an infinity.
+    const FLOATS: [f64; 11] = [
+        0.0,
+        -0.0,
+        5e-324,
+        1.5e-310,
+        f64::MIN_POSITIVE,
+        0.2,
+        0.5,
+        1.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+    ];
+    const PICKS: usize = 36;
+
+    /// Draws fields from small pools, so that requests built from picks that differ in
+    /// one place are often equal, or render equal old keys.
+    struct Picker<'a>(std::slice::Iter<'a, usize>);
+
+    impl Picker<'_> {
+        fn below(&mut self, n: usize) -> usize {
+            self.0.next().expect("enough picks") % n
+        }
+
+        fn float(&mut self) -> f64 {
+            FLOATS[self.below(FLOATS.len())]
+        }
+
+        fn name(&mut self) -> String {
+            NAMES[self.below(NAMES.len())].to_string()
+        }
+
+        fn function(&mut self) -> DualMiningFunction {
+            let dimension = [
+                TaggingDimension::Users,
+                TaggingDimension::Items,
+                TaggingDimension::Tags,
+            ][self.below(3)];
+            let criterion =
+                [MiningCriterion::Similarity, MiningCriterion::Diversity][self.below(2)];
+            let aggregator = [Aggregator::Mean, Aggregator::Sum][self.below(2)];
+            let kind = [
+                PairwiseKind::default_for(dimension),
+                PairwiseKind::ItemSetJaccard,
+            ][self.below(2)];
+            DualMiningFunction::standard(dimension, criterion)
+                .with_kind(kind)
+                .with_aggregator(aggregator)
+        }
+
+        fn summarizer(&mut self) -> SummarizerChoice {
+            let mut lda = LdaConfig::with_topics(25);
+            match self.below(7) {
+                0 => return SummarizerChoice::Frequency,
+                1 => return SummarizerChoice::FrequencyNormalized,
+                2 => return SummarizerChoice::TfIdf,
+                3 => {}
+                4 => lda.seed ^= 1,
+                5 => lda.alpha = self.float(),
+                _ => lda.beta = self.float(),
+            }
+            SummarizerChoice::Lda(lda)
+        }
+
+        fn solver(&mut self) -> SolverChoice {
+            let mode = [
+                ConstraintMode::Ignore,
+                ConstraintMode::Filter,
+                ConstraintMode::Fold,
+            ][self.below(3)];
+            match self.below(5) {
+                0 => SolverChoice::Exact,
+                1 => SolverChoice::ExactCapped(self.below(2) as u64 * 100),
+                2 => SolverChoice::SmLsh(mode),
+                3 => SolverChoice::DvFdp(mode),
+                _ => SolverChoice::Recommended,
+            }
+        }
+
+        fn key(&mut self) -> OutcomeKey {
+            let spec = if self.below(4) == 0 {
+                ContextSpec::installed(self.name())
+            } else {
+                let dataset = self.name();
+                let grouping = GROUPINGS[self.below(GROUPINGS.len())];
+                ContextSpec::grouped(dataset, grouping, self.below(2), self.summarizer())
+            };
+            let context = ContextId {
+                spec,
+                generation: self.below(2) as u64,
+            };
+            let solver = self.solver();
+            let mut problem = TagDmProblem::new(["P1", "P|1"][self.below(2)], 3, self.below(2))
+                .with_min_groups(1 + self.below(2));
+            for _ in 0..self.below(3) {
+                let function = self.function();
+                problem = problem.with_constraint(ConstraintSpec {
+                    function,
+                    threshold: self.float(),
+                });
+            }
+            for _ in 0..1 + self.below(2) {
+                let function = self.function();
+                problem = problem.with_objective(ObjectiveSpec {
+                    function,
+                    weight: self.float(),
+                });
+            }
+            OutcomeKey {
+                context,
+                solver,
+                problem,
+            }
+        }
+    }
+
+    fn key_from(picks: &[usize]) -> OutcomeKey {
+        Picker(picks.iter()).key()
+    }
+
+    /// The context key the engine used before typed keys.
+    fn old_context_key(id: &ContextId) -> (ContextKey, u64) {
+        (id.spec.key(), id.generation)
+    }
+
+    /// The outcome key the engine used before typed keys.
+    fn old_outcome_key(key: &OutcomeKey) -> ((ContextKey, u64), String) {
+        let fingerprint = format!(
+            "{}|{}",
+            key.solver.tag(),
+            serde_json::to_string(&key.problem).expect("problems serialize")
+        );
+        (old_context_key(&key.context), fingerprint)
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Whether every float is finite and every name free of the old key's separators:
+    /// where the old key was injective.
+    fn plain(key: &OutcomeKey) -> bool {
+        let clean = |name: &str| !name.contains(['|', ',', '.', ':']);
+        let names = match &key.context.spec {
+            ContextSpec::Installed { name } => clean(name),
+            ContextSpec::Grouped {
+                dataset, grouping, ..
+            } => clean(dataset) && grouping.iter().all(|(d, a)| clean(d) && clean(a)),
+        };
+        let priors = match &key.context.spec {
+            ContextSpec::Grouped {
+                summarizer: SummarizerChoice::Lda(lda),
+                ..
+            } => lda.alpha.is_finite() && lda.beta.is_finite(),
+            _ => true,
+        };
+        let problem = &key.problem;
+        names
+            && priors
+            && problem.constraints.iter().all(|c| c.threshold.is_finite())
+            && problem.objectives.iter().all(|o| o.weight.is_finite())
+    }
+
+    // Two requests share a typed key only if their old string keys are equal, and where
+    // the old key was injective they share one whenever those are equal.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16384))]
+
+        #[test]
+        fn prop_typed_keys_agree_with_the_old_string_keys(
+            picks in vec(0..840usize, PICKS),
+            at in 0..PICKS + 1,
+            fresh in 0..840usize,
+        ) {
+            let mut other = picks.clone();
+            if let Some(pick) = other.get_mut(at) {
+                *pick = fresh;
+            }
+            let (a, b) = (key_from(&picks), key_from(&other));
+            let contexts = (a.context == b.context, old_context_key(&a.context) == old_context_key(&b.context));
+            let outcomes = (a == b, old_outcome_key(&a) == old_outcome_key(&b));
+            if contexts.0 {
+                prop_assert!(contexts.1);
+                prop_assert_eq!(hash_of(&a.context), hash_of(&b.context));
+            }
+            if outcomes.0 {
+                prop_assert!(outcomes.1);
+                prop_assert_eq!(hash_of(&a), hash_of(&b));
+            }
+            if plain(&a) && plain(&b) {
+                prop_assert_eq!(contexts.0, contexts.1);
+                prop_assert_eq!(outcomes.0, outcomes.1);
+            }
+        }
+    }
+
+    #[test]
+    fn floats_key_by_their_bits() {
+        let picks = [0; PICKS];
+        let base = key_from(&picks);
+        let with_threshold = |threshold: f64| {
+            let mut problem = base.problem.clone();
+            problem.constraints = vec![ConstraintSpec {
+                function: base.problem.objectives[0].function,
+                threshold,
+            }];
+            problem
+        };
+        // ±0.0 render and key apart; two NaN payloads render alike but key apart.
+        assert_ne!(with_threshold(0.0), with_threshold(-0.0));
+        assert_ne!(with_threshold(f64::NAN), with_threshold(-f64::NAN));
+        assert_eq!(with_threshold(f64::NAN), with_threshold(f64::NAN));
+        assert_eq!(
+            hash_of(&with_threshold(f64::NAN)),
+            hash_of(&with_threshold(f64::NAN))
+        );
+        assert_eq!(with_threshold(5e-324), with_threshold(5e-324));
+        assert_ne!(with_threshold(5e-324), with_threshold(0.0));
+        // LDA configs that differ only in the seed are different contexts.
+        let mut seeded = LdaConfig::with_topics(25);
+        seeded.seed ^= 1;
+        assert_ne!(LdaConfig::with_topics(25), seeded);
+        assert_eq!(LdaConfig::with_topics(25), LdaConfig::with_topics(25));
     }
 }

@@ -330,3 +330,39 @@ fn reinstalled_context_is_solved_on_its_new_data() {
         );
     }
 }
+
+/// A spec whose one attribute name spells out another spec's two attributes
+/// (`"gender,item.genre"` on the user dimension) is a different recipe: an engine that
+/// has served the two-attribute spec must answer it as a fresh engine does.
+#[test]
+fn attribute_names_with_separators_are_not_another_specs_cache_entry() {
+    let two_attributes = ContextSpec::grouped(
+        "ml-small",
+        &[("user", "gender"), ("item", "genre")],
+        MIN_GROUP_SIZE,
+        SUMMARIZER,
+    );
+    let one_attribute = ContextSpec::grouped(
+        "ml-small",
+        &[("user", "gender,item.genre")],
+        MIN_GROUP_SIZE,
+        SUMMARIZER,
+    );
+    let request = |spec: &ContextSpec| {
+        SolveRequest::new(spec.clone(), problem_1(params()), SolverChoice::Exact)
+    };
+
+    let (fresh, _) = engine_with_registered_corpus(1);
+    let expected = fresh.solve(request(&one_attribute)).result;
+    assert!(
+        matches!(expected, Err(EngineError::InvalidGrouping(_))),
+        "{expected:?}"
+    );
+
+    let (engine, _) = engine_with_registered_corpus(1);
+    let served = engine.solve(request(&two_attributes));
+    assert!(served.result.is_ok(), "{:?}", served.result);
+    let response = engine.solve(request(&one_attribute));
+    assert_eq!(response.result, expected);
+    assert!(!response.cache.outcome_hit);
+}

@@ -509,23 +509,35 @@ fn slow_context_build_is_timed_as_resolve_not_as_solve() {
         5,
         SummarizerChoice::FrequencyNormalized,
     );
-    // Cache the outcome, then evict its context so the next request rebuilds it.
+    // Cache the outcome, then evict its context.
     assert!(engine.solve(request(&spec)).result.is_ok());
     assert!(engine.solve(request(&other)).result.is_ok());
     let build = Duration::from_millis(200);
     failpoint::arm(site::CONTEXT_BUILD, FailAction::Delay(build));
 
+    // The outcome is looked up before the context: the hit rebuilds nothing.
     let response = engine.solve(request(&spec));
     assert!(response.result.is_ok());
-    assert!(!response.cache.context_hit && response.cache.outcome_hit);
+    assert!(response.cache.outcome_hit);
+    let metrics = engine.metrics();
+    assert_eq!(metrics.context_build.count, 2);
+    assert_eq!(metrics.context_resolve.count, 2);
+
+    // Another problem over the evicted context misses and rebuilds it.
+    let mut miss = request(&spec);
+    miss.problem = problem_1(ProblemParams { k: 2, ..params() });
+    let response = engine.solve(miss);
+    assert!(response.result.is_ok());
+    assert!(!response.cache.context_hit && !response.cache.outcome_hit);
 
     let metrics = engine.metrics();
     let build_us = build.as_micros() as u64;
     assert_eq!(metrics.solve_hit.count, 1);
+    assert_eq!(metrics.solve_miss.count, 3);
     assert!(
-        metrics.solve_hit.max_us < build_us,
-        "the rebuild leaked into solve_hit: {}",
-        metrics.solve_hit.render()
+        metrics.solve_miss.max_us < build_us,
+        "the rebuild leaked into solve_miss: {}",
+        metrics.solve_miss.render()
     );
     assert_eq!(metrics.context_resolve.count, 3);
     assert!(metrics.context_resolve.max_us >= build_us);

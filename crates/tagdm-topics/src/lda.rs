@@ -35,6 +35,8 @@
 //! proptest here checks θ bit for bit against that nested sampler, kept as a test
 //! oracle.
 
+use std::hash::{Hash, Hasher};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -47,7 +49,11 @@ use crate::summarizer::GroupSummarizer;
 const MAX_TOPICS: usize = u16::MAX as usize + 1;
 
 /// Hyper-parameters of the collapsed Gibbs sampler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Equality and hashing compare the priors by their bits (so `Eq` and `Hash` agree and
+/// a configuration can key a cache): `-0.0` differs from `0.0`, and a NaN prior equals
+/// only the same NaN.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct LdaConfig {
     /// Number of latent topics `K` (the paper uses 25).
     pub num_topics: usize,
@@ -76,7 +82,41 @@ impl Default for LdaConfig {
     }
 }
 
+impl PartialEq for LdaConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for LdaConfig {}
+
+impl Hash for LdaConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bits().hash(state);
+    }
+}
+
 impl LdaConfig {
+    /// Every field, the priors as their bits: what equality and hashing compare.
+    fn bits(&self) -> (usize, usize, usize, u64, u64, u64) {
+        let LdaConfig {
+            num_topics,
+            iterations,
+            burn_in,
+            alpha,
+            beta,
+            seed,
+        } = *self;
+        (
+            num_topics,
+            iterations,
+            burn_in,
+            alpha.to_bits(),
+            beta.to_bits(),
+            seed,
+        )
+    }
+
     /// A configuration with `num_topics` topics and `alpha = 50 / K` (the common
     /// Griffiths–Steyvers heuristic), other parameters at their defaults.
     pub fn with_topics(num_topics: usize) -> Self {

@@ -26,7 +26,8 @@ use tagdm_engine::lock_recover;
 pub struct BreakerConfig {
     /// Consecutive transient failures that trip the breaker open.
     pub failure_threshold: u32,
-    /// How long an open breaker refuses traffic before admitting a probe.
+    /// How long an open breaker refuses traffic before admitting a probe. A
+    /// cool-down past `Instant`'s range (such as `Duration::MAX`) never probes.
     pub cooldown: Duration,
     /// Successes a half-open breaker needs before it re-closes.
     pub success_threshold: u32,
@@ -91,8 +92,9 @@ struct Core {
     state: BreakerState,
     consecutive_failures: u32,
     half_open_successes: u32,
-    /// When an open breaker may admit its next probe.
-    probe_at: Instant,
+    /// When an open breaker may admit its next probe; `None` (a cool-down past
+    /// `Instant`'s range) never probes.
+    probe_at: Option<Instant>,
     transitions: u64,
 }
 
@@ -130,7 +132,7 @@ impl CircuitBreaker {
                 state: BreakerState::Closed,
                 consecutive_failures: 0,
                 half_open_successes: 0,
-                probe_at: Instant::now(),
+                probe_at: None,
                 transitions: 0,
             }),
         }
@@ -144,7 +146,7 @@ impl CircuitBreaker {
             BreakerState::Closed => Admission::Allow,
             BreakerState::HalfOpen => Admission::Probe,
             BreakerState::Open => {
-                if Instant::now() >= core.probe_at {
+                if core.probe_at.is_some_and(|at| Instant::now() >= at) {
                     core.state = BreakerState::HalfOpen;
                     core.half_open_successes = 0;
                     core.transitions += 1;
@@ -183,18 +185,19 @@ impl CircuitBreaker {
             BreakerState::Closed => {
                 core.consecutive_failures += 1;
                 if core.consecutive_failures >= self.config.failure_threshold {
-                    core.state = BreakerState::Open;
-                    core.probe_at = Instant::now() + self.config.cooldown;
-                    core.transitions += 1;
+                    self.trip(&mut core);
                 }
             }
-            BreakerState::HalfOpen => {
-                core.state = BreakerState::Open;
-                core.probe_at = Instant::now() + self.config.cooldown;
-                core.transitions += 1;
-            }
+            BreakerState::HalfOpen => self.trip(&mut core),
             BreakerState::Open => {}
         }
+    }
+
+    /// Open the breaker until the cool-down elapses.
+    fn trip(&self, core: &mut Core) {
+        core.state = BreakerState::Open;
+        core.probe_at = Instant::now().checked_add(self.config.cooldown);
+        core.transitions += 1;
     }
 
     /// The current state.
@@ -284,6 +287,15 @@ mod tests {
         assert_eq!(breaker.state(), BreakerState::HalfOpen);
         breaker.record_success();
         assert_eq!(breaker.state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn a_cooldown_past_the_clock_range_trips_and_never_probes() {
+        let breaker = quick(1, Duration::MAX);
+        breaker.record_failure();
+        assert_eq!(breaker.state(), BreakerState::Open);
+        assert_eq!(breaker.admit(), Admission::Deny);
+        assert_eq!(breaker.transitions(), 1);
     }
 
     #[test]

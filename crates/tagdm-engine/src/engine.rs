@@ -10,13 +10,12 @@ use tagdm_data::dataset::Dataset;
 
 use crate::admission::AdmissionPolicy;
 use crate::error::EngineError;
-use crate::executor::{Job, JobExecutor};
+use crate::executor::{Job, JobExecutor, SupervisorConfig};
 use crate::job::{JobId, JobTicket, SolveRequest, SolveResponse};
 use crate::metrics::MetricsSnapshot;
 use crate::retry::RetryPolicy;
 use crate::spec::ContextSpec;
 use crate::state::{ContextId, EngineState};
-use crate::supervisor::SupervisorConfig;
 
 /// Sizing and fault-tolerance knobs for an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,19 +119,14 @@ impl Engine {
         }
     }
 
-    /// An engine with the default configuration (4 workers).
-    pub fn with_defaults() -> Self {
-        Engine::default()
-    }
-
-    /// Number of worker threads in the solve pool (the supervisor's invariant).
+    /// Number of worker threads in the solve pool (the size respawns restore).
     pub fn num_workers(&self) -> usize {
         self.executor.num_workers()
     }
 
     /// Worker threads alive right now. Dips below [`num_workers`](Self::num_workers)
-    /// between a worker death and its supervised respawn; stays lower permanently once
-    /// the supervisor's restart budget is exhausted.
+    /// between a worker death and its respawn; stays lower permanently once the
+    /// [`SupervisorConfig`] restart budget is exhausted.
     pub fn live_workers(&self) -> usize {
         self.executor.live_workers()
     }

@@ -11,20 +11,25 @@
 //!   dropping the channel and hanging (or mis-erroring) the caller.
 //! * **A panicking solver does not kill its worker.** The unwind is caught at the job
 //!   boundary; the worker dequeues the next job.
-//! * **A panic that escapes the boundary does not shrink the pool.** Each worker's
-//!   guard reports the death to the [supervisor](crate::supervisor), which respawns a
-//!   replacement within its restart budget.
+//! * **A panic that escapes the boundary does not shrink the pool.** Each worker holds
+//!   a guard whose `Drop` runs in the dying thread while it unwinds: it claims a
+//!   restart from the [`SupervisorConfig`] budget, sleeps the burst's backoff and
+//!   spawns the replacement itself. The pool needs no thread of its own: an engine
+//!   with N workers runs N threads.
 //!
 //! Shutdown is queue-driven: closing the queue lets workers drain what is queued and
-//! exit, then [`JobExecutor::drop`] stops the supervisor and joins every thread.
+//! exit. [`JobExecutor::drop`] then marks the pool closed and takes every join handle
+//! in one critical section of the pool's one leaf lock, the same lock a respawn holds
+//! while it checks "closed", spawns and registers; so no replacement is ever missed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use serde::{Deserialize, Serialize};
 use tagdm_core::solvers::CancelToken;
 
 use crate::admission::{AdmissionPolicy, JobQueue};
@@ -32,8 +37,49 @@ use crate::error::EngineError;
 use crate::failpoint;
 use crate::job::{CacheReport, JobId, SolveRequest, SolveResponse};
 use crate::metrics::EngineMetrics;
+use crate::retry::Backoff;
 use crate::state::{lock_recover, ContextId, EngineState, OutcomeKey};
-use crate::supervisor::{supervise, SupervisorConfig, WorkerEvent};
+
+/// Restart policy for workers killed by panics that escape the job boundary (or by
+/// the `worker.loop` failpoint). The dying worker's own unwind guard applies it: it
+/// claims one restart, sleeps the backoff and spawns its replacement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SupervisorConfig {
+    /// Total worker restarts over the engine's lifetime. Once exhausted, further
+    /// deaths shrink the pool permanently (a crash loop is a bug to fix, not to mask).
+    /// A restart is claimed before its backoff, so deaths close together never
+    /// overshoot the budget.
+    pub max_restarts: u32,
+    /// Backoff between a worker death and its replacement. The exponent tracks
+    /// *consecutive* deaths: it resets once the pool stays quiet for longer than the
+    /// schedule's `max` delay. Deaths close together sleep their backoffs side by
+    /// side, each in its own dying thread.
+    pub backoff: Backoff,
+}
+
+impl SupervisorConfig {
+    /// Override the restart budget.
+    pub fn with_max_restarts(mut self, max_restarts: u32) -> Self {
+        self.max_restarts = max_restarts;
+        self
+    }
+
+    /// Override the respawn backoff.
+    pub fn with_backoff(mut self, backoff: Backoff) -> Self {
+        self.backoff = backoff;
+        self
+    }
+}
+
+impl Default for SupervisorConfig {
+    /// 32 restarts, respawn backoff 1ms doubling to 250ms.
+    fn default() -> Self {
+        SupervisorConfig {
+            max_restarts: 32,
+            backoff: Backoff::new(Duration::from_millis(1), Duration::from_millis(250)),
+        }
+    }
+}
 
 pub(crate) struct Job {
     pub(crate) id: JobId,
@@ -66,42 +112,85 @@ impl Job {
     }
 }
 
-/// State shared between the executor handle, every worker and the supervisor.
-pub(crate) struct PoolShared {
+/// State shared between the executor handle and every worker.
+struct PoolShared {
+    queue: JobQueue,
+    state: Arc<EngineState>,
+    supervisor: SupervisorConfig,
     /// Currently-alive worker threads (incremented before spawn, decremented by each
     /// worker guard's `Drop`).
-    pub(crate) live: AtomicUsize,
-    /// Set before closing the queue; stops the supervisor from respawning.
-    pub(crate) shutting_down: AtomicBool,
-    /// Join handles of every worker ever spawned (initial and respawned).
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    live: AtomicUsize,
+    /// The pool's one leaf lock: shutdown, join handles and the restart budget.
+    roster: Mutex<Roster>,
+}
+
+struct Roster {
+    /// Set by [`JobExecutor::drop`]; no worker is spawned afterwards.
+    closed: bool,
+    /// Join handles of every worker spawned (initial and respawned) and not yet joined.
+    handles: Vec<JoinHandle<()>>,
+    /// Restarts claimed so far, at most `max_restarts`.
+    restarts: u32,
+    /// Restarts claimed in the current burst: the backoff exponent.
+    consecutive: u32,
+    /// When the last restart was claimed; a longer quiet spell than `backoff.max`
+    /// ends the burst.
+    last_death: Option<Instant>,
 }
 
 impl PoolShared {
-    fn new() -> Self {
-        PoolShared {
-            live: AtomicUsize::new(0),
-            shutting_down: AtomicBool::new(false),
-            handles: Mutex::new(Vec::new()),
+    /// Spawn the worker at `index` and register its join handle in `roster`, the
+    /// caller's guard of [`roster`](Self::roster). Spawning and registering under the
+    /// lock that [`JobExecutor::drop`] takes to close the pool means it never misses
+    /// a handle.
+    fn spawn_worker(self: &Arc<Self>, roster: &mut Roster, index: usize) -> std::io::Result<()> {
+        self.live.fetch_add(1, Ordering::SeqCst);
+        let shared = Arc::clone(self);
+        let spawned = std::thread::Builder::new()
+            .name(format!("tagdm-engine-worker-{index}"))
+            .spawn(move || {
+                let guard = WorkerGuard { index, shared };
+                worker_loop(&guard.shared.queue, &guard.shared.state);
+            });
+        match spawned {
+            Ok(handle) => {
+                roster.handles.push(handle);
+                Ok(())
+            }
+            Err(error) => {
+                self.live.fetch_sub(1, Ordering::SeqCst);
+                Err(error)
+            }
         }
     }
 
-    pub(crate) fn push_handle(&self, handle: JoinHandle<()>) {
-        lock_recover(&self.handles).push(handle);
-    }
-
-    fn drain_handles(&self) -> Vec<JoinHandle<()>> {
-        lock_recover(&self.handles).drain(..).collect()
+    /// Claim one restart from the budget and return its backoff, or `None` when the
+    /// pool is closed or the budget is spent.
+    fn claim_restart(&self) -> Option<Duration> {
+        let mut roster = lock_recover(&self.roster);
+        if roster.closed || roster.restarts >= self.supervisor.max_restarts {
+            return None; // shutting down, or the budget is exhausted: the pool shrinks
+        }
+        roster.restarts += 1;
+        let backoff = self.supervisor.backoff;
+        // After a quiet spell the pool had recovered: this death starts a new burst.
+        if roster
+            .last_death
+            .is_some_and(|at| at.elapsed() > backoff.max)
+        {
+            roster.consecutive = 0;
+        }
+        roster.last_death = Some(Instant::now());
+        let delay = backoff.delay(roster.consecutive);
+        roster.consecutive = roster.consecutive.saturating_add(1);
+        Some(delay)
     }
 }
 
-/// A supervised pool of worker threads consuming [`Job`]s from a bounded queue.
+/// A pool of worker threads consuming [`Job`]s from a bounded queue, respawning
+/// workers that die within the restart budget.
 pub(crate) struct JobExecutor {
-    queue: Arc<JobQueue>,
     shared: Arc<PoolShared>,
-    state: Arc<EngineState>,
-    events: Sender<WorkerEvent>,
-    supervisor: Option<JoinHandle<()>>,
     target_workers: usize,
 }
 
@@ -110,49 +199,33 @@ impl JobExecutor {
         num_workers: usize,
         queue_capacity: usize,
         admission: AdmissionPolicy,
-        supervisor_config: SupervisorConfig,
+        supervisor: SupervisorConfig,
         state: Arc<EngineState>,
     ) -> Self {
         let num_workers = num_workers.max(1);
-        let queue = Arc::new(JobQueue::new(queue_capacity, admission));
-        let shared = Arc::new(PoolShared::new());
-        let (events_tx, events_rx) = channel::<WorkerEvent>();
-        for index in 0..num_workers {
-            shared.live.fetch_add(1, Ordering::SeqCst);
-            let handle = spawn_worker(
-                index,
-                Arc::clone(&queue),
-                Arc::clone(&state),
-                Arc::clone(&shared),
-                events_tx.clone(),
-            );
-            shared.push_handle(handle);
-        }
-        let supervisor = {
-            let events_tx = events_tx.clone();
-            let queue = Arc::clone(&queue);
-            let state = Arc::clone(&state);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("tagdm-engine-supervisor".to_string())
-                .spawn(move || {
-                    supervise(
-                        events_rx,
-                        events_tx,
-                        supervisor_config,
-                        queue,
-                        state,
-                        shared,
-                    )
-                })
-                .expect("supervisor thread spawns")
-        };
-        JobExecutor {
-            queue,
-            shared,
+        let shared = Arc::new(PoolShared {
+            queue: JobQueue::new(queue_capacity, admission),
             state,
-            events: events_tx,
-            supervisor: Some(supervisor),
+            supervisor,
+            live: AtomicUsize::new(0),
+            roster: Mutex::new(Roster {
+                closed: false,
+                handles: Vec::with_capacity(num_workers),
+                restarts: 0,
+                consecutive: 0,
+                last_death: None,
+            }),
+        });
+        {
+            let mut roster = lock_recover(&shared.roster);
+            for index in 0..num_workers {
+                shared
+                    .spawn_worker(&mut roster, index)
+                    .expect("worker threads spawn");
+            }
+        }
+        JobExecutor {
+            shared,
             target_workers: num_workers,
         }
     }
@@ -160,17 +233,17 @@ impl JobExecutor {
     /// Admit a job. On failure the job comes back with the error it must be answered
     /// with.
     pub(crate) fn submit(&self, job: Job) -> Result<(), Box<(Job, EngineError)>> {
-        self.queue.push(job, &self.state.metrics)
+        self.shared.queue.push(job, &self.shared.state.metrics)
     }
 
-    /// The configured pool size (the supervisor's invariant).
+    /// The configured pool size (what respawns restore).
     pub(crate) fn num_workers(&self) -> usize {
         self.target_workers
     }
 
     /// Jobs sitting in the admission queue right now.
     pub(crate) fn queue_depth(&self) -> usize {
-        self.queue.depth()
+        self.shared.queue.depth()
     }
 
     /// Worker threads alive right now — dips below [`num_workers`](Self::num_workers)
@@ -182,57 +255,49 @@ impl JobExecutor {
 
 impl Drop for JobExecutor {
     fn drop(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
         // Closing the queue ends each worker's pop loop; queued jobs are answered
         // first because pop drains the queue before observing the close.
-        self.queue.close();
-        // Stop the supervisor first: once it is joined, no new workers can appear and
-        // the handle list is final.
-        let _ = self.events.send(WorkerEvent::Shutdown);
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
-        for worker in self.shared.drain_handles() {
+        self.shared.queue.close();
+        // Once closed is set no worker is spawned, so the handles taken in the same
+        // critical section are final.
+        let handles = {
+            let mut roster = lock_recover(&self.shared.roster);
+            roster.closed = true;
+            std::mem::take(&mut roster.handles)
+        };
+        for worker in handles {
             let _ = worker.join();
         }
     }
 }
 
-/// Spawn one worker thread. `live` must already be incremented by the caller.
-pub(crate) fn spawn_worker(
-    index: usize,
-    queue: Arc<JobQueue>,
-    state: Arc<EngineState>,
-    shared: Arc<PoolShared>,
-    events: Sender<WorkerEvent>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("tagdm-engine-worker-{index}"))
-        .spawn(move || {
-            let _guard = WorkerGuard {
-                index,
-                events,
-                shared,
-            };
-            worker_loop(&queue, &state);
-        })
-        .expect("worker threads spawn")
-}
-
-/// Reports the worker's death to the supervisor if its thread unwinds. Lives on the
-/// worker's stack so `Drop` runs even (especially) while panicking.
+/// Lives on the worker's stack so `Drop` runs even (especially) while its thread
+/// unwinds. A dying worker respawns itself: it claims a restart, sleeps the backoff
+/// and spawns its replacement. Nothing here may panic, since a panic during unwinding
+/// aborts the process; a failed spawn leaves the pool smaller.
 struct WorkerGuard {
     index: usize,
-    events: Sender<WorkerEvent>,
     shared: Arc<PoolShared>,
 }
 
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
         self.shared.live.fetch_sub(1, Ordering::SeqCst);
-        if std::thread::panicking() {
-            let _ = self.events.send(WorkerEvent::Died { index: self.index });
+        if !std::thread::panicking() {
+            return;
         }
+        let Some(delay) = self.shared.claim_restart() else {
+            return;
+        };
+        std::thread::sleep(delay);
+        let mut roster = lock_recover(&self.shared.roster);
+        if roster.closed {
+            return;
+        }
+        // Counted before the replacement shows in `live`, so a caller that waits for
+        // the pool to refill then reads the metric sees the restart.
+        self.shared.state.metrics.worker_restarts.inc();
+        let _ = self.shared.spawn_worker(&mut roster, self.index);
     }
 }
 
@@ -290,7 +355,7 @@ struct Responder {
     id: JobId,
     reply: Sender<SolveResponse>,
     submitted: Instant,
-    queue_wait: std::time::Duration,
+    queue_wait: Duration,
     sent: AtomicBool,
 }
 

@@ -26,8 +26,9 @@
 //! * **Panic isolation** — a panicking solver is caught at the job boundary and
 //!   answered as [`EngineError::WorkerPanicked`]; the worker survives and the caller
 //!   never hangs.
-//! * **Worker supervision** — a supervisor thread respawns workers killed by escaped
-//!   panics, with exponential backoff and a restart budget ([`SupervisorConfig`]).
+//! * **Worker supervision** — a worker killed by an escaped panic respawns itself from
+//!   its own unwind guard, with exponential backoff and a restart budget
+//!   ([`SupervisorConfig`]); no extra thread watches the pool.
 //! * **Bounded admission** — the job queue is capacity-bounded; a full queue rejects,
 //!   blocks-with-timeout or sheds oldest work per [`AdmissionPolicy`], so overload
 //!   fails fast instead of collapsing latency.
@@ -42,7 +43,7 @@
 //! use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
 //! use tagdm_engine::{ContextSpec, Engine, SolveRequest, SolverChoice};
 //!
-//! let engine = Engine::with_defaults();
+//! let engine = Engine::default();
 //! engine.register_dataset("ml", MovieLensStyleGenerator::new(GeneratorConfig::small()).generate());
 //!
 //! let spec = ContextSpec::grouped(
@@ -72,15 +73,14 @@ pub mod metrics;
 mod retry;
 mod spec;
 mod state;
-mod supervisor;
 
 pub use admission::AdmissionPolicy;
 pub use engine::{Engine, EngineConfig};
 pub use error::EngineError;
+pub use executor::SupervisorConfig;
 pub use histogram::HistogramSnapshot;
 pub use job::{CacheReport, JobId, JobTicket, SolveRequest, SolveResponse, SolverChoice};
 pub use metrics::MetricsSnapshot;
 pub use retry::{Backoff, RetryPolicy};
 pub use spec::{ContextKey, ContextSpec};
 pub use state::{lock_recover, read_recover, write_recover};
-pub use supervisor::SupervisorConfig;

@@ -61,7 +61,7 @@ pub(crate) struct EngineMetrics {
     pub(crate) jobs_shed: Counter,
     /// Transparent resubmissions performed by [`Engine::solve_with`](crate::Engine::solve_with).
     pub(crate) jobs_retried: Counter,
-    /// Dead workers respawned by the supervisor.
+    /// Dead workers respawned (each by its own unwind guard).
     pub(crate) worker_restarts: Counter,
     /// Context-cache misses that joined an in-flight build instead of duplicating it.
     pub(crate) context_builds_deduped: Counter,
@@ -155,7 +155,7 @@ pub struct MetricsSnapshot {
     pub jobs_shed: u64,
     /// Transparent retries performed by `Engine::solve_with`.
     pub jobs_retried: u64,
-    /// Dead workers respawned by the supervisor.
+    /// Dead workers respawned (each by its own unwind guard).
     pub worker_restarts: u64,
     /// Context builds avoided by joining one already in flight.
     pub context_builds_deduped: u64,

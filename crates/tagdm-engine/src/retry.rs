@@ -6,7 +6,7 @@
 //! [`EngineError::is_transient`](crate::EngineError::is_transient)) — and how long to
 //! back off between attempts. Deterministic errors (invalid problems, unknown names,
 //! shutdown) are never retried. The same [`Backoff`] schedule also paces worker
-//! respawns in the [supervisor](crate::SupervisorConfig).
+//! respawns ([`SupervisorConfig`](crate::SupervisorConfig)).
 
 use std::time::Duration;
 

@@ -202,6 +202,72 @@ fn restart_budget_caps_respawns() {
     assert!(engine.solve(request(&spec)).result.is_ok());
 }
 
+#[test]
+fn deaths_close_together_respawn_exactly_the_budget() {
+    let _serial = serial();
+    const WORKERS: usize = 4;
+    const DEATHS: usize = 3;
+    const BUDGET: u32 = 2;
+    let (engine, spec) = engine_with_corpus(
+        EngineConfig::default()
+            .with_workers(WORKERS)
+            .with_supervisor(
+                SupervisorConfig::default()
+                    .with_max_restarts(BUDGET)
+                    .with_backoff(Backoff::new(
+                        Duration::from_millis(20),
+                        Duration::from_millis(80),
+                    )),
+            ),
+    );
+    // Warm the caches so each job below is an outcome hit, and let the warm-up's
+    // worker park again.
+    assert!(engine.solve(request(&spec)).result.is_ok());
+    std::thread::sleep(Duration::from_millis(20));
+
+    // Hold every worker in one job so all of them return to the loop top together,
+    // where the first DEATHS of them die within moments of each other. Their
+    // backoffs overlap, so each death claims from the budget while others sleep.
+    failpoint::arm_times(
+        site::RUN_JOB,
+        WORKERS as u64,
+        FailAction::Delay(Duration::from_millis(100)),
+    );
+    failpoint::arm_times(
+        site::WORKER_LOOP,
+        DEATHS as u64,
+        FailAction::Panic("burst".into()),
+    );
+    let tickets: Vec<_> = (0..WORKERS)
+        .map(|_| engine.submit(request(&spec)))
+        .collect();
+    for ticket in tickets {
+        let response = ticket
+            .wait_timeout(Duration::from_secs(10))
+            .expect("every job of the burst is answered");
+        assert!(response.result.is_ok(), "{:?}", response.result);
+    }
+
+    let settled = WORKERS - DEATHS + BUDGET as usize;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while engine.metrics().worker_restarts < u64::from(BUDGET) || engine.live_workers() != settled {
+        assert!(
+            Instant::now() < deadline,
+            "expected {settled} live workers after {BUDGET} restarts (live: {}, restarts: {})",
+            engine.live_workers(),
+            engine.metrics().worker_restarts
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Outlast every backoff: a late respawn would overshoot the budget here.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(engine.metrics().worker_restarts, u64::from(BUDGET));
+    assert_eq!(engine.live_workers(), settled);
+
+    failpoint::disarm_all();
+    assert!(engine.solve(request(&spec)).result.is_ok());
+}
+
 // --- Bounded admission and load shedding --------------------------------------------
 
 /// Occupy every worker with `Delay`ed jobs and fill the queue, so follow-up
@@ -616,6 +682,13 @@ fn chaos_storm_answers_every_caller_and_restores_the_pool() {
         site::WORKER_LOOP,
         25,
         FailAction::Panic("chaos kill".into()),
+    );
+    // Hold the first context build long enough for the cold-start stampede to find
+    // it in flight.
+    failpoint::arm_times(
+        site::CONTEXT_BUILD,
+        1,
+        FailAction::Delay(Duration::from_millis(100)),
     );
 
     const THREADS: usize = 16;

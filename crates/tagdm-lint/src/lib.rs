@@ -11,7 +11,7 @@
 //! | LK02 | observed lock nesting ⊆ declared hierarchy (`lock_order.toml`), union graph acyclic |
 //! | ER01 | every `EngineError` variant explicitly classified in `is_transient` |
 //! | FP01 | failpoint sites declared once in the registry, used in source, exercised by tests |
-//! | TH01 | no raw thread creation in `tagdm-engine` outside executor/supervisor, in `tagdm-net` outside server/conn, or in `tagdm-cluster` outside the cluster facade |
+//! | TH01 | no raw thread creation in `tagdm-engine` outside the executor, in `tagdm-net` outside server/conn, or in `tagdm-cluster` outside the cluster facade |
 //! | SL01 | no `thread::sleep` in `tagdm-core` solver hot paths |
 //! | AL01 | every `#[allow(...)]` carries a justification comment |
 //!
@@ -76,7 +76,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "TH01",
-        "no raw thread creation in tagdm-engine outside executor/supervisor, in tagdm-net outside server/conn, or in tagdm-cluster outside the cluster facade",
+        "no raw thread creation in tagdm-engine outside the executor, in tagdm-net outside server/conn, or in tagdm-cluster outside the cluster facade",
     ),
     ("SL01", "no thread::sleep in tagdm-core solver hot paths"),
     (

@@ -1,9 +1,9 @@
 //! TH01 and SL01: thread-spawn and sleep hygiene.
 //!
-//! * **TH01** — inside `tagdm-engine`, only the executor and supervisor modules may
-//!   create threads; inside `tagdm-net`, only the server (acceptor) and conn
-//!   (handler) modules may; inside `tagdm-cluster`, only the cluster facade
-//!   (scoped batch dispatch) may. Every thread must be owned by a supervision or
+//! * **TH01** — inside `tagdm-engine`, only the executor module may create
+//!   threads; inside `tagdm-net`, only the server (acceptor) and conn (handler)
+//!   modules may; inside `tagdm-cluster`, only the cluster facade (scoped batch
+//!   dispatch) may. Every thread must be owned by a supervision or
 //!   registration tree so a panic is observed — workers are respawned, the acceptor
 //!   is respawned by its guard, connection handlers are registered for
 //!   join-on-drain; a raw `thread::spawn` elsewhere is an unsupervised thread whose
@@ -17,17 +17,13 @@ use crate::report::Finding;
 use crate::SourceFile;
 
 /// The source trees TH01 polices, each with its designated thread-owner modules.
-/// The engine's threads belong to the worker pool's supervision tree; the
-/// transport's threads are the supervised acceptor (`server.rs`) and the
-/// registered, joined-on-drain connection handlers (`conn.rs`); the cluster's
-/// batch-dispatch threads live in `cluster.rs`, scoped so `solve_batch` joins
-/// every one before returning.
+/// The engine's threads are the worker pool's (`executor.rs`), each respawned by
+/// its own unwind guard; the transport's threads are the supervised acceptor
+/// (`server.rs`) and the registered, joined-on-drain connection handlers
+/// (`conn.rs`); the cluster's batch-dispatch threads live in `cluster.rs`,
+/// scoped so `solve_batch` joins every one before returning.
 const THREAD_TREES: [(&str, &[&str], &str); 3] = [
-    (
-        "crates/tagdm-engine/src/",
-        &["executor.rs", "supervisor.rs"],
-        "executor/supervisor",
-    ),
+    ("crates/tagdm-engine/src/", &["executor.rs"], "executor"),
     (
         "crates/tagdm-net/src/",
         &["server.rs", "conn.rs"],

@@ -283,6 +283,12 @@ fn th01_fires_on_raw_spawn_in_engine_but_not_in_thread_owner_modules() {
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert!(findings[0].message.contains("unsupervised"));
 
+    // The executor is the engine's one thread owner: workers respawn from their own
+    // unwind guard, so a supervisor module spawning threads is flagged too.
+    let findings = run_rule("TH01", "crates/tagdm-engine/src/supervisor.rs", bad, &[]);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].message.contains("executor modules"));
+
     // Same code is fine in the executor (the designated thread owner) …
     assert!(run_rule("TH01", "crates/tagdm-engine/src/executor.rs", bad, &[]).is_empty());
     // … and outside the policed trees entirely.

@@ -111,7 +111,9 @@ fn serve_conn(shared: &ServerShared, stream: &mut TcpStream) -> Result<(), NetEr
     stream.set_read_timeout(Some(TICK))?;
     stream.set_nodelay(true).ok();
     let mut assembler = FrameAssembler::new(shared.config.max_frame_len);
-    let mut read_deadline = Instant::now() + shared.config.read_timeout;
+    // A deadline past `Instant`'s range never fires.
+    let read_deadline_from_now = || Instant::now().checked_add(shared.config.read_timeout);
+    let mut read_deadline = read_deadline_from_now();
     loop {
         if shared.is_draining() {
             shared.metrics.goaways_sent.inc();
@@ -125,7 +127,7 @@ fn serve_conn(shared: &ServerShared, stream: &mut TcpStream) -> Result<(), NetEr
             );
             return Ok(());
         }
-        if Instant::now() >= read_deadline {
+        if read_deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(NetError::DeadlineExceeded(format!(
                 "no complete request within {:?}{}",
                 shared.config.read_timeout,
@@ -142,7 +144,7 @@ fn serve_conn(shared: &ServerShared, stream: &mut TcpStream) -> Result<(), NetEr
             ReadEvent::Frame(frame) => {
                 shared.metrics.frames_received.inc();
                 handle_frame(shared, stream, *frame)?;
-                read_deadline = Instant::now() + shared.config.read_timeout;
+                read_deadline = read_deadline_from_now();
             }
         }
     }
@@ -194,7 +196,8 @@ fn write_response(
     stream: &mut TcpStream,
     frame: &Frame,
 ) -> Result<(), NetError> {
-    let deadline = Instant::now() + shared.config.write_timeout;
+    // A deadline past `Instant`'s range never fires.
+    let deadline = Instant::now().checked_add(shared.config.write_timeout);
     // Fault injection: a delay here consumes the write budget, modelling a client
     // that stopped reading, without having to actually fill socket buffers.
     if let Err(error) = failpoint::check(site::NET_WRITE_FRAME) {
@@ -204,12 +207,12 @@ fn write_response(
         });
     }
     let now = Instant::now();
-    if now >= deadline {
+    if deadline.is_some_and(|d| now >= d) {
         return Err(NetError::DeadlineExceeded(
             "write budget exhausted before the frame was sent".to_string(),
         ));
     }
-    stream.set_write_timeout(Some(deadline - now))?;
+    stream.set_write_timeout(deadline.map(|d| d - now))?;
     match write_frame(stream, frame, shared.config.max_frame_len) {
         Ok(()) => {
             shared.metrics.frames_sent.inc();

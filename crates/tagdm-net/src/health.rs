@@ -37,7 +37,7 @@ pub struct HealthReport {
     /// Jobs sitting in the admission queue at probe time. A persistently
     /// non-zero depth is the saturation signal breakers and operators watch.
     pub queue_depth: u64,
-    /// Dead workers respawned by the engine's supervisor over its lifetime.
+    /// Dead engine workers respawned over the engine's lifetime.
     pub worker_restarts: u64,
     /// Network connections open right now on the answering server (opened minus
     /// closed). An in-process cluster shard has no server and reports 0.

@@ -25,10 +25,12 @@ use crate::shutdown::ServerShared;
 pub struct ServerConfig {
     /// A connection is cut (with a `DEADLINE_EXCEEDED` error frame) if no complete
     /// request frame arrives within this window — whether the client is idle or
-    /// dribbling a frame byte-by-byte. Resets after every complete frame.
+    /// dribbling a frame byte-by-byte. Resets after every complete frame. A window
+    /// past `Instant`'s range (such as `Duration::MAX`) never fires.
     pub read_timeout: Duration,
     /// Budget for writing one response frame. A client that stops reading (so our
-    /// socket buffers fill) is disconnected when this fires, freeing the thread.
+    /// socket buffers fill) is disconnected when this fires, freeing the thread. A
+    /// budget past `Instant`'s range never fires.
     pub write_timeout: Duration,
     /// Upper bound imposed on every job's engine deadline. Requests asking for more
     /// (or for none) are clamped down to it, so a slow solve can never pin a worker
@@ -162,8 +164,8 @@ fn spawn_acceptor(shared: &Arc<ServerShared>) -> Result<(), NetError> {
 }
 
 /// Respawns the acceptor if its thread dies to a panic, within the restart budget.
-/// Mirrors the engine's worker supervision, but inline in the dying thread's
-/// unwind (there is no dedicated supervisor thread to wake).
+/// Like the engine's worker guard, it respawns inline in the dying thread's
+/// unwind, but without a backoff.
 struct AcceptorGuard {
     shared: Arc<ServerShared>,
 }

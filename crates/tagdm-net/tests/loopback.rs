@@ -155,6 +155,23 @@ fn job_deadlines_are_clamped_to_the_server_cap() {
     );
 }
 
+/// Read and write timeouts past `Instant`'s range never fire; they must not panic
+/// the connection handler either.
+#[test]
+fn unbounded_connection_timeouts_serve_without_panicking() {
+    let (engine, spec) = engine_with_corpus(1);
+    let config = ServerConfig::default()
+        .with_read_timeout(Duration::MAX)
+        .with_write_timeout(Duration::MAX);
+    let server = Server::bind("127.0.0.1:0", engine, config).expect("bind");
+    let mut client = fast_client(&server);
+
+    let request = SolveRequest::new(spec, problem_1(params()), SolverChoice::Recommended);
+    let response = client.solve(request).expect("remote solve");
+    assert!(response.result.is_ok(), "{:?}", response.result);
+    assert_eq!(server.metrics().conn_panics.get(), 0);
+}
+
 #[test]
 fn server_counts_its_connections_and_frames() {
     let (engine, _) = engine_with_corpus(1);

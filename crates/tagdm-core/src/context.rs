@@ -214,6 +214,12 @@ impl MiningContext {
         &self.groups[idx]
     }
 
+    /// Whether the groups partition their actions, so that the [`support`](Self::support)
+    /// of a strictly ascending set is the sum of its groups' sizes.
+    pub(crate) fn disjoint(&self) -> bool {
+        self.disjoint
+    }
+
     /// All group tag signatures (parallel to [`MiningContext::groups`]).
     pub fn tag_signatures(&self) -> &[TagSignature] {
         &self.signatures

@@ -217,35 +217,35 @@ impl TagDmProblem {
     }
 
     /// The optimization goal of a set of `len` members whose pair at positions `i < j`
-    /// objective `o`'s function scores `score(o, i, j)`: `Σ weight × value`, summed in
-    /// objective order from `-0.0`.
+    /// objective `o`'s function scores `score(o, i, j)`.
     #[inline]
     pub(crate) fn objective_from(
         &self,
         len: usize,
         mut score: impl FnMut(usize, usize, usize) -> f64,
     ) -> f64 {
-        self.objectives
-            .iter()
-            .enumerate()
-            .map(|(o, spec)| spec.weight * spec.function.value(len, |i, j| score(o, i, j)))
-            .sum()
+        self.weighted_objective(|o| {
+            self.objectives[o]
+                .function
+                .value(len, |i, j| score(o, i, j))
+        })
     }
 
     /// The pairwise contribution of the optimization goal for a single pair of groups —
     /// the edge weight used by the facility-dispersion solvers.
     pub fn pairwise_objective(&self, ctx: &MiningContext, a: usize, b: usize) -> f64 {
-        self.pairwise_objective_from(|o| self.objectives[o].function.evaluate_pair(ctx, a, b))
+        self.weighted_objective(|o| self.objectives[o].function.evaluate_pair(ctx, a, b))
     }
 
-    /// The pairwise objective of a pair that objective `o`'s function scores `score(o)`:
-    /// `Σ weight × score`, summed in objective order from `-0.0`.
+    /// The optimization goal given objective `o`'s value `value(o)` (a set's function
+    /// value, or a single pair's score for the pairwise objective): `Σ weight × value`,
+    /// summed in objective order from `-0.0`.
     #[inline]
-    pub(crate) fn pairwise_objective_from(&self, mut score: impl FnMut(usize) -> f64) -> f64 {
+    pub(crate) fn weighted_objective(&self, mut value: impl FnMut(usize) -> f64) -> f64 {
         self.objectives
             .iter()
             .enumerate()
-            .map(|(o, spec)| spec.weight * score(o))
+            .map(|(o, spec)| spec.weight * value(o))
             .sum()
     }
 
@@ -268,19 +268,30 @@ impl TagDmProblem {
         })
     }
 
-    /// Whether every hard constraint [`holds`](ConstraintSpec::holds) for a set of `len`
-    /// members whose pair at positions `i < j` constraint `f`'s function scores
-    /// `score(f, i, j)`. The constraints are tested in order, up to the first that fails.
+    /// Whether every hard constraint admits its function's
+    /// [`value`](DualMiningFunction::value) on a set of `len` members whose pair at
+    /// positions `i < j` constraint `f`'s function scores `score(f, i, j)`.
     #[inline]
     pub(crate) fn constraints_hold(
         &self,
         len: usize,
         mut score: impl FnMut(usize, usize, usize) -> f64,
     ) -> bool {
+        self.constraints_admit(|f| {
+            self.constraints[f]
+                .function
+                .value(len, |i, j| score(f, i, j))
+        })
+    }
+
+    /// Whether every hard constraint [`admits`](ConstraintSpec::admits) its function's
+    /// value `value(f)`. The constraints are tested in order, up to the first that fails.
+    #[inline]
+    pub(crate) fn constraints_admit(&self, mut value: impl FnMut(usize) -> f64) -> bool {
         self.constraints
             .iter()
             .enumerate()
-            .all(|(f, c)| c.holds(len, |i, j| score(f, i, j)))
+            .all(|(f, c)| c.admits(value(f)))
     }
 
     /// Full feasibility: size bounds, support threshold and every hard constraint.

@@ -364,7 +364,7 @@ const MAX_RANKED_WORDS: usize = 1 << 14;
 /// passing a test is the first such pair among those that pass it. Beside its ranked
 /// pairs a bucket keeps, per objective function in objective order, the triangle of its
 /// pairs' scores in `(i < j)` row-major order (see [`RankedBucket::score`]), and the
-/// ranking values exactly those scores, by [`TagDmProblem::pairwise_objective_from`].
+/// ranking values exactly those scores, by [`TagDmProblem::weighted_objective`].
 ///
 /// A bucket keeps neither ranking nor scores when one of its ranking scores is NaN,
 /// which no order ranks, or when its pairs and scores would take the ranking past
@@ -433,7 +433,7 @@ impl BucketRanking {
                 let mut t = 0;
                 for i in 0..len {
                     for j in i + 1..len {
-                        let score = problem.pairwise_objective_from(|o| triangles[o * count + t]);
+                        let score = problem.weighted_objective(|o| triangles[o * count + t]);
                         ranked.push((score, [i as u32, j as u32]));
                         t += 1;
                     }
@@ -550,7 +550,7 @@ impl<'a> BucketScores<'a> {
     #[inline]
     fn pairwise_objective(&self, i: usize, j: usize) -> f64 {
         self.problem
-            .pairwise_objective_from(|o| self.objective_score(o, i, j))
+            .weighted_objective(|o| self.objective_score(o, i, j))
     }
 
     /// Whether the 2-set of positions `i` and `j` satisfies every constraint.

@@ -733,6 +733,13 @@ fn chaos_storm_answers_every_caller_and_restores_the_pool() {
     );
 
     failpoint::disarm_all();
+    // A worker killed by one of the storm's last escape panics still counts as live
+    // until its unwind guard runs, so wait (bounded) for a restart to be recorded
+    // before polling the pool, which alone would race the death itself.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while engine.metrics().worker_restarts == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     // Supervision restores the pool: no leaked (dead) workers.
     wait_for_pool(&engine, 4);
 

@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 use tagdm_engine::histogram::LatencyHistogram;
 use tagdm_engine::metrics::Counter;
 use tagdm_engine::{
-    read_recover, write_recover, CacheReport, ContextKey, EngineError, JobId, RetryPolicy,
-    SolveRequest, SolveResponse,
+    read_recover, write_recover, ContextKey, EngineError, JobId, RetryPolicy, SolveRequest,
+    SolveResponse,
 };
 
 use crate::backend::ShardBackend;
@@ -98,8 +98,9 @@ impl ClusterConfig {
 }
 
 /// One scatter group: the owning shard (`None` = unroutable, answered inline)
-/// and that shard's requests tagged with their positions in the original batch.
-type ShardGroup = (Option<usize>, Vec<(usize, SolveRequest)>);
+/// and that shard's requests, each tagged with its position in the original
+/// batch and its rendered routing key.
+type ShardGroup = (Option<usize>, Vec<(usize, ContextKey, SolveRequest)>);
 
 /// One shard slot: name, backend, breaker and routing counters.
 struct Shard {
@@ -256,9 +257,15 @@ impl Cluster {
     /// answers [`EngineError::ShardUnavailable`] (which is transient — a
     /// caller-side retry policy treats it like overload).
     pub fn solve(&self, request: SolveRequest) -> SolveResponse {
-        let started = Instant::now();
         let key = request.context.key();
-        let candidates = self.route(&key);
+        self.solve_keyed(&key, request)
+    }
+
+    /// [`solve`](Self::solve) for a request whose routing key is already
+    /// rendered. The ring is read here, at dispatch.
+    fn solve_keyed(&self, key: &ContextKey, request: SolveRequest) -> SolveResponse {
+        let started = Instant::now();
+        let candidates = self.route(key);
         let primary = candidates
             .first()
             .map(|&index| self.shards[index].name.clone())
@@ -320,7 +327,12 @@ impl Cluster {
             }
         }
         self.routing.record(started.elapsed());
-        unavailable_response(primary, detail, started.elapsed())
+        // The sentinel job id marks that no engine ever saw the request.
+        let error = EngineError::ShardUnavailable {
+            shard: primary,
+            detail,
+        };
+        SolveResponse::failed(JobId(u64::MAX), error, Duration::ZERO, started.elapsed())
     }
 
     /// [`solve`](Self::solve) with transparent retries of transient failures,
@@ -328,17 +340,10 @@ impl Cluster {
     /// Because `ShardUnavailable` is transient, a retry policy here also rides
     /// out breaker cool-downs.
     pub fn solve_with(&self, request: SolveRequest, policy: RetryPolicy) -> SolveResponse {
-        let attempts = policy.max_attempts.max(1);
-        let mut attempt = 0;
-        loop {
-            let response = self.solve(request.clone());
-            let retryable = matches!(&response.result, Err(error) if error.is_transient());
-            if !retryable || attempt + 1 >= attempts {
-                return response;
-            }
-            thread::sleep(policy.backoff.delay(attempt));
-            attempt += 1;
-        }
+        policy.run(
+            |_| self.solve(request.clone()),
+            |response| matches!(&response.result, Err(error) if error.is_transient()),
+        )
     }
 
     /// Scatter-gather a batch: group by primary shard, dispatch each group on
@@ -347,13 +352,16 @@ impl Cluster {
     pub fn solve_batch(&self, requests: Vec<SolveRequest>) -> Vec<SolveResponse> {
         let total = requests.len();
         // Group request indices by primary shard; unroutable requests (empty
-        // ring) keep a `None` group and are answered inline by `solve`.
+        // ring) keep a `None` group and are answered inline by `solve_keyed`.
+        // Each key is rendered once, here, and travels with its request.
         let mut groups: Vec<ShardGroup> = Vec::new();
         for (position, request) in requests.into_iter().enumerate() {
-            let owner = self.route(&request.context.key()).first().copied();
+            let key = request.context.key();
+            let owner = self.route(&key).first().copied();
+            let entry = (position, key, request);
             match groups.iter_mut().find(|(shard, _)| *shard == owner) {
-                Some((_, group)) => group.push((position, request)),
-                None => groups.push((owner, vec![(position, request)])),
+                Some((_, group)) => group.push(entry),
+                None => groups.push((owner, vec![entry])),
             }
         }
         let mut slots: Vec<Option<SolveResponse>> = (0..total).map(|_| None).collect();
@@ -368,7 +376,9 @@ impl Cluster {
                     .spawn_scoped(scope, move || {
                         group
                             .into_iter()
-                            .map(|(position, request)| (position, self.solve(request)))
+                            .map(|(position, key, request)| {
+                                (position, self.solve_keyed(&key, request))
+                            })
                             .collect::<Vec<_>>()
                     })
                     .expect("dispatch thread spawns");
@@ -450,19 +460,5 @@ impl Cluster {
         read_recover(&self.ring)
             .replicas("membership-probe")
             .contains(&index)
-    }
-}
-
-/// The answer for a request no shard could take. `ShardUnavailable` is
-/// transient, so `solve_with`-style retry policies treat it like overload. The
-/// sentinel job id marks that no engine ever saw the request.
-fn unavailable_response(shard: String, detail: String, total: Duration) -> SolveResponse {
-    SolveResponse {
-        job: JobId(u64::MAX),
-        result: Err(EngineError::ShardUnavailable { shard, detail }),
-        cache: CacheReport::default(),
-        deadline_hit: false,
-        queue_wait: Duration::ZERO,
-        total,
     }
 }

@@ -5,16 +5,22 @@
 //! Table-1 workload solved through a multi-shard `Cluster` bit-matches what a
 //! single in-process `Engine` returns for the same requests.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use tagdm_cluster::{BreakerState, Cluster, ClusterConfig, SpillPolicy};
+use tagdm_cluster::{
+    BreakerState, Cluster, ClusterConfig, LocalShard, ShardBackend, ShardError, SpillPolicy,
+};
 use tagdm_core::catalog::{self, ProblemParams};
 use tagdm_core::context::SummarizerChoice;
 use tagdm_core::solvers::SolverOutcome;
 use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
-use tagdm_engine::{ContextSpec, Engine, EngineConfig, SolveRequest, SolverChoice};
-use tagdm_net::{Client, ClientConfig, HealthStatus, Server, ServerConfig};
+use tagdm_engine::{
+    Backoff, ContextSpec, Engine, EngineConfig, EngineError, RetryPolicy, SolveRequest,
+    SolveResponse, SolverChoice,
+};
+use tagdm_net::{Client, ClientConfig, HealthReport, HealthStatus, Server, ServerConfig};
 
 const GROUPING: [(&str, &str); 2] = [("user", "gender"), ("item", "genre")];
 
@@ -274,4 +280,99 @@ fn fail_fast_does_not_spill() {
         .expect("survivor");
     assert_eq!(survivor.routed, 1);
     assert_eq!(survivor.spilled, 0);
+}
+
+/// A shard whose first `failures` dispatches fail transiently, then delegate to
+/// a local engine.
+struct FlakyShard {
+    failures: AtomicU32,
+    inner: LocalShard,
+}
+
+const FLAKY_DETAIL: &str = "injected dispatch fault";
+
+impl ShardBackend for FlakyShard {
+    fn solve(&self, request: SolveRequest) -> Result<SolveResponse, ShardError> {
+        let failing = self
+            .failures
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
+                left.checked_sub(1)
+            })
+            .is_ok();
+        if failing {
+            return Err(ShardError {
+                transient: true,
+                detail: FLAKY_DETAIL.to_string(),
+            });
+        }
+        self.inner.solve(request)
+    }
+
+    fn ping(&self) -> Result<(), ShardError> {
+        self.inner.ping()
+    }
+
+    fn health(&self) -> Result<HealthReport, ShardError> {
+        self.inner.health()
+    }
+
+    fn kind(&self) -> &'static str {
+        "flaky"
+    }
+}
+
+/// One flaky shard failing its first two dispatches; the default breaker
+/// threshold (5) stays closed through them.
+fn flaky_cluster() -> Cluster {
+    let shard = FlakyShard {
+        failures: AtomicU32::new(2),
+        inner: LocalShard::new(engine_with_corpus(1)),
+    };
+    Cluster::builder(ClusterConfig::default())
+        .shard("flaky-0", Box::new(shard))
+        .build()
+}
+
+fn quick(policy: RetryPolicy) -> RetryPolicy {
+    policy.with_backoff(Backoff::new(
+        Duration::from_millis(1),
+        Duration::from_millis(2),
+    ))
+}
+
+/// `solve_with` rides out transient dispatch failures: the third attempt
+/// answers what a single engine answers.
+#[test]
+fn solve_with_retries_transient_dispatch_failures() {
+    let cluster = flaky_cluster();
+    let request = table1_workload().remove(0);
+    let response = cluster.solve_with(request.clone(), quick(RetryPolicy::attempts(3)));
+    let direct = engine_with_corpus(1).solve(request);
+    assert_eq!(
+        normalize(response.result.expect("the third attempt answers")),
+        normalize(direct.result.expect("engine outcome")),
+    );
+    assert_eq!(cluster.breaker_state("flaky-0"), Some(BreakerState::Closed));
+    let shard = &cluster.metrics().shards[0];
+    assert_eq!((shard.routed, shard.failed), (3, 2));
+}
+
+/// Without retries the first transient dispatch failure is the answer: a
+/// transient `ShardUnavailable` carrying the backend's dispatch detail.
+#[test]
+fn solve_with_no_retries_answers_the_dispatch_failure() {
+    let cluster = flaky_cluster();
+    let request = table1_workload().remove(0);
+    let response = cluster.solve_with(request, RetryPolicy::none());
+    let error = response.result.expect_err("the first dispatch fails");
+    assert!(error.is_transient());
+    assert_eq!(
+        error,
+        EngineError::ShardUnavailable {
+            shard: "flaky-0".to_string(),
+            detail: format!("shard `flaky-0` dispatch failed: {FLAKY_DETAIL}"),
+        }
+    );
+    assert!(!response.deadline_hit);
+    assert_eq!(cluster.metrics().shards[0].failed, 1);
 }

@@ -218,18 +218,15 @@ impl Engine {
     /// — are returned on the first attempt; see [`EngineError::is_transient`]. The
     /// response of the last attempt is returned once the policy's budget is spent.
     pub fn solve_with(&self, request: SolveRequest, policy: RetryPolicy) -> SolveResponse {
-        let attempts = policy.max_attempts.max(1);
-        let mut attempt = 0;
-        loop {
-            let response = self.solve(request.clone());
-            let retryable = matches!(&response.result, Err(error) if error.is_transient());
-            if !retryable || attempt + 1 >= attempts {
-                return response;
-            }
-            self.state.metrics.jobs_retried.inc();
-            std::thread::sleep(policy.backoff.delay(attempt));
-            attempt += 1;
-        }
+        policy.run(
+            |attempt| {
+                if attempt > 0 {
+                    self.state.metrics.jobs_retried.inc();
+                }
+                self.solve(request.clone())
+            },
+            |response| matches!(&response.result, Err(error) if error.is_transient()),
+        )
     }
 
     /// Submit a batch and collect the responses in request order. The batch runs

@@ -5,10 +5,10 @@
 //! inside a `catch_unwind` boundary and sends the [`SolveResponse`] back on the job's
 //! private reply channel. Three fault-tolerance guarantees hold:
 //!
-//! * **Every admitted job is answered exactly once.** A [`Responder`] wraps the reply
-//!   channel behind a send-once flag; if the job's execution unwinds before it
-//!   answered, the worker answers with [`EngineError::WorkerPanicked`] instead of
-//!   dropping the channel and hanging (or mis-erroring) the caller.
+//! * **Every admitted job is answered exactly once, by construction.** `run_job`
+//!   returns the job's answer instead of sending it; `execute` maps an unwind out of
+//!   it to [`EngineError::WorkerPanicked`] and then sends the one response, so no
+//!   path can answer twice or drop the channel and hang the caller.
 //! * **A panicking solver does not kill its worker.** The unwind is caught at the job
 //!   boundary; the worker dequeues the next job.
 //! * **A panic that escapes the boundary does not shrink the pool.** Each worker holds
@@ -23,14 +23,14 @@
 //! while it checks "closed", spawns and registers; so no replacement is ever missed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use tagdm_core::solvers::CancelToken;
+use tagdm_core::solvers::{CancelToken, SolverOutcome};
 
 use crate::admission::{AdmissionPolicy, JobQueue};
 use crate::error::EngineError;
@@ -99,16 +99,11 @@ impl Job {
 
     /// Answer the job with an error without running it (admission failure, shed).
     pub(crate) fn answer_error(self, error: EngineError, metrics: &EngineMetrics) {
-        let deadline_hit = matches!(error, EngineError::DeadlineExpiredInQueue { .. });
         metrics.jobs_completed.inc();
-        let _ = self.reply.send(SolveResponse {
-            job: self.id,
-            result: Err(error),
-            cache: CacheReport::default(),
-            deadline_hit,
-            queue_wait: self.submitted.elapsed(),
-            total: self.submitted.elapsed(),
-        });
+        let waited = self.submitted.elapsed();
+        let _ = self
+            .reply
+            .send(SolveResponse::failed(self.id, error, waited, waited));
     }
 }
 
@@ -313,7 +308,7 @@ fn worker_loop(queue: &JobQueue, state: &EngineState) {
     }
 }
 
-/// Run one job inside the panic-isolation boundary, guaranteeing exactly one reply.
+/// Run one job inside the panic-isolation boundary and send its one reply.
 fn execute(state: &EngineState, job: Job) {
     let deadline = job.deadline_instant();
     let Job {
@@ -324,63 +319,32 @@ fn execute(state: &EngineState, job: Job) {
     } = job;
     let queue_wait = submitted.elapsed();
     state.metrics.queue_wait.record(queue_wait);
-    let responder = Responder {
-        id,
-        reply,
-        submitted,
-        queue_wait,
-        sent: AtomicBool::new(false),
-    };
-    let unwound = catch_unwind(AssertUnwindSafe(|| {
-        run_job(state, request, deadline, &responder);
-    }));
-    if let Err(payload) = unwound {
+    let answer = catch_unwind(AssertUnwindSafe(|| {
+        run_job(state, request, deadline, queue_wait)
+    }))
+    .unwrap_or_else(|payload| {
         state.metrics.jobs_panicked.inc();
-        responder.send(
-            state,
-            Err(EngineError::WorkerPanicked {
-                // `as_ref` reaches the payload itself — `&payload` would coerce the
-                // `Box<dyn Any>` into the `dyn Any` and every downcast would miss.
-                payload: panic_message(payload.as_ref()),
-            }),
-            CacheReport::default(),
-            false,
-        );
-    }
-}
-
-/// A reply channel that sends at most once (the panic path may race a response the
-/// job already sent).
-struct Responder {
-    id: JobId,
-    reply: Sender<SolveResponse>,
-    submitted: Instant,
-    queue_wait: Duration,
-    sent: AtomicBool,
-}
-
-impl Responder {
-    fn send(
-        &self,
-        state: &EngineState,
-        result: Result<tagdm_core::solvers::SolverOutcome, EngineError>,
-        cache: CacheReport,
-        deadline_hit: bool,
-    ) {
-        if self.sent.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        state.metrics.jobs_completed.inc();
-        // A dropped ticket just means nobody is waiting for this answer.
-        let _ = self.reply.send(SolveResponse {
-            job: self.id,
-            result,
+        Err(EngineError::WorkerPanicked {
+            // `as_ref` reaches the payload itself — `&payload` would coerce the
+            // `Box<dyn Any>` into the `dyn Any` and every downcast would miss.
+            payload: panic_message(payload.as_ref()),
+        })
+    });
+    state.metrics.jobs_completed.inc();
+    let total = submitted.elapsed();
+    let response = match answer {
+        Ok((outcome, cache, deadline_hit)) => SolveResponse {
+            job: id,
+            result: Ok(outcome),
             cache,
             deadline_hit,
-            queue_wait: self.queue_wait,
-            total: self.submitted.elapsed(),
-        });
-    }
+            queue_wait,
+            total,
+        },
+        Err(error) => SolveResponse::failed(id, error, queue_wait, total),
+    };
+    // A dropped ticket just means nobody is waiting for this answer.
+    let _ = reply.send(response);
 }
 
 /// Render a caught panic payload for [`EngineError::WorkerPanicked`].
@@ -394,41 +358,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Solve one dequeued job: its outcome, which cache layers served it and whether its
+/// deadline truncated the search, or the error that answers it instead.
 fn run_job(
     state: &EngineState,
     request: SolveRequest,
     deadline: Option<Instant>,
-    reply: &Responder,
-) {
+    queue_wait: Duration,
+) -> Result<(SolverOutcome, CacheReport, bool), EngineError> {
     // Inside the boundary: an injected panic here is caught and answered.
-    if let Err(error) = failpoint::check(failpoint::site::RUN_JOB) {
-        reply.send(state, Err(error), CacheReport::default(), false);
-        return;
-    }
+    failpoint::check(failpoint::site::RUN_JOB)?;
 
     // A deadline that fired while the job was queued: don't start the solve at all.
     if deadline.is_some_and(|d| Instant::now() >= d) {
         state.metrics.jobs_expired.inc();
-        reply.send(
-            state,
-            Err(EngineError::DeadlineExpiredInQueue {
-                waited: reply.queue_wait,
-            }),
-            CacheReport::default(),
-            true,
-        );
-        return;
+        return Err(EngineError::DeadlineExpiredInQueue { waited: queue_wait });
     }
 
-    if let Err(message) = request.problem.validate() {
-        reply.send(
-            state,
-            Err(EngineError::InvalidProblem(message)),
-            CacheReport::default(),
-            false,
-        );
-        return;
-    }
+    request
+        .problem
+        .validate()
+        .map_err(EngineError::InvalidProblem)?;
 
     // The outcome cache is consulted before the context: a hit needs only the
     // registration's generation, and a miss resolves against the same registration.
@@ -438,47 +388,27 @@ fn run_job(
         solver,
         ..
     } = request;
-    let (generation, registration) = match state.registration(&spec) {
-        Ok(registration) => registration,
-        Err(error) => {
-            reply.send(state, Err(error), CacheReport::default(), false);
-            return;
-        }
-    };
+    let (generation, registration) = state.registration(&spec)?;
     let key = OutcomeKey {
         context: ContextId { spec, generation },
         solver,
         problem,
     };
-    if let Err(error) = failpoint::check(failpoint::site::OUTCOME_LOOKUP) {
-        reply.send(state, Err(error), CacheReport::default(), false);
-        return;
-    }
+    failpoint::check(failpoint::site::OUTCOME_LOOKUP)?;
     let looking = Instant::now();
     if let Some(outcome) = state.lookup_outcome(&key) {
         state.metrics.record_solve(looking.elapsed(), true);
-        reply.send(
-            state,
-            Ok(outcome),
-            CacheReport {
-                context_hit: true,
-                outcome_hit: true,
-            },
-            false,
-        );
-        return;
+        let cache = CacheReport {
+            context_hit: true,
+            outcome_hit: true,
+        };
+        return Ok((outcome, cache, false));
     }
 
     let resolving = Instant::now();
     let resolved = state.resolve_context(&key.context, registration);
     state.metrics.context_resolve.record(resolving.elapsed());
-    let (context, context_hit) = match resolved {
-        Ok(resolved) => resolved,
-        Err(error) => {
-            reply.send(state, Err(error), CacheReport::default(), false);
-            return;
-        }
-    };
+    let (context, context_hit) = resolved?;
     // The solve clock starts once the context is in hand, so context builds and waits
     // on a deduplicated build land in `context_resolve`, not in `solve_miss`.
     let started = Instant::now();
@@ -495,13 +425,9 @@ fn run_job(
     if !deadline_hit {
         state.store_outcome(key, outcome.clone());
     }
-    reply.send(
-        state,
-        Ok(outcome),
-        CacheReport {
-            context_hit,
-            outcome_hit: false,
-        },
-        deadline_hit,
-    );
+    let cache = CacheReport {
+        context_hit,
+        outcome_hit: false,
+    };
+    Ok((outcome, cache, deadline_hit))
 }

@@ -121,6 +121,22 @@ pub struct SolveResponse {
     pub total: Duration,
 }
 
+impl SolveResponse {
+    /// The answer for a job that produced no outcome: no cache layer served it, and
+    /// `deadline_hit` is set exactly when the error is
+    /// [`EngineError::DeadlineExpiredInQueue`]. Every error answer is built here.
+    pub fn failed(job: JobId, error: EngineError, queue_wait: Duration, total: Duration) -> Self {
+        SolveResponse {
+            job,
+            deadline_hit: matches!(error, EngineError::DeadlineExpiredInQueue { .. }),
+            result: Err(error),
+            cache: CacheReport::default(),
+            queue_wait,
+            total,
+        }
+    }
+}
+
 /// A handle to a submitted job: resolves to the [`SolveResponse`] when the worker pool
 /// answers.
 pub struct JobTicket {
@@ -137,10 +153,14 @@ impl JobTicket {
     /// Block until the response arrives. If the engine shuts down first, a synthetic
     /// [`EngineError::Shutdown`] response is returned.
     pub fn wait(self) -> SolveResponse {
-        let id = self.id;
-        self.receiver
-            .recv()
-            .unwrap_or_else(|_| shutdown_response(id))
+        self.receiver.recv().unwrap_or_else(|_| {
+            SolveResponse::failed(
+                self.id,
+                EngineError::Shutdown,
+                Duration::ZERO,
+                Duration::ZERO,
+            )
+        })
     }
 
     /// Block for at most `timeout`. `None` means the job is still running.
@@ -148,19 +168,13 @@ impl JobTicket {
         match self.receiver.recv_timeout(timeout) {
             Ok(response) => Some(response),
             Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => Some(shutdown_response(self.id)),
+            Err(RecvTimeoutError::Disconnected) => Some(SolveResponse::failed(
+                self.id,
+                EngineError::Shutdown,
+                Duration::ZERO,
+                Duration::ZERO,
+            )),
         }
-    }
-}
-
-pub(crate) fn shutdown_response(id: JobId) -> SolveResponse {
-    SolveResponse {
-        job: id,
-        result: Err(EngineError::Shutdown),
-        cache: CacheReport::default(),
-        deadline_hit: false,
-        queue_wait: Duration::ZERO,
-        total: Duration::ZERO,
     }
 }
 

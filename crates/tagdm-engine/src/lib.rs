@@ -33,7 +33,8 @@
 //!   blocks-with-timeout or sheds oldest work per [`AdmissionPolicy`], so overload
 //!   fails fast instead of collapsing latency.
 //! * **Retry with backoff** — [`Engine::solve_with`] transparently resubmits requests
-//!   that failed transiently, per [`RetryPolicy`].
+//!   that failed transiently, per [`RetryPolicy`]; [`RetryPolicy::run`] is the one
+//!   retry loop, which the cluster and the network client share.
 //! * **Fault injection** — with the `failpoints` cargo feature, tests arm named
 //!   [`failpoint`] sites to force panics, delays and errors deterministically.
 //!

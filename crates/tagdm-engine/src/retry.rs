@@ -1,12 +1,14 @@
-//! Retry policies for transient engine failures.
+//! Retry policies for transient failures.
 //!
-//! A [`RetryPolicy`] tells [`Engine::solve_with`](crate::Engine::solve_with) how many
-//! times to resubmit a request whose failure was *transient* — a caught worker panic,
-//! an overloaded admission queue or a queue-expired deadline (see
-//! [`EngineError::is_transient`](crate::EngineError::is_transient)) — and how long to
-//! back off between attempts. Deterministic errors (invalid problems, unknown names,
-//! shutdown) are never retried. The same [`Backoff`] schedule also paces worker
-//! respawns ([`SupervisorConfig`](crate::SupervisorConfig)).
+//! A [`RetryPolicy`] says how many attempts a call gets and how long to back off
+//! between them; [`RetryPolicy::run`] is the one retry loop, shared by
+//! [`Engine::solve_with`](crate::Engine::solve_with), the cluster's `solve_with` and
+//! the network client. Each caller says what is *transient*: for engine answers that
+//! is a caught worker panic, an overloaded admission queue or a queue-expired
+//! deadline (see [`EngineError::is_transient`](crate::EngineError::is_transient)).
+//! Deterministic errors (invalid problems, unknown names, shutdown) are never retried.
+//! The same [`Backoff`] schedule also paces worker respawns
+//! ([`SupervisorConfig`](crate::SupervisorConfig)).
 
 use std::time::Duration;
 
@@ -93,6 +95,37 @@ impl RetryPolicy {
     pub fn with_backoff(mut self, backoff: Backoff) -> Self {
         self.backoff = backoff;
         self
+    }
+
+    /// Run `attempt` under this policy and return the last result. `attempt` gets
+    /// its 0-based attempt number; up to `max_attempts.max(1)` attempts run, and
+    /// retry `n` sleeps `backoff.delay(n)` first. Only a result `transient` accepts
+    /// is retried.
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use tagdm_engine::{Backoff, RetryPolicy};
+    ///
+    /// let tick = Duration::from_micros(1);
+    /// let policy = RetryPolicy::attempts(3).with_backoff(Backoff::new(tick, tick));
+    /// assert_eq!(policy.run(|attempt| attempt, |_| true), 2); // budget spent
+    /// assert_eq!(policy.run(|attempt| attempt, |&a| a < 1), 1); // 1 is not transient
+    /// ```
+    pub fn run<T>(
+        &self,
+        mut attempt: impl FnMut(u32) -> T,
+        mut transient: impl FnMut(&T) -> bool,
+    ) -> T {
+        let attempts = self.max_attempts.max(1);
+        let mut tries = 0;
+        loop {
+            let result = attempt(tries);
+            if tries + 1 >= attempts || !transient(&result) {
+                return result;
+            }
+            std::thread::sleep(self.backoff.delay(tries));
+            tries += 1;
+        }
     }
 }
 

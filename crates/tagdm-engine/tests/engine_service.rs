@@ -12,7 +12,8 @@ use tagdm_data::dataset::Dataset;
 use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
 use tagdm_data::group::GroupingScheme;
 use tagdm_engine::{
-    ContextSpec, Engine, EngineConfig, EngineError, RetryPolicy, SolveRequest, SolverChoice,
+    CacheReport, ContextSpec, Engine, EngineConfig, EngineError, RetryPolicy, SolveRequest,
+    SolverChoice,
 };
 use tagdm_topics::lda::LdaConfig;
 
@@ -252,6 +253,65 @@ fn unrunnable_lda_config_is_an_invalid_recipe_not_a_panic() {
     let metrics = engine.metrics();
     assert_eq!(metrics.jobs_panicked, 0);
     assert_eq!(metrics.jobs_retried, 0);
+}
+
+/// Each early exit of a worker's job (`failpoints` adds the injected ones in
+/// `fault_tolerance.rs`) is answered once: its typed error, no cache layer,
+/// `deadline_hit` only for a queue expiry, and exactly one more completed job.
+#[test]
+fn every_early_exit_answers_once_with_a_bare_error() {
+    let (engine, spec) = engine_with_registered_corpus(1);
+    let mut invalid = problem_1(params());
+    invalid.objectives[0].weight = f64::INFINITY;
+    type Row = (&'static str, SolveRequest, fn(&EngineError) -> bool, bool);
+    let rows: [Row; 4] = [
+        (
+            "unknown dataset",
+            SolveRequest::new(
+                ContextSpec::grouped("nope", &GROUPING, MIN_GROUP_SIZE, SUMMARIZER),
+                problem_1(params()),
+                SolverChoice::Recommended,
+            ),
+            |error| *error == EngineError::UnknownDataset("nope".to_string()),
+            false,
+        ),
+        (
+            "unknown installed context",
+            SolveRequest::new(
+                ContextSpec::installed("nope"),
+                problem_1(params()),
+                SolverChoice::Recommended,
+            ),
+            |error| *error == EngineError::UnknownContext("nope".to_string()),
+            false,
+        ),
+        (
+            "invalid problem",
+            SolveRequest::new(spec.clone(), invalid, SolverChoice::Exact),
+            |error| matches!(error, EngineError::InvalidProblem(_)),
+            false,
+        ),
+        (
+            "zero deadline",
+            SolveRequest::new(spec, problem_1(params()), SolverChoice::Exact)
+                .with_deadline(Duration::ZERO),
+            |error| matches!(error, EngineError::DeadlineExpiredInQueue { .. }),
+            true,
+        ),
+    ];
+    for (row, request, expected, deadline_hit) in rows {
+        let completed = engine.metrics().jobs_completed;
+        let response = engine.solve(request);
+        let error = response.result.expect_err(row);
+        assert!(expected(&error), "{row}: got {error:?}");
+        assert_eq!(response.cache, CacheReport::default(), "{row}");
+        assert_eq!(response.deadline_hit, deadline_hit, "{row}");
+        assert!(response.queue_wait <= response.total, "{row}");
+        assert_eq!(engine.metrics().jobs_completed, completed + 1, "{row}");
+    }
+    let metrics = engine.metrics();
+    assert_eq!(metrics.jobs_submitted, metrics.jobs_completed);
+    assert_eq!(metrics.jobs_expired, 1);
 }
 
 /// Solve `request` on the engine and check the answer equals a direct solve over

@@ -15,8 +15,8 @@ use tagdm_core::context::SummarizerChoice;
 use tagdm_data::generator::{GeneratorConfig, MovieLensStyleGenerator};
 use tagdm_engine::failpoint::{self, site, FailAction};
 use tagdm_engine::{
-    AdmissionPolicy, Backoff, ContextSpec, Engine, EngineConfig, EngineError, RetryPolicy,
-    SolveRequest, SolverChoice, SupervisorConfig,
+    AdmissionPolicy, Backoff, CacheReport, ContextSpec, Engine, EngineConfig, EngineError,
+    RetryPolicy, SolveRequest, SolverChoice, SupervisorConfig,
 };
 
 static FAILPOINT_TESTS: Mutex<()> = Mutex::new(());
@@ -634,6 +634,55 @@ fn outcome_lookup_fault_answers_the_ticket_and_clears() {
         .wait_timeout(Duration::from_secs(10))
         .expect("the second attempt answers");
     assert!(response.result.is_ok());
+}
+
+/// The failpoint rows of `engine_service.rs`'s early-exit table: an injected error at
+/// job start, a caught panic there and an injected error at the outcome lookup are
+/// each answered once, with their typed error, no cache layer, no `deadline_hit` and
+/// exactly one more completed job.
+#[test]
+fn injected_early_exits_answer_once_with_a_bare_error() {
+    let _serial = serial();
+    let (engine, spec) = engine_with_corpus(EngineConfig::default().with_workers(1));
+    type Row = (&'static str, FailAction, fn(&EngineError) -> bool);
+    let rows: [Row; 3] = [
+        (
+            site::RUN_JOB,
+            FailAction::Error(EngineError::Overloaded { capacity: 7 }),
+            |error| *error == EngineError::Overloaded { capacity: 7 },
+        ),
+        (
+            site::RUN_JOB,
+            FailAction::Panic("injected early-exit panic".into()),
+            |error| {
+                matches!(error, EngineError::WorkerPanicked { payload }
+                    if payload.contains("injected early-exit panic"))
+            },
+        ),
+        (
+            site::OUTCOME_LOOKUP,
+            FailAction::Error(EngineError::Shutdown),
+            |error| *error == EngineError::Shutdown,
+        ),
+    ];
+    for (site, action, expected) in rows {
+        failpoint::arm_times(site, 1, action);
+        let completed = engine.metrics().jobs_completed;
+        let response = engine
+            .submit(request(&spec))
+            .wait_timeout(Duration::from_secs(10))
+            .expect("an early exit answers its ticket");
+        let error = response.result.expect_err(site);
+        assert!(expected(&error), "{site}: got {error:?}");
+        assert_eq!(response.cache, CacheReport::default(), "{site}");
+        assert!(!response.deadline_hit, "{site}");
+        assert_eq!(engine.metrics().jobs_completed, completed + 1, "{site}");
+    }
+    let metrics = engine.metrics();
+    assert_eq!(metrics.jobs_panicked, 1);
+    assert_eq!(metrics.jobs_submitted, metrics.jobs_completed);
+    // Every site spent its budget: the same request now solves.
+    assert!(engine.solve(request(&spec)).result.is_ok());
 }
 
 #[test]

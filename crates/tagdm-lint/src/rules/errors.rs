@@ -1,9 +1,10 @@
 //! ER01: every `EngineError` variant must be explicitly classified in
 //! `is_transient`.
 //!
-//! The retry layer (`Engine::solve_with`) and the chaos tests both key off
-//! [`EngineError::is_transient`]; a variant that silently falls into a default arm
-//! gets a retry policy nobody chose. The rule parses the `enum EngineError`
+//! The retry loop (`RetryPolicy::run`, as `Engine::solve_with` and
+//! `Cluster::solve_with` call it), the cluster's breakers and the chaos tests all key
+//! off [`EngineError::is_transient`]; a variant that silently falls into a default
+//! arm gets a retry policy nobody chose. The rule parses the `enum EngineError`
 //! declaration and the `fn is_transient` body from the same file, diffs the two
 //! variant sets, and additionally rejects wildcard `_` arms (which would defeat the
 //! diff — and the compiler's own exhaustiveness check — forever after).

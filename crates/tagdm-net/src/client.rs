@@ -90,10 +90,7 @@ impl Client {
             stream: None,
             next_id: 0,
         };
-        client.with_retries(|client| {
-            client.ensure_stream()?;
-            Ok(Frame::Health) // Placeholder; only the connect outcome matters here.
-        })?;
+        client.with_retries(|client| client.ensure_stream().map(|_| ()))?;
         Ok(client)
     }
 
@@ -145,26 +142,21 @@ impl Client {
     /// Run `attempt` under the retry policy: transient failures drop the
     /// connection, back off and try again on a fresh one; deterministic failures
     /// and the last attempt's error surface as-is.
-    fn with_retries(
+    fn with_retries<T>(
         &mut self,
-        mut attempt: impl FnMut(&mut Client) -> Result<Frame, NetError>,
-    ) -> Result<Frame, NetError> {
+        mut attempt: impl FnMut(&mut Client) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
         let policy = self.config.retry;
-        let attempts = policy.max_attempts.max(1);
-        let mut tries = 0;
-        loop {
-            match attempt(self) {
-                Ok(frame) => return Ok(frame),
-                Err(error) => {
+        policy.run(
+            |_| {
+                let result = attempt(self);
+                if result.is_err() {
                     self.stream = None; // Never reuse a connection after any failure.
-                    if !error.is_transient() || tries + 1 >= attempts {
-                        return Err(error);
-                    }
-                    std::thread::sleep(policy.backoff.delay(tries));
-                    tries += 1;
                 }
-            }
-        }
+                result
+            },
+            |result| result.as_ref().is_err_and(NetError::is_transient),
+        )
     }
 
     /// One request/response exchange on the current connection (connecting first

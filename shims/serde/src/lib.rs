@@ -2,21 +2,25 @@
 //!
 //! This build environment has no access to crates.io, so the workspace vendors a
 //! minimal serialization framework under the same crate name. Instead of serde's
-//! generic data model, `Serialize`/`Deserialize` go through a JSON-shaped [`Value`]
-//! tree; the companion `serde_json` shim renders and parses that tree. The derive
-//! macros (re-exported from `serde_derive`) cover the shapes this workspace uses:
-//! named/tuple/unit structs and enums with unit, newtype, tuple and struct variants,
-//! plus `#[serde(skip)]` fields (skipped on write, `Default`-filled on read).
+//! generic data model, the format is fixed: [`Serialize`] writes JSON straight into
+//! a [`Writer`], and [`Deserialize`] reads it straight from a [`Reader`]. Both live
+//! in [`json`], the one owner of the JSON format; the companion `serde_json` shim
+//! only wraps them. The derive macros (re-exported from `serde_derive`) cover the
+//! shapes this workspace uses: named/tuple/unit structs and enums with unit,
+//! newtype, tuple and struct variants, plus `#[serde(skip)]` fields (skipped on
+//! write, `Default`-filled on read).
 
 #![forbid(unsafe_code)]
 
 pub use serde_derive::{Deserialize, Serialize};
 
-pub mod value;
+pub mod json;
 
-pub use value::{Number, Value};
+pub use json::{required, Reader, Token, Writer};
 
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::time::Duration;
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,388 +45,305 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A type that can be rendered into the JSON-shaped [`Value`] model.
+/// A type that writes itself as JSON.
 pub trait Serialize {
-    /// Convert `self` into a value tree.
-    fn to_value(&self) -> Value;
+    /// Append `self` to `out`.
+    fn serialize(&self, out: &mut Writer);
 }
 
-/// A type that can be reconstructed from the JSON-shaped [`Value`] model.
+/// A type that reads itself from JSON.
 pub trait Deserialize: Sized {
-    /// Reconstruct `Self` from a value tree.
-    fn from_value(value: &Value) -> Result<Self, Error>;
+    /// Read one value from `input`.
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 // ---------------------------------------------------------------------------
 // Serialize / Deserialize impls for the std types this workspace serializes.
 // ---------------------------------------------------------------------------
 
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
+macro_rules! impl_integer {
+    ($write:ident, $read:ident: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::PosInt(*self as u64))
+            fn serialize(&self, out: &mut Writer) {
+                out.$write(*self as _);
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let n = value
-                    .as_u64()
-                    .ok_or_else(|| Error::custom(format!(
-                        "expected unsigned integer, found {}", value.kind()
-                    )))?;
-                <$t>::try_from(n).map_err(|_| Error::custom("integer out of range"))
+            fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+                <$t>::try_from(input.$read()?).map_err(|_| Error::custom("integer out of range"))
             }
         }
     )*};
 }
 
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let v = *self as i64;
-                if v < 0 {
-                    Value::Number(Number::NegInt(v))
-                } else {
-                    Value::Number(Number::PosInt(v as u64))
-                }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let n = value
-                    .as_i64()
-                    .ok_or_else(|| Error::custom(format!(
-                        "expected integer, found {}", value.kind()
-                    )))?;
-                <$t>::try_from(n).map_err(|_| Error::custom("integer out of range"))
-            }
-        }
-    )*};
-}
-
-impl_unsigned!(u8, u16, u32, u64, usize);
-impl_signed!(i8, i16, i32, i64, isize);
+impl_integer!(u64, u64: u8, u16, u32, u64, usize);
+impl_integer!(i64, i64: i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::Float(*self))
+    fn serialize(&self, out: &mut Writer) {
+        out.f64(*self);
     }
 }
 
 impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
-            .ok_or_else(|| Error::custom(format!("expected number, found {}", value.kind())))
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        input.f64()
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::Float(*self as f64))
+    fn serialize(&self, out: &mut Writer) {
+        out.f64(f64::from(*self));
     }
 }
 
 impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        f64::from_value(value).map(|v| v as f32)
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        input.f64().map(|v| v as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, out: &mut Writer) {
+        out.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!(
-                "expected bool, found {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        input.bool()
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize(&self, out: &mut Writer) {
+        out.str(self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!(
-                "expected string, found {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        input.str().map(|s| s.into_owned())
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, out: &mut Writer) {
+        out.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, out: &mut Writer) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::String(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(Error::custom(format!(
-                "expected single-char string, found {}",
-                other.kind()
-            ))),
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let s = input.str()?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(Error::custom("expected single-char string")),
         }
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, out: &mut Writer) {
+        (**self).serialize(out);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, out: &mut Writer) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(out),
+            None => out.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::custom(format!(
-                "expected array, found {}",
-                other.kind()
-            ))),
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        if input.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(input).map(Some)
         }
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut Writer) {
+        out.begin_array();
+        for item in self {
+            out.element();
+            item.serialize(out);
+        }
+        out.end_array();
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, out: &mut Writer) {
+        self.as_slice().serialize(out);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        input.begin_array()?;
+        let mut items = Vec::new();
+        while input.next_element()? {
+            items.push(T::deserialize(input)?);
+        }
+        Ok(items)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut Writer) {
+        self.as_slice().serialize(out);
     }
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) if items.len() == N => {
-                let parsed: Vec<T> = items.iter().map(T::from_value).collect::<Result<_, _>>()?;
-                parsed
-                    .try_into()
-                    .map_err(|_| Error::custom("array length mismatch"))
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        Vec::<T>::deserialize(input)?
+            .try_into()
+            .map_err(|_| Error::custom(format!("expected {N}-element array")))
+    }
+}
+
+macro_rules! impl_tuple {
+    ($len:literal: $($name:ident $index:tt),*) => {
+        impl<$($name: Serialize),*> Serialize for ($($name,)*) {
+            fn serialize(&self, out: &mut Writer) {
+                out.begin_array();
+                $(out.element(); self.$index.serialize(out);)*
+                out.end_array();
             }
-            other => Err(Error::custom(format!(
-                "expected {N}-element array, found {}",
-                other.kind()
-            ))),
         }
-    }
-}
-
-impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
-    }
-}
-
-impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) if items.len() == 2 => {
-                Ok((A::from_value(&items[0])?, B::from_value(&items[1])?))
+        impl<$($name: Deserialize),*> Deserialize for ($($name,)*) {
+            fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+                input.begin_array()?;
+                let value = ($(input.element::<$name>($len)?,)*);
+                input.end_array($len)?;
+                Ok(value)
             }
-            other => Err(Error::custom(format!(
-                "expected 2-element array, found {}",
-                other.kind()
-            ))),
         }
+    };
+}
+
+impl_tuple!(2: A 0, B 1);
+impl_tuple!(3: A 0, B 1, C 2);
+
+/// Write `(key, value)` members as one object.
+fn serialize_map<'a, V: Serialize + 'a>(
+    members: impl Iterator<Item = (&'a String, &'a V)>,
+    out: &mut Writer,
+) {
+    out.begin_object();
+    for (key, value) in members {
+        out.field(key, value);
+    }
+    out.end_object();
+}
+
+/// Read an object's members into any map; a repeated key keeps its last value.
+fn deserialize_map<V: Deserialize, M: Default + Extend<(String, V)>>(
+    input: &mut Reader<'_>,
+) -> Result<M, Error> {
+    let mut map = M::default();
+    input.begin_object()?;
+    while let Some(key) = input.next_key()? {
+        let value = V::deserialize(input)?;
+        map.extend([(key.into_owned(), value)]);
+    }
+    Ok(map)
+}
+
+impl<V: Serialize> Serialize for HashMap<String, V> {
+    fn serialize(&self, out: &mut Writer) {
+        let mut members: Vec<(&String, &V)> = self.iter().collect();
+        members.sort_by(|a, b| a.0.cmp(b.0));
+        serialize_map(members.into_iter(), out);
     }
 }
 
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![
-            self.0.to_value(),
-            self.1.to_value(),
-            self.2.to_value(),
-        ])
+impl<V: Deserialize> Deserialize for HashMap<String, V> {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        deserialize_map(input)
     }
 }
 
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) if items.len() == 3 => Ok((
-                A::from_value(&items[0])?,
-                B::from_value(&items[1])?,
-                C::from_value(&items[2])?,
-            )),
-            other => Err(Error::custom(format!(
-                "expected 3-element array, found {}",
-                other.kind()
-            ))),
-        }
+impl<V: Serialize> Serialize for BTreeMap<String, V> {
+    fn serialize(&self, out: &mut Writer) {
+        serialize_map(self.iter(), out);
     }
 }
 
-impl<V: Serialize> Serialize for std::collections::HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        let mut pairs: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(pairs)
-    }
-}
-
-impl<V: Deserialize> Deserialize for std::collections::HashMap<String, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Object(pairs) => pairs
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(Error::custom(format!(
-                "expected object, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Object(pairs) => pairs
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(Error::custom(format!(
-                "expected object, found {}",
-                other.kind()
-            ))),
-        }
+impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        deserialize_map(input)
     }
 }
 
 impl<T: Serialize, E: Serialize> Serialize for Result<T, E> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, out: &mut Writer) {
         // serde's externally tagged representation: {"Ok": v} / {"Err": e}.
+        out.begin_object();
         match self {
-            Ok(v) => Value::Object(vec![("Ok".to_string(), v.to_value())]),
-            Err(e) => Value::Object(vec![("Err".to_string(), e.to_value())]),
+            Ok(v) => out.field("Ok", v),
+            Err(e) => out.field("Err", e),
         }
+        out.end_object();
     }
 }
 
 impl<T: Deserialize, E: Deserialize> Deserialize for Result<T, E> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Object(pairs) if pairs.len() == 1 => match pairs[0].0.as_str() {
-                "Ok" => T::from_value(&pairs[0].1).map(Ok),
-                "Err" => E::from_value(&pairs[0].1).map(Err),
-                other => Err(Error::custom(format!(
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let value = match input.variant("Result")? {
+            (tag, true) if tag == "Ok" => Ok(T::deserialize(input)?),
+            (tag, true) if tag == "Err" => Err(E::deserialize(input)?),
+            (other, _) => {
+                return Err(Error::custom(format!(
                     "expected `Ok` or `Err` variant, found `{other}`"
-                ))),
-            },
-            other => Err(Error::custom(format!(
-                "expected single-key result object, found {}",
-                other.kind()
-            ))),
+                )))
+            }
+        };
+        input.end_variant()?;
+        Ok(value)
+    }
+}
+
+impl Serialize for Duration {
+    fn serialize(&self, out: &mut Writer) {
+        out.begin_object();
+        out.field("secs", &self.as_secs());
+        out.field("nanos", &self.subsec_nanos());
+        out.end_object();
+    }
+}
+
+impl Deserialize for Duration {
+    /// `nanos` may exceed a second, as `Duration::new` allows, but a pair that
+    /// overflows is an error rather than a panic.
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut secs, mut nanos) = (None, None);
+        input.begin_object()?;
+        while let Some(key) = input.next_key()? {
+            match &*key {
+                "secs" => input.field(&mut secs)?,
+                "nanos" => input.field(&mut nanos)?,
+                _ => input.skip()?,
+            }
         }
+        let nanos: u32 = required(nanos, "nanos")?;
+        Duration::from_secs(required(secs, "secs")?)
+            .checked_add(Duration::from_nanos(u64::from(nanos)))
+            .ok_or_else(|| Error::custom("duration overflows"))
     }
-}
-
-impl Serialize for std::time::Duration {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("secs".to_string(), self.as_secs().to_value()),
-            ("nanos".to_string(), self.subsec_nanos().to_value()),
-        ])
-    }
-}
-
-impl Deserialize for std::time::Duration {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let secs = value
-            .get("secs")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| Error::custom("expected duration object with `secs`"))?;
-        let nanos = value
-            .get("nanos")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| Error::custom("expected duration object with `nanos`"))?;
-        Ok(std::time::Duration::new(secs, nanos as u32))
-    }
-}
-
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
-    }
-}
-
-/// Helper used by the derive macros: look up a field in an object's pair list.
-pub fn get_field<'a>(pairs: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
-    pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }

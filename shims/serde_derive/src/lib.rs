@@ -11,7 +11,10 @@
 //! * `#[serde(skip)]` fields: omitted on serialize, `Default::default()` on
 //!   deserialize.
 //!
-//! Generic items are rejected with a compile error.
+//! The impls write straight to a `serde::Writer` and read straight from a
+//! `serde::Reader`. Named fields may arrive in any order; unknown keys are skipped,
+//! a repeated key keeps its first value, and a missing field is an error. Generic
+//! items are rejected with a compile error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -19,6 +22,13 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 struct Field {
     name: Option<String>,
     skip: bool,
+}
+
+impl Field {
+    /// A named field's name.
+    fn name(&self) -> &str {
+        self.name.as_deref().expect("named field")
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -295,222 +305,159 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 // Codegen
 // ---------------------------------------------------------------------------
 
-/// `fields.push(("name".to_string(), serde::Serialize::to_value(<expr>)));` lines for a
-/// named shape, given a printf-ish pattern for the field access expression.
-fn named_push_lines(fields: &[Field], access: impl Fn(&str) -> String) -> String {
-    fields
-        .iter()
-        .filter(|f| !f.skip)
-        .map(|f| {
-            let name = f.name.as_deref().unwrap();
+/// Statements writing a shape to `__out`, given each field's access expression.
+fn ser_shape(shape: &Shape, access: impl Fn(usize, &Field) -> String) -> String {
+    match shape {
+        Shape::Unit => "__out.null();".to_string(),
+        Shape::Tuple(fields) if fields.len() == 1 => {
             format!(
-                "__fields.push(({name:?}.to_string(), ::serde::Serialize::to_value({})));\n",
-                access(name)
+                "::serde::Serialize::serialize({}, __out);",
+                access(0, &fields[0])
             )
-        })
-        .collect()
+        }
+        Shape::Tuple(fields) => {
+            let items: String = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    format!(
+                        "__out.element(); ::serde::Serialize::serialize({}, __out);\n",
+                        access(i, f)
+                    )
+                })
+                .collect();
+            format!("__out.begin_array();\n{items}__out.end_array();")
+        }
+        Shape::Named(fields) => {
+            let members: String = fields
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| !f.skip)
+                .map(|(i, f)| format!("__out.field({:?}, {});\n", f.name(), access(i, f)))
+                .collect();
+            format!("__out.begin_object();\n{members}__out.end_object();")
+        }
+    }
 }
 
 fn gen_serialize(item: &Item) -> String {
-    match item {
+    let (name, body) = match item {
         Item::Struct { name, shape } => {
-            let body = match shape {
-                Shape::Unit => "::serde::Value::Null".to_string(),
-                Shape::Tuple(fields) if fields.len() == 1 => {
-                    "::serde::Serialize::to_value(&self.0)".to_string()
-                }
-                Shape::Tuple(fields) => {
-                    let items: String = (0..fields.len())
-                        .map(|i| format!("::serde::Serialize::to_value(&self.{i}),"))
-                        .collect();
-                    format!("::serde::Value::Array(vec![{items}])")
-                }
-                Shape::Named(fields) => {
-                    let pushes = named_push_lines(fields, |f| format!("&self.{f}"));
-                    format!(
-                        "{{ let mut __fields: Vec<(String, ::serde::Value)> = Vec::new();\n\
-                         {pushes} ::serde::Value::Object(__fields) }}"
-                    )
-                }
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{ {body} }}\n}}\n"
-            )
+            let body = ser_shape(shape, |i, f| match &f.name {
+                Some(field) => format!("&self.{field}"),
+                None => format!("&self.{i}"),
+            });
+            (name, body)
         }
         Item::Enum { name, variants } => {
             let arms: String = variants
                 .iter()
                 .map(|v| {
                     let vname = &v.name;
-                    match &v.shape {
-                        Shape::Unit => format!(
-                            "{name}::{vname} => ::serde::Value::String({vname:?}.to_string()),\n"
-                        ),
+                    let pattern = match &v.shape {
+                        Shape::Unit => String::new(),
                         Shape::Tuple(fields) => {
                             let binds: Vec<String> =
                                 (0..fields.len()).map(|i| format!("__f{i}")).collect();
-                            let pat = binds.join(", ");
-                            let inner = if fields.len() == 1 {
-                                "::serde::Serialize::to_value(__f0)".to_string()
-                            } else {
-                                let items: String = binds
-                                    .iter()
-                                    .map(|b| format!("::serde::Serialize::to_value({b}),"))
-                                    .collect();
-                                format!("::serde::Value::Array(vec![{items}])")
-                            };
-                            format!(
-                                "{name}::{vname}({pat}) => ::serde::Value::Object(vec![({vname:?}.to_string(), {inner})]),\n"
-                            )
+                            format!("({})", binds.join(", "))
                         }
                         Shape::Named(fields) => {
-                            let pat: String = fields
+                            let binds: String = fields
                                 .iter()
-                                .map(|f| {
-                                    let fname = f.name.as_deref().unwrap();
-                                    if f.skip {
-                                        format!("{fname}: _,")
-                                    } else {
-                                        format!("{fname},")
-                                    }
-                                })
+                                .filter(|f| !f.skip)
+                                .map(|f| format!("{}, ", f.name()))
                                 .collect();
-                            let pushes = named_push_lines(fields, |f| f.to_string());
+                            format!(" {{ {binds}.. }}")
+                        }
+                    };
+                    let body = match &v.shape {
+                        Shape::Unit => format!("__out.str({vname:?});"),
+                        shape => {
+                            let inner = ser_shape(shape, |i, f| {
+                                f.name.clone().unwrap_or_else(|| format!("__f{i}"))
+                            });
                             format!(
-                                "{name}::{vname} {{ {pat} }} => {{\n\
-                                 let mut __fields: Vec<(String, ::serde::Value)> = Vec::new();\n\
-                                 {pushes}\
-                                 ::serde::Value::Object(vec![({vname:?}.to_string(), ::serde::Value::Object(__fields))])\n\
-                                 }},\n"
+                                "__out.begin_object(); __out.key({vname:?});\n{inner}\n__out.end_object();"
                             )
                         }
-                    }
+                    };
+                    format!("{name}::{vname}{pattern} => {{ {body} }}\n")
                 })
                 .collect();
+            (name, format!("match self {{\n{arms}}}"))
+        }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+         fn serialize(&self, __out: &mut ::serde::Writer) {{\n{body}\n}}\n}}\n"
+    )
+}
+
+/// An expression reading a shape from `__in` into `path`.
+fn de_shape(path: &str, shape: &Shape) -> String {
+    match shape {
+        Shape::Unit => format!("{{ __in.skip()?; {path} }}"),
+        Shape::Tuple(fields) if fields.len() == 1 => {
+            format!("{path}(::serde::Deserialize::deserialize(__in)?)")
+        }
+        Shape::Tuple(fields) => {
+            let n = fields.len();
+            let items = format!("__in.element({n})?, ").repeat(n);
             format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> ::serde::Value {{ match self {{ {arms} }} }}\n}}\n"
+                "{{ __in.begin_array()?; let __v = {path}({items}); __in.end_array({n})?; __v }}"
+            )
+        }
+        Shape::Named(fields) => {
+            // One `Option` slot per field; `#[serde(skip)]` keys fall to the `_` arm.
+            let (mut slots, mut arms, mut inits) = (String::new(), String::new(), String::new());
+            for (i, f) in fields.iter().enumerate() {
+                let fname = f.name();
+                if f.skip {
+                    inits += &format!("{fname}: ::core::default::Default::default(),\n");
+                } else {
+                    slots += &format!("let mut __f{i} = None;\n");
+                    arms += &format!("{fname:?} => __in.field(&mut __f{i})?,\n");
+                    inits += &format!("{fname}: ::serde::required(__f{i}, {fname:?})?,\n");
+                }
+            }
+            format!(
+                "{{\n__in.begin_object()?;\n{slots}\
+                 while let Some(__key) = __in.next_key()? {{\n\
+                 match &*__key {{\n{arms}_ => __in.skip()?,\n}}\n}}\n\
+                 {path} {{\n{inits}}}\n}}"
             )
         }
     }
-}
-
-/// Constructor expression for a named shape out of `__obj: &[(String, Value)]`.
-fn named_ctor(path: &str, fields: &[Field]) -> String {
-    let inits: String = fields
-        .iter()
-        .map(|f| {
-            let fname = f.name.as_deref().unwrap();
-            if f.skip {
-                format!("{fname}: ::core::default::Default::default(),\n")
-            } else {
-                format!(
-                    "{fname}: match ::serde::get_field(__obj, {fname:?}) {{\n\
-                     Some(__v) => ::serde::Deserialize::from_value(__v)?,\n\
-                     None => return Err(::serde::Error::custom(concat!(\"missing field `\", {fname:?}, \"`\"))),\n\
-                     }},\n"
-                )
-            }
-        })
-        .collect();
-    format!("{path} {{ {inits} }}")
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, shape } => {
-            let body = match shape {
-                Shape::Unit => format!("Ok({name})"),
-                Shape::Tuple(fields) if fields.len() == 1 => {
-                    format!("Ok({name}(::serde::Deserialize::from_value(__value)?))")
-                }
-                Shape::Tuple(fields) => {
-                    let n = fields.len();
-                    let items: String = (0..n)
-                        .map(|i| format!("::serde::Deserialize::from_value(&__items[{i}])?,"))
-                        .collect();
-                    format!(
-                        "match __value.as_array() {{\n\
-                         Some(__items) if __items.len() == {n} => Ok({name}({items})),\n\
-                         _ => Err(::serde::Error::custom(\"expected {n}-element array for tuple struct {name}\")),\n\
-                         }}"
-                    )
-                }
-                Shape::Named(fields) => {
-                    let ctor = named_ctor(name, fields);
-                    format!(
-                        "let __obj = __value.as_object().ok_or_else(|| ::serde::Error::custom(\"expected object for struct {name}\"))?;\n\
-                         Ok({ctor})"
-                    )
-                }
-            };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(__value: &::serde::Value) -> Result<Self, ::serde::Error> {{\n{body}\n}}\n}}\n"
-            )
-        }
+    let (name, body) = match item {
+        Item::Struct { name, shape } => (name, format!("Ok({})", de_shape(name, shape))),
         Item::Enum { name, variants } => {
-            let unit_arms: String = variants
+            let arms: String = variants
                 .iter()
-                .filter(|v| matches!(v.shape, Shape::Unit))
                 .map(|v| {
                     let vname = &v.name;
-                    format!("{vname:?} => Ok({name}::{vname}),\n")
-                })
-                .collect();
-            let data_arms: String = variants
-                .iter()
-                .filter_map(|v| {
-                    let vname = &v.name;
+                    let path = format!("{name}::{vname}");
                     match &v.shape {
-                        Shape::Unit => None,
-                        Shape::Tuple(fields) if fields.len() == 1 => Some(format!(
-                            "{vname:?} => Ok({name}::{vname}(::serde::Deserialize::from_value(__inner)?)),\n"
-                        )),
-                        Shape::Tuple(fields) => {
-                            let n = fields.len();
-                            let items: String = (0..n)
-                                .map(|i| {
-                                    format!("::serde::Deserialize::from_value(&__items[{i}])?,")
-                                })
-                                .collect();
-                            Some(format!(
-                                "{vname:?} => match __inner.as_array() {{\n\
-                                 Some(__items) if __items.len() == {n} => Ok({name}::{vname}({items})),\n\
-                                 _ => Err(::serde::Error::custom(\"expected {n}-element array for variant {vname}\")),\n\
-                                 }},\n"
-                            ))
-                        }
-                        Shape::Named(fields) => {
-                            let ctor = named_ctor(&format!("{name}::{vname}"), fields);
-                            Some(format!(
-                                "{vname:?} => {{\n\
-                                 let __obj = __inner.as_object().ok_or_else(|| ::serde::Error::custom(\"expected object for variant {vname}\"))?;\n\
-                                 Ok({ctor})\n}},\n"
-                            ))
-                        }
+                        Shape::Unit => format!("({vname:?}, false) => {path},\n"),
+                        shape => format!("({vname:?}, true) => {},\n", de_shape(&path, shape)),
                     }
                 })
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(__value: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
-                 match __value {{\n\
-                 ::serde::Value::String(__s) => match __s.as_str() {{\n\
-                 {unit_arms}\
-                 __other => Err(::serde::Error::custom(format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
-                 }},\n\
-                 ::serde::Value::Object(__pairs) if __pairs.len() == 1 => {{\n\
-                 let (__tag, __inner) = &__pairs[0];\n\
-                 match __tag.as_str() {{\n\
-                 {data_arms}\
-                 __other => Err(::serde::Error::custom(format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
-                 }}\n\
-                 }},\n\
-                 __other => Err(::serde::Error::custom(format!(\"expected enum {name}, found {{}}\", __other.kind()))),\n\
-                 }}\n}}\n}}\n"
-            )
+            let body = format!(
+                "let (__tag, __data) = __in.variant({name:?})?;\n\
+                 let __value = match (&*__tag, __data) {{\n{arms}\
+                 (__other, _) => return Err(::serde::Error::custom(format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
+                 }};\n\
+                 if __data {{ __in.end_variant()?; }}\n\
+                 Ok(__value)"
+            );
+            (name, body)
         }
-    }
+    };
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+         fn deserialize(__in: &mut ::serde::Reader<'_>) -> Result<Self, ::serde::Error> {{\n{body}\n}}\n}}\n"
+    )
 }

@@ -1,403 +1,23 @@
-//! Offline stand-in for the `serde_json` crate, backed by the vendored `serde` shim's
-//! [`Value`] tree: compact and pretty writers plus a recursive-descent JSON parser.
+//! Offline stand-in for the `serde_json` crate: thin wrappers over the vendored
+//! `serde` shim's JSON writer and reader (`serde::json`), which own the format.
 
 #![forbid(unsafe_code)]
 
-pub use serde::value::{Number, Value};
 pub use serde::Error;
 
 use serde::{Deserialize, Serialize};
 
 /// Serialize a value as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    Ok(serde::json::to_string(value, false))
 }
 
 /// Serialize a value as pretty JSON (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    Ok(serde::json::to_string(value, true))
 }
 
 /// Deserialize a value from a JSON string.
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
-    let value = parse(input)?;
-    T::from_value(&value)
-}
-
-/// Parse a JSON document into a [`Value`].
-pub fn parse(input: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at byte {} of JSON input",
-            parser.pos
-        )));
-    }
-    Ok(value)
-}
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => out.push_str(&n.to_string()),
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_value(out, item, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {} of JSON input",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            Some(b) => Err(Error::custom(format!(
-                "unexpected character `{}` at byte {} of JSON input",
-                b as char, self.pos
-            ))),
-            None => Err(Error::custom("unexpected end of JSON input")),
-        }
-    }
-
-    fn parse_keyword(&mut self, keyword: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(keyword.as_bytes()) {
-            self.pos += keyword.len();
-            Ok(value)
-        } else {
-            Err(Error::custom(format!(
-                "invalid literal at byte {} of JSON input",
-                self.pos
-            )))
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `]` at byte {} of JSON input",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `}}` at byte {} of JSON input",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(Error::custom("unterminated string in JSON input")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let first = self.parse_hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&first) {
-                                // High surrogate: require a following \uXXXX low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let second = self.parse_hex4()?;
-                                    let combined = 0x10000
-                                        + ((first - 0xD800) << 10)
-                                        + (second.wrapping_sub(0xDC00));
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(first)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => {
-                                    return Err(Error::custom("invalid \\u escape in JSON string"))
-                                }
-                            }
-                            continue; // parse_hex4 already advanced past the digits
-                        }
-                        _ => return Err(Error::custom("invalid escape in JSON string")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so this is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::custom("invalid UTF-8 in JSON input"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::custom("truncated \\u escape in JSON string"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::custom("invalid \\u escape in JSON string"))?;
-        let value = u32::from_str_radix(hex, 16)
-            .map_err(|_| Error::custom("invalid \\u escape in JSON string"))?;
-        self.pos += 4;
-        Ok(value)
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number in JSON input"))?;
-        if text.is_empty() || text == "-" {
-            return Err(Error::custom(format!(
-                "invalid number at byte {start} of JSON input"
-            )));
-        }
-        let number = if is_float {
-            Number::Float(
-                text.parse::<f64>()
-                    .map_err(|_| Error::custom(format!("invalid number `{text}`")))?,
-            )
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            // Negative integer; fall back to float on overflow.
-            match stripped.parse::<i64>() {
-                Ok(n) => Number::NegInt(-n),
-                Err(_) => Number::Float(
-                    text.parse::<f64>()
-                        .map_err(|_| Error::custom(format!("invalid number `{text}`")))?,
-                ),
-            }
-        } else {
-            match text.parse::<u64>() {
-                Ok(n) => Number::PosInt(n),
-                Err(_) => Number::Float(
-                    text.parse::<f64>()
-                        .map_err(|_| Error::custom(format!("invalid number `{text}`")))?,
-                ),
-            }
-        };
-        Ok(Value::Number(number))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trips_scalars_and_containers() {
-        let v = parse(r#"{"a": [1, -2, 3.5, true, null, "x\n\"y\""], "b": {}}"#).unwrap();
-        let text = to_string(&v).unwrap();
-        assert_eq!(parse(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse("not json").is_err());
-        assert!(parse("{\"a\":}").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(from_str::<u32>("not json").is_err());
-    }
-
-    #[test]
-    fn pretty_prints_with_colon_space() {
-        let v = parse(r#"{"value":7}"#).unwrap();
-        assert!(to_string_pretty(&v).unwrap().contains("\"value\": 7"));
-    }
+    serde::json::from_str(input)
 }
